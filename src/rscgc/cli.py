@@ -15,6 +15,7 @@ the fly.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -114,13 +115,20 @@ def _parse_float_list(text, what):
         raise ConfigError(f"cannot parse {what}: {text!r}") from exc
 
 
+def _positive_G(value):
+    try:
+        g = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"G must be a number, got {value!r}") from exc
+    if not (math.isfinite(g) and g > 0):
+        raise ConfigError(f"G must be finite and positive, got {value!r}")
+    return g
+
+
 def _require_G(config):
     if config.G is None:
         raise ConfigError("G (points per wavelength) is required; pass --G")
-    g = float(config.G)
-    if g <= 0:
-        raise ConfigError(f"G must be positive, got {g}")
-    return g
+    return _positive_G(config.G)
 
 
 def _format_G(g):
@@ -253,6 +261,15 @@ def _resolve_alpha(config, g):
 # ---------------------------------------------------------------------------
 # methods
 
+def _method_beta(parts, default, spec):
+    if len(parts) < 2:
+        return default
+    try:
+        return float(parts[1])
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse beta {parts[1]!r} in method {spec!r}") from exc
+
+
 def _parse_method(spec, config, g):
     """Return (kind, alpha, beta, intergrid) for a method string.
 
@@ -263,11 +280,11 @@ def _parse_method(spec, config, g):
     if name == "rs-cgc" and len(parts) == 1:
         return "galerkin", _resolve_alpha(config, g), config.beta, config.intergrid
     if name == "cslp":
-        beta = float(parts[1]) if len(parts) > 1 else 0.1
+        beta = _method_beta(parts, 0.1, spec)
         intergrid = parts[2] if len(parts) > 2 else config.intergrid
         return "galerkin", 1.0, beta, intergrid
     if name == "rs-cgc+cslp":
-        beta = float(parts[1]) if len(parts) > 1 else 0.03
+        beta = _method_beta(parts, 0.03, spec)
         return "galerkin", _resolve_alpha(config, g), beta, config.intergrid
     if name == "re-disc" and len(parts) == 1:
         return "re-disc", REDISC_WAVENUMBER_SCALE, 0.0, "bilinear"
@@ -276,10 +293,10 @@ def _parse_method(spec, config, g):
 
 
 def _build_method_hierarchy(problem, config, kind, alpha, beta, intergrid):
-    plan = CyclePlan(cycle=config.cycle, nu1=config.nu1, nu2=config.nu2,
-                     intergrid=intergrid, alpha=alpha, beta=beta,
-                     dampings=_dampings(config))
     try:
+        plan = CyclePlan(cycle=config.cycle, nu1=config.nu1, nu2=config.nu2,
+                         intergrid=intergrid, alpha=alpha, beta=beta,
+                         dampings=_dampings(config))
         if kind == "re-disc":
             return build_rediscretized_hierarchy(problem, plan)
         return build_hierarchy(problem, config.scheme, plan)
@@ -359,7 +376,7 @@ def _write_json(payload, out):
 def cmd_tune_shift(config, write_table=None, fmt="csv"):
     if config.G is None:
         raise ConfigError("G is required; pass --G (comma list allowed)")
-    gs = _parse_float_list(config.G, "G list")
+    gs = [_positive_G(g) for g in _parse_float_list(config.G, "G list")]
     if not gs:
         raise ConfigError("G list is empty")
     rows = []
@@ -459,8 +476,11 @@ def cmd_sweep(config):
         raise ConfigError("grid list is empty; pass --grids N1,N2,...")
     grids = config.grids
     if isinstance(grids, str):
-        grids = [int(v) for v in grids.split(",") if v != ""]
-    grids = [int(v) for v in grids]
+        grids = grids.split(",")
+    try:
+        grids = [int(v) for v in grids if v != ""]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse grids: {config.grids!r}") from exc
     if not grids:
         raise ConfigError("grid list is empty; pass --grids N1,N2,...")
     methods = config.methods if config.methods is not None else [config.method]

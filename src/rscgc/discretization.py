@@ -203,12 +203,13 @@ class HelmholtzProblem:
     free_surface_top: bool = False
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if self.pad < 0:
             raise ValueError("pad must be nonnegative")
-        if self.gamma_max < 0:
-            raise ValueError("gamma_max must be nonnegative")
+        if not (math.isfinite(self.gamma_max) and self.gamma_max >= 0):
+            raise ValueError(
+                f"gamma_max must be finite and nonnegative, got {self.gamma_max}")
         nodes = self.model.nodes
         if self.source is None:
             depth = 0 if self.pad_lo[-1] > 0 else 1

@@ -8,7 +8,9 @@ turns the hierarchy into a shifted-Laplacian preconditioner for the unshifted
 system.
 
 Smoothing is damped Jacobi; the coarsest problem is solved by a cached sparse
-LU factorization. A W cycle runs the mid-level correction pass twice.
+LU factorization in SuperLU's symmetric mode, checked on every solve and
+refactored with partial pivoting if the check fails. A W cycle runs the
+mid-level correction pass twice.
 """
 
 import math
@@ -65,15 +67,15 @@ class CyclePlan:
                 f"intergrid must be one of {INTERGRID_CHOICES}, got {self.intergrid!r}")
         if self.nu1 < 0 or self.nu2 < 0:
             raise ValueError(f"nu1 and nu2 must be nonnegative, got {self.nu1}, {self.nu2}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         object.__setattr__(self, "dampings", tuple(float(w) for w in self.dampings))
         if len(self.dampings) < 2:
             raise ValueError("dampings must provide a value for levels 1 and 2")
-        if any(w <= 0 for w in self.dampings):
-            raise ValueError(f"dampings must be positive, got {self.dampings}")
+        if not all(math.isfinite(w) and w > 0 for w in self.dampings):
+            raise ValueError(f"dampings must be finite and positive, got {self.dampings}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,14 @@ class Level:
     inverse_diagonal: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass
 class MultigridHierarchy:
+    """Levels, transfers and the coarsest factorization of one plan.
+
+    coarse_solve replaces coarse_solver with a pivoted factorization the
+    first time the cached one misses its residual check.
+    """
+
     levels: tuple
     transfers: tuple
     coarse_solver: object
@@ -224,9 +232,26 @@ def _check_coarsenable(shape):
             f"coarsest level keeps 3 interior nodes")
 
 
-def _factorize(matrix, plan):
+# The coarsest operator is structurally symmetric, so SuperLU's symmetric
+# mode (minimum degree on A^T + A, a diagonal pivot kept unless it is 100x
+# smaller than the column maximum) gives less fill in much less time than
+# COLAMD with partial pivoting. Weak pivoting can cost accuracy; coarse_solve
+# checks every solve and falls back to the pivoted factorization.
+_SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                     options=dict(SymmetricMode=True))
+
+
+def _factorize(matrix, plan, pivoting=False):
+    """SuperLU factors of the coarsest operator: symmetric mode first, then
+    COLAMD with partial pivoting if that raises or pivoting is asked for."""
+    matrix = sp.csc_matrix(matrix)
+    if not pivoting:
+        try:
+            return spla.splu(matrix, **_SYMMETRIC_LU)
+        except RuntimeError:
+            pass
     try:
-        return spla.splu(sp.csc_matrix(matrix))
+        return spla.splu(matrix)
     except RuntimeError as exc:
         raise RuntimeError(
             f"coarsest-level factorization failed (alpha={plan.alpha}, "
@@ -330,11 +355,17 @@ def jacobi_smooth(level, x, b, sweeps, damping=None):
     """sweeps passes of damped Jacobi, x <- x + w D^-1 (b - A x).
 
     Every sweep reads only the previous iterate. Returns the new iterate
-    without mutating x.
+    without mutating x. x=None stands for the zero vector, whose first sweep
+    is w D^-1 b without the product with A.
     """
     w = level.damping if damping is None else damping
     A = level.operator.matrix
     invd = level.inverse_diagonal
+    if x is None:
+        if sweeps == 0:
+            return np.zeros(len(b), dtype=complex)
+        x = w * (invd * b)
+        sweeps -= 1
     x = np.asarray(x, dtype=complex)
     for _ in range(sweeps):
         x = x + w * (invd * (b - A @ x))
@@ -342,20 +373,35 @@ def jacobi_smooth(level, x, b, sweeps, damping=None):
 
 
 def coarse_solve(hierarchy, rhs):
-    """Direct solve on the coarsest level, verified to 1e-10 relative."""
+    """Direct solve on the coarsest level, verified to 1e-10 relative.
+
+    A solve that misses the check is repeated once with a freshly pivoted
+    factorization, which then serves every later solve of the hierarchy.
+    """
     rhs = np.asarray(rhs, dtype=complex)
     scale = np.linalg.norm(rhs)
     if scale == 0:
         return np.zeros_like(rhs)
+    plan = hierarchy.plan
+    matrix = hierarchy.levels[-1].operator.matrix
     x = hierarchy.coarse_solver.solve(rhs)
-    level = hierarchy.levels[-1]
-    residual = np.linalg.norm(rhs - level.operator.matrix @ x) / scale
+    residual = np.linalg.norm(rhs - matrix @ x) / scale
     if not residual <= 1e-10:
-        plan = hierarchy.plan
+        hierarchy.coarse_solver = _factorize(matrix, plan, pivoting=True)
+        x = hierarchy.coarse_solver.solve(rhs)
+        residual = np.linalg.norm(rhs - matrix @ x) / scale
+    if not residual <= 1e-10:
         raise RuntimeError(
             f"coarsest-level solve residual {residual:.3e} exceeds 1e-10; the "
             f"operator may be near-resonant (alpha={plan.alpha}, beta={plan.beta})")
     return x
+
+
+def _transfer(matrix, v):
+    """Real transfer matrix times a complex vector, through a real (n, 2)
+    view: scipy would otherwise upcast the matrix to complex on every call."""
+    v = np.ascontiguousarray(v, dtype=complex)
+    return (matrix @ v.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
 def cycle(hierarchy, b, x0=None):
@@ -370,17 +416,18 @@ def cycle(hierarchy, b, x0=None):
     t12, t23 = hierarchy.transfers
     b = np.asarray(b, dtype=complex).ravel()
 
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=complex).ravel()
+    x = None if x0 is None else np.array(x0, dtype=complex).ravel()
     x = jacobi_smooth(fine, x, b, plan.nu1)
-    coarse_rhs = t12.restriction @ (b - fine.operator.matrix @ x)
+    coarse_rhs = _transfer(t12.restriction, b - fine.operator.matrix @ x)
 
     passes = 2 if plan.cycle == "W" else 1
-    e = np.zeros_like(coarse_rhs)
+    e = None
     for _ in range(passes):
         e = jacobi_smooth(mid, e, coarse_rhs, plan.nu1)
         defect = coarse_rhs - mid.operator.matrix @ e
-        e = e + t23.prolongation @ coarse_solve(hierarchy, t23.restriction @ defect)
+        coarse = coarse_solve(hierarchy, _transfer(t23.restriction, defect))
+        e = e + _transfer(t23.prolongation, coarse)
         e = jacobi_smooth(mid, e, coarse_rhs, plan.nu2)
 
-    x = x + t12.prolongation @ e
+    x = x + _transfer(t12.prolongation, e)
     return jacobi_smooth(fine, x, b, plan.nu2)

@@ -112,6 +112,17 @@ def test_solve_rejects_bad_arguments(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["solve", "--G", "nan", "--cells", "32"], "'nan'"),
+    (["sweep", "--G", "12", "--grids", "a,b"], "'a,b'"),
+    (["sweep", "--G", "12", "--grids", "32", "--method", "cslp:abc"], "'abc'"),
+])
+def test_unparsable_values_exit_two(argv, named, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_shift_table_override(tmp_path, monkeypatch):
     table = tmp_path / "custom.json"
     table.write_text(json.dumps({"2:12:cubic": {"alpha_star": 1.03}}))

@@ -1,6 +1,7 @@
 """Assembly, media, sponge profile, and source placement."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -337,6 +338,18 @@ def test_points_per_wavelength_round_trip():
     model = make_model("homogeneous", (1.0, 1.0), (64, 64), 1.0 / 64)
     problem = HelmholtzProblem(model, omega_for_ppw(model, 12), pad=0)
     assert problem.points_per_wavelength == pytest.approx(12.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("omega", math.nan),
+    ("omega", math.inf),
+    ("gamma_max", math.nan),
+])
+def test_problem_rejects_non_finite_values(field, value):
+    model = make_model("homogeneous", (1.0, 1.0), (8, 8), 0.125)
+    kwargs = {"omega": 1.0, "pad": 0, field: value}
+    with pytest.raises(ValueError, match=rf"{field} must be finite.*(nan|inf)"):
+        HelmholtzProblem(model, **kwargs)
 
 
 def test_nyquist_rejection():

@@ -1,10 +1,12 @@
 """Hierarchy construction, transfers, smoothing, and the cycle operator."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import rscgc.multigrid as mg
 from rscgc.discretization import assemble_operator, mass_matrix, point_source
@@ -144,6 +146,17 @@ def test_cycle_plan_validation(bad):
         CyclePlan(**bad)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("alpha", math.nan),
+    ("alpha", math.inf),
+    ("beta", math.nan),
+    ("dampings", (0.89, math.nan)),
+])
+def test_cycle_plan_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=rf"{field} must be finite.*(nan|inf)"):
+        CyclePlan(**{field: value})
+
+
 # ---------------------------------------------------------------- smoothing
 
 def test_jacobi_matches_dense_update():
@@ -204,6 +217,72 @@ def test_coarse_solve_zero_and_accuracy():
     assert res <= 1e-10 * np.linalg.norm(rhs)
 
 
+def _stale_coarse_solver(hier):
+    """The hierarchy with its coarsest LU taken from a diagonally perturbed
+    operator, so every solve misses the 1e-10 residual check."""
+    A3 = hier.levels[2].operator.matrix
+    shift = 0.01 * np.abs(A3.diagonal()).max()
+    stale = spla.splu(sp.csc_matrix(A3 + shift * sp.eye(A3.shape[0])))
+    return dataclasses.replace(hier, coarse_solver=stale)
+
+
+def test_coarse_solve_refactors_with_pivoting_when_the_guard_trips(monkeypatch):
+    problem = build_problem(2, 16, 10, pad=0)
+    hier = _stale_coarse_solver(
+        build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.014)))
+    stale = hier.coarse_solver
+    calls = []
+    original = mg._factorize
+
+    def factorize(matrix, plan, pivoting=False):
+        calls.append(pivoting)
+        return original(matrix, plan, pivoting=pivoting)
+
+    monkeypatch.setattr(mg, "_factorize", factorize)
+    A3 = hier.levels[2].operator.matrix
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        rhs = rng.standard_normal(A3.shape[0]) + 1j * rng.standard_normal(A3.shape[0])
+        x = coarse_solve(hier, rhs)
+        assert np.linalg.norm(rhs - A3 @ x) <= 1e-10 * np.linalg.norm(rhs)
+    # one pivoted refactorization, kept for the second solve
+    assert calls == [True]
+    assert hier.coarse_solver is not stale
+
+
+def test_coarse_solve_raises_when_the_pivoted_solve_also_fails(monkeypatch):
+    problem = build_problem(2, 16, 10, pad=0)
+    hier = _stale_coarse_solver(
+        build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.014)))
+    monkeypatch.setattr(mg, "_factorize",
+                        lambda m, plan, pivoting=False: hier.coarse_solver)
+    rhs = np.ones(hier.levels[2].operator.dofs, dtype=complex)
+    with pytest.raises(RuntimeError, match="exceeds 1e-10"):
+        coarse_solve(hier, rhs)
+
+
+def test_factorize_falls_back_when_symmetric_mode_raises(monkeypatch):
+    original = spla.splu
+    calls = []
+
+    def splu(matrix, **kwargs):
+        calls.append(kwargs)
+        if kwargs.get("options", {}).get("SymmetricMode"):
+            raise RuntimeError("Factor is exactly singular")
+        return original(matrix, **kwargs)
+
+    monkeypatch.setattr(mg.spla, "splu", splu)
+    problem = build_problem(2, 16, 10, pad=0)
+    hier = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.014))
+    assert len(calls) == 2 and calls[1] == {}     # plain COLAMD, full pivoting
+
+    A3 = hier.levels[2].operator.matrix
+    rhs = np.random.default_rng(37).standard_normal(A3.shape[0]) + 0j
+    x = coarse_solve(hier, rhs)
+    assert np.linalg.norm(rhs - A3 @ x) <= 1e-10 * np.linalg.norm(rhs)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------- the cycle
 
 def test_w_cycle_visits_the_coarse_solver_twice(monkeypatch):
@@ -219,6 +298,36 @@ def test_w_cycle_visits_the_coarse_solver_twice(monkeypatch):
         hier = build_hierarchy(problem, "fourth-order", CyclePlan(cycle=shape))
         cycle(hier, b)
         assert len(calls) == expected
+
+
+@pytest.mark.parametrize("shape", ["V", "W"])
+@pytest.mark.parametrize("nu1", [0, 1, 2])
+def test_zero_first_guess_skips_only_zero_work(shape, nu1):
+    """x0=None starts smoothing from w D^-1 b; the result is that of an
+    explicit zero start."""
+    problem = build_problem(2, 32, 10, pad=4)
+    hier = build_hierarchy(problem, "fourth-order",
+                           CyclePlan(cycle=shape, nu1=nu1, alpha=1.014))
+    rng = np.random.default_rng(41)
+    n = hier.levels[0].operator.dofs
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shortcut = cycle(hier, b)
+    explicit = cycle(hier, b, x0=np.zeros_like(b))
+    assert np.linalg.norm(shortcut - explicit) <= 1e-14 * np.linalg.norm(explicit)
+
+    for level in hier.levels[:2]:
+        rhs = rng.standard_normal(level.operator.dofs) + 0j
+        assert np.array_equal(jacobi_smooth(level, None, rhs, nu1),
+                              jacobi_smooth(level, np.zeros_like(rhs), rhs, nu1))
+
+
+def test_real_view_transfer_equals_the_complex_product():
+    pair = transfer_matrices((33, 33), "cubic", "cubic")
+    rng = np.random.default_rng(43)
+    for matrix in (pair.restriction, pair.prolongation):
+        n = matrix.shape[1]
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(mg._transfer(matrix, v), matrix.astype(complex) @ v)
 
 
 def test_cycle_of_zero_is_zero():
