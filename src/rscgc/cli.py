@@ -19,17 +19,17 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .discretization import (HelmholtzProblem, assemble_operator, load_model,
                              make_model, omega_for_ppw, point_source)
 from .dispersion import (AnalysisConfig, export_dispersion_curve,
-                         ncrit_bounds, optimize_shift, _error_table)
-from .krylov import fgmres, stationary_solve
-from .multigrid import (CyclePlan, REDISC_WAVENUMBER_SCALE, build_hierarchy,
-                        build_rediscretized_hierarchy, cycle)
+                         ncrit_bounds, optimize_shift)
+from .krylov import default_maxit, fgmres, stationary_solve
+from .multigrid import (CyclePlan, INTERGRID_CHOICES, REDISC_WAVENUMBER_SCALE,
+                        build_hierarchy, build_rediscretized_hierarchy, cycle)
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -76,7 +76,6 @@ class ExperimentConfig:
     grids: object = None
     repeats: int = 1
     workers: int = 1
-    seed: int = 0            # reserved for randomized self-checks; none yet
     alpha_scan: object = None
     scan_maxit: int = 12
     out: object = None
@@ -209,15 +208,19 @@ def _table_path():
     return os.path.join(os.path.dirname(__file__), "data", "shift_table.json")
 
 
-def _load_table():
-    path = _table_path()
+def _load_table(path):
+    """The shift table at path: {} when it cannot be opened, else a JSON object."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            table = json.load(fh)
     except OSError:
         return {}
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"shift table {path} is not valid JSON: {exc}") from exc
+    if not isinstance(table, dict):
+        raise ConfigError(f"shift table {path} must hold a JSON object, "
+                          f"got {type(table).__name__}")
+    return table
 
 
 def _analysis_config(config, g):
@@ -250,7 +253,7 @@ def _resolve_alpha(config, g):
             raise ConfigError(f"alpha must be positive, got {value}")
         return value
     key = f"{config.dim}:{_format_G(g)}:{config.intergrid}"
-    entry = _load_table().get(key)
+    entry = _load_table(_table_path()).get(key)
     if entry is not None:
         return float(entry["alpha_star"])
     print(f"shift table has no entry {key}; tuning now", file=sys.stderr)
@@ -322,6 +325,12 @@ def _parse_solver(spec):
                       f"fgmres:M, or stationary")
 
 
+def _maxit(config):
+    if config.maxit is not None:
+        return int(config.maxit)
+    return default_maxit(_parse_solver(config.solver)[1])
+
+
 def _run_solver(problem, config, hierarchy):
     solver, restart = _parse_solver(config.solver)
     b = point_source(problem).ravel()
@@ -329,8 +338,7 @@ def _run_solver(problem, config, hierarchy):
         if hierarchy.plan.beta > 0:
             raise ConfigError("the stationary solver iterates on the operator it "
                               "is built from; beta must be 0")
-        maxit = int(config.maxit) if config.maxit is not None else 100
-        return stationary_solve(hierarchy, b, tol=config.tol, maxit=maxit)
+        return stationary_solve(hierarchy, b, tol=config.tol, maxit=_maxit(config))
     # Krylov always targets the unshifted operator. With beta = 0 that is
     # exactly the hierarchy's fine level; only a complex-shifted hierarchy
     # needs a separate assembly.
@@ -338,12 +346,9 @@ def _run_solver(problem, config, hierarchy):
         outer = hierarchy.levels[0].operator.matrix
     else:
         outer = assemble_operator(problem, config.scheme, alpha=1.0, beta=0.0).matrix
-    maxit = config.maxit
-    if maxit is None:
-        maxit = 100 if restart is None else 200
     return fgmres(lambda v: outer @ v,
                   lambda r: cycle(hierarchy, r),
-                  b, restart=restart, tol=config.tol, maxit=int(maxit))
+                  b, restart=restart, tol=config.tol, maxit=_maxit(config))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +384,7 @@ def cmd_tune_shift(config, write_table=None, fmt="csv"):
     gs = [_positive_G(g) for g in _parse_float_list(config.G, "G list")]
     if not gs:
         raise ConfigError("G list is empty")
+    table = _load_table(write_table) if write_table else {}
     rows = []
     for g in gs:
         acfg = _analysis_config(config, g)
@@ -390,10 +396,6 @@ def cmd_tune_shift(config, write_table=None, fmt="csv"):
                      "max_eg": f"{max_eg:.6e}",
                      "ncrit_lo": lo, "ncrit_hi": hi})
     if write_table:
-        table = {}
-        if os.path.exists(write_table):
-            with open(write_table, encoding="utf-8") as fh:
-                table = json.load(fh)
         for row in rows:
             key = f"{row['dim']}:{row['G']}:{row['intergrid']}"
             table[key] = {"alpha_star": float(row["alpha_star"]),
@@ -453,11 +455,7 @@ def _sweep_cell(payload):
         reports.append(report)
     measured = reports[1:]
     report = measured[-1]
-    maxit = config.maxit
-    if maxit is None:
-        _, restart = _parse_solver(config.solver)
-        maxit = 100 if restart is None else 200
-    iters = int(maxit) if report.diverged else report.iterations
+    iters = _maxit(config) if report.diverged else report.iterations
     return {
         "grid": "x".join(str(c) for c in problem.model.cells),
         "dofs": int(np.prod(problem.padded_shape)),
@@ -516,8 +514,9 @@ def _parse_alpha_scan(text):
         step = float(parts[2]) if len(parts) == 3 else 0.005
     except ValueError as exc:
         raise ConfigError(f"cannot parse alpha scan {text!r}") from exc
-    if not (0 < lo < hi) or step <= 0:
-        raise ConfigError(f"alpha scan needs 0 < lo < hi and step > 0, got {text!r}")
+    if not (0 < lo < hi < math.inf and 0 < step < math.inf):
+        raise ConfigError(f"alpha scan needs 0 < lo < hi and a positive step, "
+                          f"all finite, got {text!r}")
     return lo, hi, step
 
 
@@ -534,9 +533,10 @@ def cmd_dispersion(config):
     acfg = _analysis_config(config, g)
     if config.alpha_scan is not None:
         lo, hi, step = _parse_alpha_scan(config.alpha_scan)
-        alphas = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
-        _, errors = _error_table(acfg, alphas)
-        eg_max = np.abs(errors).max(axis=1)
+        _, _, scan = optimize_shift(replace(acfg, alpha_range=(lo, hi),
+                                            alpha_resolution=step))
+        alphas = scan.alphas
+        eg_max = np.abs(scan.errors).max(axis=1)
         problem = _build_problem(config)
         rows = []
         for alpha, eg in zip(alphas, eg_max):
@@ -568,8 +568,7 @@ def _add_common(sub):
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--dim", type=int, choices=(2, 3))
     sub.add_argument("--G", help="points per wavelength on the fine grid")
-    sub.add_argument("--intergrid", choices=("cubic", "level-dependent", "bilinear"))
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--intergrid", choices=INTERGRID_CHOICES)
 
 
 def _add_analysis(sub):

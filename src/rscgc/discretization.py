@@ -283,9 +283,6 @@ class SparseOperator:
     def dofs(self):
         return int(np.prod(self.grid_shape))
 
-    def __matmul__(self, other):
-        return self.matrix @ other
-
     def structurally_symmetric(self):
         pattern = (self.matrix != 0).astype(np.int8)
         return (pattern != pattern.T).nnz == 0

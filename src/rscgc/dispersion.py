@@ -62,15 +62,18 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"analysis dim must be 2 or 3, got {self.dim}")
-        if self.G <= 8:
+        if not 8 < self.G < math.inf:
             raise ValueError(
-                f"G must exceed 8 so two coarsenings keep G/4 > 2, got {self.G}")
+                f"G must be finite and exceed 8 so two coarsenings keep G/4 > 2, "
+                f"got {self.G}")
         for name in ("phi_resolution", "alpha_resolution", "ray_resolution"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         lo, hi = self.alpha_range
-        if not (0 < lo < hi):
-            raise ValueError(f"alpha_range must satisfy 0 < lo < hi, got {self.alpha_range}")
+        if not 0 < lo < hi < math.inf:
+            raise ValueError(
+                f"alpha_range must satisfy 0 < lo < hi < inf, got {self.alpha_range}")
         if self.intergrid not in INTERGRID_CHOICES:
             raise ValueError(
                 f"intergrid must be one of {INTERGRID_CHOICES}, got {self.intergrid!r}")
@@ -127,22 +130,46 @@ def _unit(dim, phi):
     ])
 
 
-class _RaySymbol:
-    """Real symbol of a stencil restricted to one ray, tabulated on a grid."""
-
-    def __init__(self, stencil, u, grid):
-        self.proj = stencil.offsets().astype(float) @ u
-        self.coeffs = stencil.coeffs.ravel().real
-        self.table = np.cos(np.outer(grid, self.proj)) @ self.coeffs
-
-    def __call__(self, r):
-        return np.cos(np.outer(np.atleast_1d(r), self.proj)) @ self.coeffs
-
-
 def _ray_grid(dim, res):
     rmax = math.pi * math.sqrt(dim)
     count = int(math.floor(rmax / res + 0.5))
     return res * np.arange(0.0, count + 1.0)
+
+
+def _first_crossings(lap, mass, masses, phi, res, steps):
+    """First sign switch of symbol(lap) - m * symbol(mass) along phi, per mass m.
+
+    The real symbols are tabulated on the ray grid r = 0, res, ..., about
+    pi*sqrt(dim); the first nonnegative sample brackets each crossing, and
+    `steps` halvings refine the bracket. Returns the final bracket midpoints.
+    """
+    u = _unit(lap.dim, phi)
+    terms = [(s.offsets().astype(float) @ u, s.coeffs.ravel().real) for s in (lap, mass)]
+
+    def symbols(r):
+        return [np.cos(np.outer(r, proj)) @ coeffs for proj, coeffs in terms]
+
+    masses = np.asarray(masses, dtype=float)
+    grid = _ray_grid(lap.dim, res)
+    sym_lap, sym_mass = symbols(grid)
+    nonneg = sym_lap[None, :] - masses[:, None] * sym_mass[None, :] >= 0
+    if np.any(nonneg[:, 0]):
+        raise NoCrossingError(
+            "no dispersion-relation crossing: the symbol is nonnegative at r = 0 "
+            "(wavenumber too small for this stencil?)")
+    if not np.all(nonneg.any(axis=1)):
+        raise NoCrossingError(
+            f"no dispersion-relation crossing for r in (0, {grid[-1]:g}] "
+            f"(wavenumber too large for this stencil?)")
+    first = nonneg.argmax(axis=1)
+    lo, hi = grid[first - 1], grid[first]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        sym_lap, sym_mass = symbols(mid)
+        above = sym_lap - masses * sym_mass >= 0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def discrete_radius(stencil, kh, phi, ray_resolution=1e-3):
@@ -150,35 +177,10 @@ def discrete_radius(stencil, kh, phi, ray_resolution=1e-3):
 
     Samples along theta = r * unit(phi) for r in (0, pi*sqrt(dim)] at the
     given resolution, then refines the bracketed switch by bisection to below
-    1e-9. kh identifies the operator in error messages; its effect on the
-    symbol enters through the stencil's mass term.
+    1e-9. The stencil carries its own mass term, so kh, the wavenumber it was
+    built for, does not enter the search.
     """
-    u = _unit(stencil.dim, phi)
-    grid = _ray_grid(stencil.dim, ray_resolution)
-    sym = _RaySymbol(stencil, u, grid)
-    values = sym.table
-    if values[0] >= 0:
-        raise NoCrossingError(
-            f"no dispersion-relation crossing: symbol({0.0}) = {values[0]:.3e} "
-            f"is nonnegative (kh = {kh:g} too small for this stencil?)")
-    nonneg = np.nonzero(values >= 0)[0]
-    if nonneg.size == 0:
-        raise NoCrossingError(
-            f"no dispersion-relation crossing for r in (0, pi*sqrt({stencil.dim})] "
-            f"(kh = {kh:g} too large for this stencil?)")
-    i = int(nonneg[0])
-    lo, hi = grid[i - 1], grid[i]
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if float(sym(mid)[0]) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _snap(r, res):
-    return res * round(r / res)
+    return float(_first_crossings(stencil, stencil, [0.0], phi, ray_resolution, 40)[0])
 
 
 @lru_cache(maxsize=None)
@@ -212,71 +214,27 @@ def coarsest_stencil(config, alpha):
     return lap3 + mass3 * (-((alpha * config.kh) ** 2))
 
 
+def _snapped_radii(config, alphas, phi):
+    """Ray-grid-snapped radii at one direction: (r3 for each alpha, r1).
+
+    A snapped radius is the bracket end nearer the crossing, so one halving,
+    a single symbol evaluation at the bracket midpoint, decides it.
+    """
+    res = config.ray_resolution
+    kh = config.kh
+    lap1, mass1 = _fine_pair(config.dim)
+    lap3, mass3 = _composite_pair(config.dim, config.intergrid)
+    r1 = _first_crossings(lap1, mass1, [kh ** 2], phi, res, 1)
+    r3 = _first_crossings(lap3, mass3, (np.asarray(alphas) * kh) ** 2, phi, res, 1)
+    return res * np.round(r3 / res), res * np.round(r1[0] / res)
+
+
 def grid_to_grid_error(config, alpha, phi):
     """e_g(alpha, phi) = r3 / (4 r1) - 1 with ray-grid-snapped radii."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    res = config.ray_resolution
-    kh = config.kh
-    lap1, mass1 = _fine_pair(config.dim)
-    fine = lap1 + mass1 * (-(kh ** 2))
-    r1 = _snap(discrete_radius(fine, kh, phi, res), res)
-    coarse = coarsest_stencil(config, alpha)
-    r3 = _snap(discrete_radius(coarse, 4 * alpha * kh, phi, res), res)
-    return r3 / (4.0 * r1) - 1.0
-
-
-def _batch_radii(sym_lap, sym_mass, grid, masses, res):
-    """First-crossing radii of sym_lap - m * sym_mass for a batch of masses.
-
-    Bracket on the tabulated grid, refine by bisection, snap to the grid
-    resolution. All masses must cross; the caller's stencils do for the kh
-    range the config invariants allow.
-    """
-    masses = np.asarray(masses, dtype=float)
-    F = sym_lap.table[None, :] - masses[:, None] * sym_mass.table[None, :]
-    if np.any(F[:, 0] >= 0):
-        raise NoCrossingError("symbol nonnegative at the origin for some shift")
-    nonneg = F >= 0
-    if not np.all(nonneg.any(axis=1)):
-        raise NoCrossingError("no dispersion-relation crossing for some shift")
-    first = nonneg.argmax(axis=1)
-    lo = grid[first - 1]
-    hi = grid[first]
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        fm = sym_lap(mid) - masses * sym_mass(mid)
-        above = fm >= 0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return res * np.round(0.5 * (lo + hi) / res)
-
-
-def _alpha_grid(config):
-    lo, hi = config.alpha_range
-    count = int(round((hi - lo) / config.alpha_resolution)) + 1
-    return lo + config.alpha_resolution * np.arange(count)
-
-
-def _error_table(config, alphas):
-    """e_g values, shape (len(alphas), number of directions)."""
-    res = config.ray_resolution
-    kh = config.kh
-    grid = _ray_grid(config.dim, res)
-    lap1, mass1 = _fine_pair(config.dim)
-    lap3, mass3 = _composite_pair(config.dim, config.intergrid)
-    directions = direction_grid(config)
-    rows = directions if config.dim == 3 else directions[:, None]
-    masses = (np.asarray(alphas) * kh) ** 2
-    errors = np.empty((len(alphas), len(rows)))
-    for j, phi in enumerate(rows):
-        u = _unit(config.dim, phi)
-        r1 = _batch_radii(_RaySymbol(lap1, u, grid), _RaySymbol(mass1, u, grid),
-                          grid, [kh ** 2], res)[0]
-        r3 = _batch_radii(_RaySymbol(lap3, u, grid), _RaySymbol(mass3, u, grid),
-                          grid, masses, res)
-        errors[:, j] = r3 / (4.0 * r1) - 1.0
-    return directions, errors
+    r3, r1 = _snapped_radii(config, [alpha], phi)
+    return float(r3[0] / (4.0 * r1) - 1.0)
 
 
 def optimize_shift(config):
@@ -286,8 +244,14 @@ def optimize_shift(config):
     grid; ties break toward the smaller alpha. Returns (alpha_star,
     max_eg_star, DispersionScan).
     """
-    alphas = _alpha_grid(config)
-    directions, errors = _error_table(config, alphas)
+    lo, hi = config.alpha_range
+    count = int(round((hi - lo) / config.alpha_resolution)) + 1
+    alphas = lo + config.alpha_resolution * np.arange(count)
+    directions = direction_grid(config)
+    errors = np.empty((count, len(directions)))
+    for j, phi in enumerate(directions):
+        r3, r1 = _snapped_radii(config, alphas, phi)
+        errors[:, j] = r3 / (4.0 * r1) - 1.0
     objective = np.abs(errors).max(axis=1)
     best = int(np.argmin(objective))
     scan = DispersionScan(
@@ -337,16 +301,10 @@ def export_dispersion_curve(config, alpha, angle_resolution=0.01):
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    res = config.ray_resolution
-    kh = config.kh
-    lap1, mass1 = _fine_pair(config.dim)
-    fine = lap1 + mass1 * (-(kh ** 2))
-    coarse = coarsest_stencil(config, alpha)
 
     def radii(phi):
-        r1 = _snap(discrete_radius(fine, kh, phi, res), res)
-        r3 = _snap(discrete_radius(coarse, 4 * alpha * kh, phi, res), res)
-        return r3, 4.0 * r1
+        r3, r1 = _snapped_radii(config, [alpha], phi)
+        return r3[0], 4.0 * r1
 
     if config.dim == 2:
         base = np.arange(0.0, math.pi / 4, angle_resolution)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .multigrid import cycle
 
-__all__ = ["SolveReport", "fgmres", "stationary_solve"]
+__all__ = ["SolveReport", "default_maxit", "fgmres", "stationary_solve"]
 
 _BREAKDOWN = 1e-14
 
@@ -27,6 +27,11 @@ class SolveReport:
     converged: bool = False
     wall_time: float = 0.0
     diverged: bool = False
+
+
+def default_maxit(restart=None):
+    """Iteration cap when none is given: 100, or 200 for restarted FGMRES."""
+    return 100 if restart is None else 200
 
 
 def _givens(f, g):
@@ -52,7 +57,7 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
     if restart is not None and restart < 1:
         raise ValueError(f"restart must be at least 1, got {restart}")
     if maxit is None:
-        maxit = 100 if restart is None else 200
+        maxit = default_maxit(restart)
     if apply_M is None:
         apply_M = lambda v: v
 
@@ -136,7 +141,7 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
                           wall_time=time.perf_counter() - start)
 
 
-def stationary_solve(hierarchy, b, tol=1e-6, maxit=100, x0=None):
+def stationary_solve(hierarchy, b, tol=1e-6, maxit=None, x0=None):
     """Repeated correction x <- x + cycle(b - A x) on the fine level.
 
     Aborts with the diverged flag when the relative residual grows past 10x
@@ -144,6 +149,8 @@ def stationary_solve(hierarchy, b, tol=1e-6, maxit=100, x0=None):
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if maxit is None:
+        maxit = default_maxit()
     start = time.perf_counter()
     A = hierarchy.levels[0].operator.matrix
     b = np.asarray(b, dtype=complex).ravel()

@@ -149,9 +149,9 @@ def restriction_stencil(dim: int, order: str) -> Stencil:
     order 'cubic' : tensor product of (1/16)[1 4 6 4 1].
     Entries sum to one in either case.
     """
-    if order in ("cubic", "high"):
+    if order == "cubic":
         base = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    elif order in ("linear", "bilinear", "low"):
+    elif order == "linear":
         base = np.array([1.0, 2.0, 1.0]) / 4.0
     else:
         raise ValueError(f"unknown transfer order {order!r}")

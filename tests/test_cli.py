@@ -54,6 +54,22 @@ def test_tune_shift_write_table_merges(tmp_path):
     assert merged["2:12:cubic"]["alpha_star"] == 1.0045
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_tune_shift_rejects_a_malformed_table_before_tuning(tmp_path, monkeypatch,
+                                                            capsys, text):
+    def no_tuning(config):
+        raise AssertionError("tuned before checking the table")
+
+    monkeypatch.setattr("rscgc.cli.optimize_shift", no_tuning)
+    table = tmp_path / "bad.json"
+    table.write_text(text)
+    rc = main(["tune-shift", "--dim", "2", "--G", "12",
+               "--write-table", str(table)])
+    assert rc == 2
+    assert "bad.json" in capsys.readouterr().err
+    assert table.read_text() == text
+
+
 def test_tune_shift_json_format(tmp_path):
     out = tmp_path / "shift.json"
     rc = main(["tune-shift", "--dim", "2", "--G", "12",
@@ -247,4 +263,5 @@ def test_dispersion_scan_validation(capsys):
     base = ["dispersion", "--dim", "2", "--G", "11", "--cells", "32"]
     assert main(base + ["--alpha-scan", "1.02:1.01"]) == 2
     assert main(base + ["--alpha-scan", "abc"]) == 2
+    assert main(base + ["--alpha-scan", "1.0:1.02:nan"]) == 2
     capsys.readouterr()

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rscgc.discretization import laplacian_and_mass_stencils, omega_for_ppw
 from rscgc.dispersion import (
+    INTERGRID_CHOICES,
+    POLAR_LO,
     AnalysisConfig,
     NoCrossingError,
     classical_dispersion_error,
@@ -17,6 +20,9 @@ from rscgc.dispersion import (
     grid_to_grid_error,
     ncrit_bounds,
     optimize_shift,
+    _composite_pair,
+    _fine_pair,
+    _first_crossings,
 )
 
 
@@ -101,6 +107,41 @@ def test_optimize_shift_on_a_narrow_bracket():
     assert np.abs(np.diff(objective)).max() < 2e-3
 
 
+@settings(max_examples=10, deadline=None)
+@given(dim=st.sampled_from([2, 3]),
+       G=st.floats(8.0, 100.0, exclude_min=True),
+       alpha=st.floats(0.98, 1.06),
+       azimuth=st.floats(0.0, math.pi / 4),
+       polar=st.floats(POLAR_LO, math.pi / 2))
+def test_one_halving_decides_the_snapped_radius(dim, G, alpha, azimuth, polar):
+    """The snapped radius is the bracket end nearer the crossing; the midpoint
+    test of the first halving picks it, so 39 more halvings change nothing."""
+    kh = 2 * math.pi / G
+    phi = azimuth if dim == 2 else (azimuth, polar)
+    res = 1e-3
+    cases = [(_fine_pair(dim), kh ** 2)]
+    cases += [(_composite_pair(dim, ig), (alpha * kh) ** 2) for ig in INTERGRID_CHOICES]
+    for (lap, mass), m in cases:
+        one, forty = (_first_crossings(lap, mass, [m], phi, res, steps)[0]
+                      for steps in (1, 40))
+        assert round(one / res) == round(forty / res)
+
+
+@pytest.fixture(scope="module")
+def scan_2d():
+    config = AnalysisConfig(2, 11.0, "level-dependent", alpha_range=(1.0, 1.03))
+    return config, optimize_shift(config)[2]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_grid_to_grid_error_reproduces_the_scan_table(scan_2d, data):
+    config, scan = scan_2d
+    i = data.draw(st.integers(0, len(scan.alphas) - 1))
+    j = data.draw(st.integers(0, len(scan.directions) - 1))
+    assert grid_to_grid_error(config, scan.alphas[i], scan.directions[j]) == scan.errors[i, j]
+
+
 def test_ties_break_toward_the_smaller_alpha():
     """The snapped radii often plateau; the reported optimum is the first."""
     config = AnalysisConfig(2, 12.0, "cubic", alpha_range=(1.0, 1.01))
@@ -149,12 +190,20 @@ def test_classical_error_fourth_order_decay():
     {"intergrid": "quadratic"},
     {"phi_resolution": 0.0},
     {"alpha_range": (1.06, 0.98)},
+    {"G": math.nan},
+    {"G": math.inf},
+    {"phi_resolution": math.nan},
+    {"alpha_resolution": math.nan},
+    {"ray_resolution": math.nan},
+    {"alpha_range": (0.98, math.inf)},
 ])
 def test_analysis_config_validation(bad):
     kwargs = {"dim": 2, "G": 12.0}
     kwargs.update(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         AnalysisConfig(**kwargs)
+    value, = bad.values()
+    assert str(value) in str(info.value)
 
 
 def test_direction_grid_shapes():

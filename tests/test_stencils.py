@@ -109,8 +109,9 @@ def test_restriction_weights_sum_to_one(dim, order):
 
 
 def test_restriction_rejects_unknown_order():
-    with pytest.raises(ValueError, match="transfer order"):
-        restriction_stencil(2, "quintic")
+    for order in ("quintic", "high", "low", "bilinear"):
+        with pytest.raises(ValueError, match="transfer order"):
+            restriction_stencil(2, order)
 
 
 def test_transpose_scale_linear_interpolation():
