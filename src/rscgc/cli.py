@@ -25,7 +25,7 @@ import numpy as np
 
 from .discretization import (HelmholtzProblem, assemble_operator, load_model,
                              make_model, omega_for_ppw, point_source)
-from .dispersion import (AnalysisConfig, export_dispersion_curve,
+from .dispersion import (AnalysisConfig, NoCrossingError, export_dispersion_curve,
                          ncrit_bounds, optimize_shift)
 from .krylov import default_maxit, fgmres, stationary_solve
 from .multigrid import (CyclePlan, INTERGRID_CHOICES, REDISC_WAVENUMBER_SCALE,
@@ -249,8 +249,8 @@ def _resolve_alpha(config, g):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"alpha must be 'auto' or a number, got "
                               f"{config.alpha!r}") from exc
-        if value <= 0:
-            raise ConfigError(f"alpha must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"alpha must be finite and positive, got {value}")
         return value
     key = f"{config.dim}:{_format_G(g)}:{config.intergrid}"
     entry = _load_table(_table_path()).get(key)
@@ -671,7 +671,8 @@ def main(argv=None):
         if getattr(args, "emit_config", None):
             config.emit(args.emit_config)
         return _HANDLERS[args.command](config, args)
-    except ConfigError as exc:
+    except (ConfigError, NoCrossingError) as exc:
+        # NoCrossingError: the stencil cannot resolve the given alpha or G
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, OSError) as exc:

@@ -259,7 +259,10 @@ class HelmholtzProblem:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Complex sparse matrix over the padded grid, rows in lexicographic order."""
+    """Sparse matrix over the padded grid, rows in lexicographic order.
+
+    Helmholtz operators are complex; the mass operator is real.
+    """
 
     matrix: sp.csr_matrix
     grid_shape: tuple
@@ -405,8 +408,18 @@ def _stencil_entries(shape, boundary, stencil, weight_of_offset):
             values = np.broadcast_to(values, rows_grid.shape)
         rows.append(rows_grid[keep])
         cols.append(idx[colslc][keep])
-        vals.append(np.ascontiguousarray(values[keep], dtype=complex))
+        vals.append(np.ascontiguousarray(values[keep]))
     return rows, cols, vals
+
+
+def _csr(rows, cols, vals, shape):
+    """Square CSR matrix over the grid from lists of COO triplet blocks."""
+    n = int(np.prod(shape))
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    matrix.sum_duplicates()
+    return matrix
 
 
 def _boundary_mask(shape):
@@ -423,10 +436,10 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
     gamma at the neighbor node of each mass-stencil offset. Outermost rows are
     identity with their couplings removed in both directions.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     lap, mass = laplacian_and_mass_stencils(problem.model.dim, scheme)
     shape = problem.padded_shape
     h = problem.model.h
@@ -446,33 +459,25 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
     rows.append(bidx)
     cols.append(bidx)
     vals.append(np.ones(bidx.size, dtype=complex))
-
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(int(np.prod(shape)),) * 2).tocsr()
-    matrix.sum_duplicates()
-    return SparseOperator(matrix, shape, h)
+    return SparseOperator(_csr(rows, cols, vals, shape), shape, h)
 
 
 def mass_matrix(problem, scheme):
-    """The k^2-weighted mass operator k^2 M with neighbor-node sampling.
+    """The real k^2-weighted mass operator k^2 M with neighbor-node sampling.
 
     Boundary rows are zero, matching the decoupled rows of assemble_operator,
     so assemble(alpha, beta) - assemble(1, 0) equals
     (1 - alpha^2) * mass_matrix - i * beta * mass_matrix exactly.
+    build_hierarchy uses this to put the real shift on the coarsest level
+    without assembling the fine operator a second time.
     """
     _, mass = laplacian_and_mass_stencils(problem.model.dim, scheme)
     shape = problem.padded_shape
     boundary = _boundary_mask(shape)
     k2 = problem.omega ** 2 * _padded_kappa2(problem)
     rows, cols, vals = _stencil_entries(
-        shape, boundary, mass, lambda c, slc: c * k2[slc])
-    n = int(np.prod(shape))
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    matrix.sum_duplicates()
-    return SparseOperator(matrix, shape, problem.model.h)
+        shape, boundary, mass, lambda c, slc: c.real * k2[slc])
+    return SparseOperator(_csr(rows, cols, vals, shape), shape, problem.model.h)
 
 
 def point_source(problem):

@@ -231,8 +231,8 @@ def _snapped_radii(config, alphas, phi):
 
 def grid_to_grid_error(config, alpha, phi):
     """e_g(alpha, phi) = r3 / (4 r1) - 1 with ray-grid-snapped radii."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     r3, r1 = _snapped_radii(config, [alpha], phi)
     return float(r3[0] / (4.0 * r1) - 1.0)
 
@@ -299,8 +299,8 @@ def export_dispersion_curve(config, alpha, angle_resolution=0.01):
     2 pi. 3D: the (azimuth, polar) sector box is sampled densely instead.
     Radii follow the same ray-grid snapping as grid_to_grid_error.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
     def radii(phi):
         r3, r1 = _snapped_radii(config, [alpha], phi)

@@ -1,11 +1,14 @@
 """Three-level multigrid hierarchy with a real-shifted coarsest operator.
 
 The second level is the Galerkin coarsening of the fine operator; the third
-is the double Galerkin coarsening of the fine operator reassembled with its
-wavenumber scaled by plan.alpha. Only the coarsest level sees the real shift.
-A complex shift plan.beta, when nonzero, is applied on every level, which
-turns the hierarchy into a shifted-Laplacian preconditioner for the unshifted
-system.
+is the Galerkin coarsening of the second with the real shift added. Scaling
+the wavenumber by plan.alpha changes the assembled operator by
+(1 - alpha^2) k^2 M, linear in the mass operator k^2 M, so the shift enters
+as (1 - alpha^2) times the Galerkin coarsening of k^2 M, and the fine
+operator is assembled only once. Only the coarsest level sees the real
+shift. A complex shift plan.beta, when nonzero, is applied on every level,
+which turns the hierarchy into a shifted-Laplacian preconditioner for the
+unshifted system.
 
 Smoothing is damped Jacobi; the coarsest problem is solved by a cached sparse
 LU factorization in SuperLU's symmetric mode, checked on every solve and
@@ -22,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretization import (HelmholtzProblem, SlownessModel, SparseOperator,
-                             assemble_operator)
+                             _boundary_mask, assemble_operator, mass_matrix)
 from .stencils import restriction_stencil
 
 __all__ = [
@@ -112,66 +115,45 @@ class MultigridHierarchy:
     plan: CyclePlan
 
 
-def _axis_restriction(n, order):
-    """One axis of the full-weighting restriction on a vertex grid of n nodes.
+def _axis_weights(n, order):
+    """Unnormalized restriction band of one axis on a vertex grid of n nodes.
 
-    Coarse node J sits at fine node 2J. Boundary rows and columns are zeroed
-    (Dirichlet unknowns carry no correction); rows truncated by that exclusion
-    are renormalized to sum 1 so constants restrict to constants.
+    Entry (J, c) is the stencil weight of fine node c = 2J + o for coarse
+    node J. Boundary rows and columns are left out: Dirichlet unknowns carry
+    no correction.
     """
     weights = restriction_stencil(1, order).coeffs.real.ravel()
     half = len(weights) // 2
     nc = (n - 1) // 2 + 1
-    rows, cols, vals = [], [], []
-    for J in range(1, nc - 1):
-        kept_cols, kept = [], []
-        for o in range(-half, half + 1):
-            c = 2 * J + o
-            if 1 <= c <= n - 2:
-                kept_cols.append(c)
-                kept.append(weights[o + half])
-        kept = np.asarray(kept)
-        kept /= kept.sum()
-        rows.extend([J] * len(kept_cols))
-        cols.extend(kept_cols)
-        vals.extend(kept)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nc, n))
+    rows = np.repeat(np.arange(1, nc - 1), len(weights))
+    cols = 2 * rows + np.tile(np.arange(-half, half + 1), nc - 2)
+    vals = np.tile(weights, nc - 2)
+    keep = (cols >= 1) & (cols <= n - 2)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nc, n))
 
 
-def _axis_prolongation(n, order):
-    """One axis of interpolation to a vertex grid of n nodes.
+def _unit_rows(band):
+    """band with each nonempty row divided by its sum, so constants map to
+    constants also where the boundary truncates the stencil."""
+    band = sp.csr_matrix(band)
+    sums = np.asarray(band.sum(axis=1)).ravel()
+    band.data = band.data / np.repeat(sums, np.diff(band.indptr))
+    return band
 
-    Weights are 2x the restriction weights per axis, the transpose-scaling
-    convention; interior rows already sum to 1 away from the boundary and are
-    renormalized where truncation bites.
-    """
-    weights = 2.0 * restriction_stencil(1, order).coeffs.real.ravel()
-    half = len(weights) // 2
-    nc = (n - 1) // 2 + 1
-    rows, cols, vals = [], [], []
-    for i in range(1, n - 1):
-        kept_cols, kept = [], []
-        for o in range(-half, half + 1):
-            if (i - o) % 2:
-                continue
-            J = (i - o) // 2
-            if 1 <= J <= nc - 2:
-                kept_cols.append(J)
-                kept.append(weights[o + half])
-        kept = np.asarray(kept)
-        kept /= kept.sum()
-        rows.extend([i] * len(kept_cols))
-        cols.extend(kept_cols)
-        vals.extend(kept)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, nc))
+
+def _kron(factors):
+    return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
 
 
 def transfer_matrices(fine_shape, restriction_order, prolongation_order):
-    """TransferPair between a padded grid and its index-halved coarsening."""
-    R = reduce(lambda a, b: sp.kron(a, b, format="csr"),
-               [_axis_restriction(n, restriction_order) for n in fine_shape])
-    P = reduce(lambda a, b: sp.kron(a, b, format="csr"),
-               [_axis_prolongation(n, prolongation_order) for n in fine_shape])
+    """TransferPair between a padded grid and its index-halved coarsening.
+
+    Per axis, restriction is the row-normalized weight band and prolongation
+    the row-normalized transpose of its own family's band; away from the
+    boundary that is the transpose-scaling convention P = 2^d R^T.
+    """
+    R = _kron([_unit_rows(_axis_weights(n, restriction_order)) for n in fine_shape])
+    P = _kron([_unit_rows(_axis_weights(n, prolongation_order).T) for n in fine_shape])
     if restriction_order == prolongation_order:
         order = restriction_order
     else:
@@ -179,22 +161,11 @@ def transfer_matrices(fine_shape, restriction_order, prolongation_order):
     return TransferPair(R, P, order)
 
 
-def _boundary_indices(shape):
-    mask = np.zeros(shape, dtype=bool)
-    for ax in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[ax] = 0
-        mask[tuple(sl)] = True
-        sl[ax] = shape[ax] - 1
-        mask[tuple(sl)] = True
-    return mask.ravel()
-
-
 def _coarsen(matrix, pair, coarse_shape):
     """Sparse triple product with the coarse Dirichlet diagonal restored."""
     coarse = (pair.restriction @ matrix) @ pair.prolongation
     coarse = sp.csr_matrix(coarse)
-    bnd = _boundary_indices(coarse_shape)
+    bnd = _boundary_mask(coarse_shape).ravel()
     coarse = coarse + sp.diags(bnd.astype(coarse.dtype))
     coarse = sp.csr_matrix(coarse)
     coarse.eliminate_zeros()
@@ -261,9 +232,13 @@ def _factorize(matrix, plan, pivoting=False):
 def build_hierarchy(problem, scheme, plan):
     """Assemble the 3-level hierarchy for a problem under a CyclePlan.
 
-    Level 1 is assembled with (alpha=1, beta=plan.beta); level 2 is its
-    Galerkin coarsening; level 3 is the double Galerkin coarsening of the
-    operator reassembled with (alpha=plan.alpha, beta=plan.beta).
+    Level 1 is assembled once, with (alpha=1, beta=plan.beta); level 2 is
+    its Galerkin coarsening. Level 3 is the Galerkin coarsening of level 2
+    plus (1 - plan.alpha^2) R12 (k^2 M) P12: the mass operator k^2 M is what
+    assembling at wavenumber alpha k changes, so this equals the double
+    Galerkin coarsening of the operator assembled with (plan.alpha,
+    plan.beta), up to rounding. At alpha = 1 the shift is zero and the mass
+    operator is neither assembled nor coarsened.
     """
     shape = problem.padded_shape
     _check_coarsenable(shape)
@@ -271,11 +246,6 @@ def build_hierarchy(problem, scheme, plan):
     orders12, orders23 = _transfer_orders(plan.intergrid)
 
     fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta)
-    if plan.alpha == 1.0:
-        fine_shifted = fine.matrix
-    else:
-        fine_shifted = assemble_operator(problem, scheme, alpha=plan.alpha,
-                                         beta=plan.beta).matrix
 
     t12 = transfer_matrices(shape, *orders12)
     mid_shape = _halved(shape)
@@ -283,11 +253,16 @@ def build_hierarchy(problem, scheme, plan):
     coarse_shape = _halved(mid_shape)
 
     mid = _coarsen(fine.matrix, t12, mid_shape)
-    if fine_shifted is fine.matrix:
-        mid_shifted = mid
-    else:
-        mid_shifted = _coarsen(fine_shifted, t12, mid_shape)
-    coarse = _coarsen(mid_shifted, t23, coarse_shape)
+    shifted = mid
+    if plan.alpha != 1.0:
+        # a real product with no diagonal restored: the mass operator's
+        # boundary rows are zero and stay zero; sorted, so the sum keeps
+        # mid's layout
+        mass = mass_matrix(problem, scheme).matrix
+        mid_mass = sp.csr_matrix((t12.restriction @ mass) @ t12.prolongation)
+        mid_mass.sort_indices()
+        shifted = mid + (1.0 - plan.alpha ** 2) * mid_mass
+    coarse = _coarsen(shifted, t23, coarse_shape)
 
     levels = (
         _make_level(fine.matrix, shape, h, plan.dampings[0]),

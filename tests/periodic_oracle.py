@@ -1,0 +1,110 @@
+"""Periodic-grid oracle for the Galerkin stencil algebra.
+
+The solver never goes through this module. It reads the coarse stencil of
+R * A * P off an explicit sparse triple product on a torus, where boundaries
+cannot interfere, so the convolution route of
+:func:`rscgc.stencils.galerkin_stencil` can be checked against it.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from rscgc.stencils import Stencil
+
+
+def _flat_index(multi, shape):
+    """Row-major flat index for wrapped multi-indices (arrays allowed)."""
+    flat = 0
+    for idx, n in zip(multi, shape):
+        flat = flat * n + np.mod(idx, n)
+    return flat
+
+
+def periodic_operator_matrix(stencil: Stencil, points: int):
+    """Circulant operator of ``stencil`` on a periodic grid, ``points`` nodes
+    per axis, lexicographic ordering."""
+    shape = (points,) * stencil.dim
+    n = points**stencil.dim
+    base = np.indices(shape).reshape(stencil.dim, -1)
+    rows, cols, vals = [], [], []
+    for off, c in zip(stencil.offsets(), stencil.coeffs.ravel()):
+        if c == 0:
+            continue
+        rows.append(np.arange(n))
+        cols.append(_flat_index(base + off[:, None], shape))
+        vals.append(np.full(n, c))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n), dtype=complex).tocsr()
+
+
+def periodic_restriction_matrix(stencil: Stencil, points: int):
+    """Stride-2 restriction on a periodic grid with ``points`` (even) nodes
+    per axis; rows are coarse nodes, (R u)_I = sum_o s_o u_{2I+o}."""
+    if points % 2:
+        raise ValueError("periodic restriction needs an even point count")
+    dim = stencil.dim
+    fine_shape = (points,) * dim
+    coarse = points // 2
+    nc = coarse**dim
+    base = 2 * np.indices((coarse,) * dim).reshape(dim, -1)
+    rows, cols, vals = [], [], []
+    for off, c in zip(stencil.offsets(), stencil.coeffs.ravel()):
+        if c == 0:
+            continue
+        rows.append(np.arange(nc))
+        cols.append(_flat_index(base + off[:, None], fine_shape))
+        vals.append(np.full(nc, c))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nc, points**dim), dtype=complex).tocsr()
+
+
+def periodic_rap_stencil(fine: Stencil, restriction: Stencil,
+                         prolongation: Stencil, points: int) -> Stencil:
+    """Read the Galerkin coarse stencil off an explicit triple product
+    R * A * P assembled on a periodic grid.
+
+    Cross-check companion to :func:`galerkin_stencil`. Raises if the coarse
+    grid is too small to hold the composite stencil without wraparound,
+    naming the minimum admissible point count.
+    """
+    # extent of the composite stencil: even offsets of the full convolution
+    widths = []
+    for r, a, p in zip(restriction.extents, fine.extents, prolongation.extents):
+        half = (r + a + p - 3) // 2    # full convolution half-width
+        widths.append(2 * (half // 2) + 1)
+    coarse_points = points // 2
+    need = 2 * max(widths)
+    if points % 2 or coarse_points < max(widths):
+        raise ValueError(
+            f"periodic oracle grid of {points} points per axis is too small "
+            f"for a coarse stencil of extent {max(widths)}; "
+            f"need an even point count >= {need}"
+        )
+    R = periodic_restriction_matrix(restriction, points)
+    A = periodic_operator_matrix(fine, points)
+    # (P e)_{2I+o} += p_o e_I is exactly the transpose of a restriction-style
+    # matrix built from the prolongation stencil itself
+    P = periodic_restriction_matrix(prolongation, points).T
+    C = (R @ A @ P).tocsr()
+
+    dim = fine.dim
+    shape = (coarse_points,) * dim
+    center = (coarse_points // 2,) * dim
+    center_row = _flat_index(np.array(center).reshape(dim, 1), shape).item()
+    row = np.asarray(C[center_row].todense()).ravel()
+    half = max(widths) // 2
+    out = np.zeros((max(widths),) * dim, dtype=complex)
+    grid = np.indices(out.shape).reshape(dim, -1) - half
+    src = _flat_index(np.array(center).reshape(dim, 1) + grid, shape)
+    out.ravel()[:] = row[src]
+    # anything the stencil window missed means wraparound slipped through
+    leftover = row.copy()
+    leftover[src] = 0
+    if np.any(leftover != 0):
+        raise ValueError(
+            f"wraparound on the periodic oracle grid ({points} points); "
+            f"need an even point count >= {need}"
+        )
+    return Stencil(out)

@@ -27,13 +27,13 @@ from rscgc.krylov import fgmres, stationary_solve
 from rscgc.multigrid import CyclePlan, build_hierarchy, cycle, transfer_matrices
 from rscgc.stencils import (
     galerkin_stencil,
-    periodic_rap_stencil,
     restriction_stencil,
     symbol,
     transpose_scale,
 )
 
 from conftest import build_problem
+from periodic_oracle import periodic_rap_stencil
 
 TUNED_2D = {
     "cubic": {10.0: (1.0140, 1.1924e-2),

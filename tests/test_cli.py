@@ -132,6 +132,9 @@ def test_solve_rejects_bad_arguments(capsys):
     (["solve", "--G", "nan", "--cells", "32"], "'nan'"),
     (["sweep", "--G", "12", "--grids", "a,b"], "'a,b'"),
     (["sweep", "--G", "12", "--grids", "32", "--method", "cslp:abc"], "'abc'"),
+    (["tune-shift", "--dim", "2", "--G", "12", "--alpha-range", "3:3.01"], "too large"),
+    (["dispersion", "--dim", "2", "--G", "12", "--alpha", "nan"], "got nan"),
+    (["dispersion", "--dim", "2", "--G", "12", "--alpha", "inf"], "got inf"),
 ])
 def test_unparsable_values_exit_two(argv, named, capsys):
     assert main(argv) == 2

@@ -202,6 +202,7 @@ def test_mass_matrix_is_real_with_zero_boundary_rows():
     problem = build_problem(2, 8, 10, pad=4)
     M = mass_matrix(problem, "fourth-order")
     assert np.allclose(M.matrix.data.imag, 0.0)
+    assert M.matrix.dtype == np.float64
     n0 = problem.padded_shape[1]
     assert M.matrix[0].nnz == 0 and M.matrix[n0 + 1].nnz > 0
 
@@ -212,6 +213,10 @@ def test_invalid_shift_arguments():
         assemble_operator(problem, "fourth-order", alpha=0.0)
     with pytest.raises(ValueError, match="beta"):
         assemble_operator(problem, "fourth-order", beta=-0.1)
+    for field in ("alpha", "beta"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"{field} must be finite.*{value}"):
+                assemble_operator(problem, "fourth-order", **{field: value})
 
 
 # ---------------------------------------------------------------- sponge profile

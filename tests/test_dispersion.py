@@ -83,6 +83,12 @@ def test_grid_to_grid_error_has_the_stencil_symmetry():
 def test_grid_to_grid_error_argument_check():
     with pytest.raises(ValueError, match="alpha"):
         grid_to_grid_error(AnalysisConfig(2, 12.0), -1.0, 0.0)
+    # rejected by name before the search, which would raise NoCrossingError
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"alpha must be finite.*{alpha}"):
+            grid_to_grid_error(AnalysisConfig(2, 12.0), alpha, 0.0)
+        with pytest.raises(ValueError, match=rf"alpha must be finite.*{alpha}"):
+            export_dispersion_curve(AnalysisConfig(2, 12.0), alpha)
 
 
 # ---------------------------------------------------------------- the search

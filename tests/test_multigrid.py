@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import rscgc.multigrid as mg
 from rscgc.discretization import assemble_operator, mass_matrix, point_source
@@ -20,6 +22,7 @@ from rscgc.multigrid import (
     jacobi_smooth,
     transfer_matrices,
 )
+from rscgc.stencils import restriction_stencil
 
 from conftest import build_problem
 
@@ -67,6 +70,35 @@ def test_prolongation_is_scaled_restriction_transpose_deep_inside():
     assert np.allclose(P, 4.0 * R.T, atol=1e-14)
 
 
+def _loop_axis_transfers(n, order):
+    """Reference for one axis of the transfers, entry by entry: the stencil
+    weights on interior nodes, each nonempty row divided by its sum."""
+    weights = restriction_stencil(1, order).coeffs.real.ravel()
+    half = len(weights) // 2
+    nc = (n - 1) // 2 + 1
+    R, P = np.zeros((nc, n)), np.zeros((n, nc))
+    for J in range(1, nc - 1):
+        for c in range(max(1, 2 * J - half), min(n - 2, 2 * J + half) + 1):
+            R[J, c] = weights[c - 2 * J + half]
+            P[c, J] = 2.0 * weights[c - 2 * J + half]
+    for matrix in (R, P):
+        for row in matrix:
+            if row.any():
+                row /= row.sum()
+    return R, P
+
+
+@pytest.mark.parametrize("orders", [("cubic", "cubic"), ("linear", "linear"),
+                                    ("linear", "cubic")])
+def test_transfers_match_the_entrywise_reference(orders):
+    for shape in ((17,), (21,), (139,), (17, 21)):
+        pair = transfer_matrices(shape, *orders)
+        R = reduce(np.kron, [_loop_axis_transfers(n, orders[0])[0] for n in shape])
+        P = reduce(np.kron, [_loop_axis_transfers(n, orders[1])[1] for n in shape])
+        assert np.array_equal(pair.restriction.toarray(), R)
+        assert np.array_equal(pair.prolongation.toarray(), P)
+
+
 def test_transfer_order_labels():
     problem = build_problem(2, 16, 10, pad=0)
     lev = build_hierarchy(problem, "fourth-order",
@@ -101,6 +133,68 @@ def test_coarsest_level_carries_the_real_shift():
     scale = np.abs(plain.levels[2].operator.matrix.data).max()
     residual = np.abs(delta.data).max() if delta.nnz else 0.0
     assert residual <= 1e-12 * scale
+
+
+# Small problems for the shift-by-linearity checks: a 2D wedge inside a
+# sponge, and a 3D cube at 17^3 nodes.
+LINEARITY_PROBLEMS = {
+    "2d-wedge-sponge": lambda: build_problem(2, 24, 10, kind="wedge",
+                                             kappa2=(0.25, 1.0), pad=4),
+    "3d": lambda: build_problem(3, 8, 10, pad=4),
+}
+
+
+def _reassembled_levels(problem, alpha, beta, transfers):
+    """The fine operator assembled at (alpha, beta), and its single and
+    double Galerkin coarsenings: the route that needs one assembly per alpha."""
+    t12, t23 = transfers
+    mid_shape = mg._halved(problem.padded_shape)
+    fine = assemble_operator(problem, "fourth-order", alpha=alpha, beta=beta).matrix
+    mid = mg._coarsen(fine, t12, mid_shape)
+    return fine, mid, mg._coarsen(mid, t23, mg._halved(mid_shape))
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+@settings(max_examples=8, deadline=None)
+@given(alpha=st.floats(0.9, 1.1), beta=st.sampled_from([0.0, 0.03]),
+       intergrid=st.sampled_from(["cubic", "level-dependent"]),
+       name=st.sampled_from(sorted(LINEARITY_PROBLEMS)))
+def test_coarsest_level_equals_the_reassembled_route(alpha, beta, intergrid, name):
+    problem = LINEARITY_PROBLEMS[name]()
+    hier = build_hierarchy(problem, "fourth-order",
+                           CyclePlan(intergrid=intergrid, alpha=alpha, beta=beta))
+    *_, expected = _reassembled_levels(problem, alpha, beta, hier.transfers)
+    got = hier.levels[2].operator.matrix
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    scale = np.abs(expected.data).max()
+    assert np.abs(got.data - expected.data).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.014])
+def test_one_assembly_and_bitwise_levels(alpha, monkeypatch):
+    """Levels 1 and 2, and level 3 at alpha = 1, are bit for bit those of the
+    reassembled route, the fine operator is assembled once, and the mass
+    operator only when the shift is nonzero."""
+    problem = LINEARITY_PROBLEMS["2d-wedge-sponge"]()
+    calls, mass_calls = [], []
+    monkeypatch.setattr(mg, "assemble_operator",
+                        lambda *a, **k: calls.append(k) or assemble_operator(*a, **k))
+    monkeypatch.setattr(mg, "mass_matrix",
+                        lambda *a: mass_calls.append(a) or mass_matrix(*a))
+    hier = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=alpha, beta=0.03))
+    assert calls == [{"alpha": 1.0, "beta": 0.03}]
+    assert len(mass_calls) == (alpha != 1.0)
+
+    fine, mid, coarse = _reassembled_levels(problem, 1.0, 0.03, hier.transfers)
+    levels = [lv.operator.matrix for lv in hier.levels]
+    assert _same_bits(levels[0], fine) and _same_bits(levels[1], mid)
+    if alpha == 1.0:
+        assert _same_bits(levels[2], coarse)
 
 
 @pytest.mark.parametrize("intergrid,reach", [("cubic", 3), ("level-dependent", 2)])
