@@ -15,6 +15,7 @@ the fly.
 import argparse
 import csv
 import json
+import logging
 import math
 import os
 import sys
@@ -34,6 +35,10 @@ from .multigrid import (CyclePlan, INTERGRID_CHOICES, REDISC_WAVENUMBER_SCALE,
 __all__ = ["ExperimentConfig", "main"]
 
 DEFAULT_DAMPINGS = {2: (0.89, 0.89), 3: (0.6, 0.4)}
+
+# Diagnostics; without a configured handler, Python's last-resort handler
+# prints warnings to stderr.
+logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -256,7 +261,7 @@ def _resolve_alpha(config, g):
     entry = _load_table(_table_path()).get(key)
     if entry is not None:
         return float(entry["alpha_star"])
-    print(f"shift table has no entry {key}; tuning now", file=sys.stderr)
+    logger.warning("shift table has no entry %s; tuning now", key)
     alpha_star, _, _ = optimize_shift(_analysis_config(config, g))
     return alpha_star
 

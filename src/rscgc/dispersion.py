@@ -117,6 +117,8 @@ def direction_grid(config):
 
 
 def _unit(dim, phi):
+    if not np.all(np.isfinite(phi)):
+        raise ValueError(f"direction phi must be finite, got {phi}")
     if dim == 1:
         return np.array([1.0])
     if dim == 2:
@@ -131,37 +133,62 @@ def _unit(dim, phi):
 
 
 def _ray_grid(dim, res):
+    if not 0 < res < math.inf:
+        raise ValueError(f"ray_resolution must be finite and positive, got {res}")
     rmax = math.pi * math.sqrt(dim)
     count = int(math.floor(rmax / res + 0.5))
     return res * np.arange(0.0, count + 1.0)
+
+
+# Ray samples tabulated at a time; the search stops after the block in which
+# the last mass crosses.
+_RAY_BLOCK = 512
 
 
 def _first_crossings(lap, mass, masses, phi, res, steps):
     """First sign switch of symbol(lap) - m * symbol(mass) along phi, per mass m.
 
     The real symbols are tabulated on the ray grid r = 0, res, ..., about
-    pi*sqrt(dim); the first nonnegative sample brackets each crossing, and
-    `steps` halvings refine the bracket. Returns the final bracket midpoints.
+    pi*sqrt(dim), in blocks of _RAY_BLOCK samples, until every mass has
+    crossed; the first nonnegative sample brackets each crossing, and `steps`
+    halvings refine the bracket. Returns the final bracket midpoints.
+
+    Both symbols share one cosine table. Padded to common extents, offset
+    n-1-i of a stencil is the negative of offset i in C order, and cos is
+    even, so the table keeps the first n//2 + 1 offsets with the coefficient
+    pairs summed.
     """
-    u = _unit(lap.dim, phi)
-    terms = [(s.offsets().astype(float) @ u, s.coeffs.ravel().real) for s in (lap, mass)]
+    extents = tuple(max(a, b) for a, b in zip(lap.extents, mass.extents))
+    lap, mass = lap.padded_to(extents), mass.padded_to(extents)
+    coeffs = np.column_stack([lap.coeffs.ravel().real, mass.coeffs.ravel().real])
+    half = len(coeffs) // 2
+    coeffs = np.vstack([coeffs[:half] + coeffs[:half:-1], coeffs[half]])
+    proj = lap.offsets()[:half + 1].astype(float) @ _unit(lap.dim, phi)
 
     def symbols(r):
-        return [np.cos(np.outer(r, proj)) @ coeffs for proj, coeffs in terms]
+        table = np.cos(np.outer(r, proj)) @ coeffs
+        return table[:, 0], table[:, 1]
 
     masses = np.asarray(masses, dtype=float)
     grid = _ray_grid(lap.dim, res)
-    sym_lap, sym_mass = symbols(grid)
-    nonneg = sym_lap[None, :] - masses[:, None] * sym_mass[None, :] >= 0
-    if np.any(nonneg[:, 0]):
-        raise NoCrossingError(
-            "no dispersion-relation crossing: the symbol is nonnegative at r = 0 "
-            "(wavenumber too small for this stencil?)")
-    if not np.all(nonneg.any(axis=1)):
+    first = np.zeros(len(masses), dtype=int)
+    pending = np.arange(len(masses))
+    for start in range(0, len(grid), _RAY_BLOCK):
+        sym_lap, sym_mass = symbols(grid[start:start + _RAY_BLOCK])
+        nonneg = sym_lap[None, :] - masses[pending, None] * sym_mass[None, :] >= 0
+        if start == 0 and np.any(nonneg[:, 0]):
+            raise NoCrossingError(
+                "no dispersion-relation crossing: the symbol is nonnegative at r = 0 "
+                "(wavenumber too small for this stencil?)")
+        crossed = nonneg.any(axis=1)
+        first[pending[crossed]] = start + nonneg[crossed].argmax(axis=1)
+        pending = pending[~crossed]
+        if not len(pending):
+            break
+    else:
         raise NoCrossingError(
             f"no dispersion-relation crossing for r in (0, {grid[-1]:g}] "
             f"(wavenumber too large for this stencil?)")
-    first = nonneg.argmax(axis=1)
     lo, hi = grid[first - 1], grid[first]
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
@@ -175,12 +202,17 @@ def _first_crossings(lap, mass, masses, phi, res, steps):
 def discrete_radius(stencil, kh, phi, ray_resolution=1e-3):
     """Distance from the origin to the first sign switch of the real symbol.
 
-    Samples along theta = r * unit(phi) for r in (0, pi*sqrt(dim)] at the
-    given resolution, then refines the bracketed switch by bisection to below
-    1e-9. The stencil carries its own mass term, so kh, the wavenumber it was
-    built for, does not enter the search.
+    Samples along theta = r * unit(phi) at the given resolution, from r = 0
+    up to the first nonnegative sample (at most pi*sqrt(dim)), then refines
+    the bracketed switch by bisection to below 1e-9. The stencil carries its
+    own mass term, so kh, the wavenumber it was built for, does not enter the
+    search.
     """
-    return float(_first_crossings(stencil, stencil, [0.0], phi, ray_resolution, 40)[0])
+    try:
+        radius = _first_crossings(stencil, stencil, [0.0], phi, ray_resolution, 40)
+    except NoCrossingError as exc:
+        raise NoCrossingError(f"{exc} along phi = {phi}") from None
+    return float(radius[0])
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +254,16 @@ def _snapped_radii(config, alphas, phi):
     """
     res = config.ray_resolution
     kh = config.kh
+    alphas = np.asarray(alphas, dtype=float)
     lap1, mass1 = _fine_pair(config.dim)
     lap3, mass3 = _composite_pair(config.dim, config.intergrid)
-    r1 = _first_crossings(lap1, mass1, [kh ** 2], phi, res, 1)
-    r3 = _first_crossings(lap3, mass3, (np.asarray(alphas) * kh) ** 2, phi, res, 1)
+    try:
+        r1 = _first_crossings(lap1, mass1, [kh ** 2], phi, res, 1)
+        r3 = _first_crossings(lap3, mass3, (alphas * kh) ** 2, phi, res, 1)
+    except NoCrossingError as exc:
+        shift = (f"alpha = {alphas[0]:g}" if len(alphas) == 1
+                 else f"alpha in [{alphas.min():g}, {alphas.max():g}]")
+        raise NoCrossingError(f"{exc} at G = {config.G:g}, {shift}") from None
     return res * np.round(r3 / res), res * np.round(r1[0] / res)
 
 
@@ -270,10 +308,10 @@ def ncrit_bounds(G, max_eg):
     Past roughly this many points per direction the accumulated phase
     misalignment defeats the coarse-grid correction.
     """
-    if max_eg <= 0:
-        raise ValueError(f"dispersion error must be positive, got {max_eg}")
-    if G <= 0:
-        raise ValueError(f"G must be positive, got {G}")
+    if not 0 < max_eg < math.inf:
+        raise ValueError(f"dispersion error must be finite and positive, got {max_eg}")
+    if not 0 < G < math.inf:
+        raise ValueError(f"G must be finite and positive, got {G}")
     lo = math.floor(G / (4.0 * max_eg) + 0.5)
     hi = math.floor(G / (2.0 * max_eg) + 0.5)
     return int(lo), int(hi)
@@ -284,8 +322,8 @@ def classical_dispersion_error(stencil, G, phi, ray_resolution=1e-3):
 
     The stencil must already carry its mass term at that kh.
     """
-    if G <= 2:
-        raise ValueError(f"G must exceed 2, got {G}")
+    if not 2 < G < math.inf:
+        raise ValueError(f"G must be finite and exceed 2, got {G}")
     r = 2.0 * math.pi / G
     r1 = discrete_radius(stencil, r, phi, ray_resolution)
     return r / r1 - 1.0

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rscgc
 from rscgc.cli import main
 
 
@@ -135,6 +140,8 @@ def test_solve_rejects_bad_arguments(capsys):
     (["tune-shift", "--dim", "2", "--G", "12", "--alpha-range", "3:3.01"], "too large"),
     (["dispersion", "--dim", "2", "--G", "12", "--alpha", "nan"], "got nan"),
     (["dispersion", "--dim", "2", "--G", "12", "--alpha", "inf"], "got inf"),
+    (["tune-shift", "--dim", "2", "--G", "12", "--alpha-range", "3:3.01"],
+     "at G = 12, alpha in [3, 3.01]"),
 ])
 def test_unparsable_values_exit_two(argv, named, capsys):
     assert main(argv) == 2
@@ -153,16 +160,35 @@ def test_shift_table_override(tmp_path, monkeypatch):
     assert read_json(out)["alpha"] == 1.03
 
 
-def test_missing_table_entry_triggers_tuning(tmp_path, monkeypatch, capsys):
+def test_missing_table_entry_triggers_tuning(tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("HELM_SHIFT_TABLE", str(tmp_path / "absent.json"))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha_range": [1.0, 1.01]}))
     out = tmp_path / "run.json"
-    rc = main(["solve", "--dim", "2", "--G", "12", "--cells", "32",
-               "--config", str(cfg), "--out", str(out)])
+    with caplog.at_level(logging.WARNING, logger="rscgc.cli"):
+        rc = main(["solve", "--dim", "2", "--G", "12", "--cells", "32",
+                   "--config", str(cfg), "--out", str(out)])
     assert rc == 0
-    assert "tuning now" in capsys.readouterr().err
+    notice, = [r for r in caplog.records if "tuning now" in r.getMessage()]
+    assert notice.name == "rscgc.cli" and notice.levelno == logging.WARNING
+    assert "2:12:cubic" in notice.getMessage()
     assert read_json(out)["alpha"] == 1.0045
+
+
+def test_tuning_notice_reaches_stderr_without_logging_setup(tmp_path):
+    """A plain `rscgc solve` configures no logging; the notice still shows."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha_range": [1.0, 1.01]}))
+    src = os.path.dirname(os.path.dirname(rscgc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path,
+               HELM_SHIFT_TABLE=str(tmp_path / "absent.json"))
+    run = subprocess.run(
+        [sys.executable, "-m", "rscgc.cli", "solve", "--dim", "2", "--G", "12",
+         "--cells", "16", "--config", str(cfg), "--out", str(tmp_path / "run.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == "shift table has no entry 2:12:cubic; tuning now\n"
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

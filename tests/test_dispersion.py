@@ -20,10 +20,13 @@ from rscgc.dispersion import (
     grid_to_grid_error,
     ncrit_bounds,
     optimize_shift,
+    _RAY_BLOCK,
     _composite_pair,
     _fine_pair,
     _first_crossings,
 )
+
+import dispersion_oracle
 
 
 def helmholtz_stencil(dim, kh, scheme="fourth-order"):
@@ -131,6 +134,75 @@ def test_one_halving_decides_the_snapped_radius(dim, G, alpha, azimuth, polar):
         one, forty = (_first_crossings(lap, mass, [m], phi, res, steps)[0]
                       for steps in (1, 40))
         assert round(one / res) == round(forty / res)
+
+
+def _snapped_against_the_oracle(lap, mass, masses, phi, res=1e-3):
+    kernel = _first_crossings(lap, mass, masses, phi, res, 1)
+    oracle = dispersion_oracle._first_crossings(lap, mass, masses, phi, res, 1)
+    assert np.array_equal(np.round(kernel / res), np.round(oracle / res))
+    return np.round(oracle / res).astype(int)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([2, 3]),
+       Gs=st.lists(st.floats(8.0, 100.0, exclude_min=True), min_size=1, max_size=6),
+       alpha=st.floats(0.98, 1.06),
+       azimuth=st.floats(0.0, math.pi / 4),
+       polar=st.floats(POLAR_LO, math.pi / 2),
+       pair=st.sampled_from(("fine",) + INTERGRID_CHOICES))
+def test_folded_blocked_kernel_matches_the_full_table_oracle(dim, Gs, alpha, azimuth,
+                                                             polar, pair):
+    """Every snapped radius of a batch equals the full-table search's, with
+    G spread over (8, 100] so one batch crosses in several blocks."""
+    phi = azimuth if dim == 2 else (azimuth, polar)
+    lap, mass = _fine_pair(dim) if pair == "fine" else _composite_pair(dim, pair)
+    masses = (alpha * 2 * math.pi / np.array(Gs)) ** 2
+    _snapped_against_the_oracle(lap, mass, masses, phi)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_batch_crosses_in_several_blocks(dim):
+    Gs = np.array([8.5, 10.0, 12.0, 20.0, 40.0, 100.0])
+    phi = 0.3 if dim == 2 else (0.3, 1.2)
+    for intergrid in INTERGRID_CHOICES:
+        lap, mass = _composite_pair(dim, intergrid)
+        snapped = _snapped_against_the_oracle(lap, mass, (2 * math.pi / Gs) ** 2, phi)
+        assert len(set(snapped // _RAY_BLOCK)) >= 4
+
+
+def test_one_mass_without_a_crossing_fails_the_batch():
+    lap, mass = _composite_pair(2, "cubic")
+    kh = 2 * math.pi / 12
+    with pytest.raises(NoCrossingError, match="too large"):
+        _first_crossings(lap, mass, [kh ** 2, (3 * kh) ** 2], 0.0, 1e-3, 1)
+    with pytest.raises(NoCrossingError, match="too small"):
+        _first_crossings(lap, mass, [kh ** 2, -1.0], 0.0, 1e-3, 1)
+
+
+def test_no_crossing_messages_name_the_input():
+    with pytest.raises(NoCrossingError, match=r"too large.* at G = 12, alpha = 3$"):
+        grid_to_grid_error(AnalysisConfig(2, 12.0), 3.0, 0.0)
+    config = AnalysisConfig(2, 12.0, alpha_range=(3.0, 3.01))
+    with pytest.raises(NoCrossingError, match=r"at G = 12, alpha in \[3, 3.01\]$"):
+        optimize_shift(config)
+    with pytest.raises(NoCrossingError, match=r"too large.* along phi = 0.25$"):
+        discrete_radius(helmholtz_stencil(1, 10.0, "second-order"), 10.0, 0.25)
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda s: discrete_radius(s, 0.5, 0.0, ray_resolution=0), "ray_resolution .*got 0"),
+    (lambda s: discrete_radius(s, 0.5, 0.0, ray_resolution=-1e-3), "got -0.001"),
+    (lambda s: discrete_radius(s, 0.5, math.nan), "phi .*got nan"),
+    (lambda s: classical_dispersion_error(s, math.inf, 0.0), "G .*got inf"),
+    (lambda s: classical_dispersion_error(s, math.nan, 0.0), "G .*got nan"),
+    (lambda s: ncrit_bounds(math.inf, 0.01), "G .*got inf"),
+    (lambda s: ncrit_bounds(math.nan, 0.01), "G .*got nan"),
+    (lambda s: ncrit_bounds(12.0, math.nan), "error .*got nan"),
+])
+def test_bad_dispersion_inputs_are_rejected_by_name(call, named):
+    with pytest.raises(ValueError, match=named) as info:
+        call(helmholtz_stencil(2, 0.5))
+    assert not isinstance(info.value, NoCrossingError)
 
 
 @pytest.fixture(scope="module")

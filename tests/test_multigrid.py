@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -55,6 +55,25 @@ def test_transfers_preserve_constants(order):
     keep = interior_mask(shape)
     assert np.allclose(prolonged[keep], 1.0, atol=1e-14)
     assert np.allclose(prolonged[~keep], 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3]),
+       orders=st.sampled_from([("cubic", "cubic"), ("linear", "linear"),
+                               ("linear", "cubic")]))
+def test_transfers_preserve_constants_on_any_coarsenable_shape(data, dim, orders):
+    """R maps ones to ones on the interior coarse nodes, P on the interior
+    fine nodes, and both give zero on the Dirichlet boundary."""
+    quarters = st.integers(1, 12 if dim == 2 else 5)
+    shape = tuple(4 * data.draw(quarters) + 1 for _ in range(dim))
+    coarse_shape = tuple((n - 1) // 2 + 1 for n in shape)
+    pair = transfer_matrices(shape, *orders)
+    for matrix, out_shape in ((pair.restriction, coarse_shape),
+                              (pair.prolongation, shape)):
+        image = matrix @ np.ones(matrix.shape[1])
+        keep = interior_mask(out_shape)
+        assert np.allclose(image[keep], 1.0, rtol=0.0, atol=1e-14)
+        assert not image[~keep].any()
 
 
 def test_prolongation_is_scaled_restriction_transpose_deep_inside():
@@ -443,6 +462,30 @@ def test_cycle_is_linear_in_the_right_hand_side():
     separate = cycle(hier, b1) + 2j * cycle(hier, b2)
     scale = np.linalg.norm(combined)
     assert np.linalg.norm(combined - separate) <= 1e-12 * scale
+
+
+@lru_cache(maxsize=None)
+def _small_hierarchy(shape, beta, alpha):
+    problem = build_problem(2, 32, 10, pad=4)
+    return build_hierarchy(problem, "fourth-order",
+                           CyclePlan(cycle=shape, beta=beta, alpha=alpha))
+
+
+@settings(max_examples=16, deadline=None)
+@given(shape=st.sampled_from(["V", "W"]), beta=st.sampled_from([0.0, 0.03]),
+       alpha=st.sampled_from([1.0, 1.014]), seed=st.integers(0, 2**32 - 1),
+       scale=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                allow_infinity=False))
+def test_cycle_is_linear_for_every_cycle_shape_and_shift(shape, beta, alpha, seed,
+                                                         scale):
+    hier = _small_hierarchy(shape, beta, alpha)
+    rng = np.random.default_rng(seed)
+    n = hier.levels[0].operator.dofs
+    b1, b2 = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    x1, x2 = cycle(hier, b1), cycle(hier, b2)
+    combined = cycle(hier, b1 + scale * b2)
+    size = np.linalg.norm(x1) + abs(scale) * np.linalg.norm(x2)
+    assert np.linalg.norm(combined - (x1 + scale * x2)) <= 1e-12 * size
 
 
 def test_cycle_decomposes_into_rhs_and_error_parts():
