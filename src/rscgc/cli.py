@@ -19,6 +19,7 @@ import logging
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -336,21 +337,28 @@ def _maxit(config):
     return default_maxit(_parse_solver(config.solver)[1])
 
 
-def _run_solver(problem, config, hierarchy):
-    solver, restart = _parse_solver(config.solver)
-    b = point_source(problem).ravel()
-    if solver == "stationary":
+def _outer_operator(config, problem, hierarchy):
+    """The matrix FGMRES iterates on, or None for the stationary solver.
+
+    Krylov always targets the unshifted operator. With beta = 0 that is
+    exactly the hierarchy's fine level; only a complex-shifted hierarchy
+    needs a separate assembly.
+    """
+    if _parse_solver(config.solver)[0] == "stationary":
         if hierarchy.plan.beta > 0:
             raise ConfigError("the stationary solver iterates on the operator it "
                               "is built from; beta must be 0")
-        return stationary_solve(hierarchy, b, tol=config.tol, maxit=_maxit(config))
-    # Krylov always targets the unshifted operator. With beta = 0 that is
-    # exactly the hierarchy's fine level; only a complex-shifted hierarchy
-    # needs a separate assembly.
+        return None
     if hierarchy.plan.beta == 0:
-        outer = hierarchy.levels[0].operator.matrix
-    else:
-        outer = assemble_operator(problem, config.scheme, alpha=1.0, beta=0.0).matrix
+        return hierarchy.levels[0].operator.matrix
+    return assemble_operator(problem, config.scheme, alpha=1.0, beta=0.0).matrix
+
+
+def _run_solver(problem, config, hierarchy, outer):
+    solver, restart = _parse_solver(config.solver)
+    b = point_source(problem).ravel()
+    if solver == "stationary":
+        return stationary_solve(hierarchy, b, tol=config.tol, maxit=_maxit(config))
     return fgmres(lambda v: outer @ v,
                   lambda r: cycle(hierarchy, r),
                   b, restart=restart, tol=config.tol, maxit=_maxit(config))
@@ -422,8 +430,13 @@ def cmd_solve(config):
     problem = _build_problem(config)
     g = _require_G(config)
     kind, alpha, beta, intergrid = _parse_method(config.method, config, g)
+    start = time.perf_counter()
     hierarchy = _build_method_hierarchy(problem, config, kind, alpha, beta, intergrid)
-    x, report = _run_solver(problem, config, hierarchy)
+    outer = _outer_operator(config, problem, hierarchy)
+    built = time.perf_counter()
+    x, report = _run_solver(problem, config, hierarchy, outer)
+    solved = time.perf_counter()
+    lu = hierarchy.coarse_solver
     payload = {
         "method": config.method,
         "solver": config.solver,
@@ -440,6 +453,12 @@ def cmd_solve(config):
         "diverged": report.diverged,
         "wall_time": report.wall_time,
         "residual_history": report.residual_history,
+        "setup_seconds": built - start,
+        "solve_seconds": solved - built,
+        "levels": [{"dofs": level.operator.dofs, "nnz": int(level.operator.matrix.nnz)}
+                   for level in hierarchy.levels],
+        "coarse_lu_nnz": int(lu.L.nnz + lu.U.nnz),
+        "max_coarse_residual": hierarchy.max_coarse_residual,
     }
     _write_json(payload, config.out)
     return 0 if report.converged else 1
@@ -454,9 +473,10 @@ def _sweep_cell(payload):
     problem = _build_problem(config)
     kind, alpha, beta, intergrid = _parse_method(config.method, config, g)
     hierarchy = _build_method_hierarchy(problem, config, kind, alpha, beta, intergrid)
+    outer = _outer_operator(config, problem, hierarchy)
     reports = []
     for _ in range(payload["repeats"] + 1):     # first run is the warm-up
-        x, report = _run_solver(problem, config, hierarchy)
+        x, report = _run_solver(problem, config, hierarchy, outer)
         reports.append(report)
     measured = reports[1:]
     report = measured[-1]

@@ -1,5 +1,8 @@
 """Fine-grid Helmholtz assembly: difference schemes, media, sponge layers, sources.
 
+Operators are filled offset by offset into stencil arrays (GridStencil),
+which the multigrid hierarchy coarsens, and turned into CSR directly.
+
 The operator convention is H = (1/h^2) L - k^2(x) M with dimensionless stencils
 L, M and k(x) = omega * kappa(x). Real and complex shifts enter through the mass
 coefficient: the assembled matrix is (1/h^2) L - (alpha^2 + i(gamma(x) + beta))
@@ -8,9 +11,10 @@ k^2(x) M, where gamma is the sponge-layer attenuation profile.
 
 import json
 import math
+import numbers
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,7 @@ from .stencils import Stencil
 __all__ = [
     "SlownessModel",
     "HelmholtzProblem",
+    "GridStencil",
     "SparseOperator",
     "make_model",
     "load_model",
@@ -39,6 +44,14 @@ VALUE_KINDS = ("velocity", "slowness", "slowness-squared")
 _JSS_RE = re.compile(r"^jss\(([^,]+),([^,]+),([^)]+)\)$")
 
 
+def _integer(value, what):
+    """value as an int; a bool, a fraction or a non-number is a ValueError
+    that names it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SlownessModel:
     """Vertex-centered grid of squared slowness kappa^2(x).
@@ -53,15 +66,15 @@ class SlownessModel:
     kappa2: np.ndarray
 
     def __post_init__(self):
-        cells = tuple(int(c) for c in self.cells)
+        cells = tuple(_integer(c, f"cell count in {self.cells!r}") for c in self.cells)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "kappa2", np.asarray(self.kappa2, dtype=float))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(cells) != self.dim or any(c < 1 for c in cells):
             raise ValueError(f"need {self.dim} positive cell counts, got {cells}")
-        if self.h <= 0:
-            raise ValueError(f"spacing must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"spacing h must be finite and positive, got {self.h}")
         expected = tuple(c + 1 for c in cells)
         if self.kappa2.shape != expected:
             raise ValueError(
@@ -205,8 +218,8 @@ class HelmholtzProblem:
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
-        if self.pad < 0:
-            raise ValueError("pad must be nonnegative")
+        if _integer(self.pad, "pad") < 0:
+            raise ValueError(f"pad must be nonnegative, got {self.pad}")
         if not (math.isfinite(self.gamma_max) and self.gamma_max >= 0):
             raise ValueError(
                 f"gamma_max must be finite and nonnegative, got {self.gamma_max}")
@@ -215,7 +228,8 @@ class HelmholtzProblem:
             depth = 0 if self.pad_lo[-1] > 0 else 1
             source = tuple(n // 2 for n in nodes[:-1]) + (depth,)
         else:
-            source = tuple(int(s) for s in self.source)
+            source = tuple(_integer(s, f"source index in {self.source!r}")
+                           for s in self.source)
         object.__setattr__(self, "source", source)
         if len(source) != self.model.dim or any(
                 not (0 <= s < n) for s, n in zip(source, nodes)):
@@ -258,15 +272,67 @@ class HelmholtzProblem:
 
 
 @dataclass(frozen=True)
+class GridStencil:
+    """Variable-coefficient stencil operator on a vertex grid.
+
+    offsets has shape (n_offsets, dim), distinct and in lexicographic order;
+    coeffs has shape (n_offsets, *grid_shape), and coeffs[e][x] is the entry
+    in row x and column x + offsets[e]. Only interior rows are stored:
+    boundary rows are zero here and written by tocsr. Helmholtz operators
+    are complex, the mass operator is real.
+    """
+
+    offsets: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        object.__setattr__(self, "offsets", offsets)
+        if offsets.ndim != 2 or offsets.shape != (len(self.coeffs), self.coeffs.ndim - 1):
+            raise ValueError(f"offsets of shape {offsets.shape} do not fit coefficients "
+                             f"of shape {self.coeffs.shape}")
+        span = 2 * int(np.abs(offsets).max(initial=0)) + 1
+        keys = offsets @ span ** np.arange(offsets.shape[1])[::-1]
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("stencil offsets must be distinct and in "
+                             "lexicographic order")
+
+    @property
+    def grid_shape(self):
+        return self.coeffs.shape[1:]
+
+    def tocsr(self, boundary=1.0):
+        """CSR matrix of the operator, with boundary rows boundary * identity.
+
+        Rows come in grid order and the columns of a row ascend with the
+        lexicographic offsets, so nothing is sorted; exact zeros are dropped.
+        """
+        shape = self.grid_shape
+        n = math.prod(shape)
+        flat = self.offsets @ [math.prod(shape[d + 1:]) for d in range(len(shape))]
+        values = np.ascontiguousarray(self.coeffs.reshape(len(flat), n).T)
+        if boundary:
+            values[_boundary_mask(shape).ravel(), np.flatnonzero(flat == 0)] = boundary
+        keep = values != 0
+        index = np.int32 if values.size < 2 ** 31 else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        columns = (np.arange(n, dtype=index)[:, None] + flat.astype(index))[keep]
+        return sp.csr_matrix((values[keep], columns, indptr), shape=(n, n))
+
+
+@dataclass(frozen=True)
 class SparseOperator:
     """Sparse matrix over the padded grid, rows in lexicographic order.
 
-    Helmholtz operators are complex; the mass operator is real.
+    Helmholtz operators are complex; the mass operator is real. stencil is
+    the GridStencil an assembled operator was built from, None otherwise.
     """
 
     matrix: sp.csr_matrix
     grid_shape: tuple
     h: float
+    stencil: GridStencil = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "grid_shape", tuple(self.grid_shape))
@@ -386,46 +452,37 @@ def _padded_kappa2(problem):
     return np.pad(problem.model.kappa2, pad, mode="edge")
 
 
-def _stencil_entries(shape, boundary, stencil, weight_of_offset):
-    """COO triplets for stencil rows at interior nodes.
-
-    weight_of_offset(offset, column_slices) returns the entry values for one
-    offset; couplings into boundary nodes are dropped so the outermost layer
-    stays fully decoupled.
-    """
-    dim = len(shape)
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    interior = tuple(slice(1, s - 1) for s in shape)
-    rows_grid = idx[interior]
-    rows, cols, vals = [], [], []
-    for off, coeff in zip(stencil.offsets(), stencil.coeffs.ravel()):
-        if coeff == 0:
-            continue
-        colslc = tuple(slice(1 + o, s - 1 + o) for o, s in zip(off, shape))
-        keep = ~boundary[colslc]
-        values = weight_of_offset(coeff, colslc)
-        if np.ndim(values) == 0:
-            values = np.broadcast_to(values, rows_grid.shape)
-        rows.append(rows_grid[keep])
-        cols.append(idx[colslc][keep])
-        vals.append(np.ascontiguousarray(values[keep]))
-    return rows, cols, vals
-
-
-def _csr(rows, cols, vals, shape):
-    """Square CSR matrix over the grid from lists of COO triplet blocks."""
-    n = int(np.prod(shape))
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    matrix.sum_duplicates()
-    return matrix
-
-
 def _boundary_mask(shape):
     mask = np.ones(shape, dtype=bool)
     mask[tuple(slice(1, s - 1) for s in shape)] = False
     return mask
+
+
+def _scheme_coefficients(dim, scheme):
+    """Offsets where the scheme's Laplacian or mass stencil is nonzero, in
+    lexicographic order, with the two stencils' coefficients there."""
+    lap, mass = laplacian_and_mass_stencils(dim, scheme)
+    extents = tuple(map(max, lap.extents, mass.extents))
+    lap, mass = lap.padded_to(extents), mass.padded_to(extents)
+    lap_c, mass_c = lap.coeffs.ravel(), mass.coeffs.ravel()
+    live = (lap_c != 0) | (mass_c != 0)
+    return lap.offsets()[live], lap_c[live], mass_c[live]
+
+
+def _interior_stencil(shape, offsets, dtype, value_of_offset):
+    """GridStencil with the given offsets, filled on the interior rows.
+
+    value_of_offset(e, column_slices) gives the entries of offsets[e].
+    Couplings into boundary nodes are zero, so the outermost layer stays
+    decoupled in both directions.
+    """
+    boundary = _boundary_mask(shape)
+    interior = tuple(slice(1, s - 1) for s in shape)
+    coeffs = np.zeros((len(offsets),) + shape, dtype=dtype)
+    for e, off in enumerate(offsets):
+        colslc = tuple(slice(1 + o, s - 1 + o) for o, s in zip(off, shape))
+        coeffs[e][interior] = np.where(boundary[colslc], 0, value_of_offset(e, colslc))
+    return GridStencil(offsets, coeffs)
 
 
 def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
@@ -434,32 +491,27 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
     alpha is the real wavenumber shift, beta the relative complex shift (the
     shift value is beta * k^2). The heterogeneous mass term samples k^2 and
     gamma at the neighbor node of each mass-stencil offset. Outermost rows are
-    identity with their couplings removed in both directions.
+    identity with their couplings removed in both directions. The returned
+    operator keeps the GridStencil its matrix was built from.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    lap, mass = laplacian_and_mass_stencils(problem.model.dim, scheme)
+    offsets, lap, mass = _scheme_coefficients(problem.model.dim, scheme)
     shape = problem.padded_shape
     h = problem.model.h
-    boundary = _boundary_mask(shape)
     k2 = problem.omega ** 2 * _padded_kappa2(problem)
     coef = (alpha ** 2 + 1j * (attenuation_profile(problem) + beta)) * k2
 
-    rows, cols, vals = _stencil_entries(
-        shape, boundary, lap, lambda c, slc: complex(c) / h ** 2)
-    mrows, mcols, mvals = _stencil_entries(
-        shape, boundary, mass, lambda c, slc: -c * coef[slc])
-    rows += mrows
-    cols += mcols
-    vals += mvals
+    def entries(e, colslc):
+        values = -mass[e] * coef[colslc] if mass[e] != 0 else 0
+        if lap[e] != 0:
+            values = complex(lap[e]) / h ** 2 + values
+        return values
 
-    bidx = np.arange(int(np.prod(shape))).reshape(shape)[boundary]
-    rows.append(bidx)
-    cols.append(bidx)
-    vals.append(np.ones(bidx.size, dtype=complex))
-    return SparseOperator(_csr(rows, cols, vals, shape), shape, h)
+    stencil = _interior_stencil(shape, offsets, complex, entries)
+    return SparseOperator(stencil.tocsr(), shape, h, stencil)
 
 
 def mass_matrix(problem, scheme):
@@ -468,16 +520,17 @@ def mass_matrix(problem, scheme):
     Boundary rows are zero, matching the decoupled rows of assemble_operator,
     so assemble(alpha, beta) - assemble(1, 0) equals
     (1 - alpha^2) * mass_matrix - i * beta * mass_matrix exactly.
-    build_hierarchy uses this to put the real shift on the coarsest level
-    without assembling the fine operator a second time.
+    build_hierarchy coarsens its GridStencil to put the real shift on the
+    coarsest level without assembling the fine operator a second time.
     """
-    _, mass = laplacian_and_mass_stencils(problem.model.dim, scheme)
+    offsets, _, mass = _scheme_coefficients(problem.model.dim, scheme)
+    live = mass != 0
+    offsets, weights = offsets[live], mass[live].real
     shape = problem.padded_shape
-    boundary = _boundary_mask(shape)
     k2 = problem.omega ** 2 * _padded_kappa2(problem)
-    rows, cols, vals = _stencil_entries(
-        shape, boundary, mass, lambda c, slc: c.real * k2[slc])
-    return SparseOperator(_csr(rows, cols, vals, shape), shape, problem.model.h)
+    stencil = _interior_stencil(shape, offsets, float,
+                                lambda e, colslc: weights[e] * k2[colslc])
+    return SparseOperator(stencil.tocsr(boundary=0.0), shape, problem.model.h, stencil)
 
 
 def point_source(problem):

@@ -6,8 +6,10 @@ the wavenumber by plan.alpha changes the assembled operator by
 (1 - alpha^2) k^2 M, linear in the mass operator k^2 M, so the shift enters
 as (1 - alpha^2) times the Galerkin coarsening of k^2 M, and the fine
 operator is assembled only once. Only the coarsest level sees the real
-shift. A complex shift plan.beta, when nonzero, is applied on every level,
-which turns the hierarchy into a shifted-Laplacian preconditioner for the
+shift. Levels are coarsened as stencil arrays, one axis at a time, and each
+is turned into CSR once, for the cycle and the coarsest factorization. A
+complex shift plan.beta, when nonzero, is applied on every level, which
+turns the hierarchy into a shifted-Laplacian preconditioner for the
 unshifted system.
 
 Smoothing is damped Jacobi; the coarsest problem is solved by a cached sparse
@@ -18,14 +20,14 @@ mid-level correction pass twice.
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import (HelmholtzProblem, SlownessModel, SparseOperator,
-                             _boundary_mask, assemble_operator, mass_matrix)
+from .discretization import (GridStencil, HelmholtzProblem, SlownessModel,
+                             SparseOperator, _integer, assemble_operator, mass_matrix)
 from .stencils import restriction_stencil
 
 __all__ = [
@@ -68,8 +70,9 @@ class CyclePlan:
         if self.intergrid not in INTERGRID_CHOICES:
             raise ValueError(
                 f"intergrid must be one of {INTERGRID_CHOICES}, got {self.intergrid!r}")
-        if self.nu1 < 0 or self.nu2 < 0:
-            raise ValueError(f"nu1 and nu2 must be nonnegative, got {self.nu1}, {self.nu2}")
+        for name in ("nu1", "nu2"):
+            if _integer(getattr(self, name), name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta >= 0):
@@ -85,13 +88,23 @@ class CyclePlan:
 class TransferPair:
     """Restriction and prolongation between two consecutive levels.
 
-    order is the weight family: "cubic", "linear", or "linear/cubic" for the
-    mixed pair (lower-order restriction, cubic prolongation).
+    orders names the weight families of restriction and prolongation,
+    "cubic" or "linear"; both matrices are Kronecker products of the 1D
+    bands of their family along each axis.
     """
 
     restriction: sp.csr_matrix
     prolongation: sp.csr_matrix
-    order: str
+    orders: tuple
+
+    @property
+    def order(self):
+        """"cubic", "linear", or "linear/cubic" for the mixed pair (lower-order
+        restriction, cubic prolongation)."""
+        restriction, prolongation = self.orders
+        if restriction == prolongation:
+            return restriction
+        return f"{restriction}/{prolongation}"
 
 
 @dataclass(frozen=True)
@@ -106,13 +119,16 @@ class MultigridHierarchy:
     """Levels, transfers and the coarsest factorization of one plan.
 
     coarse_solve replaces coarse_solver with a pivoted factorization the
-    first time the cached one misses its residual check.
+    first time the cached one misses its residual check, and keeps in
+    max_coarse_residual the largest relative residual of the solutions it
+    returned (or refused).
     """
 
     levels: tuple
     transfers: tuple
     coarse_solver: object
     plan: CyclePlan
+    max_coarse_residual: float = 0.0
 
 
 def _axis_weights(n, order):
@@ -141,6 +157,14 @@ def _unit_rows(band):
     return band
 
 
+def _axis_factors(n, restriction_order, prolongation_order):
+    """1D restriction (nc x n) and prolongation (n x nc) of one axis: the
+    row-normalized weight band, and the row-normalized transpose of the
+    prolongation family's band."""
+    return (_unit_rows(_axis_weights(n, restriction_order)),
+            _unit_rows(_axis_weights(n, prolongation_order).T))
+
+
 def _kron(factors):
     return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
 
@@ -152,25 +176,86 @@ def transfer_matrices(fine_shape, restriction_order, prolongation_order):
     the row-normalized transpose of its own family's band; away from the
     boundary that is the transpose-scaling convention P = 2^d R^T.
     """
-    R = _kron([_unit_rows(_axis_weights(n, restriction_order)) for n in fine_shape])
-    P = _kron([_unit_rows(_axis_weights(n, prolongation_order).T) for n in fine_shape])
-    if restriction_order == prolongation_order:
-        order = restriction_order
-    else:
-        order = f"{restriction_order}/{prolongation_order}"
-    return TransferPair(R, P, order)
+    factors = [_axis_factors(n, restriction_order, prolongation_order)
+               for n in fine_shape]
+    return TransferPair(_kron([r for r, _ in factors]), _kron([p for _, p in factors]),
+                        (restriction_order, prolongation_order))
 
 
-def _coarsen(matrix, pair, coarse_shape):
-    """Sparse triple product with the coarse Dirichlet diagonal restored."""
-    coarse = (pair.restriction @ matrix) @ pair.prolongation
-    coarse = sp.csr_matrix(coarse)
-    bnd = _boundary_mask(coarse_shape).ravel()
-    coarse = coarse + sp.diags(bnd.astype(coarse.dtype))
-    coarse = sp.csr_matrix(coarse)
-    coarse.eliminate_zeros()
-    coarse.sort_indices()
-    return coarse
+@lru_cache(maxsize=None)
+def _galerkin_band(n, restriction_order, prolongation_order, axis_offsets):
+    """One axis's Galerkin step R A P as a real map on stencil coefficients.
+
+    The block it acts on holds the coefficients of axis_offsets on n fine
+    nodes, rows ordered (offset o, node i); the band maps it to rows
+    (coarse offset q, coarse node J), with entry R[J, i] P[i + o, J + q]
+    for the axis factors R and P of the transfers. Returns the band and the
+    coarse offsets q, those with a nonzero row.
+    """
+    R, P = _axis_factors(n, restriction_order, prolongation_order)
+    nc = R.shape[0]
+    reach = max(map(abs, axis_offsets)) + sum(
+        restriction_stencil(1, order).halves[0]
+        for order in (restriction_order, prolongation_order))
+    shifted = P.T.tocsr()
+    blocks = {q: [R.multiply(sp.eye(nc, k=q) @ shifted @ sp.eye(n, k=-o))
+                  for o in axis_offsets]
+              for q in range(-(reach // 2), reach // 2 + 1)}
+    blocks = {q: row for q, row in blocks.items() if any(b.nnz for b in row)}
+    return sp.bmat(list(blocks.values()), format="csr"), tuple(blocks)
+
+
+def _coarsen_axis(offsets, coeffs, axis, orders):
+    """The 1D Galerkin step along one axis of stencil coefficients.
+
+    Offsets that differ only along the axis form a group. A group's planes,
+    read as a block with rows (offset, node along the axis) and a column for
+    every combination of the other nodes, go through the cached band of its
+    axis offsets. Returns the coarse offsets, sorted, and their coefficients.
+    """
+    shape = coeffs.shape[1:]
+    lead, n, trail = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+    nc = (n - 1) // 2 + 1
+    planes = coeffs.reshape(len(offsets), lead, n, trail)
+    others = np.delete(offsets, axis, axis=1)
+    steps, coarse_offsets = [], []
+    for rest in np.unique(others, axis=0):
+        members = np.flatnonzero((others == rest).all(axis=1))
+        band, qs = _galerkin_band(n, *orders, tuple(offsets[members, axis]))
+        steps.append((members, band, len(coarse_offsets) + np.arange(len(qs))))
+        coarse_offsets += [np.insert(rest, axis, q) for q in qs]
+    coarse_offsets = np.array(coarse_offsets)
+    order = np.lexsort(coarse_offsets.T[::-1])
+    position = np.argsort(order)
+    coarse = np.empty((len(order), lead, nc, trail), dtype=coeffs.dtype)
+    for members, band, made in steps:
+        block = np.ascontiguousarray(planes[members].transpose(0, 2, 1, 3))
+        out = _transfer(band, block.reshape(len(members) * n, lead * trail))
+        out = out.reshape(len(made), nc, lead, trail)
+        coarse[position[made]] = out.transpose(0, 2, 1, 3)
+    return coarse_offsets[order], coarse.reshape((len(order),) + shape[:axis] + (nc,)
+                                                 + shape[axis + 1:])
+
+
+def _coarsen(stencil, pair):
+    """Galerkin coarsening R A P of a GridStencil, one axis at a time.
+
+    The transfers are Kronecker products of 1D bands, so R A P applies the
+    1D step of each axis in turn. Complex data goes through a real view.
+    Boundary rows stay zero: the bands neither read fine boundary nodes nor
+    write coarse ones.
+    """
+    offsets, coeffs = stencil.offsets, stencil.coeffs
+    for axis in range(coeffs.ndim - 1):
+        offsets, coeffs = _coarsen_axis(offsets, coeffs, axis, pair.orders)
+    return GridStencil(offsets, coeffs)
+
+
+def _add_scaled(stencil, scale, other):
+    """stencil += scale * other, in place; other's offsets are among stencil's."""
+    index = {tuple(o): e for e, o in enumerate(stencil.offsets.tolist())}
+    for offset, plane in zip(other.offsets.tolist(), other.coeffs):
+        stencil.coeffs[index[tuple(offset)]] += scale * plane
 
 
 def _halved(shape):
@@ -252,21 +337,18 @@ def build_hierarchy(problem, scheme, plan):
     t23 = transfer_matrices(mid_shape, *orders23)
     coarse_shape = _halved(mid_shape)
 
-    mid = _coarsen(fine.matrix, t12, mid_shape)
-    shifted = mid
+    mid = _coarsen(fine.stencil, t12)
+    fine = fine.matrix      # the fine coefficient arrays are not needed again
+    mid_matrix = mid.tocsr()
     if plan.alpha != 1.0:
-        # a real product with no diagonal restored: the mass operator's
-        # boundary rows are zero and stay zero; sorted, so the sum keeps
-        # mid's layout
-        mass = mass_matrix(problem, scheme).matrix
-        mid_mass = sp.csr_matrix((t12.restriction @ mass) @ t12.prolongation)
-        mid_mass.sort_indices()
-        shifted = mid + (1.0 - plan.alpha ** 2) * mid_mass
-    coarse = _coarsen(shifted, t23, coarse_shape)
+        # mid becomes the shifted mid level; its matrix is already built
+        _add_scaled(mid, 1.0 - plan.alpha ** 2,
+                    _coarsen(mass_matrix(problem, scheme).stencil, t12))
+    coarse = _coarsen(mid, t23).tocsr()
 
     levels = (
-        _make_level(fine.matrix, shape, h, plan.dampings[0]),
-        _make_level(mid, mid_shape, 2 * h, plan.dampings[1]),
+        _make_level(fine, shape, h, plan.dampings[0]),
+        _make_level(mid_matrix, mid_shape, 2 * h, plan.dampings[1]),
         _make_level(coarse, coarse_shape, 4 * h, 1.0),
     )
     return MultigridHierarchy(levels, (t12, t23), _factorize(coarse, plan), plan)
@@ -365,6 +447,7 @@ def coarse_solve(hierarchy, rhs):
         hierarchy.coarse_solver = _factorize(matrix, plan, pivoting=True)
         x = hierarchy.coarse_solver.solve(rhs)
         residual = np.linalg.norm(rhs - matrix @ x) / scale
+    hierarchy.max_coarse_residual = max(hierarchy.max_coarse_residual, float(residual))
     if not residual <= 1e-10:
         raise RuntimeError(
             f"coarsest-level solve residual {residual:.3e} exceeds 1e-10; the "
@@ -373,10 +456,16 @@ def coarse_solve(hierarchy, rhs):
 
 
 def _transfer(matrix, v):
-    """Real transfer matrix times a complex vector, through a real (n, 2)
-    view: scipy would otherwise upcast the matrix to complex on every call."""
-    v = np.ascontiguousarray(v, dtype=complex)
-    return (matrix @ v.view(float).reshape(-1, 2)).view(complex).ravel()
+    """Real matrix times a vector or a block of columns, real or complex.
+
+    Complex data goes through a real view, two real columns per complex
+    one: scipy would otherwise upcast the matrix to complex on every call.
+    """
+    if not np.iscomplexobj(v):
+        return matrix @ v
+    v = np.ascontiguousarray(v)
+    out = matrix @ v.view(float).reshape(len(v), -1)
+    return out.view(complex).reshape((matrix.shape[0],) + v.shape[1:])
 
 
 def cycle(hierarchy, b, x0=None):

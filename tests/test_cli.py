@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -104,6 +105,34 @@ def test_solve_payload_and_table_lookup(tmp_path):
     history = payload["residual_history"]
     assert history[0] == 1.0 and history[-1] < 1e-6
     assert payload["iterations"] + 1 == len(history)
+    # set-up and solve timed apart; per-level sizes, LU fill, coarsest residual
+    assert 0 < payload["setup_seconds"] and 0 < payload["solve_seconds"]
+    assert payload["wall_time"] <= payload["solve_seconds"]
+    assert [level["dofs"] for level in payload["levels"]] == [105 ** 2, 53 ** 2, 27 ** 2]
+    assert all(level["nnz"] >= level["dofs"] for level in payload["levels"])
+    assert payload["coarse_lu_nnz"] >= payload["levels"][2]["nnz"]
+    assert 0 < payload["max_coarse_residual"] <= 1e-10
+
+
+def test_solve_setup_time_includes_the_outer_assembly(tmp_path, monkeypatch):
+    """With beta > 0 the unshifted outer operator is assembled after the
+    hierarchy; that assembly counts as set-up, not as solve."""
+    import rscgc.cli as cli
+    delay = 0.2
+    original = cli.assemble_operator
+
+    def slow_assembly(*args, **kwargs):
+        time.sleep(delay)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_operator", slow_assembly)
+    out = tmp_path / "run.json"
+    rc = main(["solve", "--dim", "2", "--G", "10", "--cells", "32",
+               "--method", "cslp:0.5", "--out", str(out)])
+    assert rc == 0
+    payload = read_json(out)
+    assert payload["setup_seconds"] >= delay
+    assert payload["solve_seconds"] < payload["wall_time"] + delay
 
 
 def test_solve_reports_nonconvergence_with_exit_one(tmp_path):

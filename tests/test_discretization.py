@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rscgc.discretization import (
+    GridStencil,
     HelmholtzProblem,
     SlownessModel,
     SparseOperator,
@@ -20,6 +22,7 @@ from rscgc.discretization import (
     omega_for_ppw,
     point_source,
 )
+from rscgc.multigrid import CyclePlan
 
 from conftest import build_problem
 
@@ -129,6 +132,28 @@ def test_assembled_pattern_structurally_symmetric():
     problem = build_problem(2, 32, 10, kind="wedge", kappa2=(0.25, 1.0), pad=6)
     A = assemble_operator(problem, "fourth-order", alpha=1.01, beta=0.05)
     assert A.structurally_symmetric()
+
+
+def test_grid_stencil_csr_writes_boundary_rows_and_drops_zeros():
+    offsets = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+    coeffs = np.zeros((5, 4, 5))
+    coeffs[:, 1:-1, 1:-1] = np.arange(1.0, 6.0)[:, None, None]
+    coeffs[0, 2, 2] = 0.0
+    matrix = GridStencil(offsets, coeffs).tocsr()
+    dense = matrix.toarray()
+    row = np.ravel_multi_index((1, 2), (4, 5))
+    assert dense[row, row - 5] == 1.0 and dense[row, row + 1] == 4.0
+    assert matrix.nnz == 6 * 5 - 1 + 14          # one exact zero dropped
+    assert np.array_equal(np.diag(dense)[[0, 4, 5, 19]], [1.0, 1.0, 1.0, 1.0])
+    assert matrix.has_sorted_indices
+    assert GridStencil(offsets, coeffs).tocsr(boundary=0.0)[0].nnz == 0
+
+
+def test_grid_stencil_needs_sorted_offsets_that_fit():
+    with pytest.raises(ValueError, match="lexicographic"):
+        GridStencil([(0, 1), (0, -1)], np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError, match="do not fit"):
+        GridStencil([(0, 0)], np.zeros((2, 4, 4)))
 
 
 def test_structural_symmetry_detects_one_sided_coupling():
@@ -293,6 +318,29 @@ def test_model_argument_validation():
         SlownessModel(2, (4, 4), 0.25, np.ones((4, 4)))
     with pytest.raises(ValueError, match="positive"):
         SlownessModel(2, (4, 4), 0.25, np.zeros((5, 5)))
+
+
+_SMALL_MODEL = make_model("homogeneous", (1.0, 1.0), (8, 8), 0.125)
+
+
+@pytest.mark.parametrize("build,value", [
+    (lambda v: CyclePlan(nu1=v), 1.5),
+    (lambda v: CyclePlan(nu1=v), True),
+    (lambda v: CyclePlan(nu2=v), math.nan),
+    (lambda v: SlownessModel(2, (4, 4), v, np.ones((5, 5))), math.nan),
+    (lambda v: SlownessModel(2, (4, 4), v, np.ones((5, 5))), math.inf),
+    (lambda v: SlownessModel(2, v, 0.25, np.ones((5, 5))), (4.5, 4)),
+    (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, pad=v), 1.5),
+    (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, pad=v), math.nan),
+    (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, pad=v), True),
+    (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, source=v), (1.5, 2)),
+], ids=["nu1-fraction", "nu1-bool", "nu2-nan", "h-nan", "h-inf", "cells-fraction",
+        "pad-fraction", "pad-nan", "pad-bool", "source-fraction"])
+def test_constructors_reject_bad_values_by_name(build, value):
+    """Each of these used to construct: a fractional or boolean count ended
+    in a TypeError much later, or was silently truncated."""
+    with pytest.raises(ValueError, match=re.escape(str(value))):
+        build(value)
 
 
 def test_load_model_velocity_conversion(tmp_path):

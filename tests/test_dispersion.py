@@ -131,14 +131,28 @@ def test_one_halving_decides_the_snapped_radius(dim, G, alpha, azimuth, polar):
     cases = [(_fine_pair(dim), kh ** 2)]
     cases += [(_composite_pair(dim, ig), (alpha * kh) ** 2) for ig in INTERGRID_CHOICES]
     for (lap, mass), m in cases:
-        one, forty = (_first_crossings(lap, mass, [m], phi, res, steps)[0]
-                      for steps in (1, 40))
+        try:
+            forty = _first_crossings(lap, mass, [m], phi, res, 40)[0]
+        except NoCrossingError:
+            # no crossing at all: the one-halving search must say so too
+            with pytest.raises(NoCrossingError):
+                _first_crossings(lap, mass, [m], phi, res, 1)
+            continue
+        one = _first_crossings(lap, mass, [m], phi, res, 1)[0]
         assert round(one / res) == round(forty / res)
 
 
 def _snapped_against_the_oracle(lap, mass, masses, phi, res=1e-3):
+    """The kernel's snapped radii, equal to the full-table oracle's; where the
+    oracle finds no crossing, the kernel raises the same error."""
+    try:
+        oracle = dispersion_oracle._first_crossings(lap, mass, masses, phi, res, 1)
+    except NoCrossingError as missing:
+        with pytest.raises(NoCrossingError) as info:
+            _first_crossings(lap, mass, masses, phi, res, 1)
+        assert str(info.value) == str(missing)
+        return None
     kernel = _first_crossings(lap, mass, masses, phi, res, 1)
-    oracle = dispersion_oracle._first_crossings(lap, mass, masses, phi, res, 1)
     assert np.array_equal(np.round(kernel / res), np.round(oracle / res))
     return np.round(oracle / res).astype(int)
 

@@ -10,10 +10,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import galerkin_oracle
 import rscgc.multigrid as mg
-from rscgc.discretization import assemble_operator, mass_matrix, point_source
+from rscgc.discretization import (HelmholtzProblem, assemble_operator, make_model,
+                                  mass_matrix, omega_for_ppw, point_source)
 from rscgc.krylov import fgmres
 from rscgc.multigrid import (
+    INTERGRID_CHOICES,
     CyclePlan,
     build_hierarchy,
     build_rediscretized_hierarchy,
@@ -167,10 +170,9 @@ def _reassembled_levels(problem, alpha, beta, transfers):
     """The fine operator assembled at (alpha, beta), and its single and
     double Galerkin coarsenings: the route that needs one assembly per alpha."""
     t12, t23 = transfers
-    mid_shape = mg._halved(problem.padded_shape)
-    fine = assemble_operator(problem, "fourth-order", alpha=alpha, beta=beta).matrix
-    mid = mg._coarsen(fine, t12, mid_shape)
-    return fine, mid, mg._coarsen(mid, t23, mg._halved(mid_shape))
+    fine = assemble_operator(problem, "fourth-order", alpha=alpha, beta=beta)
+    mid = mg._coarsen(fine.stencil, t12)
+    return fine.matrix, mid.tocsr(), mg._coarsen(mid, t23).tocsr()
 
 
 def _same_bits(a, b):
@@ -214,6 +216,39 @@ def test_one_assembly_and_bitwise_levels(alpha, monkeypatch):
     assert _same_bits(levels[0], fine) and _same_bits(levels[1], mid)
     if alpha == 1.0:
         assert _same_bits(levels[2], coarse)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3]),
+       intergrid=st.sampled_from(INTERGRID_CHOICES),
+       alpha=st.floats(0.9, 1.1), beta=st.sampled_from([0.0, 0.03]))
+def test_stencil_levels_match_the_sparse_oracle(data, dim, intergrid, alpha, beta):
+    """A wedge medium inside a sponge on a 2D or 3D box of any coarsenable
+    shape: the fine and mass operators are bit for bit those of the COO
+    assembly, and each coarse level lies within 1e-12 of its largest entry
+    of the sparse triple-product route, for cubic, linear/cubic and linear
+    transfers."""
+    quarters = st.integers(2, 9 if dim == 2 else 3)
+    cells = tuple(4 * data.draw(quarters) for _ in range(dim))
+    model = make_model("wedge", (0.25, 1.0), cells, 1.0 / max(cells))
+    problem = HelmholtzProblem(model, omega_for_ppw(model, 10.0), pad=4)
+    plan = CyclePlan(intergrid=intergrid, alpha=alpha, beta=beta)
+
+    fine = assemble_operator(problem, "fourth-order", beta=beta).matrix
+    assert _same_bits(fine, galerkin_oracle.operator_matrix(problem, "fourth-order",
+                                                            beta=beta))
+    assert _same_bits(mass_matrix(problem, "fourth-order").matrix,
+                      galerkin_oracle.mass_operator_matrix(problem, "fourth-order"))
+
+    hier = build_hierarchy(problem, "fourth-order", plan)
+    expected = galerkin_oracle.hierarchy_levels(problem, "fourth-order", plan,
+                                                hier.transfers)
+    assert _same_bits(hier.levels[0].operator.matrix, expected[0])
+    for level, oracle in zip(hier.levels[1:], expected[1:]):
+        got = level.operator.matrix
+        assert got.shape == oracle.shape
+        scale = np.abs(oracle.data).max()
+        assert abs(got - oracle).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("intergrid,reach", [("cubic", 3), ("level-dependent", 2)])
@@ -328,6 +363,21 @@ def test_coarse_solve_zero_and_accuracy():
     x = coarse_solve(hier, rhs)
     res = np.linalg.norm(rhs - hier.levels[2].operator.matrix @ x)
     assert res <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_coarse_solve_keeps_the_largest_residual():
+    problem = build_problem(2, 16, 10, pad=0)
+    hier = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.014))
+    assert hier.max_coarse_residual == 0.0
+    A3 = hier.levels[2].operator.matrix
+    rng = np.random.default_rng(47)
+    residuals = []
+    for _ in range(3):
+        rhs = rng.standard_normal(A3.shape[0]) + 1j * rng.standard_normal(A3.shape[0])
+        x = coarse_solve(hier, rhs)
+        residuals.append(np.linalg.norm(rhs - A3 @ x) / np.linalg.norm(rhs))
+    assert hier.max_coarse_residual == pytest.approx(max(residuals), rel=1e-6)
+    assert 0 < hier.max_coarse_residual <= 1e-10
 
 
 def _stale_coarse_solver(hier):
