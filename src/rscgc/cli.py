@@ -29,7 +29,7 @@ from .discretization import (HelmholtzProblem, assemble_operator, load_model,
                              make_model, omega_for_ppw, point_source)
 from .dispersion import (AnalysisConfig, NoCrossingError, export_dispersion_curve,
                          ncrit_bounds, optimize_shift)
-from .krylov import default_maxit, fgmres, stationary_solve
+from .krylov import checked_maxit, fgmres, stationary_solve
 from .multigrid import (CyclePlan, INTERGRID_CHOICES, REDISC_WAVENUMBER_SCALE,
                         build_hierarchy, build_rediscretized_hierarchy, cycle)
 
@@ -331,10 +331,18 @@ def _parse_solver(spec):
                       f"fgmres:M, or stationary")
 
 
+def _checked_maxit(tol, maxit, restart=None):
+    """krylov.checked_maxit, with a bad limit as a ConfigError."""
+    try:
+        return checked_maxit(tol, maxit, restart)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _maxit(config):
-    if config.maxit is not None:
-        return int(config.maxit)
-    return default_maxit(_parse_solver(config.solver)[1])
+    """The iteration cap of the config's solver, with tol, maxit and restart
+    checked."""
+    return _checked_maxit(config.tol, config.maxit, _parse_solver(config.solver)[1])
 
 
 def _outer_operator(config, problem, hierarchy):
@@ -427,6 +435,7 @@ def cmd_tune_shift(config, write_table=None, fmt="csv"):
 
 
 def cmd_solve(config):
+    _maxit(config)      # check the solver limits before spending set-up time
     problem = _build_problem(config)
     g = _require_G(config)
     kind, alpha, beta, intergrid = _parse_method(config.method, config, g)
@@ -472,8 +481,10 @@ def _sweep_cell(payload):
     g = _require_G(config)
     problem = _build_problem(config)
     kind, alpha, beta, intergrid = _parse_method(config.method, config, g)
+    start = time.perf_counter()
     hierarchy = _build_method_hierarchy(problem, config, kind, alpha, beta, intergrid)
     outer = _outer_operator(config, problem, hierarchy)
+    setup_seconds = time.perf_counter() - start
     reports = []
     for _ in range(payload["repeats"] + 1):     # first run is the warm-up
         x, report = _run_solver(problem, config, hierarchy, outer)
@@ -490,6 +501,7 @@ def _sweep_cell(payload):
         "cycle": f"{config.cycle}({config.nu1},{config.nu2})",
         "iters": iters,
         "converged": report.converged,
+        "setup_seconds": f"{setup_seconds:.4f}",
         "seconds": f"{np.mean([r.wall_time for r in measured]):.4f}",
     }
 
@@ -512,6 +524,7 @@ def cmd_sweep(config):
     if not methods:
         raise ConfigError("method list is empty")
     g = _require_G(config)
+    _maxit(config)
     for m in methods:
         _parse_method(m, config, g)     # validate before spending solve time
     base = asdict(config)
@@ -525,7 +538,7 @@ def cmd_sweep(config):
     else:
         rows = [_sweep_cell(job) for job in jobs]
     columns = ["grid", "dofs", "method", "alpha", "beta", "cycle",
-               "iters", "converged", "seconds"]
+               "iters", "converged", "setup_seconds", "seconds"]
     _write_rows(rows, columns, config.out)
     return 0
 
@@ -558,6 +571,7 @@ def cmd_dispersion(config):
     acfg = _analysis_config(config, g)
     if config.alpha_scan is not None:
         lo, hi, step = _parse_alpha_scan(config.alpha_scan)
+        scan_maxit = _checked_maxit(1e-30, config.scan_maxit)
         _, _, scan = optimize_shift(replace(acfg, alpha_range=(lo, hi),
                                             alpha_resolution=step))
         alphas = scan.alphas
@@ -568,8 +582,7 @@ def cmd_dispersion(config):
             hier = _build_method_hierarchy(problem, config, "galerkin",
                                            float(alpha), 0.0, config.intergrid)
             b = point_source(problem).ravel()
-            _, report = stationary_solve(hier, b, tol=1e-30,
-                                         maxit=config.scan_maxit)
+            _, report = stationary_solve(hier, b, tol=1e-30, maxit=scan_maxit)
             rows.append({"alpha": f"{alpha:.6g}", "e_g_max": f"{eg:.6e}",
                          "conv_factor": f"{_convergence_factor(report.residual_history):.4f}"})
         _write_rows(rows, ["alpha", "e_g_max", "conv_factor"], config.out)

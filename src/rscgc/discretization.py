@@ -35,6 +35,7 @@ __all__ = [
     "attenuation_profile",
     "assemble_operator",
     "mass_matrix",
+    "mass_stencil",
     "point_source",
 ]
 
@@ -514,23 +515,31 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
     return SparseOperator(stencil.tocsr(), shape, h, stencil)
 
 
-def mass_matrix(problem, scheme):
-    """The real k^2-weighted mass operator k^2 M with neighbor-node sampling.
+def mass_stencil(problem, scheme):
+    """The GridStencil of the real k^2-weighted mass operator k^2 M, with
+    neighbor-node sampling and zero boundary rows.
 
-    Boundary rows are zero, matching the decoupled rows of assemble_operator,
-    so assemble(alpha, beta) - assemble(1, 0) equals
-    (1 - alpha^2) * mass_matrix - i * beta * mass_matrix exactly.
-    build_hierarchy coarsens its GridStencil to put the real shift on the
-    coarsest level without assembling the fine operator a second time.
+    build_hierarchy coarsens it to put the real shift on the coarsest level
+    without assembling the fine operator a second time.
     """
     offsets, _, mass = _scheme_coefficients(problem.model.dim, scheme)
     live = mass != 0
     offsets, weights = offsets[live], mass[live].real
-    shape = problem.padded_shape
     k2 = problem.omega ** 2 * _padded_kappa2(problem)
-    stencil = _interior_stencil(shape, offsets, float,
-                                lambda e, colslc: weights[e] * k2[colslc])
-    return SparseOperator(stencil.tocsr(boundary=0.0), shape, problem.model.h, stencil)
+    return _interior_stencil(problem.padded_shape, offsets, float,
+                             lambda e, colslc: weights[e] * k2[colslc])
+
+
+def mass_matrix(problem, scheme):
+    """The real k^2-weighted mass operator k^2 M as a SparseOperator.
+
+    Boundary rows are zero, matching the decoupled rows of assemble_operator,
+    so assemble(alpha, beta) - assemble(1, 0) equals
+    (1 - alpha^2) * mass_matrix - i * beta * mass_matrix exactly.
+    """
+    stencil = mass_stencil(problem, scheme)
+    return SparseOperator(stencil.tocsr(boundary=0.0), problem.padded_shape,
+                          problem.model.h, stencil)
 
 
 def point_source(problem):

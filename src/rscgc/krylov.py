@@ -1,23 +1,31 @@
 """Flexible right-preconditioned GMRES and the stationary cycle driver.
 
 scipy's gmres is not flexible (it assumes a fixed preconditioner and
-left-preconditions in legacy mode), so the outer solver is written here:
-modified Gram-Schmidt with a single reorthogonalization pass, complex Givens
-rotations on the Hessenberg columns, optional restart. An iteration means one
+left-preconditions in legacy mode), so the outer solver is written here.
+The Krylov basis V and the preconditioned vectors Z are rows of two complex
+arrays that grow a block of rows at a time. Each new vector is
+orthogonalized by classical Gram-Schmidt run twice (CGS2), every pass two
+BLAS-2 products; complex Givens rotations reduce the Hessenberg columns to
+an upper-triangular factor; restart is optional. An iteration means one
 preconditioner application; residual_history carries one relative residual
 per iteration, with the final entry recomputed from scratch.
 """
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
+from .discretization import _integer
 from .multigrid import cycle
 
-__all__ = ["SolveReport", "default_maxit", "fgmres", "stationary_solve"]
+__all__ = ["SolveReport", "checked_maxit", "fgmres", "stationary_solve"]
 
 _BREAKDOWN = 1e-14
+_BLOCK = 16     # basis rows added at a time: maxit rows up front can take a GB
 
 
 @dataclass
@@ -29,9 +37,23 @@ class SolveReport:
     diverged: bool = False
 
 
-def default_maxit(restart=None):
-    """Iteration cap when none is given: 100, or 200 for restarted FGMRES."""
-    return 100 if restart is None else 200
+def checked_maxit(tol, maxit=None, restart=None):
+    """The iteration cap of a solve, with its limits checked.
+
+    maxit=None gives the default: 100, or 200 for restarted FGMRES. A tol
+    that is not finite and positive, a maxit that is not a nonnegative
+    integer, or a restart that is not a positive one is a ValueError that
+    names the value.
+    """
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if restart is not None and _integer(restart, "restart") < 1:
+        raise ValueError(f"restart must be at least 1, got {restart!r}")
+    if maxit is None:
+        return 100 if restart is None else 200
+    if _integer(maxit, "maxit") < 0:
+        raise ValueError(f"maxit must be nonnegative, got {maxit!r}")
+    return int(maxit)
 
 
 def _givens(f, g):
@@ -44,6 +66,15 @@ def _givens(f, g):
     return c, s
 
 
+def _room(basis, rows):
+    """basis, or a copy with _BLOCK more rows when it holds fewer than rows."""
+    if rows <= len(basis):
+        return basis
+    grown = np.empty((len(basis) + _BLOCK, basis.shape[1]), dtype=complex)
+    grown[:len(basis)] = basis
+    return grown
+
+
 def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
     """Right-preconditioned flexible GMRES.
 
@@ -52,12 +83,7 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
     is declared on the recomputed true residual ||b - A x|| / ||b|| < tol.
     Returns (x, SolveReport).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if restart is not None and restart < 1:
-        raise ValueError(f"restart must be at least 1, got {restart}")
-    if maxit is None:
-        maxit = default_maxit(restart)
+    maxit = checked_maxit(tol, maxit, restart)
     if apply_M is None:
         apply_M = lambda v: v
 
@@ -73,6 +99,8 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
     history = [float(np.linalg.norm(b - apply_A(x)) / bnorm)]
     converged = history[0] < tol
     iterations = 0
+    V = np.empty((0, len(b)), dtype=complex)
+    Z = np.empty((0, len(b)), dtype=complex)
 
     while not converged and iterations < maxit:
         r = b - apply_A(x)
@@ -81,35 +109,34 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
             converged = True
             break
         budget = maxit - iterations if restart is None else min(restart, maxit - iterations)
-        V = [r / rnorm]
-        Z = []
-        R_cols = []
+        V = _room(V, 1)
+        V[0] = r / rnorm
+        H = np.zeros((budget, budget), dtype=complex)   # the triangular factor
         givens = []
         g = np.zeros(budget + 1, dtype=complex)
         g[0] = rnorm
         k = 0
         for j in range(budget):
-            z = apply_M(V[j])
-            Z.append(z)
-            w = apply_A(z)
+            Z = _room(Z, j + 1)
+            Z[j] = apply_M(V[j])
+            w = apply_A(Z[j])
             iterations += 1
             norm_before = np.linalg.norm(w)
-            col = np.zeros(j + 2, dtype=complex)
-            for i in range(j + 1):
-                hij = np.vdot(V[i], w)
-                col[i] = hij
-                w = w - hij * V[i]
-            if np.linalg.norm(w) < norm_before / np.sqrt(2.0):
-                # basis nearly contains w; one reorthogonalization pass
-                for i in range(j + 1):
-                    corr = np.vdot(V[i], w)
-                    col[i] += corr
-                    w = w - corr * V[i]
+            basis = V[:j + 1]
+            # conj(w^H V^T) is V^H w without a conjugated copy of the basis;
+            # the first update makes a new w, since apply_A may return Z[j]
+            first = np.conj(w.conj() @ basis.T)
+            w = w - first @ basis
+            second = np.conj(w.conj() @ basis.T)
+            w -= second @ basis
             wnorm = np.linalg.norm(w)
+            col = np.empty(j + 2, dtype=complex)
+            col[:j + 1] = first + second
             col[j + 1] = wnorm
             breakdown = wnorm <= _BREAKDOWN * max(norm_before, 1e-300)
             if not breakdown:
-                V.append(w / wnorm)
+                V = _room(V, j + 2)
+                V[j + 1] = w / wnorm
             for i, (c, s) in enumerate(givens):
                 ti = c * col[i] + s * col[i + 1]
                 col[i + 1] = -np.conj(s) * col[i] + c * col[i + 1]
@@ -120,18 +147,14 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
             col[j + 1] = 0.0
             g[j + 1] = -np.conj(s) * g[j]
             g[j] = c * g[j]
-            R_cols.append(col[:j + 1].copy())
+            H[:j + 1, j] = col[:j + 1]
             k = j + 1
             estimate = abs(g[j + 1]) / bnorm
             history.append(float(estimate))
             if estimate < tol or breakdown or iterations >= maxit:
                 break
-        # solve the k x k triangular system and correct
-        y = np.zeros(k, dtype=complex)
-        for i in range(k - 1, -1, -1):
-            y[i] = (g[i] - sum(R_cols[jj][i] * y[jj] for jj in range(i + 1, k))) / R_cols[i][i]
-        for i in range(k):
-            x = x + y[i] * Z[i]
+        y = solve_triangular(H[:k, :k], g[:k])
+        x = x + y @ Z[:k]
         true_rel = float(np.linalg.norm(b - apply_A(x)) / bnorm)
         history[-1] = true_rel
         converged = true_rel < tol
@@ -147,10 +170,7 @@ def stationary_solve(hierarchy, b, tol=1e-6, maxit=None, x0=None):
     Aborts with the diverged flag when the relative residual grows past 10x
     its running minimum. Returns (x, SolveReport).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if maxit is None:
-        maxit = default_maxit()
+    maxit = checked_maxit(tol, maxit)
     start = time.perf_counter()
     A = hierarchy.levels[0].operator.matrix
     b = np.asarray(b, dtype=complex).ravel()

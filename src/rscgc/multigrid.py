@@ -7,10 +7,11 @@ the wavenumber by plan.alpha changes the assembled operator by
 as (1 - alpha^2) times the Galerkin coarsening of k^2 M, and the fine
 operator is assembled only once. Only the coarsest level sees the real
 shift. Levels are coarsened as stencil arrays, one axis at a time, and each
-is turned into CSR once, for the cycle and the coarsest factorization. A
-complex shift plan.beta, when nonzero, is applied on every level, which
-turns the hierarchy into a shifted-Laplacian preconditioner for the
-unshifted system.
+is turned into CSR once, for the cycle and the coarsest factorization. The
+transfers are kept as one 1D band per axis, and the cycle applies them one
+axis at a time too. A complex shift plan.beta, when nonzero, is applied on
+every level, which turns the hierarchy into a shifted-Laplacian
+preconditioner for the unshifted system.
 
 Smoothing is damped Jacobi; the coarsest problem is solved by a cached sparse
 LU factorization in SuperLU's symmetric mode, checked on every solve and
@@ -20,14 +21,14 @@ mid-level correction pass twice.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretization import (GridStencil, HelmholtzProblem, SlownessModel,
-                             SparseOperator, _integer, assemble_operator, mass_matrix)
+                             SparseOperator, _integer, assemble_operator, mass_stencil)
 from .stencils import restriction_stencil
 
 __all__ = [
@@ -88,13 +89,14 @@ class CyclePlan:
 class TransferPair:
     """Restriction and prolongation between two consecutive levels.
 
-    orders names the weight families of restriction and prolongation,
-    "cubic" or "linear"; both matrices are Kronecker products of the 1D
-    bands of their family along each axis.
+    restriction and prolongation hold one real 1D CSR band per axis; the
+    full transfers are their Kronecker products, applied by restrict and
+    prolong one axis at a time. orders names the weight families of
+    restriction and prolongation, "cubic" or "linear".
     """
 
-    restriction: sp.csr_matrix
-    prolongation: sp.csr_matrix
+    restriction: tuple
+    prolongation: tuple
     orders: tuple
 
     @property
@@ -105,6 +107,14 @@ class TransferPair:
         if restriction == prolongation:
             return restriction
         return f"{restriction}/{prolongation}"
+
+    def restrict(self, v):
+        """R v for a flat vector on the fine grid."""
+        return _along_axes(self.restriction, v)
+
+    def prolong(self, v):
+        """P v for a flat vector on the coarse grid."""
+        return _along_axes(self.prolongation, v)
 
 
 @dataclass(frozen=True)
@@ -165,10 +175,6 @@ def _axis_factors(n, restriction_order, prolongation_order):
             _unit_rows(_axis_weights(n, prolongation_order).T))
 
 
-def _kron(factors):
-    return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
-
-
 def transfer_matrices(fine_shape, restriction_order, prolongation_order):
     """TransferPair between a padded grid and its index-halved coarsening.
 
@@ -178,7 +184,7 @@ def transfer_matrices(fine_shape, restriction_order, prolongation_order):
     """
     factors = [_axis_factors(n, restriction_order, prolongation_order)
                for n in fine_shape]
-    return TransferPair(_kron([r for r, _ in factors]), _kron([p for _, p in factors]),
+    return TransferPair(tuple(r for r, _ in factors), tuple(p for _, p in factors),
                         (restriction_order, prolongation_order))
 
 
@@ -343,7 +349,7 @@ def build_hierarchy(problem, scheme, plan):
     if plan.alpha != 1.0:
         # mid becomes the shifted mid level; its matrix is already built
         _add_scaled(mid, 1.0 - plan.alpha ** 2,
-                    _coarsen(mass_matrix(problem, scheme).stencil, t12))
+                    _coarsen(mass_stencil(problem, scheme), t12))
     coarse = _coarsen(mid, t23).tocsr()
 
     levels = (
@@ -468,6 +474,20 @@ def _transfer(matrix, v):
     return out.view(complex).reshape((matrix.shape[0],) + v.shape[1:])
 
 
+def _along_axes(bands, v):
+    """The Kronecker product of one 1D band per axis times a flat grid vector.
+
+    Each axis in turn is moved to the front, so the band multiplies a block
+    with one column per combination of the other nodes, and moved back.
+    """
+    v = v.reshape(tuple(band.shape[1] for band in bands))
+    for axis, band in enumerate(bands):
+        front = np.moveaxis(v, axis, 0)
+        out = _transfer(band, front.reshape(len(front), -1))
+        v = np.moveaxis(out.reshape((band.shape[0],) + front.shape[1:]), 0, axis)
+    return v.ravel()
+
+
 def cycle(hierarchy, b, x0=None):
     """One multigrid cycle on the finest level, V or W per the plan.
 
@@ -482,16 +502,16 @@ def cycle(hierarchy, b, x0=None):
 
     x = None if x0 is None else np.array(x0, dtype=complex).ravel()
     x = jacobi_smooth(fine, x, b, plan.nu1)
-    coarse_rhs = _transfer(t12.restriction, b - fine.operator.matrix @ x)
+    coarse_rhs = t12.restrict(b - fine.operator.matrix @ x)
 
     passes = 2 if plan.cycle == "W" else 1
     e = None
     for _ in range(passes):
         e = jacobi_smooth(mid, e, coarse_rhs, plan.nu1)
         defect = coarse_rhs - mid.operator.matrix @ e
-        coarse = coarse_solve(hierarchy, _transfer(t23.restriction, defect))
-        e = e + _transfer(t23.prolongation, coarse)
+        coarse = coarse_solve(hierarchy, t23.restrict(defect))
+        e = e + t23.prolong(coarse)
         e = jacobi_smooth(mid, e, coarse_rhs, plan.nu2)
 
-    x = x + _transfer(t12.prolongation, e)
+    x = x + t12.prolong(e)
     return jacobi_smooth(fine, x, b, plan.nu2)

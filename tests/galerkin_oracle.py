@@ -1,12 +1,15 @@
 """Sparse-matrix oracle for the assembly and the Galerkin coarsening.
 
 The solver never goes through this module. It assembles the fine and mass
-operators from COO triplets, one block per stencil offset, and coarsens
-with explicit sparse triple products R * A * P on the Kronecker transfer
-matrices. The stencil-array assembly and the axis-by-axis coarsening of
-:mod:`rscgc.discretization` and :mod:`rscgc.multigrid` are checked
-against it.
+operators from COO triplets, one block per stencil offset, forms the
+transfers as Kronecker products of their 1D bands in one CSR matrix each,
+and coarsens with explicit sparse triple products R * A * P. The
+stencil-array assembly, the axis-by-axis coarsening and the axis-by-axis
+transfers of :mod:`rscgc.discretization` and :mod:`rscgc.multigrid` are
+checked against it.
 """
+
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,9 +88,17 @@ def mass_operator_matrix(problem, scheme):
     return _csr(rows, cols, vals, shape)
 
 
+def kron_transfers(pair):
+    """The restriction and prolongation of a TransferPair as CSR matrices:
+    the Kronecker products of its 1D bands."""
+    kron = lambda bands: reduce(lambda a, b: sp.kron(a, b, format="csr"), bands)
+    return kron(pair.restriction), kron(pair.prolongation)
+
+
 def coarsen_matrix(matrix, pair, coarse_shape):
     """Sparse triple product with the coarse Dirichlet diagonal restored."""
-    coarse = (pair.restriction @ matrix) @ pair.prolongation
+    R, P = kron_transfers(pair)
+    coarse = (R @ matrix) @ P
     coarse = sp.csr_matrix(coarse)
     bnd = _boundary_mask(coarse_shape).ravel()
     coarse = coarse + sp.diags(bnd.astype(coarse.dtype))
@@ -109,7 +120,8 @@ def hierarchy_levels(problem, scheme, plan, transfers):
     shifted = mid
     if plan.alpha != 1.0:
         mass = mass_operator_matrix(problem, scheme)
-        mid_mass = sp.csr_matrix((t12.restriction @ mass) @ t12.prolongation)
+        R, P = kron_transfers(t12)
+        mid_mass = sp.csr_matrix((R @ mass) @ P)
         mid_mass.sort_indices()
         shifted = mid + (1.0 - plan.alpha ** 2) * mid_mass
     return fine, mid, coarsen_matrix(shifted, t23, coarse_shape)

@@ -32,6 +32,7 @@ from rscgc.stencils import (
     transpose_scale,
 )
 
+import galerkin_oracle
 from conftest import build_problem
 from periodic_oracle import periodic_rap_stencil
 
@@ -68,10 +69,9 @@ def coarsest_identity_residual(problem, alpha):
     """Relative entrywise defect of the doubly coarsened shift split."""
     plain = build_hierarchy(problem, "fourth-order", CyclePlan())
     shifted = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=alpha))
-    t12, t23 = plain.transfers
+    (R12, P12), (R23, P23) = map(galerkin_oracle.kron_transfers, plain.transfers)
     M = mass_matrix(problem, "fourth-order").matrix
-    M3 = (t23.restriction @ (t12.restriction @ M @ t12.prolongation)
-          @ t23.prolongation)
+    M3 = R23 @ (R12 @ M @ P12) @ P23
     delta = (shifted.levels[2].operator.matrix
              - plain.levels[2].operator.matrix
              - (1 - alpha ** 2) * M3).tocoo()
@@ -276,10 +276,11 @@ def test_linearity_transfers_divergence_and_3d():
     for pair, fine_shape in ((hierarchy.transfers[0], (169, 169)),
                              (hierarchy.transfers[1], (85, 85))):
         coarse_shape = tuple((s - 1) // 2 + 1 for s in fine_shape)
-        restricted = (pair.restriction @ np.ones(np.prod(fine_shape)))
+        R, P = galerkin_oracle.kron_transfers(pair)
+        restricted = (R @ np.ones(np.prod(fine_shape)))
         inner = restricted.reshape(coarse_shape)[1:-1, 1:-1]
         assert np.allclose(inner, 1.0, atol=1e-13)
-        prolonged = (pair.prolongation @ np.ones(np.prod(coarse_shape)))
+        prolonged = (P @ np.ones(np.prod(coarse_shape)))
         inner = prolonged.reshape(fine_shape)[1:-1, 1:-1]
         assert np.allclose(inner, 1.0, atol=1e-13)
 

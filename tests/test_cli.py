@@ -171,6 +171,14 @@ def test_solve_rejects_bad_arguments(capsys):
     (["dispersion", "--dim", "2", "--G", "12", "--alpha", "inf"], "got inf"),
     (["tune-shift", "--dim", "2", "--G", "12", "--alpha-range", "3:3.01"],
      "at G = 12, alpha in [3, 3.01]"),
+    (["solve", "--G", "12", "--cells", "32", "--tol", "-1"], "got -1.0"),
+    (["solve", "--G", "12", "--cells", "32", "--tol", "0"], "got 0.0"),
+    (["solve", "--G", "12", "--cells", "32", "--tol", "nan"], "got nan"),
+    (["solve", "--G", "12", "--cells", "32", "--maxit", "-3"], "got -3"),
+    (["sweep", "--G", "12", "--grids", "32", "--tol", "nan"], "got nan"),
+    (["sweep", "--G", "12", "--grids", "32", "--maxit", "-3"], "got -3"),
+    (["dispersion", "--dim", "2", "--G", "12", "--alpha-scan", "1:1.01",
+      "--cells", "32", "--scan-maxit", "-3"], "got -3"),
 ])
 def test_unparsable_values_exit_two(argv, named, capsys):
     assert main(argv) == 2
@@ -239,7 +247,7 @@ def test_sweep_table_shape_and_method_contrast(tmp_path):
     rows = read_csv(out)
     assert [list(r) for r in rows] == [["grid", "dofs", "method", "alpha",
                                         "beta", "cycle", "iters", "converged",
-                                        "seconds"]] * 2
+                                        "setup_seconds", "seconds"]] * 2
     ours, cslp = rows
     assert ours["method"] == "rs-cgc" and cslp["method"] == "cslp:0.3:bilinear"
     assert ours["grid"] == "32x32" and int(ours["dofs"]) == 73 * 73
@@ -248,6 +256,7 @@ def test_sweep_table_shape_and_method_contrast(tmp_path):
     assert ours["converged"] == "True" and cslp["converged"] == "True"
     assert int(ours["iters"]) < int(cslp["iters"])
     assert float(ours["seconds"]) > 0
+    assert float(ours["setup_seconds"]) > 0
 
 
 def test_sweep_divergence_reports_the_iteration_budget(tmp_path):
@@ -273,7 +282,8 @@ def test_sweep_config_round_trip(tmp_path):
     rc = main(["sweep", "--config", str(cfg), "--out", str(second)])
     assert rc == 0
 
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"}
+    strip = lambda rows: [{k: v for k, v in r.items()
+                           if k not in ("setup_seconds", "seconds")}
                           for r in rows]
     assert strip(read_csv(first)) == strip(read_csv(second))
 

@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+import krylov_oracle
 import rscgc.krylov as kr
 from rscgc.discretization import assemble_operator, point_source
 from rscgc.krylov import fgmres, stationary_solve
@@ -113,6 +115,48 @@ def test_fgmres_argument_validation():
         fgmres(lambda v: v, None, b, tol=0.0)
     with pytest.raises(ValueError, match="restart"):
         fgmres(lambda v: v, None, b, restart=0)
+    for tol, named in ((-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"), ("abc", "'abc'")):
+        with pytest.raises(ValueError, match=f"tol.*{named}"):
+            fgmres(lambda v: v, None, b, tol=tol)
+        with pytest.raises(ValueError, match=f"tol.*{named}"):
+            stationary_solve(identity_hierarchy(4), b, tol=tol)
+    for name in ("maxit", "restart"):
+        for value, named in ((-3, "-3"), (2.5, "2.5"), (True, "True")):
+            with pytest.raises(ValueError, match=f"{name}.*{named}"):
+                fgmres(lambda v: v, None, b, **{name: value})
+    for value, named in ((-3, "-3"), (2.5, "2.5"), (True, "True")):
+        with pytest.raises(ValueError, match=f"maxit.*{named}"):
+            stationary_solve(identity_hierarchy(4), b, maxit=value)
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(2.5, 4.0),
+       restart=st.sampled_from([None, 7, 20]), identity_A=st.booleans())
+def test_cgs2_on_blocked_arrays_matches_the_mgs_oracle(seed, shift, restart, identity_A):
+    """On a diagonally shifted random complex system the blocked CGS2 solver
+    takes the iterations of the modified Gram-Schmidt oracle, with the same
+    residual history to 1e-10. Every run takes more than 16 iterations, so
+    the basis arrays grow; with identity_A, A is the identity, apply_A
+    returns its argument, and the system sits in the preconditioner."""
+    rng = np.random.default_rng(seed)
+    n = 48
+    B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    B += shift * np.eye(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d = rng.uniform(0.5, 2.0, n)
+    if identity_A:
+        apply_A, apply_M = (lambda v: v), (lambda v: B @ v)
+    else:
+        apply_A, apply_M = (lambda v: B @ v), (lambda v: v / d)
+    kwargs = dict(restart=restart, tol=1e-10, maxit=150)
+    x, report = fgmres(apply_A, apply_M, b, **kwargs)
+    x_ref, expected = krylov_oracle.fgmres(apply_A, apply_M, b, **kwargs)
+    assert report.iterations == expected.iterations > 16
+    assert report.converged == expected.converged
+    h, h_ref = np.array(report.residual_history), np.array(expected.residual_history)
+    assert h.shape == h_ref.shape
+    assert np.abs(h - h_ref).max() <= 1e-10
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
 
 def test_maxit_caps_the_iteration_count():

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import galerkin_oracle
 import rscgc.multigrid as mg
 from rscgc.discretization import (HelmholtzProblem, assemble_operator, make_model,
-                                  mass_matrix, omega_for_ppw, point_source)
+                                  mass_matrix, mass_stencil, omega_for_ppw,
+                                  point_source)
 from rscgc.krylov import fgmres
 from rscgc.multigrid import (
     INTERGRID_CHOICES,
@@ -46,15 +47,15 @@ def interior_mask(shape):
 @pytest.mark.parametrize("order", ["cubic", "linear"])
 def test_transfers_preserve_constants(order):
     shape = (17, 17)
-    pair = transfer_matrices(shape, order, order)
+    R, P = galerkin_oracle.kron_transfers(transfer_matrices(shape, order, order))
     coarse_shape = (9, 9)
 
-    restricted = pair.restriction @ np.ones(17 * 17)
+    restricted = R @ np.ones(17 * 17)
     keep = interior_mask(coarse_shape)
     assert np.allclose(restricted[keep], 1.0, atol=1e-14)
     assert np.allclose(restricted[~keep], 0.0)
 
-    prolonged = pair.prolongation @ np.ones(9 * 9)
+    prolonged = P @ np.ones(9 * 9)
     keep = interior_mask(shape)
     assert np.allclose(prolonged[keep], 1.0, atol=1e-14)
     assert np.allclose(prolonged[~keep], 0.0)
@@ -70,9 +71,8 @@ def test_transfers_preserve_constants_on_any_coarsenable_shape(data, dim, orders
     quarters = st.integers(1, 12 if dim == 2 else 5)
     shape = tuple(4 * data.draw(quarters) + 1 for _ in range(dim))
     coarse_shape = tuple((n - 1) // 2 + 1 for n in shape)
-    pair = transfer_matrices(shape, *orders)
-    for matrix, out_shape in ((pair.restriction, coarse_shape),
-                              (pair.prolongation, shape)):
+    R, P = galerkin_oracle.kron_transfers(transfer_matrices(shape, *orders))
+    for matrix, out_shape in ((R, coarse_shape), (P, shape)):
         image = matrix @ np.ones(matrix.shape[1])
         keep = interior_mask(out_shape)
         assert np.allclose(image[keep], 1.0, rtol=0.0, atol=1e-14)
@@ -82,13 +82,13 @@ def test_transfers_preserve_constants_on_any_coarsenable_shape(data, dim, orders
 def test_prolongation_is_scaled_restriction_transpose_deep_inside():
     """Away from boundary renormalization, P = 2^d R^T."""
     shape = (33, 33)
-    pair = transfer_matrices(shape, "cubic", "cubic")
+    R, P = galerkin_oracle.kron_transfers(transfer_matrices(shape, "cubic", "cubic"))
     fine_keep = np.zeros(shape, dtype=bool)
     fine_keep[4:-4, 4:-4] = True
     coarse_keep = np.zeros((17, 17), dtype=bool)
     coarse_keep[2:-2, 2:-2] = True
-    P = pair.prolongation[fine_keep.ravel()][:, coarse_keep.ravel()].toarray()
-    R = pair.restriction[coarse_keep.ravel()][:, fine_keep.ravel()].toarray()
+    P = P[fine_keep.ravel()][:, coarse_keep.ravel()].toarray()
+    R = R[coarse_keep.ravel()][:, fine_keep.ravel()].toarray()
     assert np.allclose(P, 4.0 * R.T, atol=1e-14)
 
 
@@ -114,11 +114,63 @@ def _loop_axis_transfers(n, order):
                                     ("linear", "cubic")])
 def test_transfers_match_the_entrywise_reference(orders):
     for shape in ((17,), (21,), (139,), (17, 21)):
-        pair = transfer_matrices(shape, *orders)
+        restriction, prolongation = galerkin_oracle.kron_transfers(
+            transfer_matrices(shape, *orders))
         R = reduce(np.kron, [_loop_axis_transfers(n, orders[0])[0] for n in shape])
         P = reduce(np.kron, [_loop_axis_transfers(n, orders[1])[1] for n in shape])
-        assert np.array_equal(pair.restriction.toarray(), R)
-        assert np.array_equal(pair.prolongation.toarray(), P)
+        assert np.array_equal(restriction.toarray(), R)
+        assert np.array_equal(prolongation.toarray(), P)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3]),
+       intergrid=st.sampled_from(INTERGRID_CHOICES), seed=st.integers(0, 2**32 - 1))
+def test_axis_transfers_match_the_kronecker_oracle(data, dim, intergrid, seed):
+    """restrict and prolong, one axis at a time, equal the Kronecker CSR
+    products on complex vectors, for both transfer pairs of every intergrid
+    choice on any twice-coarsenable shape."""
+    quarters = st.integers(2, 12 if dim == 2 else 5)
+    shape = tuple(4 * data.draw(quarters) + 1 for _ in range(dim))
+    rng = np.random.default_rng(seed)
+    for fine_shape, orders in zip((shape, mg._halved(shape)),
+                                  mg._transfer_orders(intergrid)):
+        pair = transfer_matrices(fine_shape, *orders)
+        for apply, matrix in zip((pair.restrict, pair.prolong),
+                                 galerkin_oracle.kron_transfers(pair)):
+            n = matrix.shape[1]
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            expected = matrix @ v
+            got = apply(v)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+class _KroneckerTransfers:
+    """Stands in for a TransferPair, applying the oracle's CSR matrices."""
+
+    def __init__(self, pair):
+        self.R, self.P = galerkin_oracle.kron_transfers(pair)
+
+    def restrict(self, v):
+        return mg._transfer(self.R, v)
+
+    def prolong(self, v):
+        return mg._transfer(self.P, v)
+
+
+@pytest.mark.parametrize("intergrid", INTERGRID_CHOICES)
+@pytest.mark.parametrize("dim,cells", [(2, 32), (3, 8)])
+def test_cycle_matches_the_kronecker_route(dim, cells, intergrid):
+    problem = build_problem(dim, cells, 10, pad=4)
+    hier = build_hierarchy(problem, "fourth-order",
+                           CyclePlan(intergrid=intergrid, alpha=1.014, beta=0.03))
+    oracle = dataclasses.replace(
+        hier, transfers=tuple(map(_KroneckerTransfers, hier.transfers)))
+    rng = np.random.default_rng(53)
+    n = hier.levels[0].operator.dofs
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    expected = cycle(oracle, b)
+    assert np.linalg.norm(cycle(hier, b) - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 def test_transfer_order_labels():
@@ -146,9 +198,9 @@ def test_coarsest_level_carries_the_real_shift():
              - plain.levels[lv].operator.matrix)
         assert d.nnz == 0 or np.abs(d.data).max() == 0.0
 
-    t12, t23 = plain.transfers
+    (R12, P12), (R23, P23) = map(galerkin_oracle.kron_transfers, plain.transfers)
     M = mass_matrix(problem, "fourth-order").matrix
-    M3 = t23.restriction @ (t12.restriction @ M @ t12.prolongation) @ t23.prolongation
+    M3 = R23 @ (R12 @ M @ P12) @ P23
     delta = (shifted.levels[2].operator.matrix
              - plain.levels[2].operator.matrix
              - (1 - alpha ** 2) * M3).tocoo()
@@ -205,8 +257,8 @@ def test_one_assembly_and_bitwise_levels(alpha, monkeypatch):
     calls, mass_calls = [], []
     monkeypatch.setattr(mg, "assemble_operator",
                         lambda *a, **k: calls.append(k) or assemble_operator(*a, **k))
-    monkeypatch.setattr(mg, "mass_matrix",
-                        lambda *a: mass_calls.append(a) or mass_matrix(*a))
+    monkeypatch.setattr(mg, "mass_stencil",
+                        lambda *a: mass_calls.append(a) or mass_stencil(*a))
     hier = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=alpha, beta=0.03))
     assert calls == [{"alpha": 1.0, "beta": 0.03}]
     assert len(mass_calls) == (alpha != 1.0)
@@ -487,7 +539,7 @@ def test_zero_first_guess_skips_only_zero_work(shape, nu1):
 def test_real_view_transfer_equals_the_complex_product():
     pair = transfer_matrices((33, 33), "cubic", "cubic")
     rng = np.random.default_rng(43)
-    for matrix in (pair.restriction, pair.prolongation):
+    for matrix in galerkin_oracle.kron_transfers(pair):
         n = matrix.shape[1]
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert np.array_equal(mg._transfer(matrix, v), matrix.astype(complex) @ v)
