@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .discretization import (HelmholtzProblem, assemble_operator, load_model,
+from .discretization import (HelmholtzProblem, _integer, assemble_operator, load_model,
                              make_model, omega_for_ppw, point_source)
 from .dispersion import (AnalysisConfig, NoCrossingError, export_dispersion_curve,
                          ncrit_bounds, optimize_shift)
@@ -527,10 +527,17 @@ def cmd_sweep(config):
     _maxit(config)
     for m in methods:
         _parse_method(m, config, g)     # validate before spending solve time
+    for name in ("repeats", "workers"):
+        value = getattr(config, name)
+        try:
+            count = _integer(value, name)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if count < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value!r}")
     base = asdict(config)
     base["cells"] = None
-    jobs = [{"config": base, "grid": grid, "method": method,
-             "repeats": max(1, int(config.repeats))}
+    jobs = [{"config": base, "grid": grid, "method": method, "repeats": config.repeats}
             for grid in grids for method in methods]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -588,8 +595,11 @@ def cmd_dispersion(config):
         _write_rows(rows, ["alpha", "e_g_max", "conv_factor"], config.out)
         return 0
     alpha = _resolve_alpha(config, g)
-    curve = export_dispersion_curve(acfg, alpha,
-                                    angle_resolution=config.angle_resolution)
+    try:
+        curve = export_dispersion_curve(acfg, alpha,
+                                        angle_resolution=config.angle_resolution)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = [{c: f"{v:.9g}" for c, v in zip(curve.columns, row)}
             for row in curve.rows]
     _write_rows(rows, list(curve.columns), config.out)

@@ -353,10 +353,6 @@ class SparseOperator:
     def dofs(self):
         return int(np.prod(self.grid_shape))
 
-    def structurally_symmetric(self):
-        pattern = (self.matrix != 0).astype(np.int8)
-        return (pattern != pattern.T).nnz == 0
-
 
 def laplacian_and_mass_stencils(dim, scheme):
     """Dimensionless (Laplacian-part, mass-part) stencil pair for a scheme.

@@ -15,6 +15,7 @@ than an implementation detail.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -339,6 +340,10 @@ def export_dispersion_curve(config, alpha, angle_resolution=0.01):
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if not (isinstance(angle_resolution, numbers.Real) and math.isfinite(angle_resolution)
+            and angle_resolution > 0):
+        raise ValueError(
+            f"angle_resolution must be finite and positive, got {angle_resolution!r}")
 
     def radii(phi):
         r3, r1 = _snapped_radii(config, [alpha], phi)

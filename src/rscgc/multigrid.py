@@ -13,10 +13,12 @@ axis at a time too. A complex shift plan.beta, when nonzero, is applied on
 every level, which turns the hierarchy into a shifted-Laplacian
 preconditioner for the unshifted system.
 
-Smoothing is damped Jacobi; the coarsest problem is solved by a cached sparse
-LU factorization in SuperLU's symmetric mode, checked on every solve and
-refactored with partial pivoting if the check fails. A W cycle runs the
-mid-level correction pass twice.
+Smoothing is damped Jacobi. The coarsest problem is solved by a cached
+multifrontal LU in geometric nested-dissection order (frontal.py), which
+pivots only inside each dense pivot block. Every solve is checked, and the
+operator is refactored by SuperLU with COLAMD and partial pivoting if a
+pivot block is exactly singular or a solve misses the check. A W cycle runs
+the mid-level correction pass twice.
 """
 
 import math
@@ -29,6 +31,7 @@ import scipy.sparse.linalg as spla
 
 from .discretization import (GridStencil, HelmholtzProblem, SlownessModel,
                              SparseOperator, _integer, assemble_operator, mass_stencil)
+from .frontal import FrontalLU
 from .stencils import restriction_stencil
 
 __all__ = [
@@ -294,26 +297,17 @@ def _check_coarsenable(shape):
             f"coarsest level keeps 3 interior nodes")
 
 
-# The coarsest operator is structurally symmetric, so SuperLU's symmetric
-# mode (minimum degree on A^T + A, a diagonal pivot kept unless it is 100x
-# smaller than the column maximum) gives less fill in much less time than
-# COLAMD with partial pivoting. Weak pivoting can cost accuracy; coarse_solve
-# checks every solve and falls back to the pivoted factorization.
-_SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                     options=dict(SymmetricMode=True))
-
-
-def _factorize(matrix, plan, pivoting=False):
-    """SuperLU factors of the coarsest operator: symmetric mode first, then
-    COLAMD with partial pivoting if that raises or pivoting is asked for."""
-    matrix = sp.csc_matrix(matrix)
+def _factorize(operator, plan, pivoting=False):
+    """LU factors of the coarsest SparseOperator: the multifrontal LU in
+    nested-dissection order first, then SuperLU's COLAMD with partial
+    pivoting if that raises or pivoting is asked for."""
     if not pivoting:
         try:
-            return spla.splu(matrix, **_SYMMETRIC_LU)
+            return FrontalLU(operator.matrix, operator.grid_shape)
         except RuntimeError:
             pass
     try:
-        return spla.splu(matrix)
+        return spla.splu(sp.csc_matrix(operator.matrix))
     except RuntimeError as exc:
         raise RuntimeError(
             f"coarsest-level factorization failed (alpha={plan.alpha}, "
@@ -357,7 +351,8 @@ def build_hierarchy(problem, scheme, plan):
         _make_level(mid_matrix, mid_shape, 2 * h, plan.dampings[1]),
         _make_level(coarse, coarse_shape, 4 * h, 1.0),
     )
-    return MultigridHierarchy(levels, (t12, t23), _factorize(coarse, plan), plan)
+    return MultigridHierarchy(levels, (t12, t23), _factorize(levels[-1].operator, plan),
+                              plan)
 
 
 def _coarsened_problem(problem):
@@ -411,7 +406,8 @@ def build_rediscretized_hierarchy(problem, plan):
     )
     transfers = (transfer_matrices(shape, "linear", "linear"),
                  transfer_matrices(mid_shape, "linear", "linear"))
-    return MultigridHierarchy(levels, transfers, _factorize(coarse.matrix, plan), plan)
+    return MultigridHierarchy(levels, transfers, _factorize(levels[-1].operator, plan),
+                              plan)
 
 
 def jacobi_smooth(level, x, b, sweeps, damping=None):
@@ -446,11 +442,12 @@ def coarse_solve(hierarchy, rhs):
     if scale == 0:
         return np.zeros_like(rhs)
     plan = hierarchy.plan
-    matrix = hierarchy.levels[-1].operator.matrix
+    operator = hierarchy.levels[-1].operator
+    matrix = operator.matrix
     x = hierarchy.coarse_solver.solve(rhs)
     residual = np.linalg.norm(rhs - matrix @ x) / scale
     if not residual <= 1e-10:
-        hierarchy.coarse_solver = _factorize(matrix, plan, pivoting=True)
+        hierarchy.coarse_solver = _factorize(operator, plan, pivoting=True)
         x = hierarchy.coarse_solver.solve(rhs)
         residual = np.linalg.norm(rhs - matrix @ x) / scale
     hierarchy.max_coarse_residual = max(hierarchy.max_coarse_residual, float(residual))

@@ -1,4 +1,6 @@
-"""Shared problem builders for the test suite."""
+"""Shared problem builders and checks for the test suite."""
+
+import numpy as np
 
 from rscgc.discretization import HelmholtzProblem, make_model, omega_for_ppw
 
@@ -8,3 +10,9 @@ def build_problem(dim, cells, G, kind="homogeneous", kappa2=(1.0, 1.0),
     """Cube problem with `cells` interior cells per axis and h = 1/cells."""
     model = make_model(kind, kappa2, (cells,) * dim, 1.0 / cells)
     return HelmholtzProblem(model, omega_for_ppw(model, G), pad=pad, **kwargs)
+
+
+def structurally_symmetric(matrix):
+    """Whether every nonzero entry (i, j) of a sparse matrix has a nonzero (j, i)."""
+    pattern = (matrix != 0).astype(np.int8)
+    return (pattern != pattern.T).nnz == 0

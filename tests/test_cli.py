@@ -179,11 +179,27 @@ def test_solve_rejects_bad_arguments(capsys):
     (["sweep", "--G", "12", "--grids", "32", "--maxit", "-3"], "got -3"),
     (["dispersion", "--dim", "2", "--G", "12", "--alpha-scan", "1:1.01",
       "--cells", "32", "--scan-maxit", "-3"], "got -3"),
+    (["dispersion", "--dim", "2", "--G", "12", "--angle-resolution", "0"], "got 0.0"),
+    (["dispersion", "--dim", "2", "--G", "12", "--angle-resolution", "-0.01"], "got -0.01"),
+    (["dispersion", "--dim", "2", "--G", "12", "--angle-resolution", "nan"], "got nan"),
+    (["sweep", "--G", "12", "--grids", "16", "--repeats", "-3"], "got -3"),
+    (["sweep", "--G", "12", "--grids", "16", "--repeats", "0"], "got 0"),
+    (["sweep", "--G", "12", "--grids", "16", "--workers", "-2"], "got -2"),
 ])
 def test_unparsable_values_exit_two(argv, named, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("key,value", [("repeats", 2.5), ("repeats", True),
+                                       ("workers", 1.5), ("workers", False)])
+def test_sweep_rejects_fractional_or_boolean_counts(key, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["sweep", "--G", "12", "--grids", "16", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be an integer, got {value!r}" in err
 
 
 def test_shift_table_override(tmp_path, monkeypatch):

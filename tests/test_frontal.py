@@ -1,0 +1,125 @@
+"""The multifrontal LU and its nested-dissection order, against SuperLU."""
+
+import itertools
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
+
+from rscgc import frontal
+from rscgc.frontal import FrontalLU, nested_dissection
+from rscgc.multigrid import (INTERGRID_CHOICES, CyclePlan, build_hierarchy,
+                             build_rediscretized_hierarchy)
+
+from conftest import build_problem
+
+
+def box_pattern(shape, reach):
+    """(rows, cols) of every pair of grid nodes within `reach` of each other
+    along every axis."""
+    coords = np.indices(shape).reshape(len(shape), -1)
+    rows, cols = [], []
+    for step in itertools.product(range(-reach, reach + 1), repeat=len(shape)):
+        target = coords + np.array(step)[:, None]
+        inside = ((target >= 0) & (target < np.array(shape)[:, None])).all(axis=0)
+        rows.append(np.flatnonzero(inside))
+        cols.append(np.ravel_multi_index(target[:, inside], shape))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def stencil_operator(shape, reach, seed):
+    """Complex operator of reach `reach` with random heterogeneous
+    coefficients and a dominant diagonal on interior rows, and identity rows
+    on the boundary. Interior rows keep their couplings to boundary nodes,
+    so the pattern is not symmetric."""
+    rng = np.random.default_rng(seed)
+    n = math.prod(shape)
+    rows, cols = box_pattern(shape, reach)
+    coords = np.indices(shape).reshape(len(shape), -1)
+    interior = ((coords > 0) & (coords < np.array(shape)[:, None] - 1)).all(axis=0)
+    keep = interior[rows] & (rows != cols)
+    rows, cols = rows[keep], cols[keep]
+    vals = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    weight = np.abs(A).sum(axis=1).A1 + 1
+    phase = np.exp(2j * np.pi * rng.random(n))
+    return A + sp.diags(np.where(interior, weight * phase, 1.0))
+
+
+def check_factors(A, shape):
+    """L U reproduces the permuted matrix, and solve agrees with splu."""
+    A = sp.csr_matrix(A)
+    lu = FrontalLU(A, shape)
+    scale = abs(A).max()
+    gap = abs(lu.L @ lu.U - A[lu.perm_r][:, lu.perm_c]).max()
+    assert gap <= 1e-12 * scale
+    b = np.random.default_rng(7).standard_normal((A.shape[0], 2)) @ [1, 1j]
+    x = lu.solve(b)
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    reference = spla.splu(sp.csc_matrix(A)).solve(b)
+    assert np.linalg.norm(x - reference) <= 1e-9 * np.linalg.norm(reference)
+    return lu
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 3]), reach=st.integers(1, 3),
+       sides=st.lists(st.integers(3, 13), min_size=3, max_size=3),
+       leaf=st.sampled_from([4, 30, frontal._LEAF]), seed=st.integers(0, 2**32 - 1))
+def test_frontal_lu_matches_the_permuted_matrix_and_splu(dim, reach, sides, leaf, seed):
+    shape = tuple(s * (3 if dim == 2 else 1) for s in sides[:dim])
+    with mock.patch.object(frontal, "_LEAF", leaf):
+        lu = check_factors(stencil_operator(shape, reach, seed), shape)
+    assert sorted(lu.perm_r.tolist()) == list(range(math.prod(shape)))
+
+
+@pytest.mark.parametrize("dim,intergrid", [(2, choice) for choice in INTERGRID_CHOICES]
+                         + [(3, "level-dependent")])
+def test_frontal_lu_on_real_coarsest_levels(dim, intergrid):
+    problem = build_problem(dim, 64 if dim == 2 else 32, 10, pad=0)
+    hier = build_hierarchy(problem, "fourth-order",
+                           CyclePlan(alpha=1.014, intergrid=intergrid))
+    coarsest = hier.levels[-1].operator
+    assert isinstance(hier.coarse_solver, FrontalLU)
+    assert len(check_factors(coarsest.matrix, coarsest.grid_shape).tree) > 1
+
+
+def test_frontal_lu_on_the_rediscretized_coarsest_level():
+    problem = build_problem(2, 56, 10, pad=4)
+    coarsest = build_rediscretized_hierarchy(problem, CyclePlan()).levels[-1].operator
+    check_factors(coarsest.matrix, coarsest.grid_shape)
+
+
+def subtree_starts(tree):
+    starts = []
+    for start, _, children in tree:
+        starts.append(starts[children[0]] if children else start)
+    return starts
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), reach=st.integers(1, 3),
+       sides=st.lists(st.integers(1, 16), min_size=3, max_size=3),
+       leaf=st.integers(1, 120))
+def test_nested_dissection_separates_siblings(dim, reach, sides, leaf):
+    shape = tuple(sides[:dim])
+    n = math.prod(shape)
+    order, tree = nested_dissection(shape, reach, leaf)
+    assert sorted(order.tolist()) == list(range(n))
+    # the nodes tile the order in postorder, every child before its parent
+    assert [node.start for node in tree] == [0] + [node.stop for node in tree[:-1]]
+    assert tree[-1].stop == n
+    assert all(c < i for i, node in enumerate(tree) for c in node.children)
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
+    rows, cols = (position[v] for v in box_pattern(shape, reach))
+    starts = subtree_starts(tree)
+    for node in tree:
+        if node.children:
+            left, right = node.children
+            in_left = (rows >= starts[left]) & (rows < tree[left].stop)
+            in_right = (cols >= starts[right]) & (cols < tree[right].stop)
+            assert not np.any(in_left & in_right)

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import galerkin_oracle
 import rscgc.multigrid as mg
+from rscgc import frontal
 from rscgc.discretization import (HelmholtzProblem, assemble_operator, make_model,
                                   mass_matrix, mass_stencil, omega_for_ppw,
                                   point_source)
+from rscgc.frontal import FrontalLU, nested_dissection
 from rscgc.krylov import fgmres
 from rscgc.multigrid import (
     INTERGRID_CHOICES,
@@ -476,26 +478,47 @@ def test_coarse_solve_raises_when_the_pivoted_solve_also_fails(monkeypatch):
         coarse_solve(hier, rhs)
 
 
-def test_factorize_falls_back_when_symmetric_mode_raises(monkeypatch):
+def _singular_first_block(operator):
+    """operator with one row of its first pivot block zeroed inside that
+    block. The row keeps its couplings to the separator, so the matrix stays
+    invertible while the block is exactly singular."""
+    A = operator.matrix.toarray()
+    shape = operator.grid_shape
+    order, tree = nested_dissection(shape, frontal._reach(operator.matrix, shape),
+                                    frontal._LEAF)
+    block = order[tree[0].start:tree[0].stop]
+    outside = np.setdiff1d(np.arange(len(A)), block)
+    row = next(r for r in block if np.any(A[r, outside]))
+    A[row, block] = 0.0
+    return dataclasses.replace(operator, matrix=sp.csr_matrix(A))
+
+
+def test_factorize_falls_back_when_a_pivot_block_is_singular(monkeypatch):
     original = spla.splu
     calls = []
 
     def splu(matrix, **kwargs):
         calls.append(kwargs)
-        if kwargs.get("options", {}).get("SymmetricMode"):
-            raise RuntimeError("Factor is exactly singular")
         return original(matrix, **kwargs)
 
     monkeypatch.setattr(mg.spla, "splu", splu)
-    problem = build_problem(2, 16, 10, pad=0)
+    problem = build_problem(2, 64, 10, pad=0)
     hier = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.014))
-    assert len(calls) == 2 and calls[1] == {}     # plain COLAMD, full pivoting
+    assert calls == [] and isinstance(hier.coarse_solver, FrontalLU)
 
-    A3 = hier.levels[2].operator.matrix
+    operator = _singular_first_block(hier.levels[2].operator)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        FrontalLU(operator.matrix, operator.grid_shape)
+    coarsest = dataclasses.replace(hier.levels[2], operator=operator)
+    hier = dataclasses.replace(hier, levels=hier.levels[:2] + (coarsest,),
+                               coarse_solver=mg._factorize(operator, hier.plan))
+    assert len(calls) == 1 and calls[0] == {}     # plain COLAMD, full pivoting
+
+    A3 = operator.matrix
     rhs = np.random.default_rng(37).standard_normal(A3.shape[0]) + 0j
     x = coarse_solve(hier, rhs)
     assert np.linalg.norm(rhs - A3 @ x) <= 1e-10 * np.linalg.norm(rhs)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- the cycle
