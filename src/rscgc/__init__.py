@@ -1,8 +1,8 @@
 """Helmholtz multigrid with a real-shifted coarsest-level correction."""
 
 from .discretization import (HelmholtzProblem, SlownessModel, SparseOperator,
-                             assemble_operator, extend_down, load_model,
-                             make_model, omega_for_ppw, point_source)
+                             assemble_operator, load_model, make_model,
+                             omega_for_ppw, point_source)
 from .dispersion import (AnalysisConfig, DispersionScan, classical_dispersion_error,
                          discrete_radius, export_dispersion_curve, grid_to_grid_error,
                          ncrit_bounds, optimize_shift)
@@ -10,14 +10,14 @@ from .krylov import SolveReport, fgmres, stationary_solve
 from .multigrid import (CyclePlan, MultigridHierarchy, TransferPair,
                         build_hierarchy, build_rediscretized_hierarchy,
                         coarse_solve, cycle, jacobi_smooth, transfer_matrices)
-from .stencils import Stencil, galerkin_stencil, restriction_stencil, symbol
+from .stencils import Stencil, galerkin_stencil, restriction_stencil
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "HelmholtzProblem", "SlownessModel", "SparseOperator", "assemble_operator",
-    "extend_down", "load_model", "make_model", "omega_for_ppw", "point_source",
+    "load_model", "make_model", "omega_for_ppw", "point_source",
     "AnalysisConfig", "DispersionScan", "classical_dispersion_error",
     "discrete_radius", "export_dispersion_curve", "grid_to_grid_error",
     "ncrit_bounds", "optimize_shift",
@@ -25,5 +25,5 @@ __all__ = [
     "CyclePlan", "MultigridHierarchy", "TransferPair", "build_hierarchy",
     "build_rediscretized_hierarchy", "coarse_solve", "cycle", "jacobi_smooth",
     "transfer_matrices",
-    "Stencil", "galerkin_stencil", "restriction_stencil", "symbol",
+    "Stencil", "galerkin_stencil", "restriction_stencil",
 ]

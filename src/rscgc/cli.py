@@ -29,9 +29,11 @@ from .discretization import (HelmholtzProblem, _integer, assemble_operator, load
                              make_model, omega_for_ppw, point_source)
 from .dispersion import (AnalysisConfig, NoCrossingError, export_dispersion_curve,
                          ncrit_bounds, optimize_shift)
+from .frontal import FrontalLU
 from .krylov import checked_maxit, fgmres, stationary_solve
-from .multigrid import (CyclePlan, INTERGRID_CHOICES, REDISC_WAVENUMBER_SCALE,
-                        build_hierarchy, build_rediscretized_hierarchy, cycle)
+from .multigrid import (CyclePlan, REDISC_WAVENUMBER_SCALE, build_hierarchy,
+                        build_rediscretized_hierarchy, cycle)
+from .stencils import INTERGRID
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -85,6 +87,10 @@ class ExperimentConfig:
     alpha_scan: object = None
     scan_maxit: int = 12
     out: object = None
+
+    def __post_init__(self):
+        if type(self.dim) is not int or self.dim not in (2, 3):
+            raise ConfigError(f"dim must be the integer 2 or 3, got {self.dim!r}")
 
     @classmethod
     def from_args(cls, args):
@@ -141,21 +147,27 @@ def _format_G(g):
     return str(int(g)) if g == int(g) else repr(g)
 
 
+def _counts(raw, what):
+    """A count or a list of counts from a flag (comma list) or a config file
+    (number or list), each parsed with _integer."""
+    if isinstance(raw, str):
+        try:
+            return [int(v) for v in raw.split(",") if v != ""]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse {what}: {raw!r}") from exc
+    try:
+        return [_integer(v, what) for v in (raw if isinstance(raw, (list, tuple))
+                                            else [raw])]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _cells_tuple(config):
     if config.cells is None:
         raise ConfigError("grid size is required; pass --cells")
-    raw = config.cells
-    if isinstance(raw, (int, float)):
-        parts = [int(raw)]
-    elif isinstance(raw, (list, tuple)):
-        parts = [int(v) for v in raw]
-    else:
-        try:
-            parts = [int(v) for v in str(raw).split(",") if v != ""]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse cells: {raw!r}") from exc
+    parts = _counts(config.cells, "cells")
     if not parts or any(v <= 0 for v in parts):
-        raise ConfigError(f"cells must be positive integers, got {raw!r}")
+        raise ConfigError(f"cells must be positive integers, got {config.cells!r}")
     if len(parts) == 1:
         parts = parts * config.dim
     if len(parts) != config.dim:
@@ -434,6 +446,12 @@ def cmd_tune_shift(config, write_table=None, fmt="csv"):
     return 0
 
 
+def _lu_fill(lu):
+    """Stored entries of the coarsest L and U: counted from the front sizes
+    of a FrontalLU, read off the sparse factors of the SuperLU fallback."""
+    return lu.fill if isinstance(lu, FrontalLU) else int(lu.L.nnz + lu.U.nnz)
+
+
 def cmd_solve(config):
     _maxit(config)      # check the solver limits before spending set-up time
     problem = _build_problem(config)
@@ -445,7 +463,6 @@ def cmd_solve(config):
     built = time.perf_counter()
     x, report = _run_solver(problem, config, hierarchy, outer)
     solved = time.perf_counter()
-    lu = hierarchy.coarse_solver
     payload = {
         "method": config.method,
         "solver": config.solver,
@@ -466,7 +483,7 @@ def cmd_solve(config):
         "solve_seconds": solved - built,
         "levels": [{"dofs": level.operator.dofs, "nnz": int(level.operator.matrix.nnz)}
                    for level in hierarchy.levels],
-        "coarse_lu_nnz": int(lu.L.nnz + lu.U.nnz),
+        "coarse_lu_nnz": _lu_fill(hierarchy.coarse_solver),
         "max_coarse_residual": hierarchy.max_coarse_residual,
     }
     _write_json(payload, config.out)
@@ -509,13 +526,7 @@ def _sweep_cell(payload):
 def cmd_sweep(config):
     if not config.grids:
         raise ConfigError("grid list is empty; pass --grids N1,N2,...")
-    grids = config.grids
-    if isinstance(grids, str):
-        grids = grids.split(",")
-    try:
-        grids = [int(v) for v in grids if v != ""]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse grids: {config.grids!r}") from exc
+    grids = _counts(config.grids, "grids")
     if not grids:
         raise ConfigError("grid list is empty; pass --grids N1,N2,...")
     methods = config.methods if config.methods is not None else [config.method]
@@ -616,7 +627,7 @@ def _add_common(sub):
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--dim", type=int, choices=(2, 3))
     sub.add_argument("--G", help="points per wavelength on the fine grid")
-    sub.add_argument("--intergrid", choices=INTERGRID_CHOICES)
+    sub.add_argument("--intergrid", choices=tuple(INTERGRID))
 
 
 def _add_analysis(sub):

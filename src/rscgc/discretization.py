@@ -29,12 +29,10 @@ __all__ = [
     "SparseOperator",
     "make_model",
     "load_model",
-    "extend_down",
     "omega_for_ppw",
     "laplacian_and_mass_stencils",
     "attenuation_profile",
     "assemble_operator",
-    "mass_matrix",
     "mass_stencil",
     "point_source",
 ]
@@ -172,24 +170,6 @@ def load_model(path, meta):
     return SlownessModel(dim, cells, h, kappa2)
 
 
-def extend_down(model, extra_cells):
-    """Extend a model downwards by replicating its bottom slice.
-
-    Shallow media need this so the absorbing layer does not eat into the
-    region of interest.
-    """
-    extra = int(extra_cells)
-    if extra < 0:
-        raise ValueError("extension must be nonnegative")
-    if extra == 0:
-        return model
-    pad = [(0, 0)] * model.dim
-    pad[-1] = (0, extra)
-    kappa2 = np.pad(model.kappa2, pad, mode="edge")
-    cells = model.cells[:-1] + (model.cells[-1] + extra,)
-    return SlownessModel(model.dim, cells, model.h, kappa2)
-
-
 def omega_for_ppw(model, G):
     """Angular frequency giving G points per wavelength where the medium is slowest."""
     if G <= 0:
@@ -267,10 +247,6 @@ class HelmholtzProblem:
         return tuple(n + lo + hi for n, lo, hi in
                      zip(self.model.nodes, self.pad_lo, self.pad_hi))
 
-    def interior_slices(self):
-        return tuple(slice(lo, lo + n) for n, lo in
-                     zip(self.model.nodes, self.pad_lo))
-
 
 @dataclass(frozen=True)
 class GridStencil:
@@ -279,8 +255,8 @@ class GridStencil:
     offsets has shape (n_offsets, dim), distinct and in lexicographic order;
     coeffs has shape (n_offsets, *grid_shape), and coeffs[e][x] is the entry
     in row x and column x + offsets[e]. Only interior rows are stored:
-    boundary rows are zero here and written by tocsr. Helmholtz operators
-    are complex, the mass operator is real.
+    boundary rows are zero here and written as identity rows by tocsr.
+    Helmholtz operators are complex, the mass operator is real.
     """
 
     offsets: np.ndarray
@@ -302,8 +278,8 @@ class GridStencil:
     def grid_shape(self):
         return self.coeffs.shape[1:]
 
-    def tocsr(self, boundary=1.0):
-        """CSR matrix of the operator, with boundary rows boundary * identity.
+    def tocsr(self):
+        """CSR matrix of the operator, with identity boundary rows.
 
         Rows come in grid order and the columns of a row ascend with the
         lexicographic offsets, so nothing is sorted; exact zeros are dropped.
@@ -312,8 +288,7 @@ class GridStencil:
         n = math.prod(shape)
         flat = self.offsets @ [math.prod(shape[d + 1:]) for d in range(len(shape))]
         values = np.ascontiguousarray(self.coeffs.reshape(len(flat), n).T)
-        if boundary:
-            values[_boundary_mask(shape).ravel(), np.flatnonzero(flat == 0)] = boundary
+        values[_boundary_mask(shape).ravel(), np.flatnonzero(flat == 0)] = 1.0
         keep = values != 0
         index = np.int32 if values.size < 2 ** 31 else np.int64
         indptr = np.zeros(n + 1, dtype=index)
@@ -324,15 +299,14 @@ class GridStencil:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Sparse matrix over the padded grid, rows in lexicographic order.
+    """Sparse matrix over a vertex grid, rows in lexicographic order.
 
-    Helmholtz operators are complex; the mass operator is real. stencil is
-    the GridStencil an assembled operator was built from, None otherwise.
+    stencil is the GridStencil an assembled operator was built from, None
+    otherwise.
     """
 
     matrix: sp.csr_matrix
     grid_shape: tuple
-    h: float
     stencil: GridStencil = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -344,10 +318,6 @@ class SparseOperator:
                 f"{self.grid_shape} ({n} unknowns)")
         if not np.all(np.isfinite(self.matrix.data)):
             raise ValueError("operator entries must be finite")
-
-    @property
-    def dim(self):
-        return len(self.grid_shape)
 
     @property
     def dofs(self):
@@ -508,15 +478,17 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
         return values
 
     stencil = _interior_stencil(shape, offsets, complex, entries)
-    return SparseOperator(stencil.tocsr(), shape, h, stencil)
+    return SparseOperator(stencil.tocsr(), shape, stencil)
 
 
 def mass_stencil(problem, scheme):
     """The GridStencil of the real k^2-weighted mass operator k^2 M, with
     neighbor-node sampling and zero boundary rows.
 
-    build_hierarchy coarsens it to put the real shift on the coarsest level
-    without assembling the fine operator a second time.
+    Its boundary rows match the decoupled rows of assemble_operator, so
+    assemble(alpha, beta) - assemble(1, 0) equals (1 - alpha^2 - i beta) k^2 M
+    exactly. build_hierarchy coarsens it to put the real shift on the
+    coarsest level without assembling the fine operator a second time.
     """
     offsets, _, mass = _scheme_coefficients(problem.model.dim, scheme)
     live = mass != 0
@@ -524,18 +496,6 @@ def mass_stencil(problem, scheme):
     k2 = problem.omega ** 2 * _padded_kappa2(problem)
     return _interior_stencil(problem.padded_shape, offsets, float,
                              lambda e, colslc: weights[e] * k2[colslc])
-
-
-def mass_matrix(problem, scheme):
-    """The real k^2-weighted mass operator k^2 M as a SparseOperator.
-
-    Boundary rows are zero, matching the decoupled rows of assemble_operator,
-    so assemble(alpha, beta) - assemble(1, 0) equals
-    (1 - alpha^2) * mass_matrix - i * beta * mass_matrix exactly.
-    """
-    stencil = mass_stencil(problem, scheme)
-    return SparseOperator(stencil.tocsr(boundary=0.0), problem.padded_shape,
-                          problem.model.h, stencil)
 
 
 def point_source(problem):

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .discretization import laplacian_and_mass_stencils
-from .stencils import galerkin_stencil, restriction_stencil, transpose_scale
+from .stencils import INTERGRID, galerkin_stencil, restriction_stencil, transpose_scale
 
 __all__ = [
     "AnalysisConfig",
@@ -38,7 +38,9 @@ __all__ = [
     "export_dispersion_curve",
 ]
 
-INTERGRID_CHOICES = ("cubic", "level-dependent")
+# The intergrid schemes the shift is tuned for. Bilinear transfers serve only
+# the re-discretized baseline, whose coarsest level is no Galerkin composite.
+TUNED_INTERGRIDS = tuple(name for name in INTERGRID if name != "bilinear")
 
 # Polar sector floor: pi/2 - arccos(1/sqrt(3)), the cube-diagonal colatitude.
 POLAR_LO = math.pi / 2 - math.acos(1.0 / math.sqrt(3.0))
@@ -75,9 +77,9 @@ class AnalysisConfig:
         if not 0 < lo < hi < math.inf:
             raise ValueError(
                 f"alpha_range must satisfy 0 < lo < hi < inf, got {self.alpha_range}")
-        if self.intergrid not in INTERGRID_CHOICES:
+        if self.intergrid not in TUNED_INTERGRIDS:
             raise ValueError(
-                f"intergrid must be one of {INTERGRID_CHOICES}, got {self.intergrid!r}")
+                f"intergrid must be one of {TUNED_INTERGRIDS}, got {self.intergrid!r}")
 
     @property
     def kh(self):
@@ -200,14 +202,13 @@ def _first_crossings(lap, mass, masses, phi, res, steps):
     return 0.5 * (lo + hi)
 
 
-def discrete_radius(stencil, kh, phi, ray_resolution=1e-3):
+def discrete_radius(stencil, phi, ray_resolution=1e-3):
     """Distance from the origin to the first sign switch of the real symbol.
 
     Samples along theta = r * unit(phi) at the given resolution, from r = 0
     up to the first nonnegative sample (at most pi*sqrt(dim)), then refines
     the bracketed switch by bisection to below 1e-9. The stencil carries its
-    own mass term, so kh, the wavenumber it was built for, does not enter the
-    search.
+    own mass term.
     """
     try:
         radius = _first_crossings(stencil, stencil, [0.0], phi, ray_resolution, 40)
@@ -223,22 +224,18 @@ def _fine_pair(dim):
 
 @lru_cache(maxsize=None)
 def _composite_pair(dim, intergrid):
-    """Double-Galerkin composites of the fourth-order (L, M) pair.
+    """Double-Galerkin composites of the fourth-order (L, M) pair, through
+    the two coarsenings of the intergrid scheme in INTERGRID.
 
-    The first coarsening always uses the cubic pair; the second uses a linear
-    restriction under the level-dependent scheme, with cubic prolongation
-    either way. Splitting the composite into Laplacian and mass parts keeps
-    the real shift a scalar multiplier, so one composition serves every alpha.
+    Splitting the composite into Laplacian and mass parts keeps the real
+    shift a scalar multiplier, so one composition serves every alpha.
     """
     lap, mass = _fine_pair(dim)
-    cubic = restriction_stencil(dim, "cubic")
-    prolong = transpose_scale(cubic)
-    lap2 = galerkin_stencil(lap, cubic, prolong)
-    mass2 = galerkin_stencil(mass, cubic, prolong)
-    second = cubic if intergrid == "cubic" else restriction_stencil(dim, "linear")
-    lap3 = galerkin_stencil(lap2, second, prolong)
-    mass3 = galerkin_stencil(mass2, second, prolong)
-    return lap3, mass3
+    for restriction, prolongation in INTERGRID[intergrid]:
+        R = restriction_stencil(dim, restriction)
+        P = transpose_scale(restriction_stencil(dim, prolongation))
+        lap, mass = galerkin_stencil(lap, R, P), galerkin_stencil(mass, R, P)
+    return lap, mass
 
 
 def coarsest_stencil(config, alpha):
@@ -326,8 +323,7 @@ def classical_dispersion_error(stencil, G, phi, ray_resolution=1e-3):
     if not 2 < G < math.inf:
         raise ValueError(f"G must be finite and exceed 2, got {G}")
     r = 2.0 * math.pi / G
-    r1 = discrete_radius(stencil, r, phi, ray_resolution)
-    return r / r1 - 1.0
+    return r / discrete_radius(stencil, phi, ray_resolution) - 1.0
 
 
 def export_dispersion_curve(config, alpha, angle_resolution=0.01):

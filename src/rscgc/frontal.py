@@ -101,7 +101,7 @@ class FrontalLU:
     solve(b) returns A^-1 b for a vector b. L (CSC, unit diagonal), U (CSR),
     perm_r and perm_c are built on demand, with L @ U == A[perm_r][:, perm_c]:
     perm_c is the elimination order, and perm_r adds each front's row
-    pivoting.
+    pivoting. fill counts their stored entries without building them.
     """
 
     def __init__(self, matrix, shape):
@@ -200,6 +200,14 @@ class FrontalLU:
             for i, j in enumerate(self.pivots[s:e].tolist(), s):
                 positions[i], positions[s + j] = positions[s + j], positions[i]
         return np.array(positions)
+
+    @property
+    def fill(self):
+        """L.nnz + U.nnz. A front of p pivots and b border nodes stores
+        p^2 + p entries in its two triangles, L's unit diagonal included,
+        and p b in each of its border blocks."""
+        sizes = (u12.shape for _, u12, _ in self.blocks)
+        return sum(p * (p + 1 + 2 * b) for p, b in sizes)
 
     @property
     def perm_c(self):

@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 from .discretization import (GridStencil, HelmholtzProblem, SlownessModel,
                              SparseOperator, _integer, assemble_operator, mass_stencil)
 from .frontal import FrontalLU
-from .stencils import restriction_stencil
+from .stencils import INTERGRID, restriction_stencil
 
 __all__ = [
     "CyclePlan",
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 CYCLE_CHOICES = ("V", "W")
-INTERGRID_CHOICES = ("cubic", "level-dependent", "bilinear")
 
 # Coarsest-level scheme of the re-discretized baseline: a dispersion-minimized
 # 9-point stencil with the wavenumber itself rescaled at assembly.
@@ -71,9 +70,9 @@ class CyclePlan:
     def __post_init__(self):
         if self.cycle not in CYCLE_CHOICES:
             raise ValueError(f"cycle must be one of {CYCLE_CHOICES}, got {self.cycle!r}")
-        if self.intergrid not in INTERGRID_CHOICES:
+        if self.intergrid not in INTERGRID:
             raise ValueError(
-                f"intergrid must be one of {INTERGRID_CHOICES}, got {self.intergrid!r}")
+                f"intergrid must be one of {tuple(INTERGRID)}, got {self.intergrid!r}")
         for name in ("nu1", "nu2"):
             if _integer(getattr(self, name), name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -82,8 +81,9 @@ class CyclePlan:
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         object.__setattr__(self, "dampings", tuple(float(w) for w in self.dampings))
-        if len(self.dampings) < 2:
-            raise ValueError("dampings must provide a value for levels 1 and 2")
+        if len(self.dampings) != 2:
+            raise ValueError(f"dampings must be two values, for levels 1 and 2, "
+                             f"got {self.dampings}")
         if not all(math.isfinite(w) and w > 0 for w in self.dampings):
             raise ValueError(f"dampings must be finite and positive, got {self.dampings}")
 
@@ -101,15 +101,6 @@ class TransferPair:
     restriction: tuple
     prolongation: tuple
     orders: tuple
-
-    @property
-    def order(self):
-        """"cubic", "linear", or "linear/cubic" for the mixed pair (lower-order
-        restriction, cubic prolongation)."""
-        restriction, prolongation = self.orders
-        if restriction == prolongation:
-            return restriction
-        return f"{restriction}/{prolongation}"
 
     def restrict(self, v):
         """R v for a flat vector on the fine grid."""
@@ -271,21 +262,20 @@ def _halved(shape):
     return tuple((n - 1) // 2 + 1 for n in shape)
 
 
-def _make_level(matrix, shape, h, damping):
+def _make_level(matrix, shape, damping):
     diag = matrix.diagonal()
     if np.any(diag == 0):
         raise ValueError("operator has a zero diagonal entry; Jacobi smoothing "
                          "and the coarse solve both need a full diagonal")
-    op = SparseOperator(matrix, shape, h)
-    return Level(op, float(damping), 1.0 / diag)
+    return Level(SparseOperator(matrix, shape), float(damping), 1.0 / diag)
 
 
-def _transfer_orders(intergrid):
-    if intergrid == "cubic":
-        return ("cubic", "cubic"), ("cubic", "cubic")
-    if intergrid == "level-dependent":
-        return ("cubic", "cubic"), ("linear", "cubic")
-    return ("linear", "linear"), ("linear", "linear")
+def _transfer_pairs(shape, intergrid):
+    """The TransferPairs fine to mid and mid to coarsest of an intergrid
+    scheme, for a fine grid of the given shape."""
+    orders12, orders23 = INTERGRID[intergrid]
+    return (transfer_matrices(shape, *orders12),
+            transfer_matrices(_halved(shape), *orders23))
 
 
 def _check_coarsenable(shape):
@@ -327,14 +317,11 @@ def build_hierarchy(problem, scheme, plan):
     """
     shape = problem.padded_shape
     _check_coarsenable(shape)
-    h = problem.model.h
-    orders12, orders23 = _transfer_orders(plan.intergrid)
 
     fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta)
 
-    t12 = transfer_matrices(shape, *orders12)
+    t12, t23 = _transfer_pairs(shape, plan.intergrid)
     mid_shape = _halved(shape)
-    t23 = transfer_matrices(mid_shape, *orders23)
     coarse_shape = _halved(mid_shape)
 
     mid = _coarsen(fine.stencil, t12)
@@ -347,9 +334,9 @@ def build_hierarchy(problem, scheme, plan):
     coarse = _coarsen(mid, t23).tocsr()
 
     levels = (
-        _make_level(fine, shape, h, plan.dampings[0]),
-        _make_level(mid_matrix, mid_shape, 2 * h, plan.dampings[1]),
-        _make_level(coarse, coarse_shape, 4 * h, 1.0),
+        _make_level(fine, shape, plan.dampings[0]),
+        _make_level(mid_matrix, mid_shape, plan.dampings[1]),
+        _make_level(coarse, coarse_shape, 1.0),
     )
     return MultigridHierarchy(levels, (t12, t23), _factorize(levels[-1].operator, plan),
                               plan)
@@ -384,7 +371,6 @@ def build_rediscretized_hierarchy(problem, plan):
         raise ValueError("the re-discretized baseline is available in 2D only")
     shape = problem.padded_shape
     _check_coarsenable(shape)
-    h = problem.model.h
 
     mid_problem = _coarsened_problem(problem)
     coarse_problem = _coarsened_problem(mid_problem)
@@ -400,24 +386,23 @@ def build_rediscretized_hierarchy(problem, plan):
         raise ValueError("re-discretized grids do not align with index halving")
 
     levels = (
-        _make_level(fine.matrix, shape, h, plan.dampings[0]),
-        _make_level(mid.matrix, mid_shape, 2 * h, plan.dampings[1]),
-        _make_level(coarse.matrix, coarse_shape, 4 * h, 1.0),
+        _make_level(fine.matrix, shape, plan.dampings[0]),
+        _make_level(mid.matrix, mid_shape, plan.dampings[1]),
+        _make_level(coarse.matrix, coarse_shape, 1.0),
     )
-    transfers = (transfer_matrices(shape, "linear", "linear"),
-                 transfer_matrices(mid_shape, "linear", "linear"))
-    return MultigridHierarchy(levels, transfers, _factorize(levels[-1].operator, plan),
-                              plan)
+    return MultigridHierarchy(levels, _transfer_pairs(shape, "bilinear"),
+                              _factorize(levels[-1].operator, plan), plan)
 
 
-def jacobi_smooth(level, x, b, sweeps, damping=None):
-    """sweeps passes of damped Jacobi, x <- x + w D^-1 (b - A x).
+def jacobi_smooth(level, x, b, sweeps):
+    """sweeps passes of damped Jacobi, x <- x + w D^-1 (b - A x), with the
+    level's damping w.
 
     Every sweep reads only the previous iterate. Returns the new iterate
     without mutating x. x=None stands for the zero vector, whose first sweep
     is w D^-1 b without the product with A.
     """
-    w = level.damping if damping is None else damping
+    w = level.damping
     A = level.operator.matrix
     invd = level.inverse_diagonal
     if x is None:

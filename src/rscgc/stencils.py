@@ -1,7 +1,7 @@
 """Constant-coefficient stencil algebra.
 
-Dimensionless, centered stencils on uniform grids: Fourier symbols, tensor
-products, restriction/prolongation families, and Galerkin composition
+Dimensionless, centered stencils on uniform grids: restriction/prolongation
+families, the intergrid schemes built from them, and Galerkin composition
 (coarse stencil of R * A * P with stride-2 grids). Everything here is pure
 stencil arithmetic; matrices, boundaries and grid spacing live elsewhere.
 """
@@ -13,6 +13,18 @@ from functools import reduce
 
 import numpy as np
 from scipy.signal import convolve
+
+__all__ = ["INTERGRID", "Stencil", "galerkin_stencil", "restriction_stencil",
+           "transpose_scale"]
+
+# The (restriction, prolongation) weight families of the two coarsenings,
+# fine to mid and mid to coarsest, of each intergrid scheme. The hierarchy,
+# the dispersion analysis and the CLI all read this one table.
+INTERGRID = {
+    "cubic": (("cubic", "cubic"), ("cubic", "cubic")),
+    "level-dependent": (("cubic", "cubic"), ("linear", "cubic")),
+    "bilinear": (("linear", "linear"), ("linear", "linear")),
+}
 
 
 @dataclass(frozen=True)
@@ -55,13 +67,6 @@ class Stencil:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def center(self) -> complex:
-        return complex(self.coeffs[tuple(self.halves)])
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        rev = self.coeffs[(slice(None, None, -1),) * self.dim]
-        return bool(np.allclose(rev, self.coeffs, rtol=0.0, atol=tol))
-
     def padded_to(self, extents) -> "Stencil":
         """Zero-pad to larger odd extents, keeping the center aligned."""
         extents = tuple(extents)
@@ -74,60 +79,21 @@ class Stencil:
             pads.append(((want - have) // 2,) * 2)
         return Stencil(np.pad(self.coeffs, pads))
 
-    def _binary(self, other, op):
+    def __add__(self, other):
         if not isinstance(other, Stencil):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("stencil dimensions do not match")
         ext = tuple(max(a, b) for a, b in zip(self.extents, other.extents))
-        return Stencil(op(self.padded_to(ext).coeffs, other.padded_to(ext).coeffs))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
+        return Stencil(self.padded_to(ext).coeffs + other.padded_to(ext).coeffs)
 
     def __mul__(self, scalar):
         return Stencil(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Stencil(-self.coeffs)
 
-
-def symbol(stencil: Stencil, theta):
-    """Fourier symbol sum_o c_o * exp(i o . theta).
-
-    ``theta`` is one frequency vector of length ``dim`` or a batch of shape
-    ``(m, dim)``; returns a complex scalar or a complex array of length m.
-    The value is what the stencil does to the plane wave exp(i theta . x).
-    """
-    th = np.asarray(theta, dtype=float)
-    single = th.ndim == 1
-    th = np.atleast_2d(th)
-    if th.shape[-1] != stencil.dim:
-        raise ValueError(
-            f"theta has {th.shape[-1]} components, stencil is {stencil.dim}D"
-        )
-    phase = th @ stencil.offsets().T
-    values = np.exp(1j * phase) @ stencil.coeffs.ravel()
-    return values[0] if single else values
-
-
-def tensor_product(*factors: Stencil) -> Stencil:
-    """Outer product of 1D stencils, one per axis."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    if any(f.dim != 1 for f in factors):
-        raise ValueError("tensor_product takes 1D factors only")
-    if len(factors) > 3:
-        raise ValueError("at most three axes supported")
-    return Stencil(reduce(np.multiply.outer, [f.coeffs for f in factors]))
-
-
-def transpose_scale(restriction: Stencil, dim: int | None = None) -> Stencil:
+def transpose_scale(restriction: Stencil) -> Stencil:
     """Prolongation stencil belonging to a restriction stencil.
 
     With restriction rows (R u)_I = sum_o s_o u_{2I+o}, the matrix transpose
@@ -135,11 +101,7 @@ def transpose_scale(restriction: Stencil, dim: int | None = None) -> Stencil:
     2^dim factor restores unit weight sums on each parity class, i.e. the
     usual interpolation normalization (constants map to constants).
     """
-    if dim is None:
-        dim = restriction.dim
-    if dim != restriction.dim:
-        raise ValueError("dim does not match the restriction stencil")
-    return Stencil(restriction.coeffs * (2.0**dim))
+    return Stencil(restriction.coeffs * (2.0**restriction.dim))
 
 
 def restriction_stencil(dim: int, order: str) -> Stencil:
@@ -147,7 +109,7 @@ def restriction_stencil(dim: int, order: str) -> Stencil:
 
     order 'linear': tensor product of (1/4)[1 2 1] (full weighting);
     order 'cubic' : tensor product of (1/16)[1 4 6 4 1].
-    Entries sum to one in either case.
+    Entries sum to one in either case; dim is 1, 2 or 3.
     """
     if order == "cubic":
         base = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -155,7 +117,7 @@ def restriction_stencil(dim: int, order: str) -> Stencil:
         base = np.array([1.0, 2.0, 1.0]) / 4.0
     else:
         raise ValueError(f"unknown transfer order {order!r}")
-    return tensor_product(*([Stencil(base)] * dim))
+    return Stencil(reduce(np.multiply.outer, [base] * dim, 1.0))
 
 
 def galerkin_stencil(fine: Stencil, restriction: Stencil,

@@ -6,7 +6,8 @@ transfers as Kronecker products of their 1D bands in one CSR matrix each,
 and coarsens with explicit sparse triple products R * A * P. The
 stencil-array assembly, the axis-by-axis coarsening and the axis-by-axis
 transfers of :mod:`rscgc.discretization` and :mod:`rscgc.multigrid` are
-checked against it.
+checked against it. mass_matrix is the mass operator by the library's own
+stencil route, for the identities that need it as a matrix.
 """
 
 from functools import reduce
@@ -14,8 +15,9 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from rscgc.discretization import (_boundary_mask, _padded_kappa2,
-                                  attenuation_profile, laplacian_and_mass_stencils)
+from rscgc.discretization import (SparseOperator, _boundary_mask, _padded_kappa2,
+                                  attenuation_profile, laplacian_and_mass_stencils,
+                                  mass_stencil)
 
 
 def _stencil_entries(shape, boundary, stencil, weight_of_offset):
@@ -86,6 +88,17 @@ def mass_operator_matrix(problem, scheme):
     rows, cols, vals = _stencil_entries(
         shape, boundary, mass, lambda c, slc: c.real * k2[slc])
     return _csr(rows, cols, vals, shape)
+
+
+def mass_matrix(problem, scheme):
+    """The real k^2-weighted mass operator k^2 M as a SparseOperator, built
+    from mass_stencil: its CSR with the identity taken off the boundary rows,
+    which leaves them empty, matching the decoupled rows of the assembly."""
+    stencil = mass_stencil(problem, scheme)
+    shape = problem.padded_shape
+    matrix = stencil.tocsr() - sp.diags(_boundary_mask(shape).ravel().astype(float))
+    matrix.eliminate_zeros()
+    return SparseOperator(matrix, shape, stencil)
 
 
 def kron_transfers(pair):

@@ -1,15 +1,36 @@
-"""Periodic-grid oracle for the Galerkin stencil algebra.
+"""Periodic-grid oracle for the Galerkin stencil algebra, and Fourier symbols.
 
 The solver never goes through this module. It reads the coarse stencil of
 R * A * P off an explicit sparse triple product on a torus, where boundaries
 cannot interfere, so the convolution route of
-:func:`rscgc.stencils.galerkin_stencil` can be checked against it.
+:func:`rscgc.stencils.galerkin_stencil` can be checked against it. symbol
+evaluates a stencil on plane waves, the eigenvectors of its operator on a
+torus.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from rscgc.stencils import Stencil
+
+
+def symbol(stencil: Stencil, theta):
+    """Fourier symbol sum_o c_o * exp(i o . theta).
+
+    ``theta`` is one frequency vector of length ``dim`` or a batch of shape
+    ``(m, dim)``; returns a complex scalar or a complex array of length m.
+    The value is what the stencil does to the plane wave exp(i theta . x).
+    """
+    th = np.asarray(theta, dtype=float)
+    single = th.ndim == 1
+    th = np.atleast_2d(th)
+    if th.shape[-1] != stencil.dim:
+        raise ValueError(
+            f"theta has {th.shape[-1]} components, stencil is {stencil.dim}D"
+        )
+    phase = th @ stencil.offsets().T
+    values = np.exp(1j * phase) @ stencil.coeffs.ravel()
+    return values[0] if single else values
 
 
 def _flat_index(multi, shape):

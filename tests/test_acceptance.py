@@ -14,7 +14,6 @@ import pytest
 from rscgc.discretization import (
     assemble_operator,
     laplacian_and_mass_stencils,
-    mass_matrix,
     point_source,
 )
 from rscgc.dispersion import (
@@ -28,13 +27,12 @@ from rscgc.multigrid import CyclePlan, build_hierarchy, cycle, transfer_matrices
 from rscgc.stencils import (
     galerkin_stencil,
     restriction_stencil,
-    symbol,
     transpose_scale,
 )
 
 import galerkin_oracle
 from conftest import build_problem
-from periodic_oracle import periodic_rap_stencil
+from periodic_oracle import periodic_rap_stencil, symbol
 
 TUNED_2D = {
     "cubic": {10.0: (1.0140, 1.1924e-2),
@@ -70,7 +68,7 @@ def coarsest_identity_residual(problem, alpha):
     plain = build_hierarchy(problem, "fourth-order", CyclePlan())
     shifted = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=alpha))
     (R12, P12), (R23, P23) = map(galerkin_oracle.kron_transfers, plain.transfers)
-    M = mass_matrix(problem, "fourth-order").matrix
+    M = galerkin_oracle.mass_matrix(problem, "fourth-order").matrix
     M3 = R23 @ (R12 @ M @ P12) @ P23
     delta = (shifted.levels[2].operator.matrix
              - plain.levels[2].operator.matrix
@@ -218,7 +216,7 @@ def test_symbol_and_radius_identities():
 
     kh = 2 * math.pi / 10
     lap1, mass1 = laplacian_and_mass_stencils(1, "second-order")
-    radius = discrete_radius(lap1 + mass1 * (-(kh ** 2)), kh, 0.0)
+    radius = discrete_radius(lap1 + mass1 * (-(kh ** 2)), 0.0)
     assert abs(radius - 2 * math.asin(kh / 2)) <= 1e-8
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import rscgc
 from rscgc.cli import main
+from rscgc.frontal import FrontalLU
 
 
 def read_csv(path):
@@ -114,6 +115,28 @@ def test_solve_payload_and_table_lookup(tmp_path):
     assert 0 < payload["max_coarse_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("pivoting", [False, True])
+def test_coarse_lu_nnz_counts_the_stored_factors(pivoting, tmp_path, monkeypatch):
+    """The frontal LU reports its fill from the front sizes, the pivoted
+    SuperLU fallback from its factors; either way it is L.nnz + U.nnz."""
+    import rscgc.cli as cli
+    import rscgc.multigrid as mg
+    built = []
+    build = cli.build_hierarchy
+    monkeypatch.setattr(cli, "build_hierarchy",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    if pivoting:
+        factorize = mg._factorize
+        monkeypatch.setattr(mg, "_factorize", lambda operator, plan, pivoting=False:
+                            factorize(operator, plan, pivoting=True))
+    out = tmp_path / "run.json"
+    assert main(["solve", "--dim", "2", "--G", "10", "--cells", "32",
+                 "--model", "wedge", "--kappa2", "0.25,1", "--out", str(out)]) == 0
+    lu = built[0].coarse_solver
+    assert isinstance(lu, FrontalLU) is not pivoting
+    assert read_json(out)["coarse_lu_nnz"] == lu.L.nnz + lu.U.nnz
+
+
 def test_solve_setup_time_includes_the_outer_assembly(tmp_path, monkeypatch):
     """With beta > 0 the unshifted outer operator is assembled after the
     hierarchy; that assembly counts as set-up, not as solve."""
@@ -185,6 +208,8 @@ def test_solve_rejects_bad_arguments(capsys):
     (["sweep", "--G", "12", "--grids", "16", "--repeats", "-3"], "got -3"),
     (["sweep", "--G", "12", "--grids", "16", "--repeats", "0"], "got 0"),
     (["sweep", "--G", "12", "--grids", "16", "--workers", "-2"], "got -2"),
+    (["solve", "--G", "12", "--cells", "32", "--dampings", "0.8,0.8,0.8"],
+     "got (0.8, 0.8, 0.8)"),
 ])
 def test_unparsable_values_exit_two(argv, named, capsys):
     assert main(argv) == 2
@@ -193,13 +218,27 @@ def test_unparsable_values_exit_two(argv, named, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("repeats", 2.5), ("repeats", True),
-                                       ("workers", 1.5), ("workers", False)])
+                                       ("workers", 1.5), ("workers", False),
+                                       ("grids", [32.7]), ("grids", [True]),
+                                       ("cells", 32.9), ("cells", True)])
 def test_sweep_rejects_fractional_or_boolean_counts(key, value, tmp_path, capsys):
+    """Counts from a config file are integers, never truncated or read as
+    bools; a sweep sets its own cells, so those go through solve."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
-    assert main(["sweep", "--G", "12", "--grids", "16", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"grids": [16], key: value}))
+    command = "solve" if key == "cells" else "sweep"
+    assert main([command, "--G", "12", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{key} must be an integer, got {value!r}" in err
+    named = value[0] if isinstance(value, list) else value
+    assert err.startswith("error: ") and f"{key} must be an integer, got {named!r}" in err
+
+
+@pytest.mark.parametrize("dim", [1, 4, 2.0, True])
+def test_config_dim_must_be_two_or_three(dim, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": dim}))
+    assert main(["solve", "--G", "12", "--cells", "32", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: dim must be the integer 2 or 3, got {dim!r}\n"
 
 
 def test_shift_table_override(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rscgc.discretization import laplacian_and_mass_stencils, omega_for_ppw
 from rscgc.dispersion import (
-    INTERGRID_CHOICES,
+    TUNED_INTERGRIDS,
     POLAR_LO,
     AnalysisConfig,
     NoCrossingError,
@@ -40,22 +40,22 @@ def helmholtz_stencil(dim, kh, scheme="fourth-order"):
 def test_second_order_1d_radius_closed_form(kh):
     """4 sin^2(r/2) = (kh)^2 pins the crossing at 2 arcsin(kh/2)."""
     stencil = helmholtz_stencil(1, kh, "second-order")
-    r = discrete_radius(stencil, kh, 0.0)
+    r = discrete_radius(stencil, 0.0)
     assert abs(r - 2.0 * math.asin(kh / 2)) <= 1e-8
 
 
 def test_radius_crossing_out_of_range():
     with pytest.raises(NoCrossingError, match="too small"):
-        discrete_radius(helmholtz_stencil(1, 0.0, "second-order"), 0.0, 0.0)
+        discrete_radius(helmholtz_stencil(1, 0.0, "second-order"), 0.0)
     with pytest.raises(NoCrossingError, match="too large"):
-        discrete_radius(helmholtz_stencil(1, 10.0, "second-order"), 10.0, 0.0)
+        discrete_radius(helmholtz_stencil(1, 10.0, "second-order"), 0.0)
 
 
 def test_fourth_order_radius_is_anisotropic():
     kh = 2 * math.pi / 12
     stencil = helmholtz_stencil(2, kh)
-    r_axis = discrete_radius(stencil, kh, 0.0)
-    r_diag = discrete_radius(stencil, kh, math.pi / 4)
+    r_axis = discrete_radius(stencil, 0.0)
+    r_diag = discrete_radius(stencil, math.pi / 4)
     assert abs(r_axis / kh - 1) < 2e-4
     assert abs(r_diag / kh - 1) < 2e-4
     assert abs(r_axis - r_diag) > 5e-5
@@ -129,7 +129,7 @@ def test_one_halving_decides_the_snapped_radius(dim, G, alpha, azimuth, polar):
     phi = azimuth if dim == 2 else (azimuth, polar)
     res = 1e-3
     cases = [(_fine_pair(dim), kh ** 2)]
-    cases += [(_composite_pair(dim, ig), (alpha * kh) ** 2) for ig in INTERGRID_CHOICES]
+    cases += [(_composite_pair(dim, ig), (alpha * kh) ** 2) for ig in TUNED_INTERGRIDS]
     for (lap, mass), m in cases:
         try:
             forty = _first_crossings(lap, mass, [m], phi, res, 40)[0]
@@ -163,7 +163,7 @@ def _snapped_against_the_oracle(lap, mass, masses, phi, res=1e-3):
        alpha=st.floats(0.98, 1.06),
        azimuth=st.floats(0.0, math.pi / 4),
        polar=st.floats(POLAR_LO, math.pi / 2),
-       pair=st.sampled_from(("fine",) + INTERGRID_CHOICES))
+       pair=st.sampled_from(("fine",) + TUNED_INTERGRIDS))
 def test_folded_blocked_kernel_matches_the_full_table_oracle(dim, Gs, alpha, azimuth,
                                                              polar, pair):
     """Every snapped radius of a batch equals the full-table search's, with
@@ -178,7 +178,7 @@ def test_folded_blocked_kernel_matches_the_full_table_oracle(dim, Gs, alpha, azi
 def test_one_batch_crosses_in_several_blocks(dim):
     Gs = np.array([8.5, 10.0, 12.0, 20.0, 40.0, 100.0])
     phi = 0.3 if dim == 2 else (0.3, 1.2)
-    for intergrid in INTERGRID_CHOICES:
+    for intergrid in TUNED_INTERGRIDS:
         lap, mass = _composite_pair(dim, intergrid)
         snapped = _snapped_against_the_oracle(lap, mass, (2 * math.pi / Gs) ** 2, phi)
         assert len(set(snapped // _RAY_BLOCK)) >= 4
@@ -200,13 +200,13 @@ def test_no_crossing_messages_name_the_input():
     with pytest.raises(NoCrossingError, match=r"at G = 12, alpha in \[3, 3.01\]$"):
         optimize_shift(config)
     with pytest.raises(NoCrossingError, match=r"too large.* along phi = 0.25$"):
-        discrete_radius(helmholtz_stencil(1, 10.0, "second-order"), 10.0, 0.25)
+        discrete_radius(helmholtz_stencil(1, 10.0, "second-order"), 0.25)
 
 
 @pytest.mark.parametrize("call,named", [
-    (lambda s: discrete_radius(s, 0.5, 0.0, ray_resolution=0), "ray_resolution .*got 0"),
-    (lambda s: discrete_radius(s, 0.5, 0.0, ray_resolution=-1e-3), "got -0.001"),
-    (lambda s: discrete_radius(s, 0.5, math.nan), "phi .*got nan"),
+    (lambda s: discrete_radius(s, 0.0, ray_resolution=0), "ray_resolution .*got 0"),
+    (lambda s: discrete_radius(s, 0.0, ray_resolution=-1e-3), "got -0.001"),
+    (lambda s: discrete_radius(s, math.nan), "phi .*got nan"),
     (lambda s: classical_dispersion_error(s, math.inf, 0.0), "G .*got inf"),
     (lambda s: classical_dispersion_error(s, math.nan, 0.0), "G .*got nan"),
     (lambda s: ncrit_bounds(math.inf, 0.01), "G .*got inf"),
@@ -288,6 +288,7 @@ def test_classical_error_fourth_order_decay():
     {"alpha_resolution": math.nan},
     {"ray_resolution": math.nan},
     {"alpha_range": (0.98, math.inf)},
+    {"intergrid": "bilinear"},
 ])
 def test_analysis_config_validation(bad):
     kwargs = {"dim": 2, "G": 12.0}

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from rscgc import frontal
 from rscgc.frontal import FrontalLU, nested_dissection
-from rscgc.multigrid import (INTERGRID_CHOICES, CyclePlan, build_hierarchy,
-                             build_rediscretized_hierarchy)
+from rscgc.multigrid import CyclePlan, build_hierarchy, build_rediscretized_hierarchy
+from rscgc.stencils import INTERGRID
 
 from conftest import build_problem
 
@@ -51,12 +51,14 @@ def stencil_operator(shape, reach, seed):
 
 
 def check_factors(A, shape):
-    """L U reproduces the permuted matrix, and solve agrees with splu."""
+    """L U reproduces the permuted matrix, fill counts their entries, and
+    solve agrees with splu."""
     A = sp.csr_matrix(A)
     lu = FrontalLU(A, shape)
     scale = abs(A).max()
     gap = abs(lu.L @ lu.U - A[lu.perm_r][:, lu.perm_c]).max()
     assert gap <= 1e-12 * scale
+    assert lu.fill == lu.L.nnz + lu.U.nnz
     b = np.random.default_rng(7).standard_normal((A.shape[0], 2)) @ [1, 1j]
     x = lu.solve(b)
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
@@ -76,7 +78,7 @@ def test_frontal_lu_matches_the_permuted_matrix_and_splu(dim, reach, sides, leaf
     assert sorted(lu.perm_r.tolist()) == list(range(math.prod(shape)))
 
 
-@pytest.mark.parametrize("dim,intergrid", [(2, choice) for choice in INTERGRID_CHOICES]
+@pytest.mark.parametrize("dim,intergrid", [(2, choice) for choice in INTERGRID]
                          + [(3, "level-dependent")])
 def test_frontal_lu_on_real_coarsest_levels(dim, intergrid):
     problem = build_problem(dim, 64 if dim == 2 else 32, 10, pad=0)

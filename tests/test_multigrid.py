@@ -14,12 +14,10 @@ import galerkin_oracle
 import rscgc.multigrid as mg
 from rscgc import frontal
 from rscgc.discretization import (HelmholtzProblem, assemble_operator, make_model,
-                                  mass_matrix, mass_stencil, omega_for_ppw,
-                                  point_source)
+                                  mass_stencil, omega_for_ppw, point_source)
 from rscgc.frontal import FrontalLU, nested_dissection
 from rscgc.krylov import fgmres
 from rscgc.multigrid import (
-    INTERGRID_CHOICES,
     CyclePlan,
     build_hierarchy,
     build_rediscretized_hierarchy,
@@ -28,9 +26,10 @@ from rscgc.multigrid import (
     jacobi_smooth,
     transfer_matrices,
 )
-from rscgc.stencils import restriction_stencil
+from rscgc.stencils import INTERGRID, restriction_stencil
 
 from conftest import build_problem
+from galerkin_oracle import mass_matrix
 
 
 def interior_mask(shape):
@@ -126,7 +125,7 @@ def test_transfers_match_the_entrywise_reference(orders):
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), dim=st.sampled_from([2, 3]),
-       intergrid=st.sampled_from(INTERGRID_CHOICES), seed=st.integers(0, 2**32 - 1))
+       intergrid=st.sampled_from(tuple(INTERGRID)), seed=st.integers(0, 2**32 - 1))
 def test_axis_transfers_match_the_kronecker_oracle(data, dim, intergrid, seed):
     """restrict and prolong, one axis at a time, equal the Kronecker CSR
     products on complex vectors, for both transfer pairs of every intergrid
@@ -134,8 +133,7 @@ def test_axis_transfers_match_the_kronecker_oracle(data, dim, intergrid, seed):
     quarters = st.integers(2, 12 if dim == 2 else 5)
     shape = tuple(4 * data.draw(quarters) + 1 for _ in range(dim))
     rng = np.random.default_rng(seed)
-    for fine_shape, orders in zip((shape, mg._halved(shape)),
-                                  mg._transfer_orders(intergrid)):
+    for fine_shape, orders in zip((shape, mg._halved(shape)), INTERGRID[intergrid]):
         pair = transfer_matrices(fine_shape, *orders)
         for apply, matrix in zip((pair.restrict, pair.prolong),
                                  galerkin_oracle.kron_transfers(pair)):
@@ -160,7 +158,7 @@ class _KroneckerTransfers:
         return mg._transfer(self.P, v)
 
 
-@pytest.mark.parametrize("intergrid", INTERGRID_CHOICES)
+@pytest.mark.parametrize("intergrid", tuple(INTERGRID))
 @pytest.mark.parametrize("dim,cells", [(2, 32), (3, 8)])
 def test_cycle_matches_the_kronecker_route(dim, cells, intergrid):
     problem = build_problem(dim, cells, 10, pad=4)
@@ -179,10 +177,9 @@ def test_transfer_order_labels():
     problem = build_problem(2, 16, 10, pad=0)
     lev = build_hierarchy(problem, "fourth-order",
                           CyclePlan(intergrid="level-dependent"))
-    assert lev.transfers[0].order == "cubic"
-    assert lev.transfers[1].order == "linear/cubic"
+    assert [t.orders for t in lev.transfers] == [("cubic", "cubic"), ("linear", "cubic")]
     bil = build_hierarchy(problem, "fourth-order", CyclePlan(intergrid="bilinear"))
-    assert all(t.order == "linear" for t in bil.transfers)
+    assert [t.orders for t in bil.transfers] == [("linear", "linear")] * 2
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -274,7 +271,7 @@ def test_one_assembly_and_bitwise_levels(alpha, monkeypatch):
 
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), dim=st.sampled_from([2, 3]),
-       intergrid=st.sampled_from(INTERGRID_CHOICES),
+       intergrid=st.sampled_from(tuple(INTERGRID)),
        alpha=st.floats(0.9, 1.1), beta=st.sampled_from([0.0, 0.03]))
 def test_stencil_levels_match_the_sparse_oracle(data, dim, intergrid, alpha, beta):
     """A wedge medium inside a sponge on a 2D or 3D box of any coarsenable
@@ -319,12 +316,18 @@ def test_coarsest_stencil_reach(intergrid, reach):
 
 
 def test_levels_halve_and_spacing_doubles():
-    problem = build_problem(2, 32, 10, pad=4)
-    hier = build_hierarchy(problem, "fourth-order", CyclePlan())
+    """Level i has spacing 2^i h: in the diffusive limit, applied to x^2
+    sampled at that spacing, it gives -d^2/dx^2 x^2 = -2 at the center."""
+    model = make_model("homogeneous", (1.0, 1.0), (32, 32), 1.0 / 32)
+    hier = build_hierarchy(HelmholtzProblem(model, 1e-3, pad=4), "fourth-order",
+                           CyclePlan())
     shapes = [lv.operator.grid_shape for lv in hier.levels]
     assert shapes == [(41, 41), (21, 21), (11, 11)]
-    hs = [lv.operator.h for lv in hier.levels]
-    assert hs[1] == pytest.approx(2 * hs[0]) and hs[2] == pytest.approx(4 * hs[0])
+    for i, (level, shape) in enumerate(zip(hier.levels, shapes)):
+        x = 2 ** i * model.h * np.arange(shape[0])
+        u = np.broadcast_to(x[:, None] ** 2, shape).ravel()
+        center = (level.operator.matrix @ u).reshape(shape)[shape[0] // 2, shape[1] // 2]
+        assert center.real == pytest.approx(-2.0, rel=1e-6)
 
 
 def test_uncoarsenable_grids_rejected():
@@ -342,6 +345,7 @@ def test_uncoarsenable_grids_rejected():
     {"beta": -0.01},
     {"dampings": (0.89,)},
     {"dampings": (0.0, 0.89)},
+    {"dampings": (0.89, 0.89, 0.89)},
 ])
 def test_cycle_plan_validation(bad):
     with pytest.raises(ValueError):
@@ -399,7 +403,7 @@ def test_jacobi_damping_override():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(level.operator.dofs).astype(complex)
     b = np.zeros_like(x)
-    got = jacobi_smooth(level, x, b, 1, damping=0.5)
+    got = jacobi_smooth(dataclasses.replace(level, damping=0.5), x, b, 1)
     expected = x + 0.5 * level.inverse_diagonal * (b - level.operator.matrix @ x)
     assert np.allclose(got, expected)
 
@@ -647,7 +651,7 @@ def test_rediscretized_baseline_shape_and_transfers():
     problem = build_problem(2, 32, 10, pad=4)
     hier = build_rediscretized_hierarchy(problem, CyclePlan(intergrid="bilinear"))
     assert [lv.operator.grid_shape for lv in hier.levels] == [(41, 41), (21, 21), (11, 11)]
-    assert all(t.order == "linear" for t in hier.transfers)
+    assert [t.orders for t in hier.transfers] == [("linear", "linear")] * 2
     # level 3 is a compact 9-point discretization, not a wide Galerkin composite
     A3 = hier.levels[2].operator.matrix
     center = np.ravel_multi_index((5, 5), (11, 11))
