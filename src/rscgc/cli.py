@@ -126,11 +126,15 @@ def _parse_float_list(text, what):
         raise ConfigError(f"cannot parse {what}: {text!r}") from exc
 
 
-def _positive_G(value):
+def _number(value, what):
     try:
-        g = float(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"G must be a number, got {value!r}") from exc
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _positive_G(value):
+    g = _number(value, "G")
     if not (math.isfinite(g) and g > 0):
         raise ConfigError(f"G must be finite and positive, got {value!r}")
     return g
@@ -185,9 +189,9 @@ def _build_model(config, cells):
     rng = config.kappa2
     if isinstance(rng, str):
         rng = _parse_float_list(rng, "kappa2 range")
-    if len(rng) != 2:
+    if not isinstance(rng, (list, tuple)) or len(rng) != 2:
         raise ConfigError(f"kappa2 must be a lo,hi pair, got {rng!r}")
-    h = float(config.h) if config.h is not None else 1.0 / cells[0]
+    h = _number(config.h, "h") if config.h is not None else 1.0 / cells[0]
     try:
         return make_model(config.model, tuple(rng), cells, h)
     except ValueError as exc:
@@ -213,7 +217,9 @@ def _dampings(config):
     raw = config.dampings
     if isinstance(raw, str):
         raw = _parse_float_list(raw, "dampings")
-    return tuple(float(v) for v in raw)
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"dampings must be a list of two numbers, got {raw!r}")
+    return tuple(_number(v, "dampings") for v in raw)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +491,7 @@ def cmd_solve(config):
                    for level in hierarchy.levels],
         "coarse_lu_nnz": _lu_fill(hierarchy.coarse_solver),
         "max_coarse_residual": hierarchy.max_coarse_residual,
+        "cycle_precision": hierarchy.cycle_precision,
     }
     _write_json(payload, config.out)
     return 0 if report.converged else 1
@@ -734,7 +741,7 @@ def main(argv=None):
         # NoCrossingError: the stencil cannot resolve the given alpha or G
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

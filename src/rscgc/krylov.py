@@ -81,7 +81,9 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
     apply_A and apply_M are callables on flat complex vectors; apply_M may
     vary per call (flexible). restart=None keeps the full basis. Convergence
     is declared on the recomputed true residual ||b - A x|| / ||b|| < tol.
-    Returns (x, SolveReport).
+    The true residual is computed at the end of every (re)start, and before
+    the first only when x0 is given, so apply_A runs once per iteration,
+    once per start, and once more for a given x0. Returns (x, SolveReport).
     """
     maxit = checked_maxit(tol, maxit, restart)
     if apply_M is None:
@@ -95,19 +97,20 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
             iterations=0, residual_history=[0.0], converged=True,
             wall_time=time.perf_counter() - start)
 
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).ravel().copy()
-    history = [float(np.linalg.norm(b - apply_A(x)) / bnorm)]
+    if x0 is None:
+        x, r = np.zeros_like(b), b
+    else:
+        x = np.asarray(x0, dtype=complex).ravel().copy()
+        r = b - apply_A(x)
+    rnorm = np.linalg.norm(r)
+    history = [float(rnorm / bnorm)]
     converged = history[0] < tol
     iterations = 0
     V = np.empty((0, len(b)), dtype=complex)
     Z = np.empty((0, len(b)), dtype=complex)
 
+    # r and rnorm hold the true residual of x at the top of every (re)start
     while not converged and iterations < maxit:
-        r = b - apply_A(x)
-        rnorm = np.linalg.norm(r)
-        if rnorm / bnorm < tol:
-            converged = True
-            break
         budget = maxit - iterations if restart is None else min(restart, maxit - iterations)
         V = _room(V, 1)
         V[0] = r / rnorm
@@ -155,9 +158,10 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
                 break
         y = solve_triangular(H[:k, :k], g[:k])
         x = x + y @ Z[:k]
-        true_rel = float(np.linalg.norm(b - apply_A(x)) / bnorm)
-        history[-1] = true_rel
-        converged = true_rel < tol
+        r = b - apply_A(x)
+        rnorm = np.linalg.norm(r)
+        history[-1] = float(rnorm / bnorm)
+        converged = history[-1] < tol
 
     return x, SolveReport(iterations=iterations, residual_history=history,
                           converged=converged,

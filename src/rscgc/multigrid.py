@@ -19,10 +19,22 @@ pivots only inside each dense pivot block. Every solve is checked, and the
 operator is refactored by SuperLU with COLAMD and partial pivoting if a
 pivot block is exactly singular or a solve misses the check. A W cycle runs
 the mid-level correction pass twice.
+
+The cycle is a preconditioner for flexible GMRES, which keeps its basis, its
+iterate and its true residual in double precision, so the cycle itself may
+be inexact. Under plan.precision "single" (the default) the fine and mid
+levels smooth and form residuals with complex64 copies of their CSR values
+and inverse diagonals, and the transfers apply float32 bands; the coarsest
+solve stays in double, with its residual check. The double CSR of every
+level stays in place for the outer solver; a "double" plan builds none of
+the single-precision copies. The cycle's input is scaled by a
+power of two to about unit norm, so complex64's range holds it; a
+single-precision cycle that still returns anything non-finite is redone in
+double, and the hierarchy cycles in double from then on.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +60,7 @@ __all__ = [
 ]
 
 CYCLE_CHOICES = ("V", "W")
+PRECISIONS = ("single", "double")
 
 # Coarsest-level scheme of the re-discretized baseline: a dispersion-minimized
 # 9-point stencil with the wavenumber itself rescaled at assembly.
@@ -57,7 +70,8 @@ REDISC_WAVENUMBER_SCALE = 0.87725
 
 @dataclass(frozen=True)
 class CyclePlan:
-    """Cycle shape, intergrid scheme, shifts, and per-level Jacobi dampings."""
+    """Cycle shape, intergrid scheme, shifts, per-level Jacobi dampings, and
+    the precision of the fine and mid levels inside the cycle."""
 
     cycle: str = "W"
     nu1: int = 1
@@ -66,10 +80,14 @@ class CyclePlan:
     alpha: float = 1.0
     beta: float = 0.0
     dampings: tuple = (0.89, 0.89)
+    precision: str = "single"
 
     def __post_init__(self):
         if self.cycle not in CYCLE_CHOICES:
             raise ValueError(f"cycle must be one of {CYCLE_CHOICES}, got {self.cycle!r}")
+        if self.precision not in PRECISIONS:
+            raise ValueError(
+                f"precision must be one of {PRECISIONS}, got {self.precision!r}")
         if self.intergrid not in INTERGRID:
             raise ValueError(
                 f"intergrid must be one of {tuple(INTERGRID)}, got {self.intergrid!r}")
@@ -95,27 +113,57 @@ class TransferPair:
     restriction and prolongation hold one real 1D CSR band per axis; the
     full transfers are their Kronecker products, applied by restrict and
     prolong one axis at a time. orders names the weight families of
-    restriction and prolongation, "cubic" or "linear".
+    restriction and prolongation, "cubic" or "linear". single, when set,
+    holds float32 copies of both band tuples, which restrict and prolong
+    apply to complex64 vectors.
     """
 
     restriction: tuple
     prolongation: tuple
     orders: tuple
+    single: tuple = field(default=None, repr=False, compare=False)
+
+    def with_single_bands(self):
+        """This pair with the float32 copies of its bands added."""
+        return replace(self, single=tuple(
+            tuple(band.astype(np.float32) for band in bands)
+            for bands in (self.restriction, self.prolongation)))
+
+    def _bands(self, v):
+        if v.dtype == np.complex64 and self.single is not None:
+            return self.single
+        return self.restriction, self.prolongation
 
     def restrict(self, v):
         """R v for a flat vector on the fine grid."""
-        return _along_axes(self.restriction, v)
+        return _along_axes(self._bands(v)[0], v)
 
     def prolong(self, v):
         """P v for a flat vector on the coarse grid."""
-        return _along_axes(self.prolongation, v)
+        return _along_axes(self._bands(v)[1], v)
 
 
 @dataclass(frozen=True)
 class Level:
+    """One level's operator, with the Jacobi damping and inverse diagonal.
+
+    single, when set, holds the complex64 matrix and inverse diagonal that a
+    single-precision cycle uses; the matrix shares indices and indptr with
+    operator.matrix, which stays the double CSR.
+    """
+
     operator: SparseOperator
     damping: float           # Jacobi damping; unused on the coarsest level
     inverse_diagonal: np.ndarray
+    single: tuple = None
+
+    def cycle_arrays(self, dtype):
+        """The matrix and inverse diagonal for vectors of dtype: the complex64
+        copies for complex64 vectors when the level has them, else the
+        double ones."""
+        if dtype == np.complex64 and self.single is not None:
+            return self.single
+        return self.operator.matrix, self.inverse_diagonal
 
 
 @dataclass
@@ -125,7 +173,8 @@ class MultigridHierarchy:
     coarse_solve replaces coarse_solver with a pivoted factorization the
     first time the cached one misses its residual check, and keeps in
     max_coarse_residual the largest relative residual of the solutions it
-    returned (or refused).
+    returned (or refused). cycle sets precision_fallback when it has redone
+    a non-finite single-precision cycle in double; later cycles stay double.
     """
 
     levels: tuple
@@ -133,6 +182,14 @@ class MultigridHierarchy:
     coarse_solver: object
     plan: CyclePlan
     max_coarse_residual: float = 0.0
+    precision_fallback: bool = False
+
+    @property
+    def cycle_precision(self):
+        """"single" or "double" as planned, or "single→double fallback"."""
+        if self.precision_fallback:
+            return "single→double fallback"
+        return self.plan.precision
 
 
 def _axis_weights(n, order):
@@ -262,20 +319,30 @@ def _halved(shape):
     return tuple((n - 1) // 2 + 1 for n in shape)
 
 
-def _make_level(matrix, shape, damping):
+def _make_level(matrix, shape, damping, single=False):
+    """A Level of a CSR matrix; single adds the complex64 copies of its
+    values and inverse diagonal for a single-precision cycle."""
     diag = matrix.diagonal()
     if np.any(diag == 0):
         raise ValueError("operator has a zero diagonal entry; Jacobi smoothing "
                          "and the coarse solve both need a full diagonal")
-    return Level(SparseOperator(matrix, shape), float(damping), 1.0 / diag)
+    inverse_diagonal = 1.0 / diag
+    copies = None
+    if single:
+        copies = (sp.csr_matrix((matrix.data.astype(np.complex64), matrix.indices,
+                                 matrix.indptr), shape=matrix.shape, copy=False),
+                  inverse_diagonal.astype(np.complex64))
+    return Level(SparseOperator(matrix, shape), float(damping), inverse_diagonal, copies)
 
 
-def _transfer_pairs(shape, intergrid):
+def _transfer_pairs(shape, intergrid, single):
     """The TransferPairs fine to mid and mid to coarsest of an intergrid
-    scheme, for a fine grid of the given shape."""
+    scheme, for a fine grid of the given shape; single adds the float32
+    bands of a single-precision cycle."""
     orders12, orders23 = INTERGRID[intergrid]
-    return (transfer_matrices(shape, *orders12),
-            transfer_matrices(_halved(shape), *orders23))
+    pairs = (transfer_matrices(shape, *orders12),
+             transfer_matrices(_halved(shape), *orders23))
+    return tuple(pair.with_single_bands() for pair in pairs) if single else pairs
 
 
 def _check_coarsenable(shape):
@@ -318,9 +385,10 @@ def build_hierarchy(problem, scheme, plan):
     shape = problem.padded_shape
     _check_coarsenable(shape)
 
+    single = plan.precision == "single"
     fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta)
 
-    t12, t23 = _transfer_pairs(shape, plan.intergrid)
+    t12, t23 = _transfer_pairs(shape, plan.intergrid, single)
     mid_shape = _halved(shape)
     coarse_shape = _halved(mid_shape)
 
@@ -334,8 +402,8 @@ def build_hierarchy(problem, scheme, plan):
     coarse = _coarsen(mid, t23).tocsr()
 
     levels = (
-        _make_level(fine, shape, plan.dampings[0]),
-        _make_level(mid_matrix, mid_shape, plan.dampings[1]),
+        _make_level(fine, shape, plan.dampings[0], single),
+        _make_level(mid_matrix, mid_shape, plan.dampings[1], single),
         _make_level(coarse, coarse_shape, 1.0),
     )
     return MultigridHierarchy(levels, (t12, t23), _factorize(levels[-1].operator, plan),
@@ -385,12 +453,13 @@ def build_rediscretized_hierarchy(problem, plan):
     if mid.grid_shape != mid_shape or coarse.grid_shape != coarse_shape:
         raise ValueError("re-discretized grids do not align with index halving")
 
+    single = plan.precision == "single"
     levels = (
-        _make_level(fine.matrix, shape, plan.dampings[0]),
-        _make_level(mid.matrix, mid_shape, plan.dampings[1]),
+        _make_level(fine.matrix, shape, plan.dampings[0], single),
+        _make_level(mid.matrix, mid_shape, plan.dampings[1], single),
         _make_level(coarse.matrix, coarse_shape, 1.0),
     )
-    return MultigridHierarchy(levels, _transfer_pairs(shape, "bilinear"),
+    return MultigridHierarchy(levels, _transfer_pairs(shape, "bilinear", single),
                               _factorize(levels[-1].operator, plan), plan)
 
 
@@ -400,17 +469,18 @@ def jacobi_smooth(level, x, b, sweeps):
 
     Every sweep reads only the previous iterate. Returns the new iterate
     without mutating x. x=None stands for the zero vector, whose first sweep
-    is w D^-1 b without the product with A.
+    is w D^-1 b without the product with A. A complex64 b is smoothed with
+    the level's complex64 arrays, when it has them; anything else in double.
     """
     w = level.damping
-    A = level.operator.matrix
-    invd = level.inverse_diagonal
+    b = np.asarray(b)
+    A, invd = level.cycle_arrays(b.dtype)
     if x is None:
         if sweeps == 0:
-            return np.zeros(len(b), dtype=complex)
+            return np.zeros(len(b), dtype=invd.dtype)
         x = w * (invd * b)
         sweeps -= 1
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x, dtype=invd.dtype)
     for _ in range(sweeps):
         x = x + w * (invd * (b - A @ x))
     return x
@@ -419,13 +489,17 @@ def jacobi_smooth(level, x, b, sweeps):
 def coarse_solve(hierarchy, rhs):
     """Direct solve on the coarsest level, verified to 1e-10 relative.
 
-    A solve that misses the check is repeated once with a freshly pivoted
-    factorization, which then serves every later solve of the hierarchy.
+    The right-hand side is cast to double and the solution is double. A
+    solve that misses the check is repeated once with a freshly pivoted
+    factorization, which then serves every later solve of the hierarchy. A
+    non-finite right-hand side is a FloatingPointError, with no solve.
     """
     rhs = np.asarray(rhs, dtype=complex)
     scale = np.linalg.norm(rhs)
     if scale == 0:
         return np.zeros_like(rhs)
+    if not np.isfinite(scale):
+        raise FloatingPointError("coarsest-level right-hand side is not finite")
     plan = hierarchy.plan
     operator = hierarchy.levels[-1].operator
     matrix = operator.matrix
@@ -448,12 +522,16 @@ def _transfer(matrix, v):
 
     Complex data goes through a real view, two real columns per complex
     one: scipy would otherwise upcast the matrix to complex on every call.
+    The product has the matrix's precision when v's is no higher, so a
+    float32 band keeps complex64 data in single precision and a float64
+    band gives complex128.
     """
     if not np.iscomplexobj(v):
         return matrix @ v
     v = np.ascontiguousarray(v)
-    out = matrix @ v.view(float).reshape(len(v), -1)
-    return out.view(complex).reshape((matrix.shape[0],) + v.shape[1:])
+    out = matrix @ v.view(v.real.dtype).reshape(len(v), -1)
+    return out.view(np.result_type(out.dtype, np.complex64)).reshape(
+        (matrix.shape[0],) + v.shape[1:])
 
 
 def _along_axes(bands, v):
@@ -470,30 +548,70 @@ def _along_axes(bands, v):
     return v.ravel()
 
 
+def _cycle(hierarchy, b, x):
+    """The cycle in the precision of b, complex64 or complex128, from the
+    start vector x (None for zero). The coarsest solve runs in double either
+    way; its solution is cast to b's precision."""
+    plan = hierarchy.plan
+    fine, mid, _ = hierarchy.levels
+    t12, t23 = hierarchy.transfers
+
+    x = jacobi_smooth(fine, x, b, plan.nu1)
+    coarse_rhs = t12.restrict(b - fine.cycle_arrays(b.dtype)[0] @ x)
+
+    passes = 2 if plan.cycle == "W" else 1
+    mid_matrix = mid.cycle_arrays(b.dtype)[0]
+    e = None
+    for _ in range(passes):
+        e = jacobi_smooth(mid, e, coarse_rhs, plan.nu1)
+        defect = coarse_rhs - mid_matrix @ e
+        coarse = coarse_solve(hierarchy, t23.restrict(defect))
+        e = e + t23.prolong(coarse.astype(b.dtype, copy=False))
+        e = jacobi_smooth(mid, e, coarse_rhs, plan.nu2)
+
+    x = x + t12.prolong(e)
+    return jacobi_smooth(fine, x, b, plan.nu2)
+
+
 def cycle(hierarchy, b, x0=None):
     """One multigrid cycle on the finest level, V or W per the plan.
 
     The W cycle runs the mid-level correction pass twice in sequence, each
     pass wrapping the direct coarsest solve in its own pre- and
-    post-smoothing. The map b -> x is linear for x0 = None or zero.
+    post-smoothing. The map b -> x is linear for x0 = None or zero, up to
+    single-precision rounding when the hierarchy cycles in single. Takes and
+    returns complex128 either way.
+
+    A single-precision cycle runs on b and x0 scaled by a power of two, an
+    exact scaling, to about unit norm, so that complex64's range holds them
+    whatever their magnitude. One that still overflows to anything
+    non-finite is redone in double, and sets the hierarchy's
+    precision_fallback so that every later cycle runs in double. A b or x0
+    that is itself non-finite goes to the double cycle directly, without
+    the flag.
     """
-    plan = hierarchy.plan
-    fine, mid, _ = hierarchy.levels
-    t12, t23 = hierarchy.transfers
     b = np.asarray(b, dtype=complex).ravel()
+    x0 = None if x0 is None else np.asarray(x0, dtype=complex).ravel()
+    if hierarchy.plan.precision == "single" and not hierarchy.precision_fallback:
+        size = np.linalg.norm(b) if x0 is None else max(np.linalg.norm(b),
+                                                        np.linalg.norm(x0))
+        if not np.isfinite(size):
+            # no precision mends a non-finite input: cycle it in double,
+            # which raises or returns it, and keep the hierarchy in single
+            return _cycle(hierarchy, b, x0)
+        scale = 2.0 ** -np.clip(np.frexp(size)[1], -1000, 1000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                x = _cycle(hierarchy, _to_single(b, scale),
+                           None if x0 is None else _to_single(x0, scale))
+            except FloatingPointError:
+                x = None
+        if x is not None and np.isfinite(x).all():
+            return np.multiply(x, 1.0 / scale, dtype=complex)
+        hierarchy.precision_fallback = True
+    return _cycle(hierarchy, b, x0)
 
-    x = None if x0 is None else np.array(x0, dtype=complex).ravel()
-    x = jacobi_smooth(fine, x, b, plan.nu1)
-    coarse_rhs = t12.restrict(b - fine.operator.matrix @ x)
 
-    passes = 2 if plan.cycle == "W" else 1
-    e = None
-    for _ in range(passes):
-        e = jacobi_smooth(mid, e, coarse_rhs, plan.nu1)
-        defect = coarse_rhs - mid.operator.matrix @ e
-        coarse = coarse_solve(hierarchy, t23.restrict(defect))
-        e = e + t23.prolong(coarse)
-        e = jacobi_smooth(mid, e, coarse_rhs, plan.nu2)
-
-    x = x + t12.prolong(e)
-    return jacobi_smooth(fine, x, b, plan.nu2)
+def _to_single(v, scale):
+    """scale * v as complex64, in one pass."""
+    return np.multiply(v, scale, out=np.empty(v.shape, np.complex64), casting="same_kind")

@@ -259,16 +259,20 @@ def test_residual_histories_monotone_and_verified(homogeneous_runs,
 
 
 def test_linearity_transfers_divergence_and_3d():
-    # cycle output is linear in the right-hand side
+    # cycle output is linear in the right-hand side: to double rounding for
+    # the double cycle, to float32 rounding (unit roundoff 6e-8, with a
+    # margin) for the single one
     problem = build_problem(2, 128, 12, kind="wedge", kappa2=(0.25, 1.0))
-    hierarchy = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=ALPHA_G12))
     rng = np.random.default_rng(41)
-    n = hierarchy.levels[0].operator.dofs
+    n = np.prod(problem.padded_shape)
     b1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    combined = cycle(hierarchy, b1 - 3j * b2)
-    parts = cycle(hierarchy, b1) - 3j * cycle(hierarchy, b2)
-    assert np.linalg.norm(combined - parts) <= 1e-12 * np.linalg.norm(combined)
+    for precision, bound in (("single", 1e-5), ("double", 1e-12)):
+        hierarchy = build_hierarchy(problem, "fourth-order",
+                                    CyclePlan(alpha=ALPHA_G12, precision=precision))
+        combined = cycle(hierarchy, b1 - 3j * b2)
+        parts = cycle(hierarchy, b1) - 3j * cycle(hierarchy, b2)
+        assert np.linalg.norm(combined - parts) <= bound * np.linalg.norm(combined)
 
     # transfers reproduce constants away from the Dirichlet frame
     for pair, fine_shape in ((hierarchy.transfers[0], (169, 169)),

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line driver, in process."""
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -9,11 +10,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import rscgc
+from rscgc import cli, multigrid
 from rscgc.cli import main
 from rscgc.frontal import FrontalLU
+from rscgc.multigrid import CyclePlan
 
 
 def read_csv(path):
@@ -210,11 +214,23 @@ def test_solve_rejects_bad_arguments(capsys):
     (["sweep", "--G", "12", "--grids", "16", "--workers", "-2"], "got -2"),
     (["solve", "--G", "12", "--cells", "32", "--dampings", "0.8,0.8,0.8"],
      "got (0.8, 0.8, 0.8)"),
+    # a dict stands for a config file with that content
+    (["solve", "--G", "12", "--cells", "32", "--config", {"h": "abc"}],
+     "h must be a number, got 'abc'"),
+    (["solve", "--G", "12", "--cells", "32", "--config", {"kappa2": 5}],
+     "kappa2 must be a lo,hi pair, got 5"),
+    (["solve", "--G", "12", "--cells", "32", "--config", {"dampings": 0.8}],
+     "dampings must be a list of two numbers, got 0.8"),
 ])
-def test_unparsable_values_exit_two(argv, named, capsys):
-    assert main(argv) == 2
+def test_unparsable_values_exit_two(argv, named, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    assert main([str(config) if isinstance(arg, dict) else arg for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key,value", [("repeats", 2.5), ("repeats", True),
@@ -239,6 +255,41 @@ def test_config_dim_must_be_two_or_three(dim, tmp_path, capsys):
     cfg.write_text(json.dumps({"dim": dim}))
     assert main(["solve", "--G", "12", "--cells", "32", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: dim must be the integer 2 or 3, got {dim!r}\n"
+
+
+def test_solve_reports_the_cycle_precision(tmp_path, monkeypatch):
+    """cycle_precision is "single" by default, and "double" for a plan built
+    with precision="double"; a single cycle that overflows reports the
+    fallback, and the solve then runs exactly as the double plan's."""
+    out = tmp_path / "run.json"
+    base = ["solve", "--dim", "2", "--G", "12", "--cells", "32", "--out", str(out)]
+    assert main(base) == 0
+    single = read_json(out)
+    assert single["cycle_precision"] == "single"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "CyclePlan", functools.partial(CyclePlan, precision="double"))
+        assert main(base) == 0
+    double = read_json(out)
+    assert double["cycle_precision"] == "double"
+    assert double["iterations"] == single["iterations"]
+
+    original = multigrid.coarse_solve
+    monkeypatch.setattr(multigrid, "coarse_solve", lambda h, rhs: (
+        1e40 if rhs.dtype == np.complex64 else 1.0) * original(h, rhs))
+    assert main(base) == 0
+    fallback = read_json(out)
+    assert fallback["cycle_precision"] == "single→double fallback"
+    assert fallback["residual_history"] == double["residual_history"]
+
+
+def test_a_non_finite_coarsest_rhs_exits_one(monkeypatch, capsys):
+    def non_finite(hierarchy, rhs):
+        raise FloatingPointError("coarsest-level right-hand side is not finite")
+
+    monkeypatch.setattr(multigrid, "coarse_solve", non_finite)
+    assert main(["solve", "--dim", "2", "--G", "12", "--cells", "32"]) == 1
+    assert capsys.readouterr().err == (
+        "error: coarsest-level right-hand side is not finite\n")
 
 
 def test_shift_table_override(tmp_path, monkeypatch):

@@ -70,6 +70,26 @@ def test_restart_keeps_counting_across_blocks():
     assert len(report.residual_history) == report.iterations + 1
 
 
+@pytest.mark.parametrize("restart,starts", [(None, 1), (5, 5)])
+@pytest.mark.parametrize("warm", [False, True])
+def test_apply_A_runs_once_per_iteration_and_once_per_start(restart, starts, warm):
+    """The true residual is computed once at the end of every start, and
+    before the first only for a nonzero x0: 23 iterations take 23 products
+    plus one per start, plus one for a warm start."""
+    problem = build_problem(2, 32, 12, pad=0)
+    A = assemble_operator(problem, "fourth-order").matrix
+    invd = 1.0 / A.diagonal()
+    b = point_source(problem).ravel()
+    calls = []
+    apply_A = lambda v: calls.append(1) or A @ v
+    x, report = fgmres(apply_A, lambda v: 0.89 * invd * v, b, x0=0.5 * b if warm else None,
+                       restart=restart, tol=1e-12, maxit=23)
+    assert report.iterations == 23 and not report.converged
+    assert len(calls) == report.iterations + starts + warm
+    true_rel = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert report.residual_history[-1] == pytest.approx(true_rel, rel=1e-12)
+
+
 def test_history_monotone_and_final_entry_recomputed():
     problem = build_problem(2, 32, 12, pad=0)
     A = assemble_operator(problem, "fourth-order")

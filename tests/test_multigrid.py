@@ -32,6 +32,13 @@ from conftest import build_problem
 from galerkin_oracle import mass_matrix
 
 
+# Bound on the relative difference between a single-precision cycle and the
+# double one, and on its departure from linearity: float32's unit roundoff
+# 2^-24 = 6e-8 times a margin of about 170 for the roundings a cycle chains.
+# Measured on 2D 32^2 to 128^2 and 3D 8^3 to 24^3: 3.6e-8 and 5.1e-8.
+SINGLE_RTOL = 1e-5
+
+
 def interior_mask(shape):
     mask = np.ones(shape, dtype=bool)
     for ax in range(len(shape)):
@@ -158,19 +165,39 @@ class _KroneckerTransfers:
         return mg._transfer(self.P, v)
 
 
-@pytest.mark.parametrize("intergrid", tuple(INTERGRID))
-@pytest.mark.parametrize("dim,cells", [(2, 32), (3, 8)])
-def test_cycle_matches_the_kronecker_route(dim, cells, intergrid):
+def _kronecker_route(dim, cells, intergrid, precision):
+    """A hierarchy in the given precision, the double Kronecker-route cycle
+    of the same plan, and a random right-hand side."""
     problem = build_problem(dim, cells, 10, pad=4)
-    hier = build_hierarchy(problem, "fourth-order",
-                           CyclePlan(intergrid=intergrid, alpha=1.014, beta=0.03))
+    plan = CyclePlan(intergrid=intergrid, alpha=1.014, beta=0.03, precision="double")
+    double = build_hierarchy(problem, "fourth-order", plan)
     oracle = dataclasses.replace(
-        hier, transfers=tuple(map(_KroneckerTransfers, hier.transfers)))
+        double, transfers=tuple(map(_KroneckerTransfers, double.transfers)))
+    hier = (double if precision == "double" else
+            build_hierarchy(problem, "fourth-order",
+                            dataclasses.replace(plan, precision=precision)))
     rng = np.random.default_rng(53)
     n = hier.levels[0].operator.dofs
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return hier, oracle, b
+
+
+@pytest.mark.parametrize("intergrid", tuple(INTERGRID))
+@pytest.mark.parametrize("dim,cells", [(2, 32), (3, 8)])
+def test_cycle_matches_the_kronecker_route(dim, cells, intergrid):
+    hier, oracle, b = _kronecker_route(dim, cells, intergrid, "double")
     expected = cycle(oracle, b)
     assert np.linalg.norm(cycle(hier, b) - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("intergrid", tuple(INTERGRID))
+@pytest.mark.parametrize("dim,cells", [(2, 32), (3, 8)])
+def test_single_cycle_matches_the_kronecker_route(dim, cells, intergrid):
+    hier, oracle, b = _kronecker_route(dim, cells, intergrid, "single")
+    expected = cycle(oracle, b)
+    got = cycle(hier, b)
+    assert got.dtype == complex and not hier.precision_fallback
+    assert np.linalg.norm(got - expected) <= SINGLE_RTOL * np.linalg.norm(expected)
 
 
 def test_transfer_order_labels():
@@ -350,6 +377,12 @@ def test_uncoarsenable_grids_rejected():
 def test_cycle_plan_validation(bad):
     with pytest.raises(ValueError):
         CyclePlan(**bad)
+
+
+def test_cycle_plan_precision_names_the_value():
+    assert CyclePlan().precision == "single"
+    with pytest.raises(ValueError, match="precision must be one of .* got 'half'"):
+        CyclePlan(precision="half")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -581,7 +614,8 @@ def test_cycle_of_zero_is_zero():
 
 def test_cycle_is_linear_in_the_right_hand_side():
     problem = build_problem(2, 64, 12, pad=0)
-    hier = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.0045))
+    hier = build_hierarchy(problem, "fourth-order",
+                           CyclePlan(alpha=1.0045, precision="double"))
     rng = np.random.default_rng(17)
     n = hier.levels[0].operator.dofs
     b1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -594,10 +628,11 @@ def test_cycle_is_linear_in_the_right_hand_side():
 
 
 @lru_cache(maxsize=None)
-def _small_hierarchy(shape, beta, alpha):
-    problem = build_problem(2, 32, 10, pad=4)
+def _small_hierarchy(shape, beta, alpha, precision="double", dim=2):
+    problem = build_problem(dim, 32 if dim == 2 else 8, 10, pad=4)
     return build_hierarchy(problem, "fourth-order",
-                           CyclePlan(cycle=shape, beta=beta, alpha=alpha))
+                           CyclePlan(cycle=shape, beta=beta, alpha=alpha,
+                                     precision=precision))
 
 
 @settings(max_examples=16, deadline=None)
@@ -617,10 +652,40 @@ def test_cycle_is_linear_for_every_cycle_shape_and_shift(shape, beta, alpha, see
     assert np.linalg.norm(combined - (x1 + scale * x2)) <= 1e-12 * size
 
 
+@settings(max_examples=24, deadline=None)
+@given(dim=st.sampled_from([2, 3]), shape=st.sampled_from(["V", "W"]),
+       beta=st.sampled_from([0.0, 0.03]), alpha=st.sampled_from([1.0, 1.014]),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                allow_infinity=False))
+def test_single_cycle_agrees_with_double_and_is_linear(dim, shape, beta, alpha, seed,
+                                                       scale):
+    """The single-precision cycle equals the double one, and is linear and
+    affine in the start vector, each to float32 rounding."""
+    single = _small_hierarchy(shape, beta, alpha, "single", dim)
+    double = _small_hierarchy(shape, beta, alpha, "double", dim)
+    rng = np.random.default_rng(seed)
+    n = single.levels[0].operator.dofs
+    b1, b2, v = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    x1, x2 = cycle(single, b1), cycle(single, b2)
+    assert x1.dtype == complex
+    expected = cycle(double, b1)
+    assert np.linalg.norm(x1 - expected) <= SINGLE_RTOL * np.linalg.norm(expected)
+
+    combined = cycle(single, b1 + scale * b2)
+    size = np.linalg.norm(x1) + abs(scale) * np.linalg.norm(x2)
+    assert np.linalg.norm(combined - (x1 + scale * x2)) <= SINGLE_RTOL * size
+
+    full = cycle(single, b1, x0=v)
+    split = x1 + cycle(single, np.zeros(n), x0=v)
+    assert np.linalg.norm(full - split) <= SINGLE_RTOL * np.linalg.norm(full)
+    assert not single.precision_fallback
+
+
 def test_cycle_decomposes_into_rhs_and_error_parts():
     """cycle(b, x0) = cycle(b, 0) + cycle(0, x0): affine in the start vector."""
     problem = build_problem(2, 32, 10, pad=0)
-    hier = build_hierarchy(problem, "fourth-order", CyclePlan())
+    hier = build_hierarchy(problem, "fourth-order", CyclePlan(precision="double"))
     rng = np.random.default_rng(23)
     n = hier.levels[0].operator.dofs
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -643,6 +708,114 @@ def test_cycle_contracts_in_the_diffusive_limit():
     v = rng.standard_normal(hier.levels[0].operator.dofs).astype(complex)
     error_after = cycle(hier, np.zeros_like(v), x0=v)
     assert np.linalg.norm(error_after) < 0.3 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("build", ["galerkin", "re-disc"])
+def test_single_levels_share_the_double_pattern(build):
+    """The fine and mid levels carry complex64 values and inverse diagonals
+    over the index arrays of the double CSR, which stays the operator; the
+    coarsest level and a double plan carry none."""
+    problem = build_problem(2, 32, 10, pad=4)
+    plan = CyclePlan(intergrid="bilinear")
+    if build == "galerkin":
+        hier = build_hierarchy(problem, "fourth-order", plan)
+    else:
+        hier = build_rediscretized_hierarchy(problem, plan)
+    for level in hier.levels[:2]:
+        double = level.operator.matrix
+        single, invd = level.single
+        assert double.dtype == complex
+        assert single.dtype == invd.dtype == np.complex64
+        assert np.shares_memory(single.indices, double.indices)
+        assert np.shares_memory(single.indptr, double.indptr)
+        assert np.array_equal(single.data, double.data.astype(np.complex64))
+        assert np.array_equal(invd, level.inverse_diagonal.astype(np.complex64))
+    assert hier.levels[2].single is None
+    for pair in hier.transfers:
+        for singles, doubles in zip(pair.single, (pair.restriction, pair.prolongation)):
+            assert all(band.dtype == np.float32 for band in singles)
+            assert all(np.array_equal(s.toarray(), d.toarray().astype(np.float32))
+                       for s, d in zip(singles, doubles))
+    assert hier.cycle_precision == "single"
+    double = build_hierarchy(problem, "fourth-order", CyclePlan(precision="double"))
+    assert all(level.single is None for level in double.levels)
+    assert all(pair.single is None for pair in double.transfers)
+    assert double.cycle_precision == "double"
+
+
+@pytest.mark.parametrize("magnitude", [1e-40, 1e40])
+def test_single_cycle_holds_any_magnitude(magnitude):
+    """Right-hand sides and start vectors below or above complex64's range
+    cycle in single precision without a fallback, and agree with the double
+    cycle to float32 rounding."""
+    single = _small_hierarchy("W", 0.0, 1.014, "single")
+    double = _small_hierarchy("W", 0.0, 1.014, "double")
+    rng = np.random.default_rng(61)
+    n = single.levels[0].operator.dofs
+    b, v = magnitude * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    for x0 in (None, v):
+        expected = cycle(double, b, x0=x0)
+        got = cycle(single, b, x0=x0)
+        assert np.linalg.norm(got - expected) <= SINGLE_RTOL * np.linalg.norm(expected)
+    assert not single.precision_fallback
+
+
+def test_single_cycle_falls_back_to_double_for_good(monkeypatch):
+    """A coarsest solution beyond float32's range overflows the single cycle;
+    that call returns the double cycle's output, and every later call
+    cycles in double."""
+    problem = build_problem(2, 32, 10, pad=4)
+    single = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.014))
+    double = build_hierarchy(problem, "fourth-order",
+                             CyclePlan(alpha=1.014, precision="double"))
+    original = mg.coarse_solve
+    largest = float(np.finfo(np.float32).max)
+    huge = 1e10 * largest
+    dtypes = []
+
+    def overflowing(hierarchy, rhs):
+        dtypes.append(rhs.dtype)
+        return huge * original(hierarchy, rhs)
+
+    monkeypatch.setattr(mg, "coarse_solve", overflowing)
+    rng = np.random.default_rng(59)
+    n = single.levels[0].operator.dofs
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    # a non-finite input is no overflow: it goes to the double cycle, whose
+    # coarsest solve refuses it, and leaves the hierarchy in single
+    for bad_b, bad_x0 in ((np.where(np.arange(n) == n // 2, np.nan, b), None),
+                          (b, np.full(n, np.inf, dtype=complex))):
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError,
+                                                          match="not finite"):
+            cycle(single, bad_b, x0=bad_x0)
+    assert dtypes == [np.complex128] * 2
+    assert not single.precision_fallback
+    assert single.cycle_precision == "single"
+    dtypes.clear()
+
+    expected = cycle(double, b)
+    assert np.isfinite(expected).all() and np.abs(expected).max() > largest
+    got = cycle(single, b)
+    assert np.array_equal(got, expected)
+    assert single.precision_fallback
+    assert single.cycle_precision == "single→double fallback"
+
+    dtypes.clear()
+    assert np.array_equal(cycle(single, 2 * b), cycle(double, 2 * b))
+    assert dtypes == [np.complex128] * 4
+    assert not double.precision_fallback
+
+
+def test_coarse_solve_rejects_a_non_finite_rhs_without_refactoring():
+    problem = build_problem(2, 16, 10, pad=0)
+    hier = build_hierarchy(problem, "fourth-order", CyclePlan())
+    solver = hier.coarse_solver
+    rhs = np.ones(hier.levels[-1].operator.dofs, dtype=complex)
+    rhs[3] = np.inf
+    with pytest.raises(FloatingPointError, match="not finite"):
+        coarse_solve(hier, rhs)
+    assert hier.coarse_solver is solver and hier.max_coarse_residual == 0.0
 
 
 # ---------------------------------------------------------------- baseline
