@@ -21,17 +21,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .discretization import (HelmholtzProblem, _integer, assemble_operator, load_model,
-                             make_model, omega_for_ppw, point_source)
+from .discretization import (MODEL_KINDS, HelmholtzProblem, _integer, assemble_operator,
+                             load_model, make_model, omega_for_ppw, point_source)
 from .dispersion import (AnalysisConfig, NoCrossingError, export_dispersion_curve,
                          ncrit_bounds, optimize_shift)
 from .frontal import FrontalLU
 from .krylov import checked_maxit, fgmres, stationary_solve
-from .multigrid import (CyclePlan, REDISC_WAVENUMBER_SCALE, build_hierarchy,
+from .multigrid import (CYCLE_CHOICES, CyclePlan, REDISC_WAVENUMBER_SCALE, build_hierarchy,
                         build_rediscretized_hierarchy, cycle)
 from .stencils import INTERGRID
 
@@ -50,60 +51,68 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Flat parameter set shared by the subcommands; JSON round-trippable."""
+    """Flat parameter set shared by the subcommands; JSON round-trippable.
+
+    Every field is parsed once, by its entry in _PARSERS, from flag text or
+    config-file JSON alike (a JSON string is read as flag text), into the
+    canonical JSON form noted beside it. None is allowed where it is the
+    default.
+    """
 
     dim: int = 2
-    G: object = None
+    G: list = None                      # of floats; one value except in tune-shift
     intergrid: str = "cubic"
     phi_resolution: float = 0.1
     alpha_resolution: float = 5e-4
     ray_resolution: float = 1e-3
-    alpha_range: object = (0.98, 1.06)
+    alpha_range: list = (0.98, 1.06)    # [lo, hi]
     angle_resolution: float = 0.01
-    cells: object = None
-    h: object = None
+    cells: list = None                  # of ints, one per axis or one for all
+    h: float = None
     model: str = "homogeneous"
-    kappa2: object = (1.0, 1.0)
-    model_file: object = None
-    model_meta: object = None
+    kappa2: list = (1.0, 1.0)           # [lo, hi]
+    model_file: str = None
+    model_meta: str = None
     scheme: str = "fourth-order"
     cycle: str = "W"
     nu1: int = 1
     nu2: int = 1
-    alpha: object = "auto"
+    alpha: object = "auto"              # "auto" or a float
     beta: float = 0.0
-    dampings: object = None
+    dampings: list = None               # [w1, w2]
     pad: int = 20
     gamma_max: float = 1.0
     free_surface_top: bool = False
-    solver: str = "fgmres"
+    solver: str = "fgmres"              # "fgmres", "fgmres:M" or "stationary"
     tol: float = 1e-6
-    maxit: object = None
+    maxit: int = None
     method: str = "rs-cgc"
-    methods: object = None
-    grids: object = None
+    methods: list = None                # of strings
+    grids: list = None                  # of ints
     repeats: int = 1
     workers: int = 1
-    alpha_scan: object = None
+    alpha_scan: list = None             # [lo, hi, step]
     scan_maxit: int = 12
-    out: object = None
+    out: str = None
 
     def __post_init__(self):
-        if type(self.dim) is not int or self.dim not in (2, 3):
-            raise ConfigError(f"dim must be the integer 2 or 3, got {self.dim!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                setattr(self, f.name, _PARSERS[f.name](value, f.name))
 
     @classmethod
     def from_args(cls, args):
         values = {}
-        path = getattr(args, "config", None)
-        if path:
+        if args.config:
             try:
-                with open(path, encoding="utf-8") as fh:
+                with open(args.config, encoding="utf-8") as fh:
                     loaded = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-            known = {f.name for f in fields(cls)}
-            unknown = set(loaded) - known
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+            if not isinstance(loaded, dict):
+                raise ConfigError(f"config file {args.config} must hold a JSON object")
+            unknown = set(loaded) - {f.name for f in fields(cls)}
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             values.update(loaded)
@@ -119,107 +128,193 @@ class ExperimentConfig:
             fh.write("\n")
 
 
-def _parse_float_list(text, what):
-    try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what}: {text!r}") from exc
+# ---------------------------------------------------------------------------
+# the parse table: value converters, the parsers built from them, and one
+# parser per ExperimentConfig field. A converter raises ValueError (or
+# OverflowError, for an integer too large for a float) on a bad value.
+
+def _number(raw):
+    if isinstance(raw, str):
+        return float(raw)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(raw)
+    return float(raw)
 
 
-def _number(value, what):
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+def _positive(raw):
+    value = _number(raw)
+    if not 0 < value < math.inf:
+        raise ValueError(raw)
+    return value
 
 
-def _positive_G(value):
-    g = _number(value, "G")
-    if not (math.isfinite(g) and g > 0):
-        raise ConfigError(f"G must be finite and positive, got {value!r}")
-    return g
+def _count(raw):
+    return int(raw) if isinstance(raw, str) else _integer(raw, "count")
+
+
+def _text(raw):
+    if not isinstance(raw, str):
+        raise ValueError(raw)
+    return raw
+
+
+def _solver(raw):
+    text = _text(raw).strip().lower().replace("(", ":").rstrip(")")
+    if text in ("fgmres", "stationary"):
+        return text
+    kind, _, restart = text.partition(":")
+    if kind != "fgmres":
+        raise ValueError(raw)
+    return f"fgmres:{int(restart)}"
+
+
+def _choice(options, what=None):
+    """One of options, matched by its text (JSON text for a number or a bool)
+    or by its JSON type and value."""
+    def convert(raw):
+        for option in options:
+            text = option if isinstance(option, str) else json.dumps(option)
+            if raw == text if isinstance(raw, str) else (
+                    type(raw) is type(option) and raw == option):
+                return option
+        raise ValueError(raw)
+    return _one(convert, what or "one of " + ", ".join(options))
+
+
+def _one(convert, what, least=None):
+    """A single value, at least `least` when that is given."""
+    def parse(raw, name):
+        try:
+            value = convert(raw)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{name} must be {what}, got {raw!r}") from None
+        if least is not None and value < least:
+            raise ConfigError(f"{name} must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+def _list(convert, what, least=None, sep=",", sizes=None, whole="a non-empty list"):
+    """A list of `what` items: flag text split at sep, a JSON list, or one JSON
+    value standing for a list of one. It has one of `sizes` items, or any
+    number but none."""
+    item = _one(convert, what, least)
+
+    def parse(raw, name):
+        listed = isinstance(raw, (str, list, tuple))
+        items = ([v for v in (raw.split(sep) if isinstance(raw, str) else raw) if v != ""]
+                 if listed else [raw])
+        try:
+            values = [item(v, name) for v in items]
+        except ConfigError as exc:
+            if items == [raw]:
+                raise
+            raise ConfigError(f"{exc} in {raw!r}") from None
+        if not values or sizes and len(values) not in sizes:
+            shown = tuple(values) if listed and values else raw
+            raise ConfigError(f"{name} must be {whole}, got {shown!r}")
+        return values
+    return parse
+
+
+_NUMBER = _one(_number, "a number")
+_COUNT = _one(_count, "an integer")
+_TEXT = _one(_text, "a string")
+
+_PARSERS = {
+    "dim": _choice((2, 3), "the integer 2 or 3"),
+    "G": _list(_positive, "a finite positive number"),
+    "intergrid": _choice(tuple(INTERGRID)),
+    "phi_resolution": _NUMBER,
+    "alpha_resolution": _NUMBER,
+    "ray_resolution": _NUMBER,
+    "alpha_range": _list(_number, "a number", sep=":", sizes=(2,), whole="a lo:hi pair"),
+    "angle_resolution": _NUMBER,
+    "cells": _list(_count, "an integer", least=1),
+    "h": _NUMBER,
+    "model": _choice(MODEL_KINDS),
+    "kappa2": _list(_number, "a number", sizes=(2,), whole="a lo,hi pair"),
+    "model_file": _TEXT,
+    "model_meta": _TEXT,
+    "scheme": _TEXT,
+    "cycle": _choice(CYCLE_CHOICES),
+    "nu1": _COUNT,
+    "nu2": _COUNT,
+    "alpha": _one(lambda raw: "auto" if raw == "auto" else _number(raw),
+                  "'auto' or a number"),
+    "beta": _NUMBER,
+    "dampings": _list(_number, "a number", sizes=(2,), whole="a list of two numbers"),
+    "pad": _COUNT,
+    "gamma_max": _NUMBER,
+    "free_surface_top": _choice((False, True), "true or false"),
+    "solver": _one(_solver, "fgmres, fgmres:M, or stationary"),
+    "tol": _NUMBER,
+    "maxit": _COUNT,
+    "method": _TEXT,
+    "methods": _list(_text, "a string"),
+    "grids": _list(_count, "an integer", least=1),
+    "repeats": _one(_count, "an integer", least=1),
+    "workers": _one(_count, "an integer", least=1),
+    "alpha_scan": _list(_number, "a number", sep=":", sizes=(2, 3),
+                        whole="lo:hi or lo:hi:step"),
+    "scan_maxit": _one(_count, "an integer", least=0),
+    "out": _TEXT,
+}
 
 
 def _require_G(config):
+    """The one G of a solve, sweep or dispersion run."""
     if config.G is None:
         raise ConfigError("G (points per wavelength) is required; pass --G")
-    return _positive_G(config.G)
+    if len(config.G) != 1:
+        raise ConfigError(f"G must be a single value here, got {config.G}")
+    return config.G[0]
 
 
 def _format_G(g):
-    g = float(g)
     return str(int(g)) if g == int(g) else repr(g)
-
-
-def _counts(raw, what):
-    """A count or a list of counts from a flag (comma list) or a config file
-    (number or list), each parsed with _integer."""
-    if isinstance(raw, str):
-        try:
-            return [int(v) for v in raw.split(",") if v != ""]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse {what}: {raw!r}") from exc
-    try:
-        return [_integer(v, what) for v in (raw if isinstance(raw, (list, tuple))
-                                            else [raw])]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _cells_tuple(config):
     if config.cells is None:
         raise ConfigError("grid size is required; pass --cells")
-    parts = _counts(config.cells, "cells")
-    if not parts or any(v <= 0 for v in parts):
-        raise ConfigError(f"cells must be positive integers, got {config.cells!r}")
-    if len(parts) == 1:
-        parts = parts * config.dim
-    if len(parts) != config.dim:
-        raise ConfigError(f"cells {parts} does not match dim {config.dim}")
-    return tuple(parts)
+    cells = config.cells * config.dim if len(config.cells) == 1 else config.cells
+    if len(cells) != config.dim:
+        raise ConfigError(f"cells {cells} does not match dim {config.dim}")
+    return tuple(cells)
 
 
-def _build_model(config, cells):
-    if config.model_file:
-        model = load_model(config.model_file, config.model_meta)
+def _build_model(config):
+    if config.model_file is not None:
+        if config.model_meta is None:
+            raise ConfigError("model_file needs model_meta, the JSON metadata of "
+                              "the grid; pass --model-meta")
+        try:
+            model = load_model(config.model_file, config.model_meta)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load model {config.model_file} with metadata "
+                              f"{config.model_meta}: {exc}") from exc
         if model.dim != config.dim:
             raise ConfigError(
                 f"model file is {model.dim}D but config dim is {config.dim}")
         return model
-    rng = config.kappa2
-    if isinstance(rng, str):
-        rng = _parse_float_list(rng, "kappa2 range")
-    if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-        raise ConfigError(f"kappa2 must be a lo,hi pair, got {rng!r}")
-    h = _number(config.h, "h") if config.h is not None else 1.0 / cells[0]
+    cells = _cells_tuple(config)
+    h = config.h if config.h is not None else 1.0 / cells[0]
     try:
-        return make_model(config.model, tuple(rng), cells, h)
+        return make_model(config.model, config.kappa2, cells, h)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _build_problem(config):
-    cells = _cells_tuple(config) if not config.model_file else None
-    model = _build_model(config, cells)
-    g = _require_G(config)
-    omega = omega_for_ppw(model, g)
+    model = _build_model(config)
+    omega = omega_for_ppw(model, _require_G(config))
     try:
         return HelmholtzProblem(model, omega, pad=config.pad,
                                 gamma_max=config.gamma_max,
                                 free_surface_top=config.free_surface_top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _dampings(config):
-    if config.dampings is None:
-        return DEFAULT_DAMPINGS[config.dim]
-    raw = config.dampings
-    if isinstance(raw, str):
-        raw = _parse_float_list(raw, "dampings")
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"dampings must be a list of two numbers, got {raw!r}")
-    return tuple(_number(v, "dampings") for v in raw)
 
 
 # ---------------------------------------------------------------------------
@@ -247,39 +342,29 @@ def _load_table(path):
     return table
 
 
-def _analysis_config(config, g):
-    rng = config.alpha_range
-    if isinstance(rng, str):
-        parts = rng.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"alpha range must be lo:hi, got {rng!r}")
-        rng = _parse_float_list(",".join(parts), "alpha range")
-    rng = tuple(float(v) for v in rng)
+def _analysis_config(config, g, **scan):
+    """The analysis of config at g; a shift scan passes its own alpha_range
+    and alpha_resolution."""
+    values = dict(phi_resolution=config.phi_resolution,
+                  alpha_resolution=config.alpha_resolution,
+                  ray_resolution=config.ray_resolution,
+                  alpha_range=tuple(config.alpha_range)) | scan
     try:
-        return AnalysisConfig(dim=config.dim, G=g, intergrid=config.intergrid,
-                              phi_resolution=config.phi_resolution,
-                              alpha_resolution=config.alpha_resolution,
-                              ray_resolution=config.ray_resolution,
-                              alpha_range=rng)
+        return AnalysisConfig(dim=config.dim, G=g, intergrid=config.intergrid, **values)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        scanned = f" (alpha_scan {config.alpha_scan!r})" if scan else ""
+        raise ConfigError(f"{exc}{scanned}") from exc
 
 
 def _resolve_alpha(config, g):
     """config.alpha, with "auto" served from the table or tuned on the fly."""
     if config.alpha != "auto":
-        try:
-            value = float(config.alpha)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"alpha must be 'auto' or a number, got "
-                              f"{config.alpha!r}") from exc
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"alpha must be finite and positive, got {value}")
-        return value
+        return config.alpha
     key = f"{config.dim}:{_format_G(g)}:{config.intergrid}"
     entry = _load_table(_table_path()).get(key)
     if entry is not None:
-        return float(entry["alpha_star"])
+        return _NUMBER(entry.get("alpha_star") if isinstance(entry, dict) else None,
+                       f"alpha_star of shift table entry {key}")
     logger.warning("shift table has no entry %s; tuning now", key)
     alpha_star, _, _ = optimize_shift(_analysis_config(config, g))
     return alpha_star
@@ -302,7 +387,7 @@ def _parse_method(spec, config, g):
 
     Grammar: rs-cgc | cslp:BETA[:INTERGRID] | rs-cgc+cslp[:BETA] | re-disc.
     """
-    parts = str(spec).strip().split(":")
+    parts = spec.strip().split(":")
     name = parts[0]
     if name == "rs-cgc" and len(parts) == 1:
         return "galerkin", _resolve_alpha(config, g), config.beta, config.intergrid
@@ -323,7 +408,7 @@ def _build_method_hierarchy(problem, config, kind, alpha, beta, intergrid):
     try:
         plan = CyclePlan(cycle=config.cycle, nu1=config.nu1, nu2=config.nu2,
                          intergrid=intergrid, alpha=alpha, beta=beta,
-                         dampings=_dampings(config))
+                         dampings=config.dampings or DEFAULT_DAMPINGS[config.dim])
         if kind == "re-disc":
             return build_rediscretized_hierarchy(problem, plan)
         return build_hierarchy(problem, config.scheme, plan)
@@ -331,36 +416,20 @@ def _build_method_hierarchy(problem, config, kind, alpha, beta, intergrid):
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_solver(spec):
-    text = str(spec).strip().lower().replace("(", ":").rstrip(")")
-    if text == "stationary":
-        return "stationary", None
-    if text == "fgmres":
-        return "fgmres", None
-    if text.startswith("fgmres:"):
-        try:
-            restart = int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad solver spec {spec!r}") from exc
-        if restart < 1:
-            raise ConfigError(f"restart must be at least 1, got {restart}")
-        return "fgmres", restart
-    raise ConfigError(f"unknown solver {spec!r}; expected fgmres, "
-                      f"fgmres:M, or stationary")
-
-
-def _checked_maxit(tol, maxit, restart=None):
-    """krylov.checked_maxit, with a bad limit as a ConfigError."""
-    try:
-        return checked_maxit(tol, maxit, restart)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _restart(config):
+    """The FGMRES restart length of config.solver; None for full FGMRES or the
+    stationary solver."""
+    _, _, restart = config.solver.partition(":")
+    return int(restart) if restart else None
 
 
 def _maxit(config):
-    """The iteration cap of the config's solver, with tol, maxit and restart
-    checked."""
-    return _checked_maxit(config.tol, config.maxit, _parse_solver(config.solver)[1])
+    """The iteration cap of the config's solver; krylov.checked_maxit checks
+    tol, maxit and restart."""
+    try:
+        return checked_maxit(config.tol, config.maxit, _restart(config))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _outer_operator(config, problem, hierarchy):
@@ -370,7 +439,7 @@ def _outer_operator(config, problem, hierarchy):
     exactly the hierarchy's fine level; only a complex-shifted hierarchy
     needs a separate assembly.
     """
-    if _parse_solver(config.solver)[0] == "stationary":
+    if config.solver == "stationary":
         if hierarchy.plan.beta > 0:
             raise ConfigError("the stationary solver iterates on the operator it "
                               "is built from; beta must be 0")
@@ -381,26 +450,20 @@ def _outer_operator(config, problem, hierarchy):
 
 
 def _run_solver(problem, config, hierarchy, outer):
-    solver, restart = _parse_solver(config.solver)
     b = point_source(problem).ravel()
-    if solver == "stationary":
+    if config.solver == "stationary":
         return stationary_solve(hierarchy, b, tol=config.tol, maxit=_maxit(config))
     return fgmres(lambda v: outer @ v,
                   lambda r: cycle(hierarchy, r),
-                  b, restart=restart, tol=config.tol, maxit=_maxit(config))
+                  b, restart=_restart(config), tol=config.tol, maxit=_maxit(config))
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
 def _write_rows(rows, columns, out):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns)
+    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -420,12 +483,9 @@ def _write_json(payload, out):
 def cmd_tune_shift(config, write_table=None, fmt="csv"):
     if config.G is None:
         raise ConfigError("G is required; pass --G (comma list allowed)")
-    gs = [_positive_G(g) for g in _parse_float_list(config.G, "G list")]
-    if not gs:
-        raise ConfigError("G list is empty")
     table = _load_table(write_table) if write_table else {}
     rows = []
-    for g in gs:
+    for g in config.G:
         acfg = _analysis_config(config, g)
         alpha_star, max_eg, _ = optimize_shift(acfg)
         lo, hi = ncrit_bounds(g, max_eg)
@@ -497,11 +557,8 @@ def cmd_solve(config):
     return 0 if report.converged else 1
 
 
-def _sweep_cell(payload):
+def _sweep_cell(config):
     """One (grid, method) sweep cell; module-level so workers can import it."""
-    config = ExperimentConfig(**payload["config"])
-    config.cells = payload["grid"]
-    config.method = payload["method"]
     g = _require_G(config)
     problem = _build_problem(config)
     kind, alpha, beta, intergrid = _parse_method(config.method, config, g)
@@ -510,7 +567,7 @@ def _sweep_cell(payload):
     outer = _outer_operator(config, problem, hierarchy)
     setup_seconds = time.perf_counter() - start
     reports = []
-    for _ in range(payload["repeats"] + 1):     # first run is the warm-up
+    for _ in range(config.repeats + 1):     # first run is the warm-up
         x, report = _run_solver(problem, config, hierarchy, outer)
         reports.append(report)
     measured = reports[1:]
@@ -531,32 +588,15 @@ def _sweep_cell(payload):
 
 
 def cmd_sweep(config):
-    if not config.grids:
-        raise ConfigError("grid list is empty; pass --grids N1,N2,...")
-    grids = _counts(config.grids, "grids")
-    if not grids:
-        raise ConfigError("grid list is empty; pass --grids N1,N2,...")
-    methods = config.methods if config.methods is not None else [config.method]
-    if isinstance(methods, str):
-        methods = [m for m in methods.split(",") if m != ""]
-    if not methods:
-        raise ConfigError("method list is empty")
+    if config.grids is None:
+        raise ConfigError("grid list is required; pass --grids N1,N2,...")
+    methods = config.methods or [config.method]
     g = _require_G(config)
     _maxit(config)
     for m in methods:
         _parse_method(m, config, g)     # validate before spending solve time
-    for name in ("repeats", "workers"):
-        value = getattr(config, name)
-        try:
-            count = _integer(value, name)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if count < 1:
-            raise ConfigError(f"{name} must be at least 1, got {value!r}")
-    base = asdict(config)
-    base["cells"] = None
-    jobs = [{"config": base, "grid": grid, "method": method, "repeats": config.repeats}
-            for grid in grids for method in methods]
+    jobs = [replace(config, cells=grid, method=method)
+            for grid in config.grids for method in methods]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(_sweep_cell, jobs))
@@ -566,21 +606,6 @@ def cmd_sweep(config):
                "iters", "converged", "setup_seconds", "seconds"]
     _write_rows(rows, columns, config.out)
     return 0
-
-
-def _parse_alpha_scan(text):
-    parts = str(text).split(":")
-    if len(parts) not in (2, 3):
-        raise ConfigError(f"alpha scan must be lo:hi or lo:hi:step, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 0.005
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse alpha scan {text!r}") from exc
-    if not (0 < lo < hi < math.inf and 0 < step < math.inf):
-        raise ConfigError(f"alpha scan needs 0 < lo < hi and a positive step, "
-                          f"all finite, got {text!r}")
-    return lo, hi, step
 
 
 def _convergence_factor(history):
@@ -593,25 +618,24 @@ def _convergence_factor(history):
 
 def cmd_dispersion(config):
     g = _require_G(config)
-    acfg = _analysis_config(config, g)
     if config.alpha_scan is not None:
-        lo, hi, step = _parse_alpha_scan(config.alpha_scan)
-        scan_maxit = _checked_maxit(1e-30, config.scan_maxit)
-        _, _, scan = optimize_shift(replace(acfg, alpha_range=(lo, hi),
-                                            alpha_resolution=step))
+        lo, hi, step = (config.alpha_scan + [0.005])[:3]
+        acfg = _analysis_config(config, g, alpha_range=(lo, hi), alpha_resolution=step)
+        problem = _build_problem(config)
+        _, _, scan = optimize_shift(acfg)
         alphas = scan.alphas
         eg_max = np.abs(scan.errors).max(axis=1)
-        problem = _build_problem(config)
         rows = []
         for alpha, eg in zip(alphas, eg_max):
             hier = _build_method_hierarchy(problem, config, "galerkin",
                                            float(alpha), 0.0, config.intergrid)
             b = point_source(problem).ravel()
-            _, report = stationary_solve(hier, b, tol=1e-30, maxit=scan_maxit)
+            _, report = stationary_solve(hier, b, tol=1e-30, maxit=config.scan_maxit)
             rows.append({"alpha": f"{alpha:.6g}", "e_g_max": f"{eg:.6e}",
                          "conv_factor": f"{_convergence_factor(report.residual_history):.4f}"})
         _write_rows(rows, ["alpha", "e_g_max", "conv_factor"], config.out)
         return 0
+    acfg = _analysis_config(config, g)
     alpha = _resolve_alpha(config, g)
     try:
         curve = export_dispersion_curve(acfg, alpha,
@@ -627,47 +651,39 @@ def cmd_dispersion(config):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--emit-config", dest="emit_config",
-                     help="write the merged config to this path")
-    sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--dim", type=int, choices=(2, 3))
-    sub.add_argument("--G", help="points per wavelength on the fine grid")
-    sub.add_argument("--intergrid", choices=tuple(INTERGRID))
-
-
-def _add_analysis(sub):
-    sub.add_argument("--phi-resolution", dest="phi_resolution", type=float)
-    sub.add_argument("--alpha-resolution", dest="alpha_resolution", type=float)
-    sub.add_argument("--ray-resolution", dest="ray_resolution", type=float)
-    sub.add_argument("--alpha-range", dest="alpha_range",
-                     help="shift search interval lo:hi")
-
-
-def _add_problem(sub):
-    sub.add_argument("--cells", help="interior cells per axis, before padding")
-    sub.add_argument("--h", type=float, help="mesh width (default 1/cells)")
-    sub.add_argument("--model", choices=("homogeneous", "linear", "wedge"))
-    sub.add_argument("--kappa2", help="squared-slowness range lo,hi")
-    sub.add_argument("--model-file", dest="model_file",
-                     help="binary slowness/velocity grid")
-    sub.add_argument("--model-meta", dest="model_meta",
-                     help="JSON metadata for --model-file")
-    sub.add_argument("--pad", type=int)
-    sub.add_argument("--gamma-max", dest="gamma_max", type=float)
-    sub.add_argument("--free-surface-top", dest="free_surface_top",
-                     action="store_const", const=True)
-    sub.add_argument("--scheme")
-    sub.add_argument("--cycle", choices=("V", "W"))
-    sub.add_argument("--nu1", type=int)
-    sub.add_argument("--nu2", type=int)
-    sub.add_argument("--alpha", help="real shift, or 'auto' for the tuned table")
-    sub.add_argument("--beta", type=float, help="relative complex shift")
-    sub.add_argument("--dampings", help="per-level Jacobi dampings w1,w2")
-    sub.add_argument("--solver", help="fgmres, fgmres:M, or stationary")
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--maxit", type=int)
+# The ExperimentConfig fields each subcommand takes as flags (--name-with-dashes),
+# with their help.
+_COMMON = {"out": "output path (default stdout)", "dim": "2 or 3",
+           "G": "points per wavelength on the fine grid (tune-shift: a comma list)",
+           "intergrid": "one of " + ", ".join(INTERGRID)}
+_ANALYSIS = {"phi_resolution": None, "alpha_resolution": None, "ray_resolution": None,
+             "alpha_range": "shift search interval lo:hi"}
+_GRID = {"cells": "interior cells per axis, before padding",
+         "h": "mesh width (default 1/cells)", "model": "one of " + ", ".join(MODEL_KINDS),
+         "kappa2": "squared-slowness range lo,hi", "pad": None, "gamma_max": None,
+         "cycle": "V or W", "dampings": "per-level Jacobi dampings w1,w2", "scheme": None}
+_ALPHA = {"alpha": "real shift, or 'auto' for the tuned table"}
+_SOLVE = _GRID | _ALPHA | {
+    "model_file": "binary slowness/velocity grid; needs --model-meta",
+    "model_meta": "JSON metadata for --model-file", "free_surface_top": None,
+    "nu1": None, "nu2": None, "beta": "relative complex shift",
+    "solver": "fgmres, fgmres:M, or stationary", "tol": None, "maxit": None}
+_COMMANDS = {
+    "tune-shift": ("optimize the real shift", _COMMON | _ANALYSIS,
+                   lambda cfg, args: cmd_tune_shift(cfg, args.write_table, args.format)),
+    "dispersion": ("export dispersion curves", _COMMON | _ANALYSIS | _GRID | _ALPHA | {
+        "angle_resolution": None, "scan_maxit": None,
+        "alpha_scan": "lo:hi[:step]; pairs e_g with measured convergence factors "
+                      "on --cells"}, lambda cfg, args: cmd_dispersion(cfg)),
+    "solve": ("solve one problem", _COMMON | _SOLVE | {
+        "method": "rs-cgc, cslp:BETA[:INTERGRID], rs-cgc+cslp[:BETA], or re-disc"},
+        lambda cfg, args: cmd_solve(cfg)),
+    "sweep": ("iterate grids x methods into a CSV", _COMMON | _SOLVE | {
+        "grids": "comma list of interior cell counts",
+        "methods": "comma list of method specs",
+        "repeats": "timed repeats per cell after one warm-up",
+        "workers": "parallel sweep processes"}, lambda cfg, args: cmd_sweep(cfg)),
+}
 
 
 def _build_parser():
@@ -675,58 +691,22 @@ def _build_parser():
         prog="rscgc",
         description="Helmholtz multigrid with a real-shifted coarsest level")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    tune = sub.add_parser("tune-shift", help="optimize the real shift")
-    _add_common(tune)
-    _add_analysis(tune)
+    for command, (text, flags, _) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        cmd.add_argument("--config", help="JSON config file; flags override it")
+        cmd.add_argument("--emit-config", dest="emit_config",
+                         help="write the merged config to this path")
+        for name, help in flags.items():
+            flag = "--" + name.replace("_", "-")
+            if name == "free_surface_top":
+                cmd.add_argument(flag, dest=name, action="store_const", const=True)
+            else:
+                cmd.add_argument(flag, dest=name, help=help)
+    tune = sub.choices["tune-shift"]
     tune.add_argument("--format", choices=("csv", "json"), default="csv")
     tune.add_argument("--write-table", dest="write_table",
                       help="merge the tuned rows into this JSON table")
-
-    disp = sub.add_parser("dispersion", help="export dispersion curves")
-    _add_common(disp)
-    _add_analysis(disp)
-    disp.add_argument("--alpha", help="real shift, or 'auto' for the tuned table")
-    disp.add_argument("--angle-resolution", dest="angle_resolution", type=float)
-    disp.add_argument("--alpha-scan", dest="alpha_scan",
-                      help="lo:hi[:step]; pairs e_g with measured convergence "
-                           "factors on --cells")
-    disp.add_argument("--scan-maxit", dest="scan_maxit", type=int)
-    disp.add_argument("--cells")
-    disp.add_argument("--h", type=float)
-    disp.add_argument("--model", choices=("homogeneous", "linear", "wedge"))
-    disp.add_argument("--kappa2")
-    disp.add_argument("--pad", type=int)
-    disp.add_argument("--gamma-max", dest="gamma_max", type=float)
-    disp.add_argument("--cycle", choices=("V", "W"))
-    disp.add_argument("--dampings")
-    disp.add_argument("--scheme")
-
-    solve = sub.add_parser("solve", help="solve one problem")
-    _add_common(solve)
-    _add_problem(solve)
-    solve.add_argument("--method",
-                       help="rs-cgc, cslp:BETA[:INTERGRID], rs-cgc+cslp[:BETA], "
-                            "or re-disc")
-
-    sweep = sub.add_parser("sweep", help="iterate grids x methods into a CSV")
-    _add_common(sweep)
-    _add_problem(sweep)
-    sweep.add_argument("--grids", help="comma list of interior cell counts")
-    sweep.add_argument("--methods", help="comma list of method specs")
-    sweep.add_argument("--repeats", type=int,
-                       help="timed repeats per cell after one warm-up")
-    sweep.add_argument("--workers", type=int,
-                       help="parallel sweep processes")
     return parser
-
-
-_HANDLERS = {
-    "tune-shift": lambda cfg, args: cmd_tune_shift(cfg, args.write_table, args.format),
-    "dispersion": lambda cfg, args: cmd_dispersion(cfg),
-    "solve": lambda cfg, args: cmd_solve(cfg),
-    "sweep": lambda cfg, args: cmd_sweep(cfg),
-}
 
 
 def main(argv=None):
@@ -736,7 +716,7 @@ def main(argv=None):
         config = ExperimentConfig.from_args(args)
         if getattr(args, "emit_config", None):
             config.emit(args.emit_config)
-        return _HANDLERS[args.command](config, args)
+        return _COMMANDS[args.command][2](config, args)
     except (ConfigError, NoCrossingError) as exc:
         # NoCrossingError: the stencil cannot resolve the given alpha or G
         print(f"error: {exc}", file=sys.stderr)

@@ -132,19 +132,29 @@ def make_model(kind, kappa2_range, cells, h):
 
 
 def load_model(path, meta):
-    """Read a raw little-endian float32 grid plus its JSON sidecar.
+    """Read a raw little-endian float32 grid described by its JSON metadata.
 
     `meta` is either a mapping or a path to a JSON file with keys dim, shape
     (nodes per axis), h, and kind in {velocity, slowness, slowness-squared}.
     Velocities are in km/s and convert through kappa^2 = 1/v^2. The file is
-    row-major with the last axis fastest.
+    row-major with the last axis fastest. Metadata that is missing a key or
+    holds a bad value is a ValueError that names it.
     """
     if not isinstance(meta, Mapping):
         meta = json.loads(Path(meta).read_text())
-    dim = int(meta["dim"])
-    shape = tuple(int(s) for s in meta["shape"])
-    h = float(meta["h"])
-    kind = meta["kind"]
+    if not isinstance(meta, Mapping):
+        raise ValueError(f"model metadata must be a JSON object, got {meta!r}")
+    missing = [key for key in ("dim", "shape", "h", "kind") if key not in meta]
+    if missing:
+        raise ValueError(f"model metadata is missing {missing}")
+    dim = _integer(meta["dim"], "metadata dim")
+    if not isinstance(meta["shape"], (list, tuple)):
+        raise ValueError(f"metadata shape must be a list, got {meta['shape']!r}")
+    shape = tuple(_integer(s, f"node count in metadata shape {meta['shape']!r}")
+                  for s in meta["shape"])
+    h, kind = meta["h"], meta["kind"]
+    if isinstance(h, bool) or not isinstance(h, numbers.Real):
+        raise ValueError(f"metadata h must be a number, got {h!r}")
     if len(shape) != dim:
         raise ValueError(f"metadata dim {dim} does not match shape {shape}")
     if kind not in VALUE_KINDS:
@@ -167,7 +177,7 @@ def load_model(path, meta):
     else:
         kappa2 = values
     cells = tuple(s - 1 for s in shape)
-    return SlownessModel(dim, cells, h, kappa2)
+    return SlownessModel(dim, cells, float(h), kappa2)
 
 
 def omega_for_ppw(model, G):

@@ -1,7 +1,10 @@
 """End-to-end runs of the command-line driver, in process."""
 
+import ast
 import csv
+import dataclasses
 import functools
+import inspect
 import json
 import logging
 import math
@@ -12,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rscgc
 from rscgc import cli, multigrid
@@ -221,16 +225,85 @@ def test_solve_rejects_bad_arguments(capsys):
      "kappa2 must be a lo,hi pair, got 5"),
     (["solve", "--G", "12", "--cells", "32", "--config", {"dampings": 0.8}],
      "dampings must be a list of two numbers, got 0.8"),
+    (["solve", "--G", "12", "--cells", "32", "--config", {"beta": "abc"}],
+     "beta must be a number, got 'abc'"),
+    (["solve", "--G", "12", "--cells", "32", "--config", {"gamma_max": "x"}],
+     "gamma_max must be a number, got 'x'"),
+    (["dispersion", "--G", "12", "--config", {"phi_resolution": "x"}],
+     "phi_resolution must be a number, got 'x'"),
+    (["dispersion", "--G", "12", "--config", {"alpha_range": 5}],
+     "alpha_range must be a lo:hi pair, got 5"),
+    (["dispersion", "--G", "12", "--config", {"alpha_range": ["a", 1]}],
+     "alpha_range must be a number, got 'a' in ['a', 1]"),
+    (["sweep", "--G", "12", "--grids", "16", "--config", {"methods": 5}],
+     "methods must be a string, got 5"),
+    (["solve", "--G", "12", "--cells", "32", "--config", {"free_surface_top": "no"}],
+     "free_surface_top must be true or false, got 'no'"),
+    (["solve", "--cells", "32", "--config", {"G": True}],
+     "G must be a finite positive number, got True"),
+    (["solve", "--G", "12", "--cells", "32", "--config", {"intergrid": "foo"}],
+     "intergrid must be one of cubic, level-dependent, bilinear, got 'foo'"),
+    (["dispersion", "--G", "12", "--alpha-scan", "1:1.01", "--cells", "32",
+      "--config", {"scan_maxit": "x"}], "scan_maxit must be an integer, got 'x'"),
+    (["dispersion", "--G", "12", "--alpha-scan", "1.02:1.01", "--cells", "32"],
+     "(alpha_scan [1.02, 1.01])"),
+    # model files: m.bin holds a 17 x 17 grid; a dict after --model-meta is
+    # the metadata file
+    (["solve", "--G", "12", "--model-file", "m.bin"], "model_file needs model_meta"),
+    (["solve", "--G", "12", "--model-file", "m.bin", "--model-meta",
+      {"dim": 2, "shape": [17, 17], "kind": "slowness"}], "model metadata is missing ['h']"),
+    (["solve", "--G", "12", "--model-file", "m.bin", "--model-meta",
+      {"dim": "x", "shape": [17, 17], "h": 0.0625, "kind": "slowness"}],
+     "metadata dim must be an integer, got 'x'"),
+    (["solve", "--G", "12", "--model-file", "m.bin", "--model-meta",
+      {"dim": 2, "shape": [17, 17], "h": "nan", "kind": "slowness"}],
+     "metadata h must be a number, got 'nan'"),
+    (["solve", "--G", "12", "--model-file", "absent.bin", "--model-meta",
+      {"dim": 2, "shape": [17, 17], "h": 0.0625, "kind": "slowness"}], "absent.bin"),
 ])
-def test_unparsable_values_exit_two(argv, named, tmp_path, capsys):
-    config = tmp_path / "cfg.json"
-    for arg in argv:
+def test_unparsable_values_exit_two(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    np.ones(17 * 17, dtype="<f4").tofile("m.bin")
+    for i, arg in enumerate(argv):
         if isinstance(arg, dict):
-            config.write_text(json.dumps(arg))
-    assert main([str(config) if isinstance(arg, dict) else arg for arg in argv]) == 2
+            (tmp_path / f"{i}.json").write_text(json.dumps(arg))
+    assert main([str(tmp_path / f"{i}.json") if isinstance(arg, dict) else arg
+                 for i, arg in enumerate(argv)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    (["solve", "--G", "12", "--cells", "32"], {"intergrid": "foo"}),
+    (["dispersion", "--G", "12"], {"alpha_range": 5}),
+])
+def test_bad_config_values_are_rejected_before_tuning(command, cfg, tmp_path, monkeypatch,
+                                                      capsys, caplog):
+    def no_tuning(config):
+        raise AssertionError("tuned before checking the config")
+
+    monkeypatch.setattr("rscgc.cli.optimize_shift", no_tuning)
+    monkeypatch.setenv("HELM_SHIFT_TABLE", str(tmp_path / "absent.json"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with caplog.at_level(logging.WARNING, logger="rscgc.cli"):
+        assert main(command + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {next(iter(cfg))} must be")
+    assert not [r for r in caplog.records if "tuning now" in r.getMessage()]
+
+
+def test_solve_from_a_model_file(tmp_path):
+    """A 16-cell slowness grid described by its metadata file."""
+    grid, meta, out = tmp_path / "m.bin", tmp_path / "m.json", tmp_path / "run.json"
+    np.full(17 * 17, 0.5, dtype="<f4").tofile(grid)
+    meta.write_text(json.dumps({"dim": 2, "shape": [17, 17], "h": 0.0625,
+                                "kind": "slowness"}))
+    assert main(["solve", "--G", "12", "--pad", "8", "--model-file", str(grid),
+                 "--model-meta", str(meta), "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert payload["grid"] == [16, 16] and payload["padded_shape"] == [33, 33]
+    assert payload["converged"] is True
 
 
 @pytest.mark.parametrize("key,value", [("repeats", 2.5), ("repeats", True),
@@ -303,6 +376,16 @@ def test_shift_table_override(tmp_path, monkeypatch):
     assert read_json(out)["alpha"] == 1.03
 
 
+@pytest.mark.parametrize("entry", [5, {"alpha_star": "x"}, {"max_eg": 0.1}])
+def test_a_malformed_shift_table_entry_exits_two(entry, tmp_path, monkeypatch, capsys):
+    table = tmp_path / "custom.json"
+    table.write_text(json.dumps({"2:12:cubic": entry}))
+    monkeypatch.setenv("HELM_SHIFT_TABLE", str(table))
+    assert main(["solve", "--dim", "2", "--G", "12", "--cells", "32"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: alpha_star of shift table entry 2:12:cubic must be a number, got ")
+
+
 def test_missing_table_entry_triggers_tuning(tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("HELM_SHIFT_TABLE", str(tmp_path / "absent.json"))
     cfg = tmp_path / "cfg.json"
@@ -332,6 +415,79 @@ def test_tuning_notice_reaches_stderr_without_logging_setup(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stderr == "shift table has no entry 2:12:cubic; tuning now\n"
+
+
+def test_config_file_values_read_as_flag_text(tmp_path):
+    """A JSON string in a config file is read as the flag text would be, and a
+    list as the comma list: both give the same config."""
+    from_flags, from_file = tmp_path / "flags.json", tmp_path / "file.json"
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    cfg.write_text(json.dumps({"G": [10, 12], "alpha_range": "1.0:1.01", "dim": "2",
+                               "phi_resolution": "0.1", "out": str(out)}))
+    assert main(["tune-shift", "--G", "10,12", "--alpha-range", "1.0:1.01",
+                 "--emit-config", str(from_flags), "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert main(["tune-shift", "--config", str(cfg), "--emit-config", str(from_file)]) == 0
+    assert from_flags.read_text() == from_file.read_text()
+    assert read_csv(out) == rows and [row["G"] for row in rows] == ["10", "12"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tune-shift", "--G", "12", "--alpha-range", "1.0:1.01", "--intergrid",
+     "level-dependent"],
+    ["dispersion", "--dim", "2", "--G", "12", "--alpha", "1.0045",
+     "--angle-resolution", "0.1", "--dampings", "0.8,0.8"],
+    ["solve", "--G", "12", "--cells", "16,16", "--model", "wedge", "--kappa2", "0.25,1",
+     "--solver", "FGMRES(20)", "--tol", "1e-7", "--free-surface-top", "--pad", "8"],
+    ["sweep", "--G", "10", "--grids", "16,", "--methods", "rs-cgc,cslp:0.3",
+     "--maxit", "50", "--repeats", "1"],
+], ids=lambda argv: argv[0])
+def test_emit_config_round_trip_is_exact(argv, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    out = ["--out", str(tmp_path / "out")]
+    assert main(argv + out + ["--emit-config", str(first)]) == 0
+    assert main([argv[0], "--config", str(first), "--emit-config", str(second)] + out) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_every_field_has_one_parser_and_every_flag_is_a_field():
+    """Adding a config field without a parser, or a flag that is not a field,
+    fails here."""
+    names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert len(names) == 35
+    table, = [node.value for node in ast.walk(ast.parse(inspect.getsource(cli)))
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) == "_PARSERS"]
+    assert sorted(key.value for key in table.keys) == sorted(names)
+    assert sorted(cli._PARSERS) == sorted(names)
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    assert sorted(commands) == ["dispersion", "solve", "sweep", "tune-shift"]
+    other = {"help", "config", "emit_config", "command", "format", "write_table"}
+    for command, parser in commands.items():
+        dests = [action.dest for action in parser._actions]
+        assert len(dests) == len(set(dests)), command
+        assert set(dests) - other <= set(names), command
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda items: st.lists(items, max_size=4) | st.dictionaries(st.text(), items, max_size=3),
+    max_leaves=8)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cli.ExperimentConfig)])
+@settings(max_examples=60, deadline=None)
+@given(value=_JSON | st.sampled_from(["2", "12", "1,2", "1:2", "1:2:0.1", "-1", "nan",
+                                      "inf", "true", "auto", "cubic", "fgmres:3"]))
+def test_any_json_value_parses_or_is_a_config_error(name, value):
+    """Whatever parses re-parses from its own JSON to the same JSON."""
+    try:
+        config = cli.ExperimentConfig(**{name: value})
+    except cli.ConfigError:
+        return
+    text = json.dumps(dataclasses.asdict(config), sort_keys=True)
+    again = cli.ExperimentConfig(**json.loads(text))
+    assert json.dumps(dataclasses.asdict(again), sort_keys=True) == text
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
