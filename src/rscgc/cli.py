@@ -382,33 +382,42 @@ def _method_beta(parts, default, spec):
         raise ConfigError(f"cannot parse beta {parts[1]!r} in method {spec!r}") from exc
 
 
+def _cycle_plan(config, alpha, beta, intergrid):
+    """The CyclePlan of config with the given shifts and intergrid scheme."""
+    try:
+        return CyclePlan(cycle=config.cycle, nu1=config.nu1, nu2=config.nu2,
+                         intergrid=intergrid, alpha=alpha, beta=beta,
+                         dampings=config.dampings or DEFAULT_DAMPINGS[config.dim])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _parse_method(spec, config, g):
-    """Return (kind, alpha, beta, intergrid) for a method string.
+    """Return (kind, CyclePlan) for a method string, checked before any
+    problem is built.
 
     Grammar: rs-cgc | cslp:BETA[:INTERGRID] | rs-cgc+cslp[:BETA] | re-disc.
     """
     parts = spec.strip().split(":")
     name = parts[0]
     if name == "rs-cgc" and len(parts) == 1:
-        return "galerkin", _resolve_alpha(config, g), config.beta, config.intergrid
-    if name == "cslp":
-        beta = _method_beta(parts, 0.1, spec)
+        shifts = _resolve_alpha(config, g), config.beta, config.intergrid
+    elif name == "cslp":
         intergrid = parts[2] if len(parts) > 2 else config.intergrid
-        return "galerkin", 1.0, beta, intergrid
-    if name == "rs-cgc+cslp":
+        shifts = 1.0, _method_beta(parts, 0.1, spec), intergrid
+    elif name == "rs-cgc+cslp":
         beta = _method_beta(parts, 0.03, spec)
-        return "galerkin", _resolve_alpha(config, g), beta, config.intergrid
-    if name == "re-disc" and len(parts) == 1:
-        return "re-disc", REDISC_WAVENUMBER_SCALE, 0.0, "bilinear"
-    raise ConfigError(f"unknown method {spec!r}; expected rs-cgc, "
-                      f"cslp:BETA[:INTERGRID], rs-cgc+cslp[:BETA], or re-disc")
+        shifts = _resolve_alpha(config, g), beta, config.intergrid
+    elif name == "re-disc" and len(parts) == 1:
+        return "re-disc", _cycle_plan(config, REDISC_WAVENUMBER_SCALE, 0.0, "bilinear")
+    else:
+        raise ConfigError(f"unknown method {spec!r}; expected rs-cgc, "
+                          f"cslp:BETA[:INTERGRID], rs-cgc+cslp[:BETA], or re-disc")
+    return "galerkin", _cycle_plan(config, *shifts)
 
 
-def _build_method_hierarchy(problem, config, kind, alpha, beta, intergrid):
+def _build_method_hierarchy(problem, config, kind, plan):
     try:
-        plan = CyclePlan(cycle=config.cycle, nu1=config.nu1, nu2=config.nu2,
-                         intergrid=intergrid, alpha=alpha, beta=beta,
-                         dampings=config.dampings or DEFAULT_DAMPINGS[config.dim])
         if kind == "re-disc":
             return build_rediscretized_hierarchy(problem, plan)
         return build_hierarchy(problem, config.scheme, plan)
@@ -520,11 +529,11 @@ def _lu_fill(lu):
 
 def cmd_solve(config):
     _maxit(config)      # check the solver limits before spending set-up time
-    problem = _build_problem(config)
+    problem = _build_problem(config)    # cheap checks before a possible tuning
     g = _require_G(config)
-    kind, alpha, beta, intergrid = _parse_method(config.method, config, g)
+    kind, plan = _parse_method(config.method, config, g)
     start = time.perf_counter()
-    hierarchy = _build_method_hierarchy(problem, config, kind, alpha, beta, intergrid)
+    hierarchy = _build_method_hierarchy(problem, config, kind, plan)
     outer = _outer_operator(config, problem, hierarchy)
     built = time.perf_counter()
     x, report = _run_solver(problem, config, hierarchy, outer)
@@ -536,9 +545,9 @@ def cmd_solve(config):
         "padded_shape": list(problem.padded_shape),
         "dofs": int(np.prod(problem.padded_shape)),
         "G": float(g),
-        "alpha": alpha,
-        "beta": beta,
-        "intergrid": intergrid,
+        "alpha": plan.alpha,
+        "beta": plan.beta,
+        "intergrid": plan.intergrid,
         "cycle": f"{config.cycle}({config.nu1},{config.nu2})",
         "iterations": report.iterations,
         "converged": report.converged,
@@ -557,13 +566,12 @@ def cmd_solve(config):
     return 0 if report.converged else 1
 
 
-def _sweep_cell(config):
-    """One (grid, method) sweep cell; module-level so workers can import it."""
-    g = _require_G(config)
+def _sweep_cell(config, kind, plan):
+    """One (grid, method) sweep cell, with the method cmd_sweep resolved to
+    (kind, plan); module-level so workers can import it."""
     problem = _build_problem(config)
-    kind, alpha, beta, intergrid = _parse_method(config.method, config, g)
     start = time.perf_counter()
-    hierarchy = _build_method_hierarchy(problem, config, kind, alpha, beta, intergrid)
+    hierarchy = _build_method_hierarchy(problem, config, kind, plan)
     outer = _outer_operator(config, problem, hierarchy)
     setup_seconds = time.perf_counter() - start
     reports = []
@@ -577,8 +585,8 @@ def _sweep_cell(config):
         "grid": "x".join(str(c) for c in problem.model.cells),
         "dofs": int(np.prod(problem.padded_shape)),
         "method": config.method,
-        "alpha": f"{alpha:.6g}",
-        "beta": f"{beta:.6g}",
+        "alpha": f"{plan.alpha:.6g}",
+        "beta": f"{plan.beta:.6g}",
         "cycle": f"{config.cycle}({config.nu1},{config.nu2})",
         "iters": iters,
         "converged": report.converged,
@@ -593,15 +601,15 @@ def cmd_sweep(config):
     methods = config.methods or [config.method]
     g = _require_G(config)
     _maxit(config)
-    for m in methods:
-        _parse_method(m, config, g)     # validate before spending solve time
-    jobs = [replace(config, cells=grid, method=method)
-            for grid in config.grids for method in methods]
+    # each method is checked, and its shift tuned if need be, once for all cells
+    resolved = {m: _parse_method(m, config, g) for m in methods}
+    jobs = [(replace(config, cells=grid, method=m), *resolved[m])
+            for grid in config.grids for m in methods]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_sweep_cell, jobs))
+            rows = list(pool.map(_sweep_cell, *zip(*jobs)))
     else:
-        rows = [_sweep_cell(job) for job in jobs]
+        rows = [_sweep_cell(*job) for job in jobs]
     columns = ["grid", "dofs", "method", "alpha", "beta", "cycle",
                "iters", "converged", "setup_seconds", "seconds"]
     _write_rows(rows, columns, config.out)
@@ -627,8 +635,8 @@ def cmd_dispersion(config):
         eg_max = np.abs(scan.errors).max(axis=1)
         rows = []
         for alpha, eg in zip(alphas, eg_max):
-            hier = _build_method_hierarchy(problem, config, "galerkin",
-                                           float(alpha), 0.0, config.intergrid)
+            plan = _cycle_plan(config, float(alpha), 0.0, config.intergrid)
+            hier = _build_method_hierarchy(problem, config, "galerkin", plan)
             b = point_source(problem).ravel()
             _, report = stationary_solve(hier, b, tol=1e-30, maxit=config.scan_maxit)
             rows.append({"alpha": f"{alpha:.6g}", "e_g_max": f"{eg:.6e}",

@@ -75,19 +75,16 @@ def _room(basis, rows):
     return grown
 
 
-def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
-    """Right-preconditioned flexible GMRES.
+def fgmres(apply_A, apply_M, b, restart=None, tol=1e-6, maxit=None):
+    """Right-preconditioned flexible GMRES from a zero start.
 
     apply_A and apply_M are callables on flat complex vectors; apply_M may
     vary per call (flexible). restart=None keeps the full basis. Convergence
     is declared on the recomputed true residual ||b - A x|| / ||b|| < tol.
-    The true residual is computed at the end of every (re)start, and before
-    the first only when x0 is given, so apply_A runs once per iteration,
-    once per start, and once more for a given x0. Returns (x, SolveReport).
+    The true residual is computed at the end of every (re)start, so apply_A
+    runs once per iteration and once per start. Returns (x, SolveReport).
     """
     maxit = checked_maxit(tol, maxit, restart)
-    if apply_M is None:
-        apply_M = lambda v: v
 
     start = time.perf_counter()
     b = np.asarray(b, dtype=complex).ravel()
@@ -97,12 +94,7 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
             iterations=0, residual_history=[0.0], converged=True,
             wall_time=time.perf_counter() - start)
 
-    if x0 is None:
-        x, r = np.zeros_like(b), b
-    else:
-        x = np.asarray(x0, dtype=complex).ravel().copy()
-        r = b - apply_A(x)
-    rnorm = np.linalg.norm(r)
+    x, r, rnorm = np.zeros_like(b), b, bnorm
     history = [float(rnorm / bnorm)]
     converged = history[0] < tol
     iterations = 0
@@ -168,8 +160,9 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
                           wall_time=time.perf_counter() - start)
 
 
-def stationary_solve(hierarchy, b, tol=1e-6, maxit=None, x0=None):
-    """Repeated correction x <- x + cycle(b - A x) on the fine level.
+def stationary_solve(hierarchy, b, tol=1e-6, maxit=None):
+    """Repeated correction x <- x + cycle(b - A x) on the fine level, from a
+    zero start.
 
     Aborts with the diverged flag when the relative residual grows past 10x
     its running minimum. Returns (x, SolveReport).
@@ -184,9 +177,8 @@ def stationary_solve(hierarchy, b, tol=1e-6, maxit=None, x0=None):
             iterations=0, residual_history=[0.0], converged=True,
             wall_time=time.perf_counter() - start)
 
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).ravel().copy()
-    r = b - A @ x
-    rel = float(np.linalg.norm(r) / bnorm)
+    x, r = np.zeros_like(b), b
+    rel = float(bnorm / bnorm)
     history = [rel]
     converged = rel < tol
     diverged = False

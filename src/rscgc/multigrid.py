@@ -22,19 +22,18 @@ the mid-level correction pass twice.
 
 The cycle is a preconditioner for flexible GMRES, which keeps its basis, its
 iterate and its true residual in double precision, so the cycle itself may
-be inexact. Under plan.precision "single" (the default) the fine and mid
-levels smooth and form residuals with complex64 copies of their CSR values
-and inverse diagonals, and the transfers apply float32 bands; the coarsest
-solve stays in double, with its residual check. The double CSR of every
-level stays in place for the outer solver; a "double" plan builds none of
-the single-precision copies. The cycle's input is scaled by a
+be inexact. The fine and mid levels smooth and form residuals with complex64
+copies of their CSR values and inverse diagonals, and the transfers apply
+float32 copies of their bands; the coarsest solve stays in double, with its
+residual check, and its level carries no copies. The double CSR of every
+level stays in place for the outer solver. The cycle's input is scaled by a
 power of two to about unit norm, so complex64's range holds it; a
 single-precision cycle that still returns anything non-finite is redone in
 double, and the hierarchy cycles in double from then on.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -60,7 +59,6 @@ __all__ = [
 ]
 
 CYCLE_CHOICES = ("V", "W")
-PRECISIONS = ("single", "double")
 
 # Coarsest-level scheme of the re-discretized baseline: a dispersion-minimized
 # 9-point stencil with the wavenumber itself rescaled at assembly.
@@ -70,8 +68,7 @@ REDISC_WAVENUMBER_SCALE = 0.87725
 
 @dataclass(frozen=True)
 class CyclePlan:
-    """Cycle shape, intergrid scheme, shifts, per-level Jacobi dampings, and
-    the precision of the fine and mid levels inside the cycle."""
+    """Cycle shape, intergrid scheme, shifts and per-level Jacobi dampings."""
 
     cycle: str = "W"
     nu1: int = 1
@@ -80,14 +77,10 @@ class CyclePlan:
     alpha: float = 1.0
     beta: float = 0.0
     dampings: tuple = (0.89, 0.89)
-    precision: str = "single"
 
     def __post_init__(self):
         if self.cycle not in CYCLE_CHOICES:
             raise ValueError(f"cycle must be one of {CYCLE_CHOICES}, got {self.cycle!r}")
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {self.precision!r}")
         if self.intergrid not in INTERGRID:
             raise ValueError(
                 f"intergrid must be one of {tuple(INTERGRID)}, got {self.intergrid!r}")
@@ -113,24 +106,23 @@ class TransferPair:
     restriction and prolongation hold one real 1D CSR band per axis; the
     full transfers are their Kronecker products, applied by restrict and
     prolong one axis at a time. orders names the weight families of
-    restriction and prolongation, "cubic" or "linear". single, when set,
-    holds float32 copies of both band tuples, which restrict and prolong
-    apply to complex64 vectors.
+    restriction and prolongation, "cubic" or "linear". single holds float32
+    copies of both band tuples, which restrict and prolong apply to
+    complex64 vectors.
     """
 
     restriction: tuple
     prolongation: tuple
     orders: tuple
-    single: tuple = field(default=None, repr=False, compare=False)
+    single: tuple = field(init=False, repr=False, compare=False)
 
-    def with_single_bands(self):
-        """This pair with the float32 copies of its bands added."""
-        return replace(self, single=tuple(
+    def __post_init__(self):
+        object.__setattr__(self, "single", tuple(
             tuple(band.astype(np.float32) for band in bands)
             for bands in (self.restriction, self.prolongation)))
 
     def _bands(self, v):
-        if v.dtype == np.complex64 and self.single is not None:
+        if v.dtype == np.complex64:
             return self.single
         return self.restriction, self.prolongation
 
@@ -147,21 +139,21 @@ class TransferPair:
 class Level:
     """One level's operator, with the Jacobi damping and inverse diagonal.
 
-    single, when set, holds the complex64 matrix and inverse diagonal that a
-    single-precision cycle uses; the matrix shares indices and indptr with
-    operator.matrix, which stays the double CSR.
+    On a smoothed level, single holds the complex64 matrix and inverse
+    diagonal that the single-precision cycle uses; the matrix shares indices
+    and indptr with operator.matrix, which stays the double CSR. The
+    coarsest level, which is not smoothed, has neither damping nor single.
     """
 
     operator: SparseOperator
-    damping: float           # Jacobi damping; unused on the coarsest level
+    damping: float
     inverse_diagonal: np.ndarray
     single: tuple = None
 
     def cycle_arrays(self, dtype):
         """The matrix and inverse diagonal for vectors of dtype: the complex64
-        copies for complex64 vectors when the level has them, else the
-        double ones."""
-        if dtype == np.complex64 and self.single is not None:
+        copies for complex64 vectors, else the double ones."""
+        if dtype == np.complex64:
             return self.single
         return self.operator.matrix, self.inverse_diagonal
 
@@ -186,10 +178,8 @@ class MultigridHierarchy:
 
     @property
     def cycle_precision(self):
-        """"single" or "double" as planned, or "single→double fallback"."""
-        if self.precision_fallback:
-            return "single→double fallback"
-        return self.plan.precision
+        """"single", or "single→double fallback" once cycle has fallen back."""
+        return "single→double fallback" if self.precision_fallback else "single"
 
 
 def _axis_weights(n, order):
@@ -319,30 +309,38 @@ def _halved(shape):
     return tuple((n - 1) // 2 + 1 for n in shape)
 
 
-def _make_level(matrix, shape, damping, single=False):
-    """A Level of a CSR matrix; single adds the complex64 copies of its
-    values and inverse diagonal for a single-precision cycle."""
+def _make_level(matrix, shape, damping):
+    """A Level of a CSR matrix. A smoothed level carries the complex64 copies
+    of its values and inverse diagonal; the coarsest, damping None, none."""
     diag = matrix.diagonal()
     if np.any(diag == 0):
         raise ValueError("operator has a zero diagonal entry; Jacobi smoothing "
                          "and the coarse solve both need a full diagonal")
     inverse_diagonal = 1.0 / diag
-    copies = None
-    if single:
-        copies = (sp.csr_matrix((matrix.data.astype(np.complex64), matrix.indices,
-                                 matrix.indptr), shape=matrix.shape, copy=False),
-                  inverse_diagonal.astype(np.complex64))
-    return Level(SparseOperator(matrix, shape), float(damping), inverse_diagonal, copies)
+    operator = SparseOperator(matrix, shape)
+    if damping is None:
+        return Level(operator, None, inverse_diagonal)
+    copies = (sp.csr_matrix((matrix.data.astype(np.complex64), matrix.indices,
+                             matrix.indptr), shape=matrix.shape, copy=False),
+              inverse_diagonal.astype(np.complex64))
+    return Level(operator, float(damping), inverse_diagonal, copies)
 
 
-def _transfer_pairs(shape, intergrid, single):
+def _transfer_pairs(shape, intergrid):
     """The TransferPairs fine to mid and mid to coarsest of an intergrid
-    scheme, for a fine grid of the given shape; single adds the float32
-    bands of a single-precision cycle."""
+    scheme, for a fine grid of the given shape."""
     orders12, orders23 = INTERGRID[intergrid]
-    pairs = (transfer_matrices(shape, *orders12),
-             transfer_matrices(_halved(shape), *orders23))
-    return tuple(pair.with_single_bands() for pair in pairs) if single else pairs
+    return (transfer_matrices(shape, *orders12),
+            transfer_matrices(_halved(shape), *orders23))
+
+
+def _hierarchy(matrices, shape, transfers, plan):
+    """The MultigridHierarchy of the fine, mid and coarsest CSR matrices of a
+    fine grid of the given shape, with the coarsest level factorized."""
+    shapes = (shape, _halved(shape), _halved(_halved(shape)))
+    levels = tuple(map(_make_level, matrices, shapes, plan.dampings + (None,)))
+    return MultigridHierarchy(levels, transfers, _factorize(levels[-1].operator, plan),
+                              plan)
 
 
 def _check_coarsenable(shape):
@@ -385,12 +383,8 @@ def build_hierarchy(problem, scheme, plan):
     shape = problem.padded_shape
     _check_coarsenable(shape)
 
-    single = plan.precision == "single"
     fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta)
-
-    t12, t23 = _transfer_pairs(shape, plan.intergrid, single)
-    mid_shape = _halved(shape)
-    coarse_shape = _halved(mid_shape)
+    t12, t23 = _transfer_pairs(shape, plan.intergrid)
 
     mid = _coarsen(fine.stencil, t12)
     fine = fine.matrix      # the fine coefficient arrays are not needed again
@@ -400,14 +394,7 @@ def build_hierarchy(problem, scheme, plan):
         _add_scaled(mid, 1.0 - plan.alpha ** 2,
                     _coarsen(mass_stencil(problem, scheme), t12))
     coarse = _coarsen(mid, t23).tocsr()
-
-    levels = (
-        _make_level(fine, shape, plan.dampings[0], single),
-        _make_level(mid_matrix, mid_shape, plan.dampings[1], single),
-        _make_level(coarse, coarse_shape, 1.0),
-    )
-    return MultigridHierarchy(levels, (t12, t23), _factorize(levels[-1].operator, plan),
-                              plan)
+    return _hierarchy((fine, mid_matrix, coarse), shape, (t12, t23), plan)
 
 
 def _coarsened_problem(problem):
@@ -449,18 +436,10 @@ def build_rediscretized_hierarchy(problem, plan):
                                alpha=REDISC_WAVENUMBER_SCALE, beta=plan.beta)
 
     mid_shape = _halved(shape)
-    coarse_shape = _halved(mid_shape)
-    if mid.grid_shape != mid_shape or coarse.grid_shape != coarse_shape:
+    if mid.grid_shape != mid_shape or coarse.grid_shape != _halved(mid_shape):
         raise ValueError("re-discretized grids do not align with index halving")
-
-    single = plan.precision == "single"
-    levels = (
-        _make_level(fine.matrix, shape, plan.dampings[0], single),
-        _make_level(mid.matrix, mid_shape, plan.dampings[1], single),
-        _make_level(coarse.matrix, coarse_shape, 1.0),
-    )
-    return MultigridHierarchy(levels, _transfer_pairs(shape, "bilinear", single),
-                              _factorize(levels[-1].operator, plan), plan)
+    return _hierarchy((fine.matrix, mid.matrix, coarse.matrix), shape,
+                      _transfer_pairs(shape, "bilinear"), plan)
 
 
 def jacobi_smooth(level, x, b, sweeps):
@@ -470,7 +449,7 @@ def jacobi_smooth(level, x, b, sweeps):
     Every sweep reads only the previous iterate. Returns the new iterate
     without mutating x. x=None stands for the zero vector, whose first sweep
     is w D^-1 b without the product with A. A complex64 b is smoothed with
-    the level's complex64 arrays, when it has them; anything else in double.
+    the level's complex64 arrays, anything else in double.
     """
     w = level.damping
     b = np.asarray(b)
@@ -548,15 +527,14 @@ def _along_axes(bands, v):
     return v.ravel()
 
 
-def _cycle(hierarchy, b, x):
-    """The cycle in the precision of b, complex64 or complex128, from the
-    start vector x (None for zero). The coarsest solve runs in double either
-    way; its solution is cast to b's precision."""
+def _cycle(hierarchy, b):
+    """The cycle in the precision of b, complex64 or complex128. The coarsest
+    solve runs in double either way; its solution is cast to b's precision."""
     plan = hierarchy.plan
     fine, mid, _ = hierarchy.levels
     t12, t23 = hierarchy.transfers
 
-    x = jacobi_smooth(fine, x, b, plan.nu1)
+    x = jacobi_smooth(fine, None, b, plan.nu1)
     coarse_rhs = t12.restrict(b - fine.cycle_arrays(b.dtype)[0] @ x)
 
     passes = 2 if plan.cycle == "W" else 1
@@ -573,43 +551,38 @@ def _cycle(hierarchy, b, x):
     return jacobi_smooth(fine, x, b, plan.nu2)
 
 
-def cycle(hierarchy, b, x0=None):
+def cycle(hierarchy, b):
     """One multigrid cycle on the finest level, V or W per the plan.
 
     The W cycle runs the mid-level correction pass twice in sequence, each
     pass wrapping the direct coarsest solve in its own pre- and
-    post-smoothing. The map b -> x is linear for x0 = None or zero, up to
-    single-precision rounding when the hierarchy cycles in single. Takes and
-    returns complex128 either way.
+    post-smoothing. The map b -> x is linear up to single-precision
+    rounding; it takes and returns complex128.
 
-    A single-precision cycle runs on b and x0 scaled by a power of two, an
-    exact scaling, to about unit norm, so that complex64's range holds them
-    whatever their magnitude. One that still overflows to anything
-    non-finite is redone in double, and sets the hierarchy's
-    precision_fallback so that every later cycle runs in double. A b or x0
-    that is itself non-finite goes to the double cycle directly, without
-    the flag.
+    The cycle runs in single precision on b scaled by a power of two, an
+    exact scaling, to about unit norm, so that complex64's range holds it
+    whatever its magnitude. One that still overflows to anything non-finite
+    is redone in double, and sets the hierarchy's precision_fallback so that
+    every later cycle runs in double. A b that is itself non-finite goes to
+    the double cycle directly, without the flag.
     """
     b = np.asarray(b, dtype=complex).ravel()
-    x0 = None if x0 is None else np.asarray(x0, dtype=complex).ravel()
-    if hierarchy.plan.precision == "single" and not hierarchy.precision_fallback:
-        size = np.linalg.norm(b) if x0 is None else max(np.linalg.norm(b),
-                                                        np.linalg.norm(x0))
+    if not hierarchy.precision_fallback:
+        size = np.linalg.norm(b)
         if not np.isfinite(size):
             # no precision mends a non-finite input: cycle it in double,
             # which raises or returns it, and keep the hierarchy in single
-            return _cycle(hierarchy, b, x0)
+            return _cycle(hierarchy, b)
         scale = 2.0 ** -np.clip(np.frexp(size)[1], -1000, 1000)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                x = _cycle(hierarchy, _to_single(b, scale),
-                           None if x0 is None else _to_single(x0, scale))
+                x = _cycle(hierarchy, _to_single(b, scale))
             except FloatingPointError:
                 x = None
         if x is not None and np.isfinite(x).all():
             return np.multiply(x, 1.0 / scale, dtype=complex)
         hierarchy.precision_fallback = True
-    return _cycle(hierarchy, b, x0)
+    return _cycle(hierarchy, b)
 
 
 def _to_single(v, scale):

@@ -19,8 +19,8 @@ def default_maxit(restart=None):
     return 100 if restart is None else 200
 
 
-def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
-    """Right-preconditioned flexible GMRES.
+def fgmres(apply_A, apply_M, b, restart=None, tol=1e-6, maxit=None):
+    """Right-preconditioned flexible GMRES from a zero start.
 
     apply_A and apply_M are callables on flat complex vectors; apply_M may
     vary per call (flexible). restart=None keeps the full basis. Convergence
@@ -33,8 +33,6 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
         raise ValueError(f"restart must be at least 1, got {restart}")
     if maxit is None:
         maxit = default_maxit(restart)
-    if apply_M is None:
-        apply_M = lambda v: v
 
     start = time.perf_counter()
     b = np.asarray(b, dtype=complex).ravel()
@@ -44,7 +42,7 @@ def fgmres(apply_A, apply_M, b, x0=None, restart=None, tol=1e-6, maxit=None):
             iterations=0, residual_history=[0.0], converged=True,
             wall_time=time.perf_counter() - start)
 
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).ravel().copy()
+    x = np.zeros_like(b)
     history = [float(np.linalg.norm(b - apply_A(x)) / bnorm)]
     converged = history[0] < tol
     iterations = 0

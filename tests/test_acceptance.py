@@ -31,7 +31,7 @@ from rscgc.stencils import (
 )
 
 import galerkin_oracle
-from conftest import build_problem
+from conftest import build_problem, double_cycle
 from periodic_oracle import periodic_rap_stencil, symbol
 
 TUNED_2D = {
@@ -259,19 +259,18 @@ def test_residual_histories_monotone_and_verified(homogeneous_runs,
 
 
 def test_linearity_transfers_divergence_and_3d():
-    # cycle output is linear in the right-hand side: to double rounding for
-    # the double cycle, to float32 rounding (unit roundoff 6e-8, with a
-    # margin) for the single one
+    # cycle output is linear in the right-hand side: to float32 rounding
+    # (unit roundoff 6e-8, with a margin) for the single-precision cycle, to
+    # double rounding for the double one of the same hierarchy
     problem = build_problem(2, 128, 12, kind="wedge", kappa2=(0.25, 1.0))
     rng = np.random.default_rng(41)
     n = np.prod(problem.padded_shape)
     b1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for precision, bound in (("single", 1e-5), ("double", 1e-12)):
-        hierarchy = build_hierarchy(problem, "fourth-order",
-                                    CyclePlan(alpha=ALPHA_G12, precision=precision))
-        combined = cycle(hierarchy, b1 - 3j * b2)
-        parts = cycle(hierarchy, b1) - 3j * cycle(hierarchy, b2)
+    hierarchy = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=ALPHA_G12))
+    for apply, bound in ((cycle, 1e-5), (double_cycle, 1e-12)):
+        combined = apply(hierarchy, b1 - 3j * b2)
+        parts = apply(hierarchy, b1) - 3j * apply(hierarchy, b2)
         assert np.linalg.norm(combined - parts) <= bound * np.linalg.norm(combined)
 
     # transfers reproduce constants away from the Dirichlet frame

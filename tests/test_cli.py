@@ -3,7 +3,6 @@
 import ast
 import csv
 import dataclasses
-import functools
 import inspect
 import json
 import logging
@@ -22,6 +21,8 @@ from rscgc import cli, multigrid
 from rscgc.cli import main
 from rscgc.frontal import FrontalLU
 from rscgc.multigrid import CyclePlan
+
+from conftest import double_cycle
 
 
 def read_csv(path):
@@ -331,19 +332,18 @@ def test_config_dim_must_be_two_or_three(dim, tmp_path, capsys):
 
 
 def test_solve_reports_the_cycle_precision(tmp_path, monkeypatch):
-    """cycle_precision is "single" by default, and "double" for a plan built
-    with precision="double"; a single cycle that overflows reports the
-    fallback, and the solve then runs exactly as the double plan's."""
+    """cycle_precision is "single"; a single cycle that overflows reports the
+    fallback, and the solve then runs exactly as one with the double cycle
+    throughout."""
     out = tmp_path / "run.json"
     base = ["solve", "--dim", "2", "--G", "12", "--cells", "32", "--out", str(out)]
     assert main(base) == 0
     single = read_json(out)
     assert single["cycle_precision"] == "single"
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "CyclePlan", functools.partial(CyclePlan, precision="double"))
+        patch.setattr(cli, "cycle", double_cycle)
         assert main(base) == 0
     double = read_json(out)
-    assert double["cycle_precision"] == "double"
     assert double["iterations"] == single["iterations"]
 
     original = multigrid.coarse_solve
@@ -556,6 +556,52 @@ def test_sweep_argument_validation(capsys):
     assert main(["sweep", "--dim", "2", "--G", "10", "--grids", "32",
                  "--methods", "rs-cgc,bogus"]) == 2
     capsys.readouterr()
+
+
+def test_sweep_tunes_a_missing_table_entry_once(tmp_path, monkeypatch, caplog):
+    """The method is resolved once for all cells, its shift tuned once."""
+    monkeypatch.setenv("HELM_SHIFT_TABLE", str(tmp_path / "absent.json"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha_range": [1.0, 1.01]}))
+    out = tmp_path / "sweep.csv"
+    with caplog.at_level(logging.WARNING, logger="rscgc.cli"):
+        assert main(["sweep", "--dim", "2", "--G", "12", "--grids", "16,24",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+    assert len([r for r in caplog.records if "tuning now" in r.getMessage()]) == 1
+    assert [row["alpha"] for row in read_csv(out)] == ["1.0045"] * 2
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--alpha", "-1"], "alpha must be finite and positive, got -1.0"),
+    (["--method", "cslp:0.1:foo"],
+     "intergrid must be one of ('cubic', 'level-dependent', 'bilinear'), got 'foo'"),
+    (["--dampings", "0.8,0"], "dampings must be finite and positive, got (0.8, 0.0)"),
+], ids=["alpha", "intergrid", "dampings"])
+def test_sweep_rejects_bad_method_values_before_any_problem_is_built(flags, named,
+                                                                     monkeypatch, capsys):
+    built = []
+    original = cli._build_problem
+    monkeypatch.setattr(cli, "_build_problem",
+                        lambda config: built.append(1) or original(config))
+    assert main(["sweep", "--dim", "2", "--G", "12", "--grids", "16,24"] + flags) == 2
+    assert not built
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_every_cycle_plan_field_is_set_by_the_cli(tmp_path, monkeypatch):
+    """No CyclePlan field is settable only by a library caller: one solve
+    passes every field."""
+    passed = []
+
+    def recording(**kwargs):
+        passed.append(set(kwargs))
+        return CyclePlan(**kwargs)
+
+    monkeypatch.setattr(cli, "CyclePlan", recording)
+    assert main(["solve", "--dim", "2", "--G", "12", "--cells", "16",
+                 "--out", str(tmp_path / "run.json")]) == 0
+    assert passed == [{f.name for f in dataclasses.fields(CyclePlan)}]
 
 
 # ---------------------------------------------------------------- dispersion

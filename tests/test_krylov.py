@@ -35,7 +35,7 @@ def jacobi_preconditioned_run(**kwargs):
 def test_identity_system_converges_in_one_step():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    x, report = fgmres(lambda v: v, None, b, tol=1e-12)
+    x, report = fgmres(lambda v: v, lambda v: v, b, tol=1e-12)
     assert report.converged and report.iterations == 1
     assert np.allclose(x, b)
 
@@ -45,7 +45,7 @@ def test_matches_dense_solve():
     A = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
     A += 20.0 * np.eye(10)
     b = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    x, report = fgmres(lambda v: A @ v, None, b, tol=1e-12)
+    x, report = fgmres(lambda v: A @ v, lambda v: v, b, tol=1e-12)
     assert report.converged
     assert np.linalg.norm(x - np.linalg.solve(A, b)) <= 1e-8
 
@@ -56,7 +56,7 @@ def test_flexible_storage_agrees_with_composed_operator():
     problem = build_problem(2, 32, 12, pad=0)
     b = point_source(problem).ravel()
     precondition = lambda v: 0.89 * invd * v
-    y, rep2 = fgmres(lambda v: A @ precondition(v), None, b, tol=1e-12, maxit=25)
+    y, rep2 = fgmres(lambda v: A @ precondition(v), lambda v: v, b, tol=1e-12, maxit=25)
     x2 = precondition(y)
     h1, h2 = np.array(rep1.residual_history), np.array(rep2.residual_history)
     assert h1.shape == h2.shape
@@ -71,21 +71,20 @@ def test_restart_keeps_counting_across_blocks():
 
 
 @pytest.mark.parametrize("restart,starts", [(None, 1), (5, 5)])
-@pytest.mark.parametrize("warm", [False, True])
-def test_apply_A_runs_once_per_iteration_and_once_per_start(restart, starts, warm):
-    """The true residual is computed once at the end of every start, and
-    before the first only for a nonzero x0: 23 iterations take 23 products
-    plus one per start, plus one for a warm start."""
+def test_apply_A_runs_once_per_iteration_and_once_per_start(restart, starts):
+    """The true residual is computed once at the end of every start and not
+    before the first, whose residual is b: 23 iterations take 23 products
+    plus one per start."""
     problem = build_problem(2, 32, 12, pad=0)
     A = assemble_operator(problem, "fourth-order").matrix
     invd = 1.0 / A.diagonal()
     b = point_source(problem).ravel()
     calls = []
     apply_A = lambda v: calls.append(1) or A @ v
-    x, report = fgmres(apply_A, lambda v: 0.89 * invd * v, b, x0=0.5 * b if warm else None,
+    x, report = fgmres(apply_A, lambda v: 0.89 * invd * v, b,
                        restart=restart, tol=1e-12, maxit=23)
     assert report.iterations == 23 and not report.converged
-    assert len(calls) == report.iterations + starts + warm
+    assert len(calls) == report.iterations + starts
     true_rel = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert report.residual_history[-1] == pytest.approx(true_rel, rel=1e-12)
 
@@ -105,26 +104,16 @@ def test_history_monotone_and_final_entry_recomputed():
 
 
 def test_zero_rhs_short_circuits():
-    x, report = fgmres(lambda v: v, None, np.zeros(8), tol=1e-8)
+    x, report = fgmres(lambda v: v, lambda v: v, np.zeros(8), tol=1e-8)
     assert report.converged and report.iterations == 0
     assert not x.any() and report.residual_history == [0.0]
-
-
-def test_warm_start_at_the_solution():
-    rng = np.random.default_rng(2)
-    A = np.diag(rng.uniform(1, 2, 12)).astype(complex)
-    b = rng.standard_normal(12).astype(complex)
-    exact = np.linalg.solve(A, b)
-    x, report = fgmres(lambda v: A @ v, None, b, x0=exact, tol=1e-8)
-    assert report.converged and report.iterations == 0
-    assert np.array_equal(x, exact)
 
 
 def test_lucky_breakdown_on_a_two_cluster_spectrum():
     """diag(1,...,2,...) has a 2-dimensional Krylov space: two iterations."""
     d = np.array([1.0] * 5 + [2.0] * 5)
     b = np.ones(10, dtype=complex)
-    x, report = fgmres(lambda v: d * v, None, b, tol=1e-10)
+    x, report = fgmres(lambda v: d * v, lambda v: v, b, tol=1e-10)
     assert report.converged and report.iterations == 2
     assert np.allclose(x, b / d, atol=1e-12)
 
@@ -132,18 +121,18 @@ def test_lucky_breakdown_on_a_two_cluster_spectrum():
 def test_fgmres_argument_validation():
     b = np.ones(4)
     with pytest.raises(ValueError, match="tol"):
-        fgmres(lambda v: v, None, b, tol=0.0)
+        fgmres(lambda v: v, lambda v: v, b, tol=0.0)
     with pytest.raises(ValueError, match="restart"):
-        fgmres(lambda v: v, None, b, restart=0)
+        fgmres(lambda v: v, lambda v: v, b, restart=0)
     for tol, named in ((-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"), ("abc", "'abc'")):
         with pytest.raises(ValueError, match=f"tol.*{named}"):
-            fgmres(lambda v: v, None, b, tol=tol)
+            fgmres(lambda v: v, lambda v: v, b, tol=tol)
         with pytest.raises(ValueError, match=f"tol.*{named}"):
             stationary_solve(identity_hierarchy(4), b, tol=tol)
     for name in ("maxit", "restart"):
         for value, named in ((-3, "-3"), (2.5, "2.5"), (True, "True")):
             with pytest.raises(ValueError, match=f"{name}.*{named}"):
-                fgmres(lambda v: v, None, b, **{name: value})
+                fgmres(lambda v: v, lambda v: v, b, **{name: value})
     for value, named in ((-3, "-3"), (2.5, "2.5"), (True, "True")):
         with pytest.raises(ValueError, match=f"maxit.*{named}"):
             stationary_solve(identity_hierarchy(4), b, maxit=value)
@@ -183,7 +172,7 @@ def test_maxit_caps_the_iteration_count():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((30, 30)) + 30.0 * np.eye(30)
     b = rng.standard_normal(30)
-    _, report = fgmres(lambda v: A @ v, None, b, tol=1e-30, maxit=7)
+    _, report = fgmres(lambda v: A @ v, lambda v: v, b, tol=1e-30, maxit=7)
     assert report.iterations == 7 and not report.converged
 
 
@@ -209,13 +198,9 @@ def test_stationary_converges_with_a_contracting_cycle(monkeypatch):
     assert np.allclose(h, 0.5 ** np.arange(11))
 
 
-def test_stationary_warm_start_and_maxit(monkeypatch):
-    calls = []
-    monkeypatch.setattr(kr, "cycle", lambda h, r: calls.append(1) or 0.5 * r)
+def test_stationary_maxit_caps_the_iteration_count(monkeypatch):
+    monkeypatch.setattr(kr, "cycle", lambda h, r: 0.5 * r)
     b = np.ones(9, dtype=complex)
-    x, report = stationary_solve(identity_hierarchy(9), b, x0=b, tol=1e-8)
-    assert report.converged and report.iterations == 0 and not calls
-
     _, capped = stationary_solve(identity_hierarchy(9), b, tol=1e-30, maxit=6)
     assert capped.iterations == 6
     assert not capped.converged and not capped.diverged

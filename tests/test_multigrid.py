@@ -28,7 +28,7 @@ from rscgc.multigrid import (
 )
 from rscgc.stencils import INTERGRID, restriction_stencil
 
-from conftest import build_problem
+from conftest import build_problem, double_cycle
 from galerkin_oracle import mass_matrix
 
 
@@ -165,17 +165,14 @@ class _KroneckerTransfers:
         return mg._transfer(self.P, v)
 
 
-def _kronecker_route(dim, cells, intergrid, precision):
-    """A hierarchy in the given precision, the double Kronecker-route cycle
-    of the same plan, and a random right-hand side."""
+def _kronecker_route(dim, cells, intergrid):
+    """A hierarchy, the same hierarchy with the oracle's Kronecker transfers,
+    and a random right-hand side."""
     problem = build_problem(dim, cells, 10, pad=4)
-    plan = CyclePlan(intergrid=intergrid, alpha=1.014, beta=0.03, precision="double")
-    double = build_hierarchy(problem, "fourth-order", plan)
+    plan = CyclePlan(intergrid=intergrid, alpha=1.014, beta=0.03)
+    hier = build_hierarchy(problem, "fourth-order", plan)
     oracle = dataclasses.replace(
-        double, transfers=tuple(map(_KroneckerTransfers, double.transfers)))
-    hier = (double if precision == "double" else
-            build_hierarchy(problem, "fourth-order",
-                            dataclasses.replace(plan, precision=precision)))
+        hier, transfers=tuple(map(_KroneckerTransfers, hier.transfers)))
     rng = np.random.default_rng(53)
     n = hier.levels[0].operator.dofs
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -185,16 +182,17 @@ def _kronecker_route(dim, cells, intergrid, precision):
 @pytest.mark.parametrize("intergrid", tuple(INTERGRID))
 @pytest.mark.parametrize("dim,cells", [(2, 32), (3, 8)])
 def test_cycle_matches_the_kronecker_route(dim, cells, intergrid):
-    hier, oracle, b = _kronecker_route(dim, cells, intergrid, "double")
-    expected = cycle(oracle, b)
-    assert np.linalg.norm(cycle(hier, b) - expected) <= 1e-14 * np.linalg.norm(expected)
+    hier, oracle, b = _kronecker_route(dim, cells, intergrid)
+    expected = double_cycle(oracle, b)
+    assert (np.linalg.norm(double_cycle(hier, b) - expected)
+            <= 1e-14 * np.linalg.norm(expected))
 
 
 @pytest.mark.parametrize("intergrid", tuple(INTERGRID))
 @pytest.mark.parametrize("dim,cells", [(2, 32), (3, 8)])
 def test_single_cycle_matches_the_kronecker_route(dim, cells, intergrid):
-    hier, oracle, b = _kronecker_route(dim, cells, intergrid, "single")
-    expected = cycle(oracle, b)
+    hier, oracle, b = _kronecker_route(dim, cells, intergrid)
+    expected = double_cycle(oracle, b)
     got = cycle(hier, b)
     assert got.dtype == complex and not hier.precision_fallback
     assert np.linalg.norm(got - expected) <= SINGLE_RTOL * np.linalg.norm(expected)
@@ -377,12 +375,6 @@ def test_uncoarsenable_grids_rejected():
 def test_cycle_plan_validation(bad):
     with pytest.raises(ValueError):
         CyclePlan(**bad)
-
-
-def test_cycle_plan_precision_names_the_value():
-    assert CyclePlan().precision == "single"
-    with pytest.raises(ValueError, match="precision must be one of .* got 'half'"):
-        CyclePlan(precision="half")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -578,22 +570,21 @@ def test_w_cycle_visits_the_coarse_solver_twice(monkeypatch):
 @pytest.mark.parametrize("shape", ["V", "W"])
 @pytest.mark.parametrize("nu1", [0, 1, 2])
 def test_zero_first_guess_skips_only_zero_work(shape, nu1):
-    """x0=None starts smoothing from w D^-1 b; the result is that of an
-    explicit zero start."""
+    """x=None, the cycle's start on both smoothed levels, begins smoothing
+    with w D^-1 b; the result is that of an explicit zero start, in either
+    precision."""
     problem = build_problem(2, 32, 10, pad=4)
     hier = build_hierarchy(problem, "fourth-order",
                            CyclePlan(cycle=shape, nu1=nu1, alpha=1.014))
     rng = np.random.default_rng(41)
-    n = hier.levels[0].operator.dofs
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    shortcut = cycle(hier, b)
-    explicit = cycle(hier, b, x0=np.zeros_like(b))
-    assert np.linalg.norm(shortcut - explicit) <= 1e-14 * np.linalg.norm(explicit)
-
     for level in hier.levels[:2]:
-        rhs = rng.standard_normal(level.operator.dofs) + 0j
-        assert np.array_equal(jacobi_smooth(level, None, rhs, nu1),
-                              jacobi_smooth(level, np.zeros_like(rhs), rhs, nu1))
+        n = level.operator.dofs
+        for dtype in (np.complex128, np.complex64):
+            rhs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(dtype)
+            shortcut = jacobi_smooth(level, None, rhs, nu1)
+            assert shortcut.dtype == dtype
+            assert np.array_equal(shortcut,
+                                  jacobi_smooth(level, np.zeros_like(rhs), rhs, nu1))
 
 
 def test_real_view_transfer_equals_the_complex_product():
@@ -614,25 +605,23 @@ def test_cycle_of_zero_is_zero():
 
 def test_cycle_is_linear_in_the_right_hand_side():
     problem = build_problem(2, 64, 12, pad=0)
-    hier = build_hierarchy(problem, "fourth-order",
-                           CyclePlan(alpha=1.0045, precision="double"))
+    hier = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.0045))
     rng = np.random.default_rng(17)
     n = hier.levels[0].operator.dofs
     b1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    combined = cycle(hier, b1 + 2j * b2)
-    separate = cycle(hier, b1) + 2j * cycle(hier, b2)
+    combined = double_cycle(hier, b1 + 2j * b2)
+    separate = double_cycle(hier, b1) + 2j * double_cycle(hier, b2)
     scale = np.linalg.norm(combined)
     assert np.linalg.norm(combined - separate) <= 1e-12 * scale
 
 
 @lru_cache(maxsize=None)
-def _small_hierarchy(shape, beta, alpha, precision="double", dim=2):
+def _small_hierarchy(shape, beta, alpha, dim=2):
     problem = build_problem(dim, 32 if dim == 2 else 8, 10, pad=4)
     return build_hierarchy(problem, "fourth-order",
-                           CyclePlan(cycle=shape, beta=beta, alpha=alpha,
-                                     precision=precision))
+                           CyclePlan(cycle=shape, beta=beta, alpha=alpha))
 
 
 @settings(max_examples=16, deadline=None)
@@ -646,8 +635,8 @@ def test_cycle_is_linear_for_every_cycle_shape_and_shift(shape, beta, alpha, see
     rng = np.random.default_rng(seed)
     n = hier.levels[0].operator.dofs
     b1, b2 = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    x1, x2 = cycle(hier, b1), cycle(hier, b2)
-    combined = cycle(hier, b1 + scale * b2)
+    x1, x2 = double_cycle(hier, b1), double_cycle(hier, b2)
+    combined = double_cycle(hier, b1 + scale * b2)
     size = np.linalg.norm(x1) + abs(scale) * np.linalg.norm(x2)
     assert np.linalg.norm(combined - (x1 + scale * x2)) <= 1e-12 * size
 
@@ -660,45 +649,27 @@ def test_cycle_is_linear_for_every_cycle_shape_and_shift(shape, beta, alpha, see
                                 allow_infinity=False))
 def test_single_cycle_agrees_with_double_and_is_linear(dim, shape, beta, alpha, seed,
                                                        scale):
-    """The single-precision cycle equals the double one, and is linear and
-    affine in the start vector, each to float32 rounding."""
-    single = _small_hierarchy(shape, beta, alpha, "single", dim)
-    double = _small_hierarchy(shape, beta, alpha, "double", dim)
+    """The single-precision cycle equals the double one of the same
+    hierarchy, and is linear, each to float32 rounding."""
+    hier = _small_hierarchy(shape, beta, alpha, dim)
     rng = np.random.default_rng(seed)
-    n = single.levels[0].operator.dofs
-    b1, b2, v = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    x1, x2 = cycle(single, b1), cycle(single, b2)
+    n = hier.levels[0].operator.dofs
+    b1, b2 = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    x1, x2 = cycle(hier, b1), cycle(hier, b2)
     assert x1.dtype == complex
-    expected = cycle(double, b1)
+    expected = double_cycle(hier, b1)
     assert np.linalg.norm(x1 - expected) <= SINGLE_RTOL * np.linalg.norm(expected)
 
-    combined = cycle(single, b1 + scale * b2)
+    combined = cycle(hier, b1 + scale * b2)
     size = np.linalg.norm(x1) + abs(scale) * np.linalg.norm(x2)
     assert np.linalg.norm(combined - (x1 + scale * x2)) <= SINGLE_RTOL * size
-
-    full = cycle(single, b1, x0=v)
-    split = x1 + cycle(single, np.zeros(n), x0=v)
-    assert np.linalg.norm(full - split) <= SINGLE_RTOL * np.linalg.norm(full)
-    assert not single.precision_fallback
-
-
-def test_cycle_decomposes_into_rhs_and_error_parts():
-    """cycle(b, x0) = cycle(b, 0) + cycle(0, x0): affine in the start vector."""
-    problem = build_problem(2, 32, 10, pad=0)
-    hier = build_hierarchy(problem, "fourth-order", CyclePlan(precision="double"))
-    rng = np.random.default_rng(23)
-    n = hier.levels[0].operator.dofs
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    full = cycle(hier, b, x0=v)
-    split = cycle(hier, b) + cycle(hier, np.zeros(n), x0=v)
-    assert np.linalg.norm(full - split) <= 1e-12 * np.linalg.norm(full)
+    assert not hier.precision_fallback
 
 
 def test_cycle_contracts_in_the_diffusive_limit():
     """At negligible wavenumber the problem is a Laplacian, where one W(1,1)
-    cycle must shrink any error substantially."""
+    cycle must shrink any error e substantially: to e - B(A e), for the
+    cycle B."""
     from rscgc.discretization import HelmholtzProblem, make_model
 
     model = make_model("homogeneous", (1.0, 1.0), (32, 32), 1.0 / 32)
@@ -706,7 +677,7 @@ def test_cycle_contracts_in_the_diffusive_limit():
     hier = build_hierarchy(problem, "fourth-order", CyclePlan())
     rng = np.random.default_rng(29)
     v = rng.standard_normal(hier.levels[0].operator.dofs).astype(complex)
-    error_after = cycle(hier, np.zeros_like(v), x0=v)
+    error_after = v - cycle(hier, hier.levels[0].operator.matrix @ v)
     assert np.linalg.norm(error_after) < 0.3 * np.linalg.norm(v)
 
 
@@ -714,7 +685,7 @@ def test_cycle_contracts_in_the_diffusive_limit():
 def test_single_levels_share_the_double_pattern(build):
     """The fine and mid levels carry complex64 values and inverse diagonals
     over the index arrays of the double CSR, which stays the operator; the
-    coarsest level and a double plan carry none."""
+    coarsest level carries none."""
     problem = build_problem(2, 32, 10, pad=4)
     plan = CyclePlan(intergrid="bilinear")
     if build == "galerkin":
@@ -737,27 +708,21 @@ def test_single_levels_share_the_double_pattern(build):
             assert all(np.array_equal(s.toarray(), d.toarray().astype(np.float32))
                        for s, d in zip(singles, doubles))
     assert hier.cycle_precision == "single"
-    double = build_hierarchy(problem, "fourth-order", CyclePlan(precision="double"))
-    assert all(level.single is None for level in double.levels)
-    assert all(pair.single is None for pair in double.transfers)
-    assert double.cycle_precision == "double"
 
 
 @pytest.mark.parametrize("magnitude", [1e-40, 1e40])
 def test_single_cycle_holds_any_magnitude(magnitude):
-    """Right-hand sides and start vectors below or above complex64's range
-    cycle in single precision without a fallback, and agree with the double
-    cycle to float32 rounding."""
-    single = _small_hierarchy("W", 0.0, 1.014, "single")
-    double = _small_hierarchy("W", 0.0, 1.014, "double")
+    """Right-hand sides below or above complex64's range cycle in single
+    precision without a fallback, and agree with the double cycle to float32
+    rounding."""
+    hier = _small_hierarchy("W", 0.0, 1.014)
     rng = np.random.default_rng(61)
-    n = single.levels[0].operator.dofs
-    b, v = magnitude * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
-    for x0 in (None, v):
-        expected = cycle(double, b, x0=x0)
-        got = cycle(single, b, x0=x0)
-        assert np.linalg.norm(got - expected) <= SINGLE_RTOL * np.linalg.norm(expected)
-    assert not single.precision_fallback
+    n = hier.levels[0].operator.dofs
+    b = magnitude * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    expected = double_cycle(hier, b)
+    got = cycle(hier, b)
+    assert np.linalg.norm(got - expected) <= SINGLE_RTOL * np.linalg.norm(expected)
+    assert not hier.precision_fallback
 
 
 def test_single_cycle_falls_back_to_double_for_good(monkeypatch):
@@ -766,8 +731,6 @@ def test_single_cycle_falls_back_to_double_for_good(monkeypatch):
     cycles in double."""
     problem = build_problem(2, 32, 10, pad=4)
     single = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.014))
-    double = build_hierarchy(problem, "fourth-order",
-                             CyclePlan(alpha=1.014, precision="double"))
     original = mg.coarse_solve
     largest = float(np.finfo(np.float32).max)
     huge = 1e10 * largest
@@ -784,17 +747,17 @@ def test_single_cycle_falls_back_to_double_for_good(monkeypatch):
 
     # a non-finite input is no overflow: it goes to the double cycle, whose
     # coarsest solve refuses it, and leaves the hierarchy in single
-    for bad_b, bad_x0 in ((np.where(np.arange(n) == n // 2, np.nan, b), None),
-                          (b, np.full(n, np.inf, dtype=complex))):
+    for bad_b in (np.where(np.arange(n) == n // 2, np.nan, b),
+                  np.full(n, np.inf, dtype=complex)):
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError,
                                                           match="not finite"):
-            cycle(single, bad_b, x0=bad_x0)
+            cycle(single, bad_b)
     assert dtypes == [np.complex128] * 2
     assert not single.precision_fallback
     assert single.cycle_precision == "single"
     dtypes.clear()
 
-    expected = cycle(double, b)
+    expected = double_cycle(single, b)
     assert np.isfinite(expected).all() and np.abs(expected).max() > largest
     got = cycle(single, b)
     assert np.array_equal(got, expected)
@@ -802,9 +765,8 @@ def test_single_cycle_falls_back_to_double_for_good(monkeypatch):
     assert single.cycle_precision == "single→double fallback"
 
     dtypes.clear()
-    assert np.array_equal(cycle(single, 2 * b), cycle(double, 2 * b))
+    assert np.array_equal(cycle(single, 2 * b), double_cycle(single, 2 * b))
     assert dtypes == [np.complex128] * 4
-    assert not double.precision_fallback
 
 
 def test_coarse_solve_rejects_a_non_finite_rhs_without_refactoring():
