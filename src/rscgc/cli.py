@@ -14,6 +14,7 @@ the fly.
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -392,22 +393,23 @@ def _cycle_plan(config, alpha, beta, intergrid):
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_method(spec, config, g):
+def _parse_method(spec, config, alpha):
     """Return (kind, CyclePlan) for a method string, checked before any
-    problem is built.
+    problem is built. alpha() returns the resolved real shift; only the
+    methods that use it call it.
 
     Grammar: rs-cgc | cslp:BETA[:INTERGRID] | rs-cgc+cslp[:BETA] | re-disc.
     """
     parts = spec.strip().split(":")
     name = parts[0]
     if name == "rs-cgc" and len(parts) == 1:
-        shifts = _resolve_alpha(config, g), config.beta, config.intergrid
+        shifts = alpha(), config.beta, config.intergrid
     elif name == "cslp":
         intergrid = parts[2] if len(parts) > 2 else config.intergrid
         shifts = 1.0, _method_beta(parts, 0.1, spec), intergrid
     elif name == "rs-cgc+cslp":
         beta = _method_beta(parts, 0.03, spec)
-        shifts = _resolve_alpha(config, g), beta, config.intergrid
+        shifts = alpha(), beta, config.intergrid
     elif name == "re-disc" and len(parts) == 1:
         return "re-disc", _cycle_plan(config, REDISC_WAVENUMBER_SCALE, 0.0, "bilinear")
     else:
@@ -531,13 +533,14 @@ def cmd_solve(config):
     _maxit(config)      # check the solver limits before spending set-up time
     problem = _build_problem(config)    # cheap checks before a possible tuning
     g = _require_G(config)
-    kind, plan = _parse_method(config.method, config, g)
+    kind, plan = _parse_method(config.method, config, lambda: _resolve_alpha(config, g))
     start = time.perf_counter()
     hierarchy = _build_method_hierarchy(problem, config, kind, plan)
     outer = _outer_operator(config, problem, hierarchy)
     built = time.perf_counter()
     x, report = _run_solver(problem, config, hierarchy, outer)
     solved = time.perf_counter()
+    lu = hierarchy.coarse_solver
     payload = {
         "method": config.method,
         "solver": config.solver,
@@ -558,7 +561,8 @@ def cmd_solve(config):
         "solve_seconds": solved - built,
         "levels": [{"dofs": level.operator.dofs, "nnz": int(level.operator.matrix.nnz)}
                    for level in hierarchy.levels],
-        "coarse_lu_nnz": _lu_fill(hierarchy.coarse_solver),
+        "coarse_lu_nnz": _lu_fill(lu),
+        "coarse_factorization": "frontal" if isinstance(lu, FrontalLU) else "superlu",
         "max_coarse_residual": hierarchy.max_coarse_residual,
         "cycle_precision": hierarchy.cycle_precision,
     }
@@ -601,8 +605,10 @@ def cmd_sweep(config):
     methods = config.methods or [config.method]
     g = _require_G(config)
     _maxit(config)
-    # each method is checked, and its shift tuned if need be, once for all cells
-    resolved = {m: _parse_method(m, config, g) for m in methods}
+    # each method is checked once for all cells, and the shift is tuned, if
+    # need be, once for all methods
+    alpha = functools.cache(lambda: _resolve_alpha(config, g))
+    resolved = {m: _parse_method(m, config, alpha) for m in methods}
     jobs = [(replace(config, cells=grid, method=m), *resolved[m])
             for grid in config.grids for m in methods]
     if config.workers > 1:

@@ -9,6 +9,7 @@ coefficient: the assembled matrix is (1/h^2) L - (alpha^2 + i(gamma(x) + beta))
 k^2(x) M, where gamma is the sponge-layer attenuation profile.
 """
 
+import copy
 import json
 import math
 import numbers
@@ -332,6 +333,14 @@ class SparseOperator:
     @property
     def dofs(self):
         return int(np.prod(self.grid_shape))
+
+    def without_stencil(self):
+        """This operator without its stencil, which frees the coefficient
+        arrays. The matrix was checked on construction and is not scanned
+        again."""
+        bare = copy.copy(self)
+        object.__setattr__(bare, "stencil", None)
+        return bare
 
 
 def laplacian_and_mass_stencils(dim, scheme):

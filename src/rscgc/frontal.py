@@ -1,10 +1,13 @@
 """Multifrontal LU of a grid operator in geometric nested-dissection order.
 
-The grid box is bisected along its longest axis by a separator `reach`
-planes thick, which cuts every coupling of a stencil that reaches `reach`
-nodes along each axis, down to boxes of at most _LEAF nodes. Each box is
-eliminated before the separator that bounds it (George 1973), and each
-elimination step works on a dense frontal matrix (Duff & Reid 1983):
+Only the coupled box goes into the fronts: the smallest box of grid nodes
+that holds every node with an off-diagonal entry in its row or column. The
+nodes outside it, such as a decoupled Dirichlet shell, are solved by their
+diagonal alone. The box is bisected along its longest axis by a separator
+`reach` planes thick, which cuts every coupling of a stencil that reaches
+`reach` nodes along each axis, down to boxes of at most _LEAF nodes. Each
+box is eliminated before the separator that bounds it (George 1973), and
+each elimination step works on a dense frontal matrix (Duff & Reid 1983):
 zgetrf on the pivot block, ztrsm for the two border blocks and zgemm for
 the Schur update that the parent front assembles. Pivoting stays inside
 each pivot block: an exactly singular one is a RuntimeError, and one that
@@ -23,6 +26,13 @@ __all__ = ["FrontalLU", "nested_dissection"]
 # levels of the benchmark, leaves of 64 and of 100 nodes factor equally fast,
 # and 64 keeps 15% less fill in 2D (7.9 M instead of 9.3 M).
 _LEAF = 64
+
+# Most runs of consecutive targets that _extend_add assembles by slices. On
+# the 2D benchmark coarsest level every border forms at most 4 runs. On the
+# 3D one, 38 of the 62 updates form 5 to 19 runs, 5157 slice pairs in all;
+# one fancy-index add is as fast as the slices at 4 runs and 2-5 times
+# faster at 12 to 19.
+_RUNS = 4
 
 
 class Node(NamedTuple):
@@ -74,19 +84,43 @@ def nested_dissection(shape, reach, leaf):
     return np.concatenate(pieces), tree
 
 
-def _reach(matrix, shape):
-    """Largest grid distance along any axis between the two nodes of an entry."""
-    reach = 1
+def _coupled_box(matrix, shape):
+    """The reach of a grid operator and the bounds lo, hi of its coupled box.
+
+    The reach is the largest grid distance along any axis between the two
+    nodes of an entry. The coupled box is the smallest box of grid nodes
+    that holds every node whose row or column has an off-diagonal entry; a
+    matrix that couples nothing gets the box of the first node.
+    """
+    n, counts = matrix.shape[0], np.diff(matrix.indptr)
+    off = matrix.indices != np.repeat(np.arange(n, dtype=matrix.indices.dtype), counts)
+    coupled = np.zeros(n, dtype=bool)
+    coupled[matrix.indices[off]] = True
+    # a row is coupled where the running count of off-diagonal entries rises
+    coupled |= np.diff(np.r_[0, np.cumsum(off)][matrix.indptr]) > 0
+    coupled[0] |= not coupled.any()
+    reach, lo, hi = 1, [], []
     for coord in np.indices(shape, dtype=np.int32).reshape(len(shape), -1):
-        steps = np.take(coord, matrix.indices) - np.repeat(coord, np.diff(matrix.indptr))
+        steps = np.take(coord, matrix.indices) - np.repeat(coord, counts)
         reach = max(reach, int(np.abs(steps).max(initial=0)))
-    return reach
+        held = coord[coupled]
+        lo.append(int(held.min()))
+        hi.append(int(held.max()) + 1)
+    return reach, tuple(lo), tuple(hi)
 
 
 def _extend_add(front, update, targets):
-    """front[targets][:, targets] += update, one slice pair per pair of runs
-    of consecutive targets."""
+    """front[targets][:, targets] += update for an F-ordered front and update.
+
+    Targets in at most _RUNS runs of consecutive positions take one slice
+    pair per pair of runs; a more fragmented border takes one fancy-index
+    add on the flat front.
+    """
     starts = np.r_[0, np.flatnonzero(np.diff(targets) != 1) + 1]
+    if len(starts) > _RUNS:
+        flat = front.T.reshape(-1)      # a view: front.T is C-contiguous
+        flat[(len(front) * targets[:, None] + targets).ravel()] += update.T.reshape(-1)
+        return
     runs = list(zip(starts.tolist(), np.r_[starts[1:], len(targets)].tolist(),
                     targets[starts].tolist()))
     for a, z, t in runs:
@@ -98,17 +132,34 @@ class FrontalLU:
     """LU factors of a sparse matrix whose unknowns are the nodes of a
     C-ordered grid of the given shape.
 
+    Only the coupled box (see _coupled_box) goes into the fronts, dissected
+    by nested_dissection and eliminated first; decoupled nodes inside it
+    stay in its fronts. Every node outside it has a diagonal row and column,
+    is eliminated last, and is solved as x = b / a_ii; a zero a_ii there is
+    an exactly singular pivot, a RuntimeError.
+
     solve(b) returns A^-1 b for a vector b. L (CSC, unit diagonal), U (CSR),
-    perm_r and perm_c are built on demand, with L @ U == A[perm_r][:, perm_c]:
-    perm_c is the elimination order, and perm_r adds each front's row
-    pivoting. fill counts their stored entries without building them.
+    perm_r and perm_c are built on demand over all unknowns, with
+    L @ U == A[perm_r][:, perm_c]: perm_c is the elimination order, and
+    perm_r adds each front's row pivoting. fill counts their stored entries
+    without building them.
     """
 
     def __init__(self, matrix, shape):
         matrix = sp.csr_matrix(matrix)
         self.shape = matrix.shape
-        self.order, self.tree = nested_dissection(shape, _reach(matrix, shape), _LEAF)
-        rows = matrix[self.order][:, self.order]
+        reach, lo, hi = _coupled_box(matrix, shape)
+        box = tuple(b - a for a, b in zip(lo, hi))
+        order, self.tree = nested_dissection(box, reach, _LEAF)
+        fronted = np.ravel_multi_index(
+            tuple(c + a for c, a in zip(np.unravel_index(order, box), lo)), shape)
+        outside = np.setdiff1d(np.arange(self.shape[0]), fronted, assume_unique=True)
+        self.outside_diagonal = diagonal = matrix.diagonal()[outside]
+        if not np.all(diagonal):
+            raise RuntimeError(f"{np.sum(diagonal == 0)} decoupled unknowns have a zero "
+                               f"diagonal, an exactly singular pivot")
+        self.order = np.concatenate([fronted, outside])
+        rows = matrix[fronted][:, fronted]
         cols = rows.tocsc()
         # symbolic pass: a front's border holds every later position that its
         # pivots couple to or that a child's border holds. Updates wait on a
@@ -137,8 +188,8 @@ class FrontalLU:
         def block(data, start, dims):
             return data[start:start + dims[0] * dims[1]].reshape(dims, order="F")
 
-        local = np.empty(self.shape[0], dtype=np.intp)
-        self.pivots = np.empty(self.shape[0], dtype=np.int32)
+        local = np.empty(rows.shape[0], dtype=np.intp)
+        self.pivots = np.empty(rows.shape[0], dtype=np.int32)
         self.blocks = []
         for (s, e, children), border, (p, b), at, slot in zip(
                 self.tree, self.borders, sizes, offsets, slots):
@@ -189,6 +240,7 @@ class FrontalLU:
         for (s, e, _), border, (lu, u12, _) in reversed(steps):
             z = y[s:e] - u12 @ y[border] if len(border) else y[s:e]
             y[s:e] = blas.ztrsv(lu, z, overwrite_x=1)
+        y[len(self.pivots):] /= self.outside_diagonal
         x = np.empty_like(y)
         x[self.order] = y
         return x
@@ -205,9 +257,10 @@ class FrontalLU:
     def fill(self):
         """L.nnz + U.nnz. A front of p pivots and b border nodes stores
         p^2 + p entries in its two triangles, L's unit diagonal included,
-        and p b in each of its border blocks."""
+        and p b in each of its border blocks; an unknown outside the fronts
+        stores its two diagonal entries."""
         sizes = (u12.shape for _, u12, _ in self.blocks)
-        return sum(p * (p + 1 + 2 * b) for p, b in sizes)
+        return sum(p * (p + 1 + 2 * b) for p, b in sizes) + 2 * len(self.outside_diagonal)
 
     @property
     def perm_c(self):
@@ -226,7 +279,8 @@ class FrontalLU:
         return self._triangle(lower=False)
 
     def _triangle(self, lower):
-        """L as CSC or U as CSR, one block of columns or rows per front."""
+        """L as CSC or U as CSR, one block of columns or rows per front, then
+        the diagonal of the unknowns outside the fronts."""
         row_of = np.argsort(self._row_positions()) if lower else np.arange(self.shape[0])
         data, index, counts = [], [], []
         for (s, e, _), border, (lu, u12, l21) in zip(self.tree, self.borders, self.blocks):
@@ -243,6 +297,10 @@ class FrontalLU:
             data.append(block[keep])
             index.append(np.broadcast_to(where, block.shape)[keep])
             counts.append(keep.sum(axis=1))
+        diagonal = self.outside_diagonal
+        data.append(np.ones(len(diagonal)) if lower else diagonal)
+        index.append(np.arange(len(self.pivots), self.shape[0], dtype=np.int32))
+        counts.append(np.ones(len(diagonal), dtype=int))
         indptr = np.r_[0, np.cumsum(np.concatenate(counts))].astype(np.int32)
         kind = sp.csc_matrix if lower else sp.csr_matrix
         return kind((np.concatenate(data), np.concatenate(index), indptr), shape=self.shape)

@@ -309,15 +309,16 @@ def _halved(shape):
     return tuple((n - 1) // 2 + 1 for n in shape)
 
 
-def _make_level(matrix, shape, damping):
-    """A Level of a CSR matrix. A smoothed level carries the complex64 copies
-    of its values and inverse diagonal; the coarsest, damping None, none."""
+def _make_level(operator, damping):
+    """A Level of a SparseOperator. A smoothed level carries the complex64
+    copies of its values and inverse diagonal; the coarsest, damping None,
+    none."""
+    matrix = operator.matrix
     diag = matrix.diagonal()
     if np.any(diag == 0):
         raise ValueError("operator has a zero diagonal entry; Jacobi smoothing "
                          "and the coarse solve both need a full diagonal")
     inverse_diagonal = 1.0 / diag
-    operator = SparseOperator(matrix, shape)
     if damping is None:
         return Level(operator, None, inverse_diagonal)
     copies = (sp.csr_matrix((matrix.data.astype(np.complex64), matrix.indices,
@@ -334,13 +335,15 @@ def _transfer_pairs(shape, intergrid):
             transfer_matrices(_halved(shape), *orders23))
 
 
-def _hierarchy(matrices, shape, transfers, plan):
-    """The MultigridHierarchy of the fine, mid and coarsest CSR matrices of a
-    fine grid of the given shape, with the coarsest level factorized."""
-    shapes = (shape, _halved(shape), _halved(_halved(shape)))
-    levels = tuple(map(_make_level, matrices, shapes, plan.dampings + (None,)))
-    return MultigridHierarchy(levels, transfers, _factorize(levels[-1].operator, plan),
-                              plan)
+def _hierarchy(operators, transfers, plan):
+    """The MultigridHierarchy of the fine, mid and coarsest SparseOperators,
+    with the coarsest level factorized before the complex64 copies of the
+    other two are made, so the factorization reuses the memory that set-up
+    freed."""
+    coarsest = _make_level(operators[-1], None)
+    solver = _factorize(coarsest.operator, plan)
+    levels = tuple(map(_make_level, operators[:-1], plan.dampings)) + (coarsest,)
+    return MultigridHierarchy(levels, transfers, solver, plan)
 
 
 def _check_coarsenable(shape):
@@ -387,14 +390,14 @@ def build_hierarchy(problem, scheme, plan):
     t12, t23 = _transfer_pairs(shape, plan.intergrid)
 
     mid = _coarsen(fine.stencil, t12)
-    fine = fine.matrix      # the fine coefficient arrays are not needed again
-    mid_matrix = mid.tocsr()
+    fine = fine.without_stencil()   # the fine coefficient arrays are not needed again
+    mid_operator = SparseOperator(mid.tocsr(), _halved(shape))
     if plan.alpha != 1.0:
-        # mid becomes the shifted mid level; its matrix is already built
+        # mid becomes the shifted mid level; its operator is already built
         _add_scaled(mid, 1.0 - plan.alpha ** 2,
                     _coarsen(mass_stencil(problem, scheme), t12))
-    coarse = _coarsen(mid, t23).tocsr()
-    return _hierarchy((fine, mid_matrix, coarse), shape, (t12, t23), plan)
+    coarse = SparseOperator(_coarsen(mid, t23).tocsr(), _halved(_halved(shape)))
+    return _hierarchy((fine, mid_operator, coarse), (t12, t23), plan)
 
 
 def _coarsened_problem(problem):
@@ -438,7 +441,7 @@ def build_rediscretized_hierarchy(problem, plan):
     mid_shape = _halved(shape)
     if mid.grid_shape != mid_shape or coarse.grid_shape != _halved(mid_shape):
         raise ValueError("re-discretized grids do not align with index halving")
-    return _hierarchy((fine.matrix, mid.matrix, coarse.matrix), shape,
+    return _hierarchy(tuple(op.without_stencil() for op in (fine, mid, coarse)),
                       _transfer_pairs(shape, "bilinear"), plan)
 
 

@@ -127,7 +127,8 @@ def test_solve_payload_and_table_lookup(tmp_path):
 @pytest.mark.parametrize("pivoting", [False, True])
 def test_coarse_lu_nnz_counts_the_stored_factors(pivoting, tmp_path, monkeypatch):
     """The frontal LU reports its fill from the front sizes, the pivoted
-    SuperLU fallback from its factors; either way it is L.nnz + U.nnz."""
+    SuperLU fallback from its factors; either way it is L.nnz + U.nnz, and
+    coarse_factorization names the one that ran."""
     import rscgc.cli as cli
     import rscgc.multigrid as mg
     built = []
@@ -143,7 +144,9 @@ def test_coarse_lu_nnz_counts_the_stored_factors(pivoting, tmp_path, monkeypatch
                  "--model", "wedge", "--kappa2", "0.25,1", "--out", str(out)]) == 0
     lu = built[0].coarse_solver
     assert isinstance(lu, FrontalLU) is not pivoting
-    assert read_json(out)["coarse_lu_nnz"] == lu.L.nnz + lu.U.nnz
+    payload = read_json(out)
+    assert payload["coarse_lu_nnz"] == lu.L.nnz + lu.U.nnz
+    assert payload["coarse_factorization"] == ("superlu" if pivoting else "frontal")
 
 
 def test_solve_setup_time_includes_the_outer_assembly(tmp_path, monkeypatch):
@@ -569,6 +572,31 @@ def test_sweep_tunes_a_missing_table_entry_once(tmp_path, monkeypatch, caplog):
                      "--config", str(cfg), "--out", str(out)]) == 0
     assert len([r for r in caplog.records if "tuning now" in r.getMessage()]) == 1
     assert [row["alpha"] for row in read_csv(out)] == ["1.0045"] * 2
+
+
+def test_sweep_tunes_a_shift_shared_by_two_methods_once(tmp_path, monkeypatch, caplog):
+    """rs-cgc and rs-cgc+cslp both use the tuned shift; it is tuned once,
+    and the rows are those of a sweep given that shift."""
+    tunings = []
+
+    def optimize_shift(analysis):
+        tunings.append(analysis)
+        return 1.0123, 0.0, None
+
+    monkeypatch.setattr(cli, "optimize_shift", optimize_shift)
+    monkeypatch.setenv("HELM_SHIFT_TABLE", str(tmp_path / "absent.json"))
+    sweep = ["sweep", "--dim", "2", "--G", "12", "--grids", "16",
+             "--methods", "rs-cgc,rs-cgc+cslp"]
+    tuned, given = tmp_path / "tuned.csv", tmp_path / "given.csv"
+    with caplog.at_level(logging.WARNING, logger="rscgc.cli"):
+        assert main(sweep + ["--out", str(tuned)]) == 0
+    assert len(tunings) == 1
+    assert len([r for r in caplog.records if "tuning now" in r.getMessage()]) == 1
+    assert main(sweep + ["--alpha", "1.0123", "--out", str(given)]) == 0
+    strip = lambda rows: [{k: v for k, v in r.items()
+                           if k not in ("setup_seconds", "seconds")} for r in rows]
+    assert strip(read_csv(tuned)) == strip(read_csv(given))
+    assert [row["alpha"] for row in read_csv(tuned)] == ["1.0123"] * 2
 
 
 @pytest.mark.parametrize("flags,named", [

@@ -10,7 +10,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import rscgc.multigrid as mg
 from rscgc import frontal
+from rscgc.discretization import SparseOperator
 from rscgc.frontal import FrontalLU, nested_dissection
 from rscgc.multigrid import CyclePlan, build_hierarchy, build_rediscretized_hierarchy
 from rscgc.stencils import INTERGRID
@@ -31,17 +33,27 @@ def box_pattern(shape, reach):
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def stencil_operator(shape, reach, seed):
+def stencil_operator(shape, reach, seed, decoupled=None):
     """Complex operator of reach `reach` with random heterogeneous
     coefficients and a dominant diagonal on interior rows, and identity rows
-    on the boundary. Interior rows keep their couplings to boundary nodes,
-    so the pattern is not symmetric."""
+    on the boundary.
+
+    decoupled=None keeps the interior rows' couplings to boundary nodes, so
+    the pattern is not symmetric. "shell" drops them, so the whole boundary
+    is decoupled, as Dirichlet nodes are; "free-top" also makes the rows of
+    the first face along axis 0 interior ones, as a free surface does, so
+    the coupled box touches that face.
+    """
     rng = np.random.default_rng(seed)
     n = math.prod(shape)
     rows, cols = box_pattern(shape, reach)
     coords = np.indices(shape).reshape(len(shape), -1)
-    interior = ((coords > 0) & (coords < np.array(shape)[:, None] - 1)).all(axis=0)
+    first = np.zeros((len(shape), 1), dtype=int)
+    first[0] -= decoupled == "free-top"
+    interior = ((coords > first) & (coords < np.array(shape)[:, None] - 1)).all(axis=0)
     keep = interior[rows] & (rows != cols)
+    if decoupled:
+        keep &= interior[cols]
     rows, cols = rows[keep], cols[keep]
     vals = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
@@ -50,15 +62,28 @@ def stencil_operator(shape, reach, seed):
     return A + sp.diags(np.where(interior, weight * phase, 1.0))
 
 
+def coupled_box(A, shape):
+    """Sorted flat indices of the smallest grid box that holds every node
+    whose row or column has an off-diagonal entry; the first node if none."""
+    coo = sp.coo_matrix(A)
+    off = coo.row != coo.col
+    nodes = np.union1d(coo.row[off], coo.col[off])
+    corners = np.unravel_index(nodes if len(nodes) else [0], shape)
+    grid = np.indices(shape).reshape(len(shape), -1)
+    inside = [(c >= held.min()) & (c <= held.max()) for c, held in zip(grid, corners)]
+    return np.flatnonzero(np.logical_and.reduce(inside))
+
+
 def check_factors(A, shape):
-    """L U reproduces the permuted matrix, fill counts their entries, and
-    solve agrees with splu."""
+    """L U reproduces the permuted matrix, fill counts their entries, solve
+    agrees with splu, and the fronts pivot exactly the coupled box."""
     A = sp.csr_matrix(A)
     lu = FrontalLU(A, shape)
     scale = abs(A).max()
     gap = abs(lu.L @ lu.U - A[lu.perm_r][:, lu.perm_c]).max()
     assert gap <= 1e-12 * scale
     assert lu.fill == lu.L.nnz + lu.U.nnz
+    assert sorted(lu.order[:lu.tree[-1].stop].tolist()) == coupled_box(A, shape).tolist()
     b = np.random.default_rng(7).standard_normal((A.shape[0], 2)) @ [1, 1j]
     x = lu.solve(b)
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
@@ -70,12 +95,51 @@ def check_factors(A, shape):
 @settings(max_examples=30, deadline=None)
 @given(dim=st.sampled_from([2, 3]), reach=st.integers(1, 3),
        sides=st.lists(st.integers(3, 13), min_size=3, max_size=3),
-       leaf=st.sampled_from([4, 30, frontal._LEAF]), seed=st.integers(0, 2**32 - 1))
-def test_frontal_lu_matches_the_permuted_matrix_and_splu(dim, reach, sides, leaf, seed):
+       leaf=st.sampled_from([4, 30, frontal._LEAF]), seed=st.integers(0, 2**32 - 1),
+       decoupled=st.sampled_from([None, "shell", "free-top"]))
+def test_frontal_lu_matches_the_permuted_matrix_and_splu(dim, reach, sides, leaf, seed,
+                                                         decoupled):
     shape = tuple(s * (3 if dim == 2 else 1) for s in sides[:dim])
     with mock.patch.object(frontal, "_LEAF", leaf):
-        lu = check_factors(stencil_operator(shape, reach, seed), shape)
+        lu = check_factors(stencil_operator(shape, reach, seed, decoupled), shape)
     assert sorted(lu.perm_r.tolist()) == list(range(math.prod(shape)))
+
+
+@pytest.mark.parametrize("decoupled,first", [("shell", 1), ("free-top", 0)])
+@pytest.mark.parametrize("shape", [(27, 21), (9, 11, 10)])
+def test_the_fronts_hold_only_the_coupled_box(shape, decoupled, first):
+    """With the whole shell decoupled the box is the interior; with a free
+    top face it reaches that face."""
+    A = stencil_operator(shape, 2, 5, decoupled)
+    lu = check_factors(A, shape)
+    box = (slice(first, shape[0] - 1),) + (slice(1, -1),) * (len(shape) - 1)
+    inside = np.zeros(shape, dtype=bool)
+    inside[box] = True
+    assert sorted(lu.order[:lu.tree[-1].stop].tolist()) == np.flatnonzero(inside).tolist()
+    assert lu.fill == FrontalLU(A[np.flatnonzero(inside)][:, np.flatnonzero(inside)],
+                                inside[box].shape).fill + 2 * np.sum(~inside)
+
+
+def test_a_matrix_that_couples_nothing_fronts_only_its_first_node():
+    lu = check_factors(sp.diags(np.arange(1, 28) * (1 + 1j)), (3, 3, 3))
+    assert lu.tree == [(0, 1, ())]
+
+
+def test_a_zero_diagonal_outside_the_box_is_a_singular_pivot(monkeypatch):
+    """FrontalLU raises, so _factorize turns to SuperLU, which fails on the
+    singular matrix too and names the plan."""
+    shape = (9, 9, 9)
+    A = sp.lil_matrix(stencil_operator(shape, 1, 3, "shell"))
+    A[0, 0] = 0
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        FrontalLU(A.tocsr(), shape)
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(mg.spla, "splu", lambda matrix: calls.append(1) or splu(matrix))
+    operator = SparseOperator(A.tocsr(), shape)
+    with pytest.raises(RuntimeError, match="coarsest-level factorization failed"):
+        mg._factorize(operator, CyclePlan())
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("dim,intergrid", [(2, choice) for choice in INTERGRID]
@@ -86,7 +150,10 @@ def test_frontal_lu_on_real_coarsest_levels(dim, intergrid):
                            CyclePlan(alpha=1.014, intergrid=intergrid))
     coarsest = hier.levels[-1].operator
     assert isinstance(hier.coarse_solver, FrontalLU)
-    assert len(check_factors(coarsest.matrix, coarsest.grid_shape).tree) > 1
+    lu = check_factors(coarsest.matrix, coarsest.grid_shape)
+    assert len(lu.tree) > 1
+    # the Dirichlet shell is decoupled and stays out of the fronts
+    assert lu.tree[-1].stop == math.prod(n - 2 for n in coarsest.grid_shape)
 
 
 def test_frontal_lu_on_the_rediscretized_coarsest_level():

@@ -12,10 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import galerkin_oracle
 import rscgc.multigrid as mg
-from rscgc import frontal
-from rscgc.discretization import (HelmholtzProblem, assemble_operator, make_model,
-                                  mass_stencil, omega_for_ppw, point_source)
-from rscgc.frontal import FrontalLU, nested_dissection
+from rscgc.discretization import (HelmholtzProblem, SparseOperator, assemble_operator,
+                                  make_model, mass_stencil, omega_for_ppw, point_source)
+from rscgc.frontal import FrontalLU
 from rscgc.krylov import fgmres
 from rscgc.multigrid import (
     CyclePlan,
@@ -294,6 +293,21 @@ def test_one_assembly_and_bitwise_levels(alpha, monkeypatch):
         assert _same_bits(levels[2], coarse)
 
 
+def test_each_level_matrix_is_checked_for_finiteness_once(monkeypatch):
+    """The fine matrix is checked when it is assembled and the mid and
+    coarsest ones when they are built; none is scanned twice, and the fine
+    level keeps no stencil."""
+    checked = []
+    post_init = SparseOperator.__post_init__
+    monkeypatch.setattr(SparseOperator, "__post_init__",
+                        lambda self: checked.append(self.matrix) or post_init(self))
+    hier = build_hierarchy(build_problem(2, 16, 10, pad=0), "fourth-order",
+                           CyclePlan(alpha=1.014))
+    assert len(checked) == 3
+    assert all(a is b.operator.matrix for a, b in zip(checked, hier.levels))
+    assert hier.levels[0].operator.stencil is None
+
+
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), dim=st.sampled_from([2, 3]),
        intergrid=st.sampled_from(tuple(INTERGRID)),
@@ -512,10 +526,8 @@ def _singular_first_block(operator):
     block. The row keeps its couplings to the separator, so the matrix stays
     invertible while the block is exactly singular."""
     A = operator.matrix.toarray()
-    shape = operator.grid_shape
-    order, tree = nested_dissection(shape, frontal._reach(operator.matrix, shape),
-                                    frontal._LEAF)
-    block = order[tree[0].start:tree[0].stop]
+    lu = FrontalLU(operator.matrix, operator.grid_shape)
+    block = lu.order[lu.tree[0].start:lu.tree[0].stop]
     outside = np.setdiff1d(np.arange(len(A)), block)
     row = next(r for r in block if np.any(A[r, outside]))
     A[row, block] = 0.0
