@@ -105,7 +105,9 @@ def make_model(kind, kappa2_range, cells, h):
     lo, hi = float(kappa2_range[0]), float(kappa2_range[1])
     if not (0.0 < lo <= hi):
         raise ValueError(f"kappa2 range must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
-    cells = tuple(int(c) for c in cells)
+    cells = tuple(_integer(c, f"cell count in {cells!r}") for c in cells)
+    if any(c < 1 for c in cells):
+        raise ValueError(f"cell counts must be positive, got {cells}")
     dim = len(cells)
     nodes = tuple(c + 1 for c in cells)
 
@@ -183,8 +185,8 @@ def load_model(path, meta):
 
 def omega_for_ppw(model, G):
     """Angular frequency giving G points per wavelength where the medium is slowest."""
-    if G <= 0:
-        raise ValueError("points per wavelength must be positive")
+    if not (math.isfinite(G) and G > 0):
+        raise ValueError(f"points per wavelength G must be finite and positive, got {G}")
     return 2.0 * math.pi / (G * model.h * math.sqrt(model.kappa2_max))
 
 
@@ -267,7 +269,8 @@ class GridStencil:
     coeffs has shape (n_offsets, *grid_shape), and coeffs[e][x] is the entry
     in row x and column x + offsets[e]. Only interior rows are stored:
     boundary rows are zero here and written as identity rows by tocsr.
-    Helmholtz operators are complex, the mass operator is real.
+    Helmholtz operators are complex, the mass operator is real. reach is
+    the largest offset along any axis.
     """
 
     offsets: np.ndarray
@@ -279,11 +282,15 @@ class GridStencil:
         if offsets.ndim != 2 or offsets.shape != (len(self.coeffs), self.coeffs.ndim - 1):
             raise ValueError(f"offsets of shape {offsets.shape} do not fit coefficients "
                              f"of shape {self.coeffs.shape}")
-        span = 2 * int(np.abs(offsets).max(initial=0)) + 1
+        span = 2 * self.reach + 1
         keys = offsets @ span ** np.arange(offsets.shape[1])[::-1]
         if np.any(np.diff(keys) <= 0):
             raise ValueError("stencil offsets must be distinct and in "
                              "lexicographic order")
+
+    @property
+    def reach(self):
+        return int(np.abs(self.offsets).max(initial=0))
 
     @property
     def grid_shape(self):
@@ -313,15 +320,19 @@ class SparseOperator:
     """Sparse matrix over a vertex grid, rows in lexicographic order.
 
     stencil is the GridStencil an assembled operator was built from, None
-    otherwise.
+    otherwise. reach is that stencil's reach, which the coarsest
+    factorization dissects by and without_stencil keeps; None for an
+    operator built without a stencil.
     """
 
     matrix: sp.csr_matrix
     grid_shape: tuple
     stencil: GridStencil = field(default=None, repr=False, compare=False)
+    reach: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "grid_shape", tuple(self.grid_shape))
+        object.__setattr__(self, "reach", None if self.stencil is None else self.stencil.reach)
         n = int(np.prod(self.grid_shape))
         if self.matrix.shape != (n, n):
             raise ValueError(
@@ -336,8 +347,8 @@ class SparseOperator:
 
     def without_stencil(self):
         """This operator without its stencil, which frees the coefficient
-        arrays. The matrix was checked on construction and is not scanned
-        again."""
+        arrays; its reach is kept. The matrix was checked on construction and
+        is not scanned again."""
         bare = copy.copy(self)
         object.__setattr__(bare, "stencil", None)
         return bare

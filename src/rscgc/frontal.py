@@ -1,13 +1,13 @@
 """Multifrontal LU of a grid operator in geometric nested-dissection order.
 
-Only the coupled box goes into the fronts: the smallest box of grid nodes
-that holds every node with an off-diagonal entry in its row or column. The
-nodes outside it, such as a decoupled Dirichlet shell, are solved by their
-diagonal alone. The box is bisected along its longest axis by a separator
-`reach` planes thick, which cuts every coupling of a stencil that reaches
-`reach` nodes along each axis, down to boxes of at most _LEAF nodes. Each
-box is eliminated before the separator that bounds it (George 1973), and
-each elimination step works on a dense frontal matrix (Duff & Reid 1983):
+Only the interior box goes into the fronts: the grid nodes 1..n-2 along
+every axis. The boundary shell is solved by its diagonal alone, which is
+exact for the decoupled Dirichlet shell of every operator the library
+factors. The box is bisected along its longest axis by a separator `reach`
+planes thick, which cuts every coupling of a stencil that reaches `reach`
+nodes along each axis, down to boxes of at most _LEAF nodes. Each box is
+eliminated before the separator that bounds it (George 1973), and each
+elimination step works on a dense frontal matrix (Duff & Reid 1983):
 zgetrf on the pivot block, ztrsm for the two border blocks and zgemm for
 the Schur update that the parent front assembles. Pivoting stays inside
 each pivot block: an exactly singular one is a RuntimeError, and one that
@@ -19,6 +19,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
+
+from .discretization import _boundary_mask
 
 __all__ = ["FrontalLU", "nested_dissection"]
 
@@ -84,31 +86,6 @@ def nested_dissection(shape, reach, leaf):
     return np.concatenate(pieces), tree
 
 
-def _coupled_box(matrix, shape):
-    """The reach of a grid operator and the bounds lo, hi of its coupled box.
-
-    The reach is the largest grid distance along any axis between the two
-    nodes of an entry. The coupled box is the smallest box of grid nodes
-    that holds every node whose row or column has an off-diagonal entry; a
-    matrix that couples nothing gets the box of the first node.
-    """
-    n, counts = matrix.shape[0], np.diff(matrix.indptr)
-    off = matrix.indices != np.repeat(np.arange(n, dtype=matrix.indices.dtype), counts)
-    coupled = np.zeros(n, dtype=bool)
-    coupled[matrix.indices[off]] = True
-    # a row is coupled where the running count of off-diagonal entries rises
-    coupled |= np.diff(np.r_[0, np.cumsum(off)][matrix.indptr]) > 0
-    coupled[0] |= not coupled.any()
-    reach, lo, hi = 1, [], []
-    for coord in np.indices(shape, dtype=np.int32).reshape(len(shape), -1):
-        steps = np.take(coord, matrix.indices) - np.repeat(coord, counts)
-        reach = max(reach, int(np.abs(steps).max(initial=0)))
-        held = coord[coupled]
-        lo.append(int(held.min()))
-        hi.append(int(held.max()) + 1)
-    return reach, tuple(lo), tuple(hi)
-
-
 def _extend_add(front, update, targets):
     """front[targets][:, targets] += update for an F-ordered front and update.
 
@@ -130,33 +107,35 @@ def _extend_add(front, update, targets):
 
 class FrontalLU:
     """LU factors of a sparse matrix whose unknowns are the nodes of a
-    C-ordered grid of the given shape.
+    C-ordered grid of the given shape, and whose rows couple only nodes at
+    most `reach` apart along every axis.
 
-    Only the coupled box (see _coupled_box) goes into the fronts, dissected
-    by nested_dissection and eliminated first; decoupled nodes inside it
-    stay in its fronts. Every node outside it has a diagonal row and column,
-    is eliminated last, and is solved as x = b / a_ii; a zero a_ii there is
-    an exactly singular pivot, a RuntimeError.
+    The interior box goes into the fronts, dissected by nested_dissection
+    and eliminated first. The boundary shell is eliminated last and solved
+    as x = b / a_ii; a zero a_ii there is an exactly singular pivot, a
+    RuntimeError. That is exact when the shell is decoupled, its rows and
+    columns holding only the diagonal. A coupled shell is not detected: its
+    couplings are left out of the factors, and the caller's residual check
+    catches the solve that misses.
 
     solve(b) returns A^-1 b for a vector b. L (CSC, unit diagonal), U (CSR),
     perm_r and perm_c are built on demand over all unknowns, with
-    L @ U == A[perm_r][:, perm_c]: perm_c is the elimination order, and
-    perm_r adds each front's row pivoting. fill counts their stored entries
-    without building them.
+    L @ U == A[perm_r][:, perm_c] for a decoupled shell: perm_c is the
+    elimination order, and perm_r adds each front's row pivoting. fill
+    counts their stored entries without building them.
     """
 
-    def __init__(self, matrix, shape):
+    def __init__(self, matrix, shape, reach):
         matrix = sp.csr_matrix(matrix)
         self.shape = matrix.shape
-        reach, lo, hi = _coupled_box(matrix, shape)
-        box = tuple(b - a for a, b in zip(lo, hi))
+        box = tuple(n - 2 for n in shape)
         order, self.tree = nested_dissection(box, reach, _LEAF)
         fronted = np.ravel_multi_index(
-            tuple(c + a for c, a in zip(np.unravel_index(order, box), lo)), shape)
-        outside = np.setdiff1d(np.arange(self.shape[0]), fronted, assume_unique=True)
+            tuple(c + 1 for c in np.unravel_index(order, box)), shape)
+        outside = np.flatnonzero(_boundary_mask(shape))
         self.outside_diagonal = diagonal = matrix.diagonal()[outside]
         if not np.all(diagonal):
-            raise RuntimeError(f"{np.sum(diagonal == 0)} decoupled unknowns have a zero "
+            raise RuntimeError(f"{np.sum(diagonal == 0)} shell unknowns have a zero "
                                f"diagonal, an exactly singular pivot")
         self.order = np.concatenate([fronted, outside])
         rows = matrix[fronted][:, fronted]

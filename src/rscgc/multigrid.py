@@ -357,11 +357,12 @@ def _check_coarsenable(shape):
 
 def _factorize(operator, plan, pivoting=False):
     """LU factors of the coarsest SparseOperator: the multifrontal LU in
-    nested-dissection order first, then SuperLU's COLAMD with partial
-    pivoting if that raises or pivoting is asked for."""
-    if not pivoting:
+    nested-dissection order at the operator's reach first, then SuperLU's
+    COLAMD with partial pivoting if that raises, pivoting is asked for or
+    the operator records no reach."""
+    if not pivoting and operator.reach is not None:
         try:
-            return FrontalLU(operator.matrix, operator.grid_shape)
+            return FrontalLU(operator.matrix, operator.grid_shape, operator.reach)
         except RuntimeError:
             pass
     try:
@@ -396,7 +397,9 @@ def build_hierarchy(problem, scheme, plan):
         # mid becomes the shifted mid level; its operator is already built
         _add_scaled(mid, 1.0 - plan.alpha ** 2,
                     _coarsen(mass_stencil(problem, scheme), t12))
-    coarse = SparseOperator(_coarsen(mid, t23).tocsr(), _halved(_halved(shape)))
+    coarse = _coarsen(mid, t23)
+    del mid     # its coefficient arrays would otherwise outlive the factorization
+    coarse = SparseOperator(coarse.tocsr(), coarse.grid_shape, coarse).without_stencil()
     return _hierarchy((fine, mid_operator, coarse), (t12, t23), plan)
 
 
@@ -406,14 +409,11 @@ def _coarsened_problem(problem):
         raise ValueError(f"cell counts {model.cells} must be even to re-discretize")
     if problem.pad % 2:
         raise ValueError(f"pad width {problem.pad} must be even to re-discretize")
-    if any(s % 2 for s in problem.source):
-        raise ValueError(f"source index {problem.source} must be even to re-discretize")
     take = tuple(slice(None, None, 2) for _ in range(model.dim))
     half = SlownessModel(model.dim, tuple(c // 2 for c in model.cells),
                          2 * model.h, model.kappa2[take])
     return HelmholtzProblem(half, problem.omega, pad=problem.pad // 2,
                             gamma_max=problem.gamma_max,
-                            source=tuple(s // 2 for s in problem.source),
                             free_surface_top=problem.free_surface_top)
 
 

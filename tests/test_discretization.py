@@ -332,11 +332,19 @@ _SMALL_MODEL = make_model("homogeneous", (1.0, 1.0), (8, 8), 0.125)
     (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, pad=v), math.nan),
     (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, pad=v), True),
     (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, source=v), (1.5, 2)),
+    (lambda v: make_model("homogeneous", (1.0, 1.0), v, 1 / 32), (32.7, 32)),
+    (lambda v: make_model("homogeneous", (1.0, 1.0), (v, 32), 1 / 32), True),
+    (lambda v: make_model("homogeneous", (1.0, 1.0), (v, 32), 1 / 32), "32"),
+    (lambda v: make_model("wedge", (1.0, 1.0), (v, 32), 1 / 32), -3),
+    (lambda v: omega_for_ppw(_SMALL_MODEL, v), math.nan),
+    (lambda v: omega_for_ppw(_SMALL_MODEL, v), math.inf),
 ], ids=["nu1-fraction", "nu1-bool", "nu2-nan", "h-nan", "h-inf", "cells-fraction",
-        "pad-fraction", "pad-nan", "pad-bool", "source-fraction"])
+        "pad-fraction", "pad-nan", "pad-bool", "source-fraction", "model-cells-fraction",
+        "model-cells-bool", "model-cells-str", "model-cells-negative", "ppw-nan",
+        "ppw-inf"])
 def test_constructors_reject_bad_values_by_name(build, value):
-    """Each of these used to construct: a fractional or boolean count ended
-    in a TypeError much later, or was silently truncated."""
+    """Each bad value is a ValueError that names it, not a TypeError much
+    later, a silent truncation, a numpy error or a frequency of nan or 0."""
     with pytest.raises(ValueError, match=re.escape(str(value))):
         build(value)
 

@@ -1,5 +1,6 @@
 """The multifrontal LU and its nested-dissection order, against SuperLU."""
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import rscgc.multigrid as mg
 from rscgc import frontal
-from rscgc.discretization import SparseOperator
+from rscgc.discretization import SparseOperator, assemble_operator
 from rscgc.frontal import FrontalLU, nested_dissection
 from rscgc.multigrid import CyclePlan, build_hierarchy, build_rediscretized_hierarchy
 from rscgc.stencils import INTERGRID
@@ -40,9 +41,9 @@ def stencil_operator(shape, reach, seed, decoupled=None):
 
     decoupled=None keeps the interior rows' couplings to boundary nodes, so
     the pattern is not symmetric. "shell" drops them, so the whole boundary
-    is decoupled, as Dirichlet nodes are; "free-top" also makes the rows of
-    the first face along axis 0 interior ones, as a free surface does, so
-    the coupled box touches that face.
+    is decoupled, as the Dirichlet nodes of the library's operators are;
+    "free-top" also makes the rows of the first face along axis 0 interior
+    ones, so that face of the shell is coupled both ways.
     """
     rng = np.random.default_rng(seed)
     n = math.prod(shape)
@@ -62,28 +63,18 @@ def stencil_operator(shape, reach, seed, decoupled=None):
     return A + sp.diags(np.where(interior, weight * phase, 1.0))
 
 
-def coupled_box(A, shape):
-    """Sorted flat indices of the smallest grid box that holds every node
-    whose row or column has an off-diagonal entry; the first node if none."""
-    coo = sp.coo_matrix(A)
-    off = coo.row != coo.col
-    nodes = np.union1d(coo.row[off], coo.col[off])
-    corners = np.unravel_index(nodes if len(nodes) else [0], shape)
-    grid = np.indices(shape).reshape(len(shape), -1)
-    inside = [(c >= held.min()) & (c <= held.max()) for c, held in zip(grid, corners)]
-    return np.flatnonzero(np.logical_and.reduce(inside))
-
-
-def check_factors(A, shape):
+def check_factors(A, shape, reach):
     """L U reproduces the permuted matrix, fill counts their entries, solve
-    agrees with splu, and the fronts pivot exactly the coupled box."""
+    agrees with splu, and the fronts pivot exactly the interior box."""
     A = sp.csr_matrix(A)
-    lu = FrontalLU(A, shape)
+    lu = FrontalLU(A, shape, reach)
     scale = abs(A).max()
     gap = abs(lu.L @ lu.U - A[lu.perm_r][:, lu.perm_c]).max()
     assert gap <= 1e-12 * scale
     assert lu.fill == lu.L.nnz + lu.U.nnz
-    assert sorted(lu.order[:lu.tree[-1].stop].tolist()) == coupled_box(A, shape).tolist()
+    interior = np.zeros(shape, dtype=bool)
+    interior[(slice(1, -1),) * len(shape)] = True
+    assert sorted(lu.order[:lu.tree[-1].stop].tolist()) == np.flatnonzero(interior).tolist()
     b = np.random.default_rng(7).standard_normal((A.shape[0], 2)) @ [1, 1j]
     x = lu.solve(b)
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
@@ -95,48 +86,52 @@ def check_factors(A, shape):
 @settings(max_examples=30, deadline=None)
 @given(dim=st.sampled_from([2, 3]), reach=st.integers(1, 3),
        sides=st.lists(st.integers(3, 13), min_size=3, max_size=3),
-       leaf=st.sampled_from([4, 30, frontal._LEAF]), seed=st.integers(0, 2**32 - 1),
-       decoupled=st.sampled_from([None, "shell", "free-top"]))
-def test_frontal_lu_matches_the_permuted_matrix_and_splu(dim, reach, sides, leaf, seed,
-                                                         decoupled):
+       leaf=st.sampled_from([4, 30, frontal._LEAF]), seed=st.integers(0, 2**32 - 1))
+def test_frontal_lu_matches_the_permuted_matrix_and_splu(dim, reach, sides, leaf, seed):
     shape = tuple(s * (3 if dim == 2 else 1) for s in sides[:dim])
     with mock.patch.object(frontal, "_LEAF", leaf):
-        lu = check_factors(stencil_operator(shape, reach, seed, decoupled), shape)
+        lu = check_factors(stencil_operator(shape, reach, seed, "shell"), shape, reach)
     assert sorted(lu.perm_r.tolist()) == list(range(math.prod(shape)))
 
 
-@pytest.mark.parametrize("decoupled,first", [("shell", 1), ("free-top", 0)])
+@pytest.mark.parametrize("decoupled", [None, "free-top"])
 @pytest.mark.parametrize("shape", [(27, 21), (9, 11, 10)])
-def test_the_fronts_hold_only_the_coupled_box(shape, decoupled, first):
-    """With the whole shell decoupled the box is the interior; with a free
-    top face it reaches that face."""
-    A = stencil_operator(shape, 2, 5, decoupled)
-    lu = check_factors(A, shape)
-    box = (slice(first, shape[0] - 1),) + (slice(1, -1),) * (len(shape) - 1)
-    inside = np.zeros(shape, dtype=bool)
-    inside[box] = True
-    assert sorted(lu.order[:lu.tree[-1].stop].tolist()) == np.flatnonzero(inside).tolist()
-    assert lu.fill == FrontalLU(A[np.flatnonzero(inside)][:, np.flatnonzero(inside)],
-                                inside[box].shape).fill + 2 * np.sum(~inside)
-
-
-def test_a_matrix_that_couples_nothing_fronts_only_its_first_node():
-    lu = check_factors(sp.diags(np.arange(1, 28) * (1 + 1j)), (3, 3, 3))
-    assert lu.tree == [(0, 1, ())]
+def test_coarse_solve_refactors_an_operator_whose_shell_is_coupled(shape, decoupled,
+                                                                   monkeypatch):
+    """The interior box leaves the couplings to the shell out of the fronts,
+    so its solve misses the 1e-10 check; coarse_solve refactors once with
+    SuperLU, which then meets it."""
+    A = stencil_operator(shape, 2, 5, decoupled).tocsr()
+    operator = SparseOperator(A, shape)
+    # built without a stencil, it records no reach and is not fronted
+    assert not isinstance(mg._factorize(operator, CyclePlan()), FrontalLU)
+    hier = mg.MultigridHierarchy((mg._make_level(operator, None),), (),
+                                 FrontalLU(A, shape, 2), CyclePlan())
+    b = np.random.default_rng(11).standard_normal(A.shape[0]) + 0j
+    assert np.linalg.norm(b - A @ hier.coarse_solver.solve(b)) > 1e-3 * np.linalg.norm(b)
+    calls = []
+    factorize = mg._factorize
+    monkeypatch.setattr(mg, "_factorize", lambda operator, plan, pivoting=False:
+                        calls.append(pivoting) or factorize(operator, plan, pivoting))
+    for _ in range(2):
+        x = mg.coarse_solve(hier, b)
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    assert calls == [True]
+    assert not isinstance(hier.coarse_solver, FrontalLU)
 
 
 def test_a_zero_diagonal_outside_the_box_is_a_singular_pivot(monkeypatch):
     """FrontalLU raises, so _factorize turns to SuperLU, which fails on the
     singular matrix too and names the plan."""
-    shape = (9, 9, 9)
-    A = sp.lil_matrix(stencil_operator(shape, 1, 3, "shell"))
+    operator = assemble_operator(build_problem(3, 8, 10, pad=0), "fourth-order")
+    A = sp.lil_matrix(operator.matrix)
     A[0, 0] = 0
+    operator = dataclasses.replace(operator, matrix=A.tocsr())
     with pytest.raises(RuntimeError, match="exactly singular"):
-        FrontalLU(A.tocsr(), shape)
+        FrontalLU(operator.matrix, operator.grid_shape, operator.reach)
     calls = []
     splu = spla.splu
     monkeypatch.setattr(mg.spla, "splu", lambda matrix: calls.append(1) or splu(matrix))
-    operator = SparseOperator(A.tocsr(), shape)
     with pytest.raises(RuntimeError, match="coarsest-level factorization failed"):
         mg._factorize(operator, CyclePlan())
     assert calls == [1]
@@ -150,16 +145,14 @@ def test_frontal_lu_on_real_coarsest_levels(dim, intergrid):
                            CyclePlan(alpha=1.014, intergrid=intergrid))
     coarsest = hier.levels[-1].operator
     assert isinstance(hier.coarse_solver, FrontalLU)
-    lu = check_factors(coarsest.matrix, coarsest.grid_shape)
+    lu = check_factors(coarsest.matrix, coarsest.grid_shape, coarsest.reach)
     assert len(lu.tree) > 1
-    # the Dirichlet shell is decoupled and stays out of the fronts
-    assert lu.tree[-1].stop == math.prod(n - 2 for n in coarsest.grid_shape)
 
 
 def test_frontal_lu_on_the_rediscretized_coarsest_level():
     problem = build_problem(2, 56, 10, pad=4)
     coarsest = build_rediscretized_hierarchy(problem, CyclePlan()).levels[-1].operator
-    check_factors(coarsest.matrix, coarsest.grid_shape)
+    check_factors(coarsest.matrix, coarsest.grid_shape, coarsest.reach)
 
 
 def subtree_starts(tree):

@@ -1,5 +1,6 @@
 """Hierarchy construction, transfers, smoothing, and the cycle operator."""
 
+import copy
 import dataclasses
 import math
 from functools import lru_cache, reduce
@@ -526,12 +527,14 @@ def _singular_first_block(operator):
     block. The row keeps its couplings to the separator, so the matrix stays
     invertible while the block is exactly singular."""
     A = operator.matrix.toarray()
-    lu = FrontalLU(operator.matrix, operator.grid_shape)
+    lu = FrontalLU(operator.matrix, operator.grid_shape, operator.reach)
     block = lu.order[lu.tree[0].start:lu.tree[0].stop]
     outside = np.setdiff1d(np.arange(len(A)), block)
     row = next(r for r in block if np.any(A[r, outside]))
     A[row, block] = 0.0
-    return dataclasses.replace(operator, matrix=sp.csr_matrix(A))
+    singular = copy.copy(operator)      # keeps the reach, which replace would drop
+    object.__setattr__(singular, "matrix", sp.csr_matrix(A))
+    return singular
 
 
 def test_factorize_falls_back_when_a_pivot_block_is_singular(monkeypatch):
@@ -549,7 +552,7 @@ def test_factorize_falls_back_when_a_pivot_block_is_singular(monkeypatch):
 
     operator = _singular_first_block(hier.levels[2].operator)
     with pytest.raises(RuntimeError, match="exactly singular"):
-        FrontalLU(operator.matrix, operator.grid_shape)
+        FrontalLU(operator.matrix, operator.grid_shape, operator.reach)
     coarsest = dataclasses.replace(hier.levels[2], operator=operator)
     hier = dataclasses.replace(hier, levels=hier.levels[:2] + (coarsest,),
                                coarse_solver=mg._factorize(operator, hier.plan))
@@ -811,10 +814,22 @@ def test_rediscretized_baseline_guards():
     with pytest.raises(ValueError, match="2D only"):
         build_rediscretized_hierarchy(
             build_problem(3, 24, 10, pad=8), CyclePlan(intergrid="bilinear"))
-    # pad=0 leaves the default source at an odd depth index
-    with pytest.raises(ValueError, match="must be even"):
+    with pytest.raises(ValueError, match="pad width 1 must be even"):
         build_rediscretized_hierarchy(
-            build_problem(2, 32, 10, pad=0), CyclePlan(intergrid="bilinear"))
+            build_problem(2, 30, 10, pad=1), CyclePlan(intergrid="bilinear"))
+
+
+@pytest.mark.parametrize("source,free_surface_top", [((16, 10), False), (None, True)])
+def test_rediscretized_baseline_takes_any_source(source, free_surface_top):
+    """The coarser problems never use the source, so a source index that
+    halves to an odd one, such as the default below a free surface (16, 1),
+    builds the levels that a source divisible by 4 does."""
+    plan = CyclePlan(intergrid="bilinear")
+    levels = [build_rediscretized_hierarchy(
+        build_problem(2, 32, 12, pad=4, source=s, free_surface_top=free_surface_top),
+        plan).levels for s in (source, (16, 8))]
+    for built, reference in zip(*levels):
+        assert (built.operator.matrix != reference.operator.matrix).nnz == 0
 
 
 def test_rediscretized_baseline_preconditions_at_moderate_frequency():
