@@ -273,7 +273,13 @@ def _require_G(config):
 
 
 def _format_G(g):
-    return str(int(g)) if g == int(g) else repr(g)
+    """g as digits where repr would print an integral g as digits, else repr."""
+    return str(int(g)) if g == int(g) and abs(g) < 1e16 else repr(g)
+
+
+def _table_key(dim, g, intergrid):
+    """The shift table's key "dim:G:intergrid" of a tuned shift."""
+    return f"{dim}:{_format_G(g)}:{intergrid}"
 
 
 def _cells_tuple(config):
@@ -361,7 +367,7 @@ def _resolve_alpha(config, g):
     """config.alpha, with "auto" served from the table or tuned on the fly."""
     if config.alpha != "auto":
         return config.alpha
-    key = f"{config.dim}:{_format_G(g)}:{config.intergrid}"
+    key = _table_key(config.dim, g, config.intergrid)
     entry = _load_table(_table_path()).get(key)
     if entry is not None:
         return _NUMBER(entry.get("alpha_star") if isinstance(entry, dict) else None,
@@ -418,15 +424,6 @@ def _parse_method(spec, config, alpha):
     return "galerkin", _cycle_plan(config, *shifts)
 
 
-def _build_method_hierarchy(problem, config, kind, plan):
-    try:
-        if kind == "re-disc":
-            return build_rediscretized_hierarchy(problem, plan)
-        return build_hierarchy(problem, config.scheme, plan)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _restart(config):
     """The FGMRES restart length of config.solver; None for full FGMRES or the
     stationary solver."""
@@ -444,29 +441,39 @@ def _maxit(config):
 
 
 def _outer_operator(config, problem, hierarchy):
-    """The matrix FGMRES iterates on, or None for the stationary solver.
-
-    Krylov always targets the unshifted operator. With beta = 0 that is
-    exactly the hierarchy's fine level; only a complex-shifted hierarchy
-    needs a separate assembly.
-    """
-    if config.solver == "stationary":
-        if hierarchy.plan.beta > 0:
-            raise ConfigError("the stationary solver iterates on the operator it "
-                              "is built from; beta must be 0")
-        return None
+    """The unshifted matrix the outer solver iterates on: the hierarchy's fine
+    level when beta = 0, else a separate assembly."""
     if hierarchy.plan.beta == 0:
         return hierarchy.levels[0].operator.matrix
     return assemble_operator(problem, config.scheme, alpha=1.0, beta=0.0).matrix
 
 
+def _set_up(problem, config, kind, plan):
+    """The set-up of every solve: returns the hierarchy of (kind, plan), the
+    outer operator of config and the seconds both took. The stationary
+    solver iterates on the fine level, so it takes no complex shift."""
+    if config.solver == "stationary" and plan.beta > 0:
+        raise ConfigError("the stationary solver iterates on the operator it "
+                          "is built from; beta must be 0")
+    start = time.perf_counter()
+    try:
+        if kind == "re-disc":
+            hierarchy = build_rediscretized_hierarchy(problem, plan)
+        else:
+            hierarchy = build_hierarchy(problem, config.scheme, plan)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    outer = _outer_operator(config, problem, hierarchy)
+    return hierarchy, outer, time.perf_counter() - start
+
+
 def _run_solver(problem, config, hierarchy, outer):
     b = point_source(problem).ravel()
+    apply_A, apply_M = (lambda v: outer @ v), (lambda r: cycle(hierarchy, r))
     if config.solver == "stationary":
-        return stationary_solve(hierarchy, b, tol=config.tol, maxit=_maxit(config))
-    return fgmres(lambda v: outer @ v,
-                  lambda r: cycle(hierarchy, r),
-                  b, restart=_restart(config), tol=config.tol, maxit=_maxit(config))
+        return stationary_solve(apply_A, apply_M, b, tol=config.tol, maxit=_maxit(config))
+    return fgmres(apply_A, apply_M, b, restart=_restart(config), tol=config.tol,
+                  maxit=_maxit(config))
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +513,12 @@ def cmd_tune_shift(config, write_table=None, fmt="csv"):
                      "max_eg": f"{max_eg:.6e}",
                      "ncrit_lo": lo, "ncrit_hi": hi})
     if write_table:
-        for row in rows:
-            key = f"{row['dim']}:{row['G']}:{row['intergrid']}"
-            table[key] = {"alpha_star": float(row["alpha_star"]),
-                          "max_eg": float(row["max_eg"]),
-                          "ncrit_lo": row["ncrit_lo"],
-                          "ncrit_hi": row["ncrit_hi"]}
+        for g, row in zip(config.G, rows):
+            table[_table_key(config.dim, g, config.intergrid)] = {
+                "alpha_star": float(row["alpha_star"]),
+                "max_eg": float(row["max_eg"]),
+                "ncrit_lo": row["ncrit_lo"],
+                "ncrit_hi": row["ncrit_hi"]}
         with open(write_table, "w", encoding="utf-8") as fh:
             json.dump(table, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -534,12 +541,10 @@ def cmd_solve(config):
     problem = _build_problem(config)    # cheap checks before a possible tuning
     g = _require_G(config)
     kind, plan = _parse_method(config.method, config, lambda: _resolve_alpha(config, g))
+    hierarchy, outer, setup_seconds = _set_up(problem, config, kind, plan)
     start = time.perf_counter()
-    hierarchy = _build_method_hierarchy(problem, config, kind, plan)
-    outer = _outer_operator(config, problem, hierarchy)
-    built = time.perf_counter()
     x, report = _run_solver(problem, config, hierarchy, outer)
-    solved = time.perf_counter()
+    solve_seconds = time.perf_counter() - start
     lu = hierarchy.coarse_solver
     payload = {
         "method": config.method,
@@ -557,8 +562,8 @@ def cmd_solve(config):
         "diverged": report.diverged,
         "wall_time": report.wall_time,
         "residual_history": report.residual_history,
-        "setup_seconds": built - start,
-        "solve_seconds": solved - built,
+        "setup_seconds": setup_seconds,
+        "solve_seconds": solve_seconds,
         "levels": [{"dofs": level.operator.dofs, "nnz": int(level.operator.matrix.nnz)}
                    for level in hierarchy.levels],
         "coarse_lu_nnz": _lu_fill(lu),
@@ -574,10 +579,7 @@ def _sweep_cell(config, kind, plan):
     """One (grid, method) sweep cell, with the method cmd_sweep resolved to
     (kind, plan); module-level so workers can import it."""
     problem = _build_problem(config)
-    start = time.perf_counter()
-    hierarchy = _build_method_hierarchy(problem, config, kind, plan)
-    outer = _outer_operator(config, problem, hierarchy)
-    setup_seconds = time.perf_counter() - start
+    hierarchy, outer, setup_seconds = _set_up(problem, config, kind, plan)
     reports = []
     for _ in range(config.repeats + 1):     # first run is the warm-up
         x, report = _run_solver(problem, config, hierarchy, outer)
@@ -637,14 +639,14 @@ def cmd_dispersion(config):
         acfg = _analysis_config(config, g, alpha_range=(lo, hi), alpha_resolution=step)
         problem = _build_problem(config)
         _, _, scan = optimize_shift(acfg)
-        alphas = scan.alphas
         eg_max = np.abs(scan.errors).max(axis=1)
+        # the measured factor comes from scan_maxit steps that never converge
+        stationary = replace(config, solver="stationary", tol=1e-30, maxit=config.scan_maxit)
         rows = []
-        for alpha, eg in zip(alphas, eg_max):
+        for alpha, eg in zip(scan.alphas, eg_max):
             plan = _cycle_plan(config, float(alpha), 0.0, config.intergrid)
-            hier = _build_method_hierarchy(problem, config, "galerkin", plan)
-            b = point_source(problem).ravel()
-            _, report = stationary_solve(hier, b, tol=1e-30, maxit=config.scan_maxit)
+            hierarchy, outer, _ = _set_up(problem, stationary, "galerkin", plan)
+            _, report = _run_solver(problem, stationary, hierarchy, outer)
             rows.append({"alpha": f"{alpha:.6g}", "e_g_max": f"{eg:.6e}",
                          "conv_factor": f"{_convergence_factor(report.residual_history):.4f}"})
         _write_rows(rows, ["alpha", "e_g_max", "conv_factor"], config.out)

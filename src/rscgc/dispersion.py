@@ -156,20 +156,24 @@ def _first_crossings(lap, mass, masses, phi, res, steps):
     crossed; the first nonnegative sample brackets each crossing, and `steps`
     halvings refine the bracket. Returns the final bracket midpoints.
 
-    Both symbols share one cosine table. Padded to common extents, offset
-    n-1-i of a stencil is the negative of offset i in C order, and cos is
-    even, so the table keeps the first n//2 + 1 offsets with the coefficient
-    pairs summed.
+    A symbol sum(c cos(theta.o)) is tabulated as sum(c) - 2 sum(c sin^2(theta.o/2)),
+    with no cancellation of O(1) terms near a crossing; sum(c) is the fsum of
+    the stored coefficients. Both symbols share one sin^2 table. Padded to
+    common extents, offset n-1-i of a stencil is the negative of offset i in
+    C order, so the table keeps the first n//2 offsets, the pairs summed.
     """
     extents = tuple(max(a, b) for a, b in zip(lap.extents, mass.extents))
     lap, mass = lap.padded_to(extents), mass.padded_to(extents)
     coeffs = np.column_stack([lap.coeffs.ravel().real, mass.coeffs.ravel().real])
+    sums = np.array([math.fsum(column) for column in coeffs.T])
     half = len(coeffs) // 2
-    coeffs = np.vstack([coeffs[:half] + coeffs[:half:-1], coeffs[half]])
-    proj = lap.offsets()[:half + 1].astype(float) @ _unit(lap.dim, phi)
+    pairs = -2.0 * (coeffs[:half] + coeffs[:half:-1])
+    half_proj = 0.5 * (lap.offsets()[:half].astype(float) @ _unit(lap.dim, phi))
 
     def symbols(r):
-        table = np.cos(np.outer(r, proj)) @ coeffs
+        table = np.multiply.outer(r, half_proj)
+        np.square(np.sin(table, out=table), out=table)
+        table = table @ pairs + sums
         return table[:, 0], table[:, 1]
 
     masses = np.asarray(masses, dtype=float)

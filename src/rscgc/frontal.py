@@ -9,9 +9,11 @@ nodes along each axis, down to boxes of at most _LEAF nodes. Each box is
 eliminated before the separator that bounds it (George 1973), and each
 elimination step works on a dense frontal matrix (Duff & Reid 1983):
 zgetrf on the pivot block, ztrsm for the two border blocks and zgemm for
-the Schur update that the parent front assembles. Pivoting stays inside
-each pivot block: an exactly singular one is a RuntimeError, and one that
-is merely ill-conditioned is left to the caller's residual check.
+the Schur update that the parent front assembles. A separator is numbered
+with its cut axis fastest, so an update lands in its parent's front as runs
+of consecutive positions, added one slice pair at a time. Pivoting stays
+inside each pivot block: an exactly singular one is a RuntimeError, and one
+that is merely ill-conditioned is left to the caller's residual check.
 """
 
 from typing import NamedTuple
@@ -28,13 +30,6 @@ __all__ = ["FrontalLU", "nested_dissection"]
 # levels of the benchmark, leaves of 64 and of 100 nodes factor equally fast,
 # and 64 keeps 15% less fill in 2D (7.9 M instead of 9.3 M).
 _LEAF = 64
-
-# Most runs of consecutive targets that _extend_add assembles by slices. On
-# the 2D benchmark coarsest level every border forms at most 4 runs. On the
-# 3D one, 38 of the 62 updates form 5 to 19 runs, 5157 slice pairs in all;
-# one fancy-index add is as fast as the slices at 4 runs and 2-5 times
-# faster at 12 to 19.
-_RUNS = 4
 
 
 class Node(NamedTuple):
@@ -87,17 +82,9 @@ def nested_dissection(shape, reach, leaf):
 
 
 def _extend_add(front, update, targets):
-    """front[targets][:, targets] += update for an F-ordered front and update.
-
-    Targets in at most _RUNS runs of consecutive positions take one slice
-    pair per pair of runs; a more fragmented border takes one fancy-index
-    add on the flat front.
-    """
+    """front[targets][:, targets] += update, one slice pair per pair of runs
+    of consecutive target positions."""
     starts = np.r_[0, np.flatnonzero(np.diff(targets) != 1) + 1]
-    if len(starts) > _RUNS:
-        flat = front.T.reshape(-1)      # a view: front.T is C-contiguous
-        flat[(len(front) * targets[:, None] + targets).ravel()] += update.T.reshape(-1)
-        return
     runs = list(zip(starts.tolist(), np.r_[starts[1:], len(targets)].tolist(),
                     targets[starts].tolist()))
     for a, z, t in runs:

@@ -1,14 +1,16 @@
-"""Flexible right-preconditioned GMRES and the stationary cycle driver.
+"""The outer solvers, flexible GMRES and the stationary iteration.
 
-scipy's gmres is not flexible (it assumes a fixed preconditioner and
-left-preconditions in legacy mode), so the outer solver is written here.
-The Krylov basis V and the preconditioned vectors Z are rows of two complex
-arrays that grow a block of rows at a time. Each new vector is
-orthogonalized by classical Gram-Schmidt run twice (CGS2), every pass two
-BLAS-2 products; complex Givens rotations reduce the Hessenberg columns to
-an upper-triangular factor; restart is optional. An iteration means one
-preconditioner application; residual_history carries one relative residual
-per iteration, with the final entry recomputed from scratch.
+Both take the operator and the preconditioner as callables on flat complex
+vectors, start from zero and share one prologue, which checks the limits and
+b. scipy's gmres is not flexible (it assumes a fixed preconditioner and
+left-preconditions in legacy mode), so FGMRES is written here. The Krylov
+basis V and the preconditioned vectors Z are rows of two complex arrays that
+grow a block of rows at a time. Each new vector is orthogonalized by
+classical Gram-Schmidt run twice (CGS2), every pass two BLAS-2 products;
+complex Givens rotations reduce the Hessenberg columns to an upper-triangular
+factor; restart is optional. An iteration means one preconditioner
+application; residual_history carries one relative residual per iteration,
+with the final entry recomputed from scratch.
 """
 
 import math
@@ -20,7 +22,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .discretization import _integer
-from .multigrid import cycle
 
 __all__ = ["SolveReport", "checked_maxit", "fgmres", "stationary_solve"]
 
@@ -75,6 +76,27 @@ def _room(basis, rows):
     return grown
 
 
+def _outer_solve(iterate, b, tol, maxit, restart=None):
+    """(x, SolveReport) of iterate(b, bnorm, maxit), which returns x and the
+    report's fields but wall_time. Before the clock starts, checked_maxit
+    checks the limits, and a non-finite entry of b is a ValueError that names
+    it. A zero b gives x = 0 with no iteration."""
+    maxit = checked_maxit(tol, maxit, restart)
+    b = np.asarray(b, dtype=complex).ravel()
+    bad = np.flatnonzero(~np.isfinite(b))
+    if len(bad):
+        raise ValueError(f"b must be finite, got {b[bad[0]]} at index {bad[0]} "
+                         f"({len(bad)} non-finite entries)")
+    start = time.perf_counter()
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        x, fields = np.zeros_like(b), dict(iterations=0, residual_history=[0.0],
+                                           converged=True)
+    else:
+        x, fields = iterate(b, bnorm, maxit)
+    return x, SolveReport(**fields, wall_time=time.perf_counter() - start)
+
+
 def fgmres(apply_A, apply_M, b, restart=None, tol=1e-6, maxit=None):
     """Right-preconditioned flexible GMRES from a zero start.
 
@@ -84,118 +106,91 @@ def fgmres(apply_A, apply_M, b, restart=None, tol=1e-6, maxit=None):
     The true residual is computed at the end of every (re)start, so apply_A
     runs once per iteration and once per start. Returns (x, SolveReport).
     """
-    maxit = checked_maxit(tol, maxit, restart)
+    def iterate(b, bnorm, maxit):
+        x, r, rnorm = np.zeros_like(b), b, bnorm
+        history = [float(rnorm / bnorm)]
+        converged = history[0] < tol
+        iterations = 0
+        V = np.empty((0, len(b)), dtype=complex)
+        Z = np.empty((0, len(b)), dtype=complex)
 
-    start = time.perf_counter()
-    b = np.asarray(b, dtype=complex).ravel()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        return np.zeros_like(b), SolveReport(
-            iterations=0, residual_history=[0.0], converged=True,
-            wall_time=time.perf_counter() - start)
+        # r and rnorm hold the true residual of x at the top of every (re)start
+        while not converged and iterations < maxit:
+            budget = min(restart or maxit, maxit - iterations)
+            V = _room(V, 1)
+            V[0] = r / rnorm
+            H = np.zeros((budget, budget), dtype=complex)   # the triangular factor
+            givens = []
+            g = np.zeros(budget + 1, dtype=complex)
+            g[0] = rnorm
+            k = 0
+            for j in range(budget):
+                Z = _room(Z, j + 1)
+                Z[j] = apply_M(V[j])
+                w = apply_A(Z[j])
+                iterations += 1
+                norm_before = np.linalg.norm(w)
+                basis = V[:j + 1]
+                # conj(w^H V^T) is V^H w without a conjugated copy of the basis;
+                # the first update makes a new w, since apply_A may return Z[j]
+                first = np.conj(w.conj() @ basis.T)
+                w = w - first @ basis
+                second = np.conj(w.conj() @ basis.T)
+                w -= second @ basis
+                wnorm = np.linalg.norm(w)
+                col = np.empty(j + 2, dtype=complex)
+                col[:j + 1] = first + second
+                col[j + 1] = wnorm
+                breakdown = wnorm <= _BREAKDOWN * max(norm_before, 1e-300)
+                if not breakdown:
+                    V = _room(V, j + 2)
+                    V[j + 1] = w / wnorm
+                for i, (c, s) in enumerate(givens):
+                    ti = c * col[i] + s * col[i + 1]
+                    col[i + 1] = -np.conj(s) * col[i] + c * col[i + 1]
+                    col[i] = ti
+                c, s = _givens(col[j], col[j + 1])
+                givens.append((c, s))
+                col[j] = c * col[j] + s * col[j + 1]
+                col[j + 1] = 0.0
+                g[j + 1] = -np.conj(s) * g[j]
+                g[j] = c * g[j]
+                H[:j + 1, j] = col[:j + 1]
+                k = j + 1
+                estimate = abs(g[j + 1]) / bnorm
+                history.append(float(estimate))
+                if estimate < tol or breakdown or iterations >= maxit:
+                    break
+            y = solve_triangular(H[:k, :k], g[:k])
+            x = x + y @ Z[:k]
+            r = b - apply_A(x)
+            rnorm = np.linalg.norm(r)
+            history[-1] = float(rnorm / bnorm)
+            converged = history[-1] < tol
+        return x, dict(iterations=iterations, residual_history=history,
+                       converged=converged)
 
-    x, r, rnorm = np.zeros_like(b), b, bnorm
-    history = [float(rnorm / bnorm)]
-    converged = history[0] < tol
-    iterations = 0
-    V = np.empty((0, len(b)), dtype=complex)
-    Z = np.empty((0, len(b)), dtype=complex)
-
-    # r and rnorm hold the true residual of x at the top of every (re)start
-    while not converged and iterations < maxit:
-        budget = maxit - iterations if restart is None else min(restart, maxit - iterations)
-        V = _room(V, 1)
-        V[0] = r / rnorm
-        H = np.zeros((budget, budget), dtype=complex)   # the triangular factor
-        givens = []
-        g = np.zeros(budget + 1, dtype=complex)
-        g[0] = rnorm
-        k = 0
-        for j in range(budget):
-            Z = _room(Z, j + 1)
-            Z[j] = apply_M(V[j])
-            w = apply_A(Z[j])
-            iterations += 1
-            norm_before = np.linalg.norm(w)
-            basis = V[:j + 1]
-            # conj(w^H V^T) is V^H w without a conjugated copy of the basis;
-            # the first update makes a new w, since apply_A may return Z[j]
-            first = np.conj(w.conj() @ basis.T)
-            w = w - first @ basis
-            second = np.conj(w.conj() @ basis.T)
-            w -= second @ basis
-            wnorm = np.linalg.norm(w)
-            col = np.empty(j + 2, dtype=complex)
-            col[:j + 1] = first + second
-            col[j + 1] = wnorm
-            breakdown = wnorm <= _BREAKDOWN * max(norm_before, 1e-300)
-            if not breakdown:
-                V = _room(V, j + 2)
-                V[j + 1] = w / wnorm
-            for i, (c, s) in enumerate(givens):
-                ti = c * col[i] + s * col[i + 1]
-                col[i + 1] = -np.conj(s) * col[i] + c * col[i + 1]
-                col[i] = ti
-            c, s = _givens(col[j], col[j + 1])
-            givens.append((c, s))
-            col[j] = c * col[j] + s * col[j + 1]
-            col[j + 1] = 0.0
-            g[j + 1] = -np.conj(s) * g[j]
-            g[j] = c * g[j]
-            H[:j + 1, j] = col[:j + 1]
-            k = j + 1
-            estimate = abs(g[j + 1]) / bnorm
-            history.append(float(estimate))
-            if estimate < tol or breakdown or iterations >= maxit:
-                break
-        y = solve_triangular(H[:k, :k], g[:k])
-        x = x + y @ Z[:k]
-        r = b - apply_A(x)
-        rnorm = np.linalg.norm(r)
-        history[-1] = float(rnorm / bnorm)
-        converged = history[-1] < tol
-
-    return x, SolveReport(iterations=iterations, residual_history=history,
-                          converged=converged,
-                          wall_time=time.perf_counter() - start)
+    return _outer_solve(iterate, b, tol, maxit, restart)
 
 
-def stationary_solve(hierarchy, b, tol=1e-6, maxit=None):
-    """Repeated correction x <- x + cycle(b - A x) on the fine level, from a
-    zero start.
+def stationary_solve(apply_A, apply_M, b, tol=1e-6, maxit=None):
+    """The stationary iteration x <- x + apply_M(b - apply_A(x)) from a zero
+    start; apply_A and apply_M are callables on flat complex vectors.
 
     Aborts with the diverged flag when the relative residual grows past 10x
     its running minimum. Returns (x, SolveReport).
     """
-    maxit = checked_maxit(tol, maxit)
-    start = time.perf_counter()
-    A = hierarchy.levels[0].operator.matrix
-    b = np.asarray(b, dtype=complex).ravel()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        return np.zeros_like(b), SolveReport(
-            iterations=0, residual_history=[0.0], converged=True,
-            wall_time=time.perf_counter() - start)
+    def iterate(b, bnorm, maxit):
+        x, r = np.zeros_like(b), b
+        history = [float(bnorm / bnorm)]
+        converged, diverged = history[0] < tol, False
+        while not (converged or diverged) and len(history) <= maxit:
+            x = x + apply_M(r)
+            r = b - apply_A(x)
+            history.append(float(np.linalg.norm(r) / bnorm))
+            converged = history[-1] < tol
+            diverged = not converged and history[-1] >= 10.0 * min(history[:-1])
+        return x, dict(iterations=len(history) - 1, residual_history=history,
+                       converged=converged, diverged=diverged)
 
-    x, r = np.zeros_like(b), b
-    rel = float(bnorm / bnorm)
-    history = [rel]
-    converged = rel < tol
-    diverged = False
-    best = rel
-    iterations = 0
-    while not converged and not diverged and iterations < maxit:
-        x = x + cycle(hierarchy, r)
-        r = b - A @ x
-        rel = float(np.linalg.norm(r) / bnorm)
-        history.append(rel)
-        iterations += 1
-        if rel < tol:
-            converged = True
-        elif rel >= 10.0 * best:
-            diverged = True
-        best = min(best, rel)
-
-    return x, SolveReport(iterations=iterations, residual_history=history,
-                          converged=converged, diverged=diverged,
-                          wall_time=time.perf_counter() - start)
+    return _outer_solve(iterate, b, tol, maxit)

@@ -221,8 +221,13 @@ def transfer_matrices(fine_shape, restriction_order, prolongation_order):
 
     Per axis, restriction is the row-normalized weight band and prolongation
     the row-normalized transpose of its own family's band; away from the
-    boundary that is the transpose-scaling convention P = 2^d R^T.
+    boundary that is the transpose-scaling convention P = 2^d R^T. An axis
+    of fewer than 3 nodes or of an even count cannot be halved, a ValueError.
     """
+    bad = [n for n in fine_shape if n < 3 or n % 2 == 0]
+    if bad:
+        raise ValueError(f"grid extents {tuple(fine_shape)} cannot be halved: each "
+                         f"axis needs an odd count of at least 3 nodes, got {bad}")
     factors = [_axis_factors(n, restriction_order, prolongation_order)
                for n in fine_shape]
     return TransferPair(tuple(r for r, _ in factors), tuple(p for _, p in factors),
@@ -452,8 +457,11 @@ def jacobi_smooth(level, x, b, sweeps):
     Every sweep reads only the previous iterate. Returns the new iterate
     without mutating x. x=None stands for the zero vector, whose first sweep
     is w D^-1 b without the product with A. A complex64 b is smoothed with
-    the level's complex64 arrays, anything else in double.
+    the level's complex64 arrays, anything else in double. sweeps must be a
+    nonnegative integer.
     """
+    if _integer(sweeps, "sweeps") < 0:
+        raise ValueError(f"sweeps must be nonnegative, got {sweeps!r}")
     w = level.damping
     b = np.asarray(b)
     A, invd = level.cycle_arrays(b.dtype)

@@ -63,6 +63,12 @@ def run_fgmres(problem, hierarchy, restart=None, maxit=None):
     return {"report": report, "true_rel": true_rel, "seconds": seconds}
 
 
+def run_stationary(hierarchy, b, **kwargs):
+    """The stationary iteration of one cycle on the hierarchy's fine level."""
+    A = hierarchy.levels[0].operator.matrix
+    return stationary_solve(lambda v: A @ v, lambda r: cycle(hierarchy, r), b, **kwargs)
+
+
 def coarsest_identity_residual(problem, alpha):
     """Relative entrywise defect of the doubly coarsened shift split."""
     plain = build_hierarchy(problem, "fourth-order", CyclePlan())
@@ -117,7 +123,7 @@ def heterogeneous_runs():
                 problem = build_problem(2, cells, 12, kind=kind, kappa2=kappa2)
                 hierarchy = build_hierarchy(problem, "fourth-order", plan)
                 b = point_source(problem).ravel()
-                _, stat = stationary_solve(hierarchy, b, tol=1e-6)
+                _, stat = run_stationary(hierarchy, b, tol=1e-6)
                 runs.append({
                     "label": f"{kind}{kappa2}@{cells}",
                     "fgmres": run_fgmres(problem, hierarchy),
@@ -289,7 +295,7 @@ def test_linearity_transfers_divergence_and_3d():
     big = build_problem(2, 512, 12)
     wrong = build_hierarchy(big, "fourth-order", CyclePlan(alpha=0.5))
     b = point_source(big).ravel()
-    _, report = stationary_solve(wrong, b, tol=1e-6, maxit=30)
+    _, report = run_stationary(wrong, b, tol=1e-6, maxit=30)
     assert report.diverged and not report.converged
 
     # the 3D pipeline: shift split on the coarsest level, and a converging

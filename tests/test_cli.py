@@ -187,12 +187,14 @@ def test_solve_explicit_alpha_wins(tmp_path):
     assert read_json(out)["alpha"] == 1.005
 
 
-def test_solve_rejects_bad_arguments(capsys):
+def test_solve_rejects_bad_arguments(capsys, monkeypatch):
     base = ["solve", "--dim", "2", "--G", "12", "--cells", "32"]
     assert main(base + ["--alpha", "abc"]) == 2
     assert main(base + ["--method", "ilu"]) == 2
     assert main(base + ["--solver", "bicg"]) == 2
-    assert main(base + ["--method", "cslp:0.3", "--solver", "stationary"]) == 2
+    with monkeypatch.context() as patch:    # rejected before any set-up
+        patch.setattr(cli, "build_hierarchy", None)
+        assert main(base + ["--method", "cslp:0.3", "--solver", "stationary"]) == 2
     assert main(["solve", "--dim", "2", "--G", "12", "--cells", "16,16,16"]) == 2
     capsys.readouterr()
 
@@ -402,6 +404,19 @@ def test_missing_table_entry_triggers_tuning(tmp_path, monkeypatch, caplog):
     assert notice.name == "rscgc.cli" and notice.levelno == logging.WARNING
     assert "2:12:cubic" in notice.getMessage()
     assert read_json(out)["alpha"] == 1.0045
+
+
+def test_shift_table_keys_print_G_as_digits_or_repr(tmp_path, monkeypatch, caplog):
+    """An integral G prints as digits while repr would too, and as its repr
+    past that, so G = 1e308 is keyed "1e+308", not 309 digits."""
+    keys = [cli._table_key(2, g, "cubic") for g in (10.0, 11.0, 12.0, 10.5, 1e16)]
+    assert keys == ["2:10:cubic", "2:11:cubic", "2:12:cubic", "2:10.5:cubic",
+                    "2:1e+16:cubic"]
+    monkeypatch.setenv("HELM_SHIFT_TABLE", str(tmp_path / "absent.json"))
+    with caplog.at_level(logging.WARNING, logger="rscgc.cli"):
+        assert main(["solve", "--G", "1e308", "--cells", "16"]) == 2
+    notice, = [r for r in caplog.records if "tuning now" in r.getMessage()]
+    assert notice.getMessage() == "shift table has no entry 2:1e+308:cubic; tuning now"
 
 
 def test_tuning_notice_reaches_stderr_without_logging_setup(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from rscgc.discretization import laplacian_and_mass_stencils, omega_for_ppw
 from rscgc.dispersion import (
     TUNED_INTERGRIDS,
     POLAR_LO,
+    _unit,
     AnalysisConfig,
     NoCrossingError,
     classical_dispersion_error,
@@ -272,6 +274,32 @@ def test_classical_error_fourth_order_decay():
         assert abs(err) < bound
     with pytest.raises(ValueError, match="exceed 2"):
         classical_dispersion_error(helmholtz_stencil(2, math.pi), 2.0, 0.0)
+
+
+def mpmath_radius(stencil, phi, near):
+    """The crossing nearest `near` of the real symbol sum(c cos(r u.o)) of the
+    stored coefficients c along the stored unit vector u, in 40 digits."""
+    u = _unit(stencil.dim, phi)
+    terms = [(mpmath.mpf(float(c)), sum(mpmath.mpf(float(x)) * int(o) for x, o in zip(u, off)))
+             for c, off in zip(stencil.coeffs.ravel().real, stencil.offsets()) if c]
+    with mpmath.workdps(40):
+        return mpmath.findroot(lambda r: mpmath.fsum(c * mpmath.cos(r * p) for c, p in terms),
+                               mpmath.mpf(near))
+
+
+@pytest.mark.parametrize("G", [10.0, 100.0, 1e3, 1e4])
+@pytest.mark.parametrize("dim,phi", [(2, 0.0), (2, math.pi / 8), (2, math.pi / 4),
+                                     (3, (0.3, 1.2))])
+def test_radius_matches_the_mpmath_root(dim, phi, G):
+    """Tabulated as sum(c) - 2 sum(c sin^2), the symbol of a stencil carrying
+    its mass term keeps the radius to 1e-12 relative of the 40-digit root."""
+    kh = 2 * math.pi / G
+    stencil = helmholtz_stencil(dim, kh)
+    r = discrete_radius(stencil, phi)
+    exact = mpmath_radius(stencil, phi, r)
+    assert abs(r - exact) <= 1e-12 * exact
+    err = classical_dispersion_error(stencil, G, phi)
+    assert abs(err - float(kh / exact - 1)) <= 1e-12
 
 
 # ---------------------------------------------------------------- configuration

@@ -1,25 +1,15 @@
 """Outer solvers: flexible GMRES mechanics and the stationary driver."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import krylov_oracle
-import rscgc.krylov as kr
 from rscgc.discretization import assemble_operator, point_source
 from rscgc.krylov import fgmres, stationary_solve
 from rscgc.multigrid import CyclePlan, build_hierarchy, cycle
 
 from conftest import build_problem
-
-
-def identity_hierarchy(n):
-    """Stand-in with an identity fine operator, for driver-mechanics tests."""
-    op = SimpleNamespace(matrix=sp.eye(n, format="csr", dtype=complex))
-    return SimpleNamespace(levels=[SimpleNamespace(operator=op)])
 
 
 def jacobi_preconditioned_run(**kwargs):
@@ -124,18 +114,24 @@ def test_fgmres_argument_validation():
         fgmres(lambda v: v, lambda v: v, b, tol=0.0)
     with pytest.raises(ValueError, match="restart"):
         fgmres(lambda v: v, lambda v: v, b, restart=0)
-    for tol, named in ((-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"), ("abc", "'abc'")):
-        with pytest.raises(ValueError, match=f"tol.*{named}"):
-            fgmres(lambda v: v, lambda v: v, b, tol=tol)
-        with pytest.raises(ValueError, match=f"tol.*{named}"):
-            stationary_solve(identity_hierarchy(4), b, tol=tol)
-    for name in ("maxit", "restart"):
+    for solve in (fgmres, stationary_solve):
+        for tol, named in ((-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"),
+                           ("abc", "'abc'")):
+            with pytest.raises(ValueError, match=f"tol.*{named}"):
+                solve(lambda v: v, lambda v: v, b, tol=tol)
         for value, named in ((-3, "-3"), (2.5, "2.5"), (True, "True")):
-            with pytest.raises(ValueError, match=f"{name}.*{named}"):
-                fgmres(lambda v: v, lambda v: v, b, **{name: value})
+            with pytest.raises(ValueError, match=f"maxit.*{named}"):
+                solve(lambda v: v, lambda v: v, b, maxit=value)
+        # a non-finite right-hand side is named before any iteration
+        for bad, named in ((np.nan, "nan"), (-np.inf, "-inf")):
+            calls = []
+            b_bad = np.r_[b, bad]
+            with pytest.raises(ValueError, match=rf"b must be finite.*{named}.*index 4"):
+                solve(lambda v: calls.append(1) or v, lambda v: v, b_bad)
+            assert not calls
     for value, named in ((-3, "-3"), (2.5, "2.5"), (True, "True")):
-        with pytest.raises(ValueError, match=f"maxit.*{named}"):
-            stationary_solve(identity_hierarchy(4), b, maxit=value)
+        with pytest.raises(ValueError, match=f"restart.*{named}"):
+            fgmres(lambda v: v, lambda v: v, b, restart=value)
 
 
 @settings(max_examples=24, deadline=None)
@@ -178,30 +174,27 @@ def test_maxit_caps_the_iteration_count():
 
 # ---------------------------------------------------------------- stationary
 
-def test_stationary_flags_divergence_at_tenfold_growth(monkeypatch):
-    monkeypatch.setattr(kr, "cycle", lambda h, r: -r)
+def test_stationary_flags_divergence_at_tenfold_growth():
     rng = np.random.default_rng(4)
     b = rng.standard_normal(16).astype(complex)
-    x, report = stationary_solve(identity_hierarchy(16), b, tol=1e-8)
+    x, report = stationary_solve(lambda v: v, lambda r: -r, b, tol=1e-8)
     # residual doubles each step: 2, 4, 8, 16 => flagged on the fourth
     assert report.diverged and not report.converged
     assert report.iterations == 4
 
 
-def test_stationary_converges_with_a_contracting_cycle(monkeypatch):
-    monkeypatch.setattr(kr, "cycle", lambda h, r: 0.5 * r)
+def test_stationary_converges_with_a_contracting_cycle():
     b = np.ones(9, dtype=complex)
-    x, report = stationary_solve(identity_hierarchy(9), b, tol=1e-3)
+    x, report = stationary_solve(lambda v: v, lambda r: 0.5 * r, b, tol=1e-3)
     assert report.converged and not report.diverged
     assert report.iterations == 10  # 2^-10 is the first residual under 1e-3
     h = np.array(report.residual_history)
     assert np.allclose(h, 0.5 ** np.arange(11))
 
 
-def test_stationary_maxit_caps_the_iteration_count(monkeypatch):
-    monkeypatch.setattr(kr, "cycle", lambda h, r: 0.5 * r)
+def test_stationary_maxit_caps_the_iteration_count():
     b = np.ones(9, dtype=complex)
-    _, capped = stationary_solve(identity_hierarchy(9), b, tol=1e-30, maxit=6)
+    _, capped = stationary_solve(lambda v: v, lambda r: 0.5 * r, b, tol=1e-30, maxit=6)
     assert capped.iterations == 6
     assert not capped.converged and not capped.diverged
 
@@ -210,10 +203,10 @@ def test_stationary_on_a_real_hierarchy():
     # needs the absorbing layer: the undamped closed box is near-resonant
     problem = build_problem(2, 32, 10)
     hier = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.014))
-    b = point_source(problem).ravel()
-    x, report = stationary_solve(hier, b, tol=1e-8)
-    assert report.converged and not report.diverged
     A = hier.levels[0].operator.matrix
+    b = point_source(problem).ravel()
+    x, report = stationary_solve(lambda v: A @ v, lambda r: cycle(hier, r), b, tol=1e-8)
+    assert report.converged and not report.diverged
     assert np.linalg.norm(b - A @ x) <= 1e-8 * np.linalg.norm(b)
     with pytest.raises(ValueError, match="tol"):
-        stationary_solve(hier, b, tol=-1.0)
+        stationary_solve(lambda v: A @ v, lambda r: cycle(hier, r), b, tol=-1.0)

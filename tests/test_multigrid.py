@@ -375,6 +375,9 @@ def test_uncoarsenable_grids_rejected():
         build_hierarchy(build_problem(2, 18, 10, pad=0), "fourth-order", CyclePlan())
     with pytest.raises(ValueError, match="coarsened twice"):
         build_hierarchy(build_problem(2, 12, 6, pad=0), "fourth-order", CyclePlan())
+    for shape, bad in (((2, 2), r"\[2, 2\]"), ((18, 17), r"\[18\]")):
+        with pytest.raises(ValueError, match=rf"cannot be halved.*got {bad}"):
+            transfer_matrices(shape, "cubic", "cubic")
 
 
 @pytest.mark.parametrize("bad", [
@@ -424,6 +427,16 @@ def test_jacobi_matches_dense_update():
     two = jacobi_smooth(level, x, b, 2)
     assert np.allclose(two, jacobi_smooth(level, got, b, 1), atol=1e-12)
     assert np.array_equal(x, x_before)
+
+
+def test_jacobi_rejects_bad_sweeps():
+    level = build_hierarchy(build_problem(2, 16, 10, pad=0), "fourth-order",
+                            CyclePlan()).levels[0]
+    b = np.ones(level.operator.dofs, dtype=complex)
+    for sweeps, named in ((-1, "nonnegative, got -1"), (2.5, "an integer, got 2.5")):
+        for x in (None, b):
+            with pytest.raises(ValueError, match=f"sweeps must be {named}"):
+                jacobi_smooth(level, x, b, sweeps)
 
 
 def test_jacobi_fixed_point_is_the_solution():
