@@ -73,7 +73,14 @@ class AnalysisConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        lo, hi = self.alpha_range
+        _ray_samples(self.dim, self.ray_resolution)
+        try:
+            lo, hi = self.alpha_range
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not all(isinstance(v, numbers.Real) for v in (lo, hi)):
+            raise ValueError(
+                f"alpha_range must be a pair of numbers (lo, hi), got {self.alpha_range}")
         if not 0 < lo < hi < math.inf:
             raise ValueError(
                 f"alpha_range must satisfy 0 < lo < hi < inf, got {self.alpha_range}")
@@ -120,6 +127,11 @@ def direction_grid(config):
 
 
 def _unit(dim, phi):
+    angles = 2 if dim == 3 else 1
+    if np.size(phi) != angles:
+        raise ValueError(
+            f"direction phi must hold {angles} angle{'s' * (angles > 1)} in {dim}D, "
+            f"got {np.size(phi)}: {phi}")
     if not np.all(np.isfinite(phi)):
         raise ValueError(f"direction phi must be finite, got {phi}")
     if dim == 1:
@@ -135,12 +147,21 @@ def _unit(dim, phi):
     ])
 
 
-def _ray_grid(dim, res):
+def _ray_samples(dim, res):
+    """Number of ray-grid samples after r = 0, out to about pi*sqrt(dim)."""
     if not 0 < res < math.inf:
         raise ValueError(f"ray_resolution must be finite and positive, got {res}")
     rmax = math.pi * math.sqrt(dim)
     count = int(math.floor(rmax / res + 0.5))
-    return res * np.arange(0.0, count + 1.0)
+    if not count:
+        raise ValueError(
+            f"ray_resolution must leave a ray sample in (0, {rmax:.4g}] in {dim}D, "
+            f"got {res}")
+    return count
+
+
+def _ray_grid(dim, res):
+    return res * np.arange(0.0, _ray_samples(dim, res) + 1.0)
 
 
 # Ray samples tabulated at a time; the search stops after the block in which
@@ -148,19 +169,13 @@ def _ray_grid(dim, res):
 _RAY_BLOCK = 512
 
 
-def _first_crossings(lap, mass, masses, phi, res, steps):
-    """First sign switch of symbol(lap) - m * symbol(mass) along phi, per mass m.
+def _fold(lap, mass):
+    """The (lap, mass) pair folded for _first_crossings: (dim, sums, pairs, offsets).
 
-    The real symbols are tabulated on the ray grid r = 0, res, ..., about
-    pi*sqrt(dim), in blocks of _RAY_BLOCK samples, until every mass has
-    crossed; the first nonnegative sample brackets each crossing, and `steps`
-    halvings refine the bracket. Returns the final bracket midpoints.
-
-    A symbol sum(c cos(theta.o)) is tabulated as sum(c) - 2 sum(c sin^2(theta.o/2)),
-    with no cancellation of O(1) terms near a crossing; sum(c) is the fsum of
-    the stored coefficients. Both symbols share one sin^2 table. Padded to
-    common extents, offset n-1-i of a stencil is the negative of offset i in
-    C order, so the table keeps the first n//2 offsets, the pairs summed.
+    Padded to common extents, offset n-1-i of a stencil is the negative of
+    offset i in C order, so the fold keeps the first n//2 offsets (as floats)
+    and, per stencil, the pair sums -2 (c_i + c_{n-1-i}) and the fsum of all
+    stored coefficients.
     """
     extents = tuple(max(a, b) for a, b in zip(lap.extents, mass.extents))
     lap, mass = lap.padded_to(extents), mass.padded_to(extents)
@@ -168,20 +183,48 @@ def _first_crossings(lap, mass, masses, phi, res, steps):
     sums = np.array([math.fsum(column) for column in coeffs.T])
     half = len(coeffs) // 2
     pairs = -2.0 * (coeffs[:half] + coeffs[:half:-1])
-    half_proj = 0.5 * (lap.offsets()[:half].astype(float) @ _unit(lap.dim, phi))
+    return lap.dim, sums, pairs, lap.offsets()[:half].astype(float)
+
+
+def _first_crossings(folded, masses, phi, res, steps):
+    """First sign switch of symbol(lap) - m * symbol(mass) along phi, per mass m.
+
+    `folded` is _fold(lap, mass). The real symbols are tabulated on the ray
+    grid r = 0, res, ..., about pi*sqrt(dim), in blocks of _RAY_BLOCK
+    samples, until every mass has crossed; the first nonnegative sample
+    brackets each crossing, and `steps` halvings refine the bracket. Returns
+    the final bracket midpoints.
+
+    A symbol sum(c cos(theta.o)) is tabulated as sum(c) - 2 sum(c sin^2(theta.o/2)),
+    with no cancellation of O(1) terms near a crossing; sum(c) is the fsum of
+    the stored coefficients. Both symbols share one sin^2 table over the
+    folded half of the offsets, written into one buffer per call.
+
+    A block is compared against every pending mass only where the smallest
+    pending mass crosses in it, or where the mass symbol is negative at some
+    sample. The skip is exact: for s >= 0, fl(m * s) does not decrease as m
+    grows and fl(a - x) does not increase as x grows, so a sample where any
+    pending mass gives a nonnegative value is one where the smallest does.
+    """
+    dim, sums, pairs, offsets = folded
+    half_proj = 0.5 * (offsets @ _unit(dim, phi))
+    masses = np.asarray(masses, dtype=float)
+    grid = _ray_grid(dim, res)
+    buffer = np.empty((max(min(len(grid), _RAY_BLOCK), len(masses)), len(half_proj)))
 
     def symbols(r):
-        table = np.multiply.outer(r, half_proj)
+        table = np.multiply.outer(r, half_proj, out=buffer[:len(r)])
         np.square(np.sin(table, out=table), out=table)
         table = table @ pairs + sums
         return table[:, 0], table[:, 1]
 
-    masses = np.asarray(masses, dtype=float)
-    grid = _ray_grid(lap.dim, res)
     first = np.zeros(len(masses), dtype=int)
     pending = np.arange(len(masses))
     for start in range(0, len(grid), _RAY_BLOCK):
         sym_lap, sym_mass = symbols(grid[start:start + _RAY_BLOCK])
+        if (np.all(sym_mass >= 0)
+                and not np.any(sym_lap - masses[pending].min() * sym_mass >= 0)):
+            continue
         nonneg = sym_lap[None, :] - masses[pending, None] * sym_mass[None, :] >= 0
         if start == 0 and np.any(nonneg[:, 0]):
             raise NoCrossingError(
@@ -215,7 +258,7 @@ def discrete_radius(stencil, phi, ray_resolution=1e-3):
     own mass term.
     """
     try:
-        radius = _first_crossings(stencil, stencil, [0.0], phi, ray_resolution, 40)
+        radius = _first_crossings(_fold(stencil, stencil), [0.0], phi, ray_resolution, 40)
     except NoCrossingError as exc:
         raise NoCrossingError(f"{exc} along phi = {phi}") from None
     return float(radius[0])
@@ -242,6 +285,12 @@ def _composite_pair(dim, intergrid):
     return lap, mass
 
 
+@lru_cache(maxsize=None)
+def _folded_pair(dim, intergrid=None):
+    """_fold of the fine pair (intergrid None) or of an intergrid's composite."""
+    return _fold(*(_fine_pair(dim) if intergrid is None else _composite_pair(dim, intergrid)))
+
+
 def coarsest_stencil(config, alpha):
     """Effective coarsest-level stencil of the alpha-shifted fine operator."""
     lap3, mass3 = _composite_pair(config.dim, config.intergrid)
@@ -257,16 +306,20 @@ def _snapped_radii(config, alphas, phi):
     res = config.ray_resolution
     kh = config.kh
     alphas = np.asarray(alphas, dtype=float)
-    lap1, mass1 = _fine_pair(config.dim)
-    lap3, mass3 = _composite_pair(config.dim, config.intergrid)
     try:
-        r1 = _first_crossings(lap1, mass1, [kh ** 2], phi, res, 1)
-        r3 = _first_crossings(lap3, mass3, (alphas * kh) ** 2, phi, res, 1)
+        r1 = _first_crossings(_folded_pair(config.dim), [kh ** 2], phi, res, 1)
+        r3 = _first_crossings(_folded_pair(config.dim, config.intergrid),
+                              (alphas * kh) ** 2, phi, res, 1)
     except NoCrossingError as exc:
         shift = (f"alpha = {alphas[0]:g}" if len(alphas) == 1
                  else f"alpha in [{alphas.min():g}, {alphas.max():g}]")
         raise NoCrossingError(f"{exc} at G = {config.G:g}, {shift}") from None
-    return res * np.round(r3 / res), res * np.round(r1[0] / res)
+    r1 = res * np.round(r1[0] / res)
+    if not r1:
+        raise NoCrossingError(
+            f"ray_resolution = {res:g} is too coarse: the fine radius snaps to 0 "
+            f"at G = {config.G:g}")
+    return res * np.round(r3 / res), r1
 
 
 def grid_to_grid_error(config, alpha, phi):

@@ -266,6 +266,10 @@ def test_solve_rejects_bad_arguments(capsys, monkeypatch):
      "metadata h must be a number, got 'nan'"),
     (["solve", "--G", "12", "--model-file", "absent.bin", "--model-meta",
       {"dim": 2, "shape": [17, 17], "h": 0.0625, "kind": "slowness"}], "absent.bin"),
+    (["tune-shift", "--dim", "3", "--G", "10", "--ray-resolution", "3"],
+     "ray_resolution = 3 is too coarse: the fine radius snaps to 0 at G = 10"),
+    (["tune-shift", "--dim", "2", "--G", "12", "--ray-resolution", "10"],
+     "ray_resolution must leave a ray sample in (0, 4.443] in 2D, got 10.0"),
 ])
 def test_unparsable_values_exit_two(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -26,7 +26,9 @@ from rscgc.dispersion import (
     _composite_pair,
     _fine_pair,
     _first_crossings,
+    _fold,
 )
+from rscgc.stencils import Stencil
 
 import dispersion_oracle
 
@@ -134,13 +136,13 @@ def test_one_halving_decides_the_snapped_radius(dim, G, alpha, azimuth, polar):
     cases += [(_composite_pair(dim, ig), (alpha * kh) ** 2) for ig in TUNED_INTERGRIDS]
     for (lap, mass), m in cases:
         try:
-            forty = _first_crossings(lap, mass, [m], phi, res, 40)[0]
+            forty = _first_crossings(_fold(lap, mass), [m], phi, res, 40)[0]
         except NoCrossingError:
             # no crossing at all: the one-halving search must say so too
             with pytest.raises(NoCrossingError):
-                _first_crossings(lap, mass, [m], phi, res, 1)
+                _first_crossings(_fold(lap, mass), [m], phi, res, 1)
             continue
-        one = _first_crossings(lap, mass, [m], phi, res, 1)[0]
+        one = _first_crossings(_fold(lap, mass), [m], phi, res, 1)[0]
         assert round(one / res) == round(forty / res)
 
 
@@ -151,10 +153,10 @@ def _snapped_against_the_oracle(lap, mass, masses, phi, res=1e-3):
         oracle = dispersion_oracle._first_crossings(lap, mass, masses, phi, res, 1)
     except NoCrossingError as missing:
         with pytest.raises(NoCrossingError) as info:
-            _first_crossings(lap, mass, masses, phi, res, 1)
+            _first_crossings(_fold(lap, mass), masses, phi, res, 1)
         assert str(info.value) == str(missing)
         return None
-    kernel = _first_crossings(lap, mass, masses, phi, res, 1)
+    kernel = _first_crossings(_fold(lap, mass), masses, phi, res, 1)
     assert np.array_equal(np.round(kernel / res), np.round(oracle / res))
     return np.round(oracle / res).astype(int)
 
@@ -162,16 +164,22 @@ def _snapped_against_the_oracle(lap, mass, masses, phi, res=1e-3):
 @settings(max_examples=25, deadline=None)
 @given(dim=st.sampled_from([2, 3]),
        Gs=st.lists(st.floats(8.0, 100.0, exclude_min=True), min_size=1, max_size=6),
+       repeats=st.lists(st.integers(0, 5), max_size=4),
+       order=st.randoms(use_true_random=False),
        alpha=st.floats(0.98, 1.06),
        azimuth=st.floats(0.0, math.pi / 4),
        polar=st.floats(POLAR_LO, math.pi / 2),
        pair=st.sampled_from(("fine",) + TUNED_INTERGRIDS))
-def test_folded_blocked_kernel_matches_the_full_table_oracle(dim, Gs, alpha, azimuth,
-                                                             polar, pair):
+def test_folded_blocked_kernel_matches_the_full_table_oracle(dim, Gs, repeats, order,
+                                                             alpha, azimuth, polar, pair):
     """Every snapped radius of a batch equals the full-table search's, with
-    G spread over (8, 100] so one batch crosses in several blocks."""
+    G spread over (8, 100] so one batch crosses in several blocks, and the
+    masses shuffled and some repeated, so the smallest pending mass that
+    gates each block is not the first."""
     phi = azimuth if dim == 2 else (azimuth, polar)
     lap, mass = _fine_pair(dim) if pair == "fine" else _composite_pair(dim, pair)
+    Gs = Gs + [Gs[i % len(Gs)] for i in repeats]
+    order.shuffle(Gs)
     masses = (alpha * 2 * math.pi / np.array(Gs)) ** 2
     _snapped_against_the_oracle(lap, mass, masses, phi)
 
@@ -186,13 +194,28 @@ def test_one_batch_crosses_in_several_blocks(dim):
         assert len(set(snapped // _RAY_BLOCK)) >= 4
 
 
+def test_a_negative_mass_symbol_compares_every_mass():
+    """1D pair with symbol(L) = -1 - cos r and symbol(M) = cos r: mass m
+    crosses at arccos(-1 / (1 + m)). The mass symbol turns negative at
+    r = pi/2, in block 3, where m = 3 crosses (r = 1.82) but the smallest
+    mass, m = 1, does not (r = 2.09, block 4); a skip decided by the
+    smallest mass alone would push m = 3 into block 4."""
+    lap = Stencil(np.array([-0.5, -1.0, -0.5]))
+    mass = Stencil(np.array([0.5, 0.0, 0.5]))
+    masses = [3.0, 1.0, 3.0, 2.0]
+    snapped = _snapped_against_the_oracle(lap, mass, masses, 0.0)
+    crossings = np.arccos(-1.0 / (1.0 + np.array(masses)))
+    assert np.array_equal(snapped, np.round(crossings / 1e-3))
+    assert list(snapped // _RAY_BLOCK) == [3, 4, 3, 3]
+
+
 def test_one_mass_without_a_crossing_fails_the_batch():
-    lap, mass = _composite_pair(2, "cubic")
+    folded = _fold(*_composite_pair(2, "cubic"))
     kh = 2 * math.pi / 12
     with pytest.raises(NoCrossingError, match="too large"):
-        _first_crossings(lap, mass, [kh ** 2, (3 * kh) ** 2], 0.0, 1e-3, 1)
+        _first_crossings(folded, [kh ** 2, (3 * kh) ** 2], 0.0, 1e-3, 1)
     with pytest.raises(NoCrossingError, match="too small"):
-        _first_crossings(lap, mass, [kh ** 2, -1.0], 0.0, 1e-3, 1)
+        _first_crossings(folded, [kh ** 2, -1.0], 0.0, 1e-3, 1)
 
 
 def test_no_crossing_messages_name_the_input():
@@ -203,6 +226,9 @@ def test_no_crossing_messages_name_the_input():
         optimize_shift(config)
     with pytest.raises(NoCrossingError, match=r"too large.* along phi = 0.25$"):
         discrete_radius(helmholtz_stencil(1, 10.0, "second-order"), 0.25)
+    coarse = AnalysisConfig(3, 10.0, ray_resolution=3.0)
+    with pytest.raises(NoCrossingError, match=r"ray_resolution = 3 .* snaps to 0 at G = 10"):
+        grid_to_grid_error(coarse, 1.0, (0.0, 1.2))
 
 
 @pytest.mark.parametrize("call,named", [
@@ -214,6 +240,11 @@ def test_no_crossing_messages_name_the_input():
     (lambda s: ncrit_bounds(math.inf, 0.01), "G .*got inf"),
     (lambda s: ncrit_bounds(math.nan, 0.01), "G .*got nan"),
     (lambda s: ncrit_bounds(12.0, math.nan), "error .*got nan"),
+    (lambda s: discrete_radius(s, 0.0, ray_resolution=10.0), "leave a ray sample .*got 10.0"),
+    (lambda s: grid_to_grid_error(AnalysisConfig(3, 10.0, "level-dependent"), 1.0, 0.3),
+     "2 angles in 3D, got 1: 0.3"),
+    (lambda s: grid_to_grid_error(AnalysisConfig(2, 10.0), 1.0, (0.1, 0.2)),
+     "1 angle in 2D, got 2"),
 ])
 def test_bad_dispersion_inputs_are_rejected_by_name(call, named):
     with pytest.raises(ValueError, match=named) as info:
@@ -234,6 +265,20 @@ def test_grid_to_grid_error_reproduces_the_scan_table(scan_2d, data):
     i = data.draw(st.integers(0, len(scan.alphas) - 1))
     j = data.draw(st.integers(0, len(scan.directions) - 1))
     assert grid_to_grid_error(config, scan.alphas[i], scan.directions[j]) == scan.errors[i, j]
+
+
+def test_scan_table_equals_the_one_built_from_the_oracle(scan_2d):
+    """Entry for entry, the 2D table is the one the full-table oracle gives
+    with the same snapping and the same error formula."""
+    config, scan = scan_2d
+    res, kh = config.ray_resolution, config.kh
+    fine, composite = _fine_pair(2), _composite_pair(2, config.intergrid)
+    for j, phi in enumerate(scan.directions):
+        r1 = dispersion_oracle._first_crossings(*fine, [kh ** 2], phi, res, 1)
+        r3 = dispersion_oracle._first_crossings(*composite, (scan.alphas * kh) ** 2,
+                                                phi, res, 1)
+        errors = res * np.round(r3 / res) / (4.0 * (res * np.round(r1[0] / res))) - 1.0
+        assert np.array_equal(errors, scan.errors[:, j])
 
 
 def test_ties_break_toward_the_smaller_alpha():
@@ -317,6 +362,11 @@ def test_radius_matches_the_mpmath_root(dim, phi, G):
     {"ray_resolution": math.nan},
     {"alpha_range": (0.98, math.inf)},
     {"intergrid": "bilinear"},
+    {"alpha_range": (0.98,)},
+    {"alpha_range": (0.98, 1.0, 1.06)},
+    {"alpha_range": 1.0},
+    {"alpha_range": ("a", "b")},
+    {"ray_resolution": 10.0},
 ])
 def test_analysis_config_validation(bad):
     kwargs = {"dim": 2, "G": 12.0}
