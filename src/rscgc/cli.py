@@ -3,7 +3,9 @@
 Configuration comes from subcommand flags, optionally merged over a JSON
 config file (flags win). --emit-config writes the merged configuration back
 out so a run can be reproduced exactly; outputs are deterministic given a
-config, wall-time columns aside.
+config, wall-time columns aside. solve writes a JSON report, the others CSV.
+Every hierarchy is built on dispersion.TUNED_SCHEME, the scheme the shift is
+tuned for; a complex shift comes only from a method spec.
 
 Tuned shifts are cached in a JSON table keyed "dim:G:intergrid" so solve and
 sweep runs do not re-optimize; the packaged table covers G in {10, 11, 12}
@@ -29,8 +31,8 @@ import numpy as np
 
 from .discretization import (MODEL_KINDS, HelmholtzProblem, _integer, assemble_operator,
                              load_model, make_model, omega_for_ppw, point_source)
-from .dispersion import (AnalysisConfig, NoCrossingError, export_dispersion_curve,
-                         ncrit_bounds, optimize_shift)
+from .dispersion import (TUNED_SCHEME, AnalysisConfig, NoCrossingError,
+                         export_dispersion_curve, ncrit_bounds, optimize_shift)
 from .frontal import FrontalLU
 from .krylov import checked_maxit, fgmres, stationary_solve
 from .multigrid import (CYCLE_CHOICES, CyclePlan, REDISC_WAVENUMBER_SCALE, build_hierarchy,
@@ -69,17 +71,14 @@ class ExperimentConfig:
     alpha_range: list = (0.98, 1.06)    # [lo, hi]
     angle_resolution: float = 0.01
     cells: list = None                  # of ints, one per axis or one for all
-    h: float = None
     model: str = "homogeneous"
     kappa2: list = (1.0, 1.0)           # [lo, hi]
     model_file: str = None
     model_meta: str = None
-    scheme: str = "fourth-order"
     cycle: str = "W"
     nu1: int = 1
     nu2: int = 1
     alpha: object = "auto"              # "auto" or a float
-    beta: float = 0.0
     dampings: list = None               # [w1, w2]
     pad: int = 20
     gamma_max: float = 1.0
@@ -160,7 +159,7 @@ def _text(raw):
 
 
 def _solver(raw):
-    text = _text(raw).strip().lower().replace("(", ":").rstrip(")")
+    text = _text(raw)
     if text in ("fgmres", "stationary"):
         return text
     kind, _, restart = text.partition(":")
@@ -232,18 +231,15 @@ _PARSERS = {
     "alpha_range": _list(_number, "a number", sep=":", sizes=(2,), whole="a lo:hi pair"),
     "angle_resolution": _NUMBER,
     "cells": _list(_count, "an integer", least=1),
-    "h": _NUMBER,
     "model": _choice(MODEL_KINDS),
     "kappa2": _list(_number, "a number", sizes=(2,), whole="a lo,hi pair"),
     "model_file": _TEXT,
     "model_meta": _TEXT,
-    "scheme": _TEXT,
     "cycle": _choice(CYCLE_CHOICES),
     "nu1": _COUNT,
     "nu2": _COUNT,
     "alpha": _one(lambda raw: "auto" if raw == "auto" else _number(raw),
                   "'auto' or a number"),
-    "beta": _NUMBER,
     "dampings": _list(_number, "a number", sizes=(2,), whole="a list of two numbers"),
     "pad": _COUNT,
     "gamma_max": _NUMBER,
@@ -306,9 +302,8 @@ def _build_model(config):
                 f"model file is {model.dim}D but config dim is {config.dim}")
         return model
     cells = _cells_tuple(config)
-    h = config.h if config.h is not None else 1.0 / cells[0]
     try:
-        return make_model(config.model, config.kappa2, cells, h)
+        return make_model(config.model, config.kappa2, cells, 1.0 / cells[0])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -409,7 +404,7 @@ def _parse_method(spec, config, alpha):
     parts = spec.strip().split(":")
     name = parts[0]
     if name == "rs-cgc" and len(parts) == 1:
-        shifts = alpha(), config.beta, config.intergrid
+        shifts = alpha(), 0.0, config.intergrid
     elif name == "cslp":
         intergrid = parts[2] if len(parts) > 2 else config.intergrid
         shifts = 1.0, _method_beta(parts, 0.1, spec), intergrid
@@ -440,12 +435,12 @@ def _maxit(config):
         raise ConfigError(str(exc)) from exc
 
 
-def _outer_operator(config, problem, hierarchy):
+def _outer_operator(problem, hierarchy):
     """The unshifted matrix the outer solver iterates on: the hierarchy's fine
     level when beta = 0, else a separate assembly."""
     if hierarchy.plan.beta == 0:
         return hierarchy.levels[0].operator.matrix
-    return assemble_operator(problem, config.scheme, alpha=1.0, beta=0.0).matrix
+    return assemble_operator(problem, TUNED_SCHEME, alpha=1.0, beta=0.0).matrix
 
 
 def _set_up(problem, config, kind, plan):
@@ -460,10 +455,10 @@ def _set_up(problem, config, kind, plan):
         if kind == "re-disc":
             hierarchy = build_rediscretized_hierarchy(problem, plan)
         else:
-            hierarchy = build_hierarchy(problem, config.scheme, plan)
+            hierarchy = build_hierarchy(problem, TUNED_SCHEME, plan)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    outer = _outer_operator(config, problem, hierarchy)
+    outer = _outer_operator(problem, hierarchy)
     return hierarchy, outer, time.perf_counter() - start
 
 
@@ -498,7 +493,7 @@ def _write_json(payload, out):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_tune_shift(config, write_table=None, fmt="csv"):
+def cmd_tune_shift(config, write_table=None):
     if config.G is None:
         raise ConfigError("G is required; pass --G (comma list allowed)")
     table = _load_table(write_table) if write_table else {}
@@ -523,10 +518,7 @@ def cmd_tune_shift(config, write_table=None, fmt="csv"):
             json.dump(table, fh, indent=2, sort_keys=True)
             fh.write("\n")
     columns = ["G", "dim", "intergrid", "alpha_star", "max_eg", "ncrit_lo", "ncrit_hi"]
-    if fmt == "json":
-        _write_json(rows, config.out)
-    else:
-        _write_rows(rows, columns, config.out)
+    _write_rows(rows, columns, config.out)
     return 0
 
 
@@ -675,18 +667,18 @@ _COMMON = {"out": "output path (default stdout)", "dim": "2 or 3",
 _ANALYSIS = {"phi_resolution": None, "alpha_resolution": None, "ray_resolution": None,
              "alpha_range": "shift search interval lo:hi"}
 _GRID = {"cells": "interior cells per axis, before padding",
-         "h": "mesh width (default 1/cells)", "model": "one of " + ", ".join(MODEL_KINDS),
+         "model": "one of " + ", ".join(MODEL_KINDS),
          "kappa2": "squared-slowness range lo,hi", "pad": None, "gamma_max": None,
-         "cycle": "V or W", "dampings": "per-level Jacobi dampings w1,w2", "scheme": None}
+         "cycle": "V or W", "dampings": "per-level Jacobi dampings w1,w2"}
 _ALPHA = {"alpha": "real shift, or 'auto' for the tuned table"}
 _SOLVE = _GRID | _ALPHA | {
     "model_file": "binary slowness/velocity grid; needs --model-meta",
     "model_meta": "JSON metadata for --model-file", "free_surface_top": None,
-    "nu1": None, "nu2": None, "beta": "relative complex shift",
+    "nu1": None, "nu2": None,
     "solver": "fgmres, fgmres:M, or stationary", "tol": None, "maxit": None}
 _COMMANDS = {
     "tune-shift": ("optimize the real shift", _COMMON | _ANALYSIS,
-                   lambda cfg, args: cmd_tune_shift(cfg, args.write_table, args.format)),
+                   lambda cfg, args: cmd_tune_shift(cfg, args.write_table)),
     "dispersion": ("export dispersion curves", _COMMON | _ANALYSIS | _GRID | _ALPHA | {
         "angle_resolution": None, "scan_maxit": None,
         "alpha_scan": "lo:hi[:step]; pairs e_g with measured convergence factors "
@@ -708,7 +700,8 @@ def _build_parser():
         description="Helmholtz multigrid with a real-shifted coarsest level")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, flags, _) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=text)
+        # no prefixes of flags: --h would otherwise read as --help
+        cmd = sub.add_parser(command, help=text, allow_abbrev=False)
         cmd.add_argument("--config", help="JSON config file; flags override it")
         cmd.add_argument("--emit-config", dest="emit_config",
                          help="write the merged config to this path")
@@ -719,7 +712,6 @@ def _build_parser():
             else:
                 cmd.add_argument(flag, dest=name, help=help)
     tune = sub.choices["tune-shift"]
-    tune.add_argument("--format", choices=("csv", "json"), default="csv")
     tune.add_argument("--write-table", dest="write_table",
                       help="merge the tuned rows into this JSON table")
     return parser

@@ -52,6 +52,18 @@ def _integer(value, what):
     return int(value)
 
 
+def _check_shifts(alpha, beta):
+    """Raise a ValueError naming alpha unless it is positive with a finite
+    square, or beta unless it is finite and nonnegative."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if not math.isfinite(alpha * alpha):
+        raise ValueError(f"alpha must be finite when squared; got {alpha}, whose square "
+                         f"overflows to inf")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+
+
 @dataclass(frozen=True)
 class SlownessModel:
     """Vertex-centered grid of squared slowness kappa^2(x).
@@ -491,10 +503,7 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
     identity with their couplings removed in both directions. The returned
     operator keeps the GridStencil its matrix was built from.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    _check_shifts(alpha, beta)
     offsets, lap, mass = _scheme_coefficients(problem.model.dim, scheme)
     shape = problem.padded_shape
     h = problem.model.h

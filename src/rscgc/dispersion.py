@@ -42,8 +42,17 @@ __all__ = [
 # the re-discretized baseline, whose coarsest level is no Galerkin composite.
 TUNED_INTERGRIDS = tuple(name for name in INTERGRID if name != "bilinear")
 
+# The fine scheme the shift is tuned for, and so the one every tuned
+# hierarchy is built with.
+TUNED_SCHEME = "fourth-order"
+
 # Polar sector floor: pi/2 - arccos(1/sqrt(3)), the cube-diagonal colatitude.
 POLAR_LO = math.pi / 2 - math.acos(1.0 / math.sqrt(3.0))
+
+# The most values an analysis array may hold, 800 MB of float64: the ray grid,
+# the alpha x direction error table, the search's alpha x ray-block
+# comparison and the angles of a dispersion curve.
+MAX_VALUES = 10 ** 8
 
 
 class NoCrossingError(ValueError):
@@ -87,6 +96,16 @@ class AnalysisConfig:
         if self.intergrid not in TUNED_INTERGRIDS:
             raise ValueError(
                 f"intergrid must be one of {TUNED_INTERGRIDS}, got {self.intergrid!r}")
+        shifts = (hi - lo) / self.alpha_resolution + 1.0
+        directions = _direction_count(self.dim, self.phi_resolution)
+        values = shifts * max(directions, _RAY_BLOCK)
+        if not values <= MAX_VALUES:
+            raise ValueError(
+                f"alpha_range {self.alpha_range}, alpha_resolution {self.alpha_resolution} "
+                f"and phi_resolution {self.phi_resolution} give {shifts:.3g} shifts x "
+                f"{directions:.3g} directions; the error table or a {_RAY_BLOCK}-sample "
+                f"search block would hold {values:.3g} values, more than the limit of "
+                f"{MAX_VALUES:.0e}")
 
     @property
     def kh(self):
@@ -108,6 +127,18 @@ class DispersionScan:
 class DispersionCurve:
     columns: tuple
     rows: np.ndarray
+
+
+def _arange_length(span, step):
+    """len(np.arange(0.0, span, step)) as a float, inf where that overflows."""
+    count = span / step
+    return float(math.ceil(count)) if count < math.inf else count
+
+
+def _direction_count(dim, res):
+    """Number of directions in direction_grid at phi_resolution res."""
+    azimuths = _arange_length(math.pi / 4, res)
+    return azimuths if dim == 2 else azimuths * _arange_length(math.pi / 2 - POLAR_LO, res)
 
 
 def direction_grid(config):
@@ -152,6 +183,10 @@ def _ray_samples(dim, res):
     if not 0 < res < math.inf:
         raise ValueError(f"ray_resolution must be finite and positive, got {res}")
     rmax = math.pi * math.sqrt(dim)
+    if not rmax / res <= MAX_VALUES:
+        raise ValueError(
+            f"ray_resolution = {res} gives {rmax / res:.3g} ray samples in {dim}D, more "
+            f"than the limit of {MAX_VALUES:.0e}")
     count = int(math.floor(rmax / res + 0.5))
     if not count:
         raise ValueError(
@@ -266,12 +301,12 @@ def discrete_radius(stencil, phi, ray_resolution=1e-3):
 
 @lru_cache(maxsize=None)
 def _fine_pair(dim):
-    return laplacian_and_mass_stencils(dim, "fourth-order")
+    return laplacian_and_mass_stencils(dim, TUNED_SCHEME)
 
 
 @lru_cache(maxsize=None)
 def _composite_pair(dim, intergrid):
-    """Double-Galerkin composites of the fourth-order (L, M) pair, through
+    """Double-Galerkin composites of the fine (L, M) pair, through
     the two coarsenings of the intergrid scheme in INTERGRID.
 
     Splitting the composite into Laplacian and mass parts keeps the real
@@ -397,6 +432,13 @@ def export_dispersion_curve(config, alpha, angle_resolution=0.01):
             and angle_resolution > 0):
         raise ValueError(
             f"angle_resolution must be finite and positive, got {angle_resolution!r}")
+    angles = _arange_length(math.pi / 4, angle_resolution) + 1.0
+    if config.dim == 3:
+        angles *= _arange_length(math.pi / 2 - POLAR_LO, angle_resolution) + 1.0
+    if not angles <= MAX_VALUES:
+        raise ValueError(
+            f"angle_resolution = {angle_resolution} gives {angles:.3g} angles, more than "
+            f"the limit of {MAX_VALUES:.0e}")
 
     def radii(phi):
         r3, r1 = _snapped_radii(config, [alpha], phi)

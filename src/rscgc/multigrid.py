@@ -41,7 +41,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretization import (GridStencil, HelmholtzProblem, SlownessModel,
-                             SparseOperator, _integer, assemble_operator, mass_stencil)
+                             SparseOperator, _check_shifts, _integer, assemble_operator,
+                             mass_stencil)
 from .frontal import FrontalLU
 from .stencils import INTERGRID, restriction_stencil
 
@@ -87,10 +88,7 @@ class CyclePlan:
         for name in ("nu1", "nu2"):
             if _integer(getattr(self, name), name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
+        _check_shifts(self.alpha, self.beta)
         object.__setattr__(self, "dampings", tuple(float(w) for w in self.dampings))
         if len(self.dampings) != 2:
             raise ValueError(f"dampings must be two values, for levels 1 and 2, "
@@ -443,9 +441,6 @@ def build_rediscretized_hierarchy(problem, plan):
     coarse = assemble_operator(coarse_problem, REDISC_SCHEME,
                                alpha=REDISC_WAVENUMBER_SCALE, beta=plan.beta)
 
-    mid_shape = _halved(shape)
-    if mid.grid_shape != mid_shape or coarse.grid_shape != _halved(mid_shape):
-        raise ValueError("re-discretized grids do not align with index halving")
     return _hierarchy(tuple(op.without_stencil() for op in (fine, mid, coarse)),
                       _transfer_pairs(shape, "bilinear"), plan)
 

@@ -86,16 +86,6 @@ def test_tune_shift_rejects_a_malformed_table_before_tuning(tmp_path, monkeypatc
     assert table.read_text() == text
 
 
-def test_tune_shift_json_format(tmp_path):
-    out = tmp_path / "shift.json"
-    rc = main(["tune-shift", "--dim", "2", "--G", "12",
-               "--alpha-range", "1.0:1.01", "--format", "json",
-               "--out", str(out)])
-    assert rc == 0
-    rows = read_json(out)
-    assert isinstance(rows, list) and rows[0]["alpha_star"] == "1.0045"
-
-
 # ---------------------------------------------------------------- solve
 
 def test_solve_payload_and_table_lookup(tmp_path):
@@ -202,7 +192,7 @@ def test_solve_rejects_bad_arguments(capsys, monkeypatch):
 @pytest.mark.parametrize("argv,named", [
     (["solve", "--G", "nan", "--cells", "32"], "'nan'"),
     (["sweep", "--G", "12", "--grids", "a,b"], "'a,b'"),
-    (["sweep", "--G", "12", "--grids", "32", "--method", "cslp:abc"], "'abc'"),
+    (["sweep", "--G", "12", "--grids", "32", "--methods", "cslp:abc"], "'abc'"),
     (["tune-shift", "--dim", "2", "--G", "12", "--alpha-range", "3:3.01"], "too large"),
     (["dispersion", "--dim", "2", "--G", "12", "--alpha", "nan"], "got nan"),
     (["dispersion", "--dim", "2", "--G", "12", "--alpha", "inf"], "got inf"),
@@ -226,13 +216,13 @@ def test_solve_rejects_bad_arguments(capsys, monkeypatch):
      "got (0.8, 0.8, 0.8)"),
     # a dict stands for a config file with that content
     (["solve", "--G", "12", "--cells", "32", "--config", {"h": "abc"}],
-     "h must be a number, got 'abc'"),
+     "unknown config keys: ['h']"),
     (["solve", "--G", "12", "--cells", "32", "--config", {"kappa2": 5}],
      "kappa2 must be a lo,hi pair, got 5"),
     (["solve", "--G", "12", "--cells", "32", "--config", {"dampings": 0.8}],
      "dampings must be a list of two numbers, got 0.8"),
     (["solve", "--G", "12", "--cells", "32", "--config", {"beta": "abc"}],
-     "beta must be a number, got 'abc'"),
+     "unknown config keys: ['beta']"),
     (["solve", "--G", "12", "--cells", "32", "--config", {"gamma_max": "x"}],
      "gamma_max must be a number, got 'x'"),
     (["dispersion", "--G", "12", "--config", {"phi_resolution": "x"}],
@@ -270,6 +260,17 @@ def test_solve_rejects_bad_arguments(capsys, monkeypatch):
      "ray_resolution = 3 is too coarse: the fine radius snaps to 0 at G = 10"),
     (["tune-shift", "--dim", "2", "--G", "12", "--ray-resolution", "10"],
      "ray_resolution must leave a ray sample in (0, 4.443] in 2D, got 10.0"),
+    # an alpha whose square overflows, and analysis arrays past the size limit
+    (["solve", "--G", "12", "--cells", "16", "--alpha", "1e160"], "got 1e+160"),
+    (["sweep", "--G", "12", "--grids", "16,24", "--workers", "2", "--alpha", "1e160"],
+     "got 1e+160"),
+    (["tune-shift", "--G", "12", "--ray-resolution", "1e-300"], "ray_resolution = 1e-300"),
+    (["tune-shift", "--G", "12", "--phi-resolution", "1e-300"], "phi_resolution 1e-300"),
+    (["tune-shift", "--G", "12", "--alpha-resolution", "1e-12"], "alpha_resolution 1e-12"),
+    (["tune-shift", "--G", "12", "--alpha-range", "1e-300:1e300"],
+     "alpha_range (1e-300, 1e+300)"),
+    (["dispersion", "--G", "12", "--angle-resolution", "1e-300"],
+     "angle_resolution = 1e-300"),
 ])
 def test_unparsable_values_exit_two(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -460,7 +461,7 @@ def test_config_file_values_read_as_flag_text(tmp_path):
     ["dispersion", "--dim", "2", "--G", "12", "--alpha", "1.0045",
      "--angle-resolution", "0.1", "--dampings", "0.8,0.8"],
     ["solve", "--G", "12", "--cells", "16,16", "--model", "wedge", "--kappa2", "0.25,1",
-     "--solver", "FGMRES(20)", "--tol", "1e-7", "--free-surface-top", "--pad", "8"],
+     "--solver", "fgmres:20", "--tol", "1e-7", "--free-surface-top", "--pad", "8"],
     ["sweep", "--G", "10", "--grids", "16,", "--methods", "rs-cgc,cslp:0.3",
      "--maxit", "50", "--repeats", "1"],
 ], ids=lambda argv: argv[0])
@@ -476,7 +477,7 @@ def test_every_field_has_one_parser_and_every_flag_is_a_field():
     """Adding a config field without a parser, or a flag that is not a field,
     fails here."""
     names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
-    assert len(names) == 35
+    assert len(names) == 32
     table, = [node.value for node in ast.walk(ast.parse(inspect.getsource(cli)))
               if isinstance(node, ast.Assign)
               and getattr(node.targets[0], "id", None) == "_PARSERS"]
@@ -484,7 +485,7 @@ def test_every_field_has_one_parser_and_every_flag_is_a_field():
     assert sorted(cli._PARSERS) == sorted(names)
     commands = cli._build_parser()._subparsers._group_actions[0].choices
     assert sorted(commands) == ["dispersion", "solve", "sweep", "tune-shift"]
-    other = {"help", "config", "emit_config", "command", "format", "write_table"}
+    other = {"help", "config", "emit_config", "command", "write_table"}
     for command, parser in commands.items():
         dests = [action.dest for action in parser._actions]
         assert len(dests) == len(set(dests)), command
@@ -510,6 +511,40 @@ def test_any_json_value_parses_or_is_a_config_error(name, value):
     text = json.dumps(dataclasses.asdict(config), sort_keys=True)
     again = cli.ExperimentConfig(**json.loads(text))
     assert json.dumps(dataclasses.asdict(again), sort_keys=True) == text
+
+
+@pytest.mark.parametrize("argv,named", [
+    *[([command, "--G", "12", "--cells", "16", flag, value],
+       f"unrecognized arguments: {flag} {value}")
+      for command in ("solve", "sweep", "dispersion")
+      for flag, value in (("--scheme", "second-order"), ("--h", "0.5"))],
+    *[([command, "--G", "12", "--cells", "16", "--beta", "0.03"],
+       "unrecognized arguments: --beta 0.03") for command in ("solve", "sweep")],
+    (["tune-shift", "--G", "12", "--format", "json"], "unrecognized arguments: --format json"),
+    # a dict stands for a config file with that content, as emitted before
+    # these settings were removed
+    *[(["solve", "--G", "12", "--cells", "16", "--config", {key: value}],
+       f"unknown config keys: ['{key}']")
+      for key, value in (("scheme", "fourth-order"), ("h", None), ("beta", 0.0))],
+    (["solve", "--G", "12", "--cells", "16", "--solver", "fgmres(20)"],
+     "solver must be fgmres, fgmres:M, or stationary, got 'fgmres(20)'"),
+    (["solve", "--G", "12", "--cells", "16", "--config", {"solver": "FGMRES:20"}],
+     "solver must be fgmres, fgmres:M, or stationary, got 'FGMRES:20'"),
+])
+def test_removed_settings_exit_two(argv, named, tmp_path, capsys):
+    """The scheme, h and beta settings, tune-shift's --format and the
+    fgmres(M) spelling are gone: argparse or the config check rejects each."""
+    cfg = tmp_path / "cfg.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+    try:
+        rc = main([str(cfg) if isinstance(arg, dict) else arg for arg in argv])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -620,7 +655,7 @@ def test_sweep_tunes_a_shift_shared_by_two_methods_once(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("flags,named", [
     (["--alpha", "-1"], "alpha must be finite and positive, got -1.0"),
-    (["--method", "cslp:0.1:foo"],
+    (["--methods", "cslp:0.1:foo"],
      "intergrid must be one of ('cubic', 'level-dependent', 'bilinear'), got 'foo'"),
     (["--dampings", "0.8,0"], "dampings must be finite and positive, got (0.8, 0.0)"),
 ], ids=["alpha", "intergrid", "dampings"])

@@ -240,6 +240,8 @@ def test_invalid_shift_arguments():
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=rf"{field} must be finite.*{value}"):
                 assemble_operator(problem, "fourth-order", **{field: value})
+    with pytest.raises(ValueError, match=r"alpha must be finite when squared; got 1e\+160"):
+        assemble_operator(problem, "fourth-order", alpha=1e160)
 
 
 # ---------------------------------------------------------------- sponge profile

@@ -245,6 +245,12 @@ def test_no_crossing_messages_name_the_input():
      "2 angles in 3D, got 1: 0.3"),
     (lambda s: grid_to_grid_error(AnalysisConfig(2, 10.0), 1.0, (0.1, 0.2)),
      "1 angle in 2D, got 2"),
+    (lambda s: discrete_radius(s, 0.0, ray_resolution=1e-300),
+     "ray_resolution = 1e-300 gives 4.44e\\+300 ray samples"),
+    (lambda s: export_dispersion_curve(AnalysisConfig(2, 12.0), 1.0, angle_resolution=1e-300),
+     "angle_resolution = 1e-300 gives 7.85e\\+299 angles"),
+    (lambda s: export_dispersion_curve(AnalysisConfig(3, 12.0), 1.0, angle_resolution=1e-5),
+     "angle_resolution = 1e-05 gives 7.5e\\+09 angles"),
 ])
 def test_bad_dispersion_inputs_are_rejected_by_name(call, named):
     with pytest.raises(ValueError, match=named) as info:
@@ -367,6 +373,11 @@ def test_radius_matches_the_mpmath_root(dim, phi, G):
     {"alpha_range": 1.0},
     {"alpha_range": ("a", "b")},
     {"ray_resolution": 10.0},
+    # arrays past the size limit
+    {"ray_resolution": 1e-300},
+    {"phi_resolution": 1e-300},
+    {"alpha_resolution": 1e-12},
+    {"alpha_range": (1e-300, 1e300)},
 ])
 def test_analysis_config_validation(bad):
     kwargs = {"dim": 2, "G": 12.0}

@@ -400,6 +400,7 @@ def test_cycle_plan_validation(bad):
     ("alpha", math.inf),
     ("beta", math.nan),
     ("dampings", (0.89, math.nan)),
+    ("alpha", 1e160),       # its square overflows
 ])
 def test_cycle_plan_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=rf"{field} must be finite.*(nan|inf)"):
