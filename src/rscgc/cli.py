@@ -5,7 +5,9 @@ config file (flags win). --emit-config writes the merged configuration back
 out so a run can be reproduced exactly; outputs are deterministic given a
 config, wall-time columns aside. solve writes a JSON report, the others CSV.
 Every hierarchy is built on dispersion.TUNED_SCHEME, the scheme the shift is
-tuned for; a complex shift comes only from a method spec.
+tuned for; a complex shift comes only from a method spec. The tuning samples
+at the fixed resolutions of the dispersion module, so only --alpha-range
+changes a tune.
 
 Tuned shifts are cached in a JSON table keyed "dim:G:intergrid" so solve and
 sweep runs do not re-optimize; the packaged table covers G in {10, 11, 12}
@@ -65,9 +67,6 @@ class ExperimentConfig:
     dim: int = 2
     G: list = None                      # of floats; one value except in tune-shift
     intergrid: str = "cubic"
-    phi_resolution: float = 0.1
-    alpha_resolution: float = 5e-4
-    ray_resolution: float = 1e-3
     alpha_range: list = (0.98, 1.06)    # [lo, hi]
     angle_resolution: float = 0.01
     cells: list = None                  # of ints, one per axis or one for all
@@ -225,9 +224,6 @@ _PARSERS = {
     "dim": _choice((2, 3), "the integer 2 or 3"),
     "G": _list(_positive, "a finite positive number"),
     "intergrid": _choice(tuple(INTERGRID)),
-    "phi_resolution": _NUMBER,
-    "alpha_resolution": _NUMBER,
-    "ray_resolution": _NUMBER,
     "alpha_range": _list(_number, "a number", sep=":", sizes=(2,), whole="a lo:hi pair"),
     "angle_resolution": _NUMBER,
     "cells": _list(_count, "an integer", least=1),
@@ -254,7 +250,7 @@ _PARSERS = {
     "workers": _one(_count, "an integer", least=1),
     "alpha_scan": _list(_number, "a number", sep=":", sizes=(2, 3),
                         whole="lo:hi or lo:hi:step"),
-    "scan_maxit": _one(_count, "an integer", least=0),
+    "scan_maxit": _one(_count, "an integer", least=1),
     "out": _TEXT,
 }
 
@@ -347,10 +343,7 @@ def _load_table(path):
 def _analysis_config(config, g, **scan):
     """The analysis of config at g; a shift scan passes its own alpha_range
     and alpha_resolution."""
-    values = dict(phi_resolution=config.phi_resolution,
-                  alpha_resolution=config.alpha_resolution,
-                  ray_resolution=config.ray_resolution,
-                  alpha_range=tuple(config.alpha_range)) | scan
+    values = dict(alpha_range=tuple(config.alpha_range)) | scan
     try:
         return AnalysisConfig(dim=config.dim, G=g, intergrid=config.intergrid, **values)
     except ValueError as exc:
@@ -664,8 +657,7 @@ def cmd_dispersion(config):
 _COMMON = {"out": "output path (default stdout)", "dim": "2 or 3",
            "G": "points per wavelength on the fine grid (tune-shift: a comma list)",
            "intergrid": "one of " + ", ".join(INTERGRID)}
-_ANALYSIS = {"phi_resolution": None, "alpha_resolution": None, "ray_resolution": None,
-             "alpha_range": "shift search interval lo:hi"}
+_ANALYSIS = {"alpha_range": "shift search interval lo:hi"}
 _GRID = {"cells": "interior cells per axis, before padding",
          "model": "one of " + ", ".join(MODEL_KINDS),
          "kappa2": "squared-slowness range lo,hi", "pad": None, "gamma_max": None,

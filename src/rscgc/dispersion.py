@@ -11,7 +11,9 @@ where r3 comes from the double-Galerkin composite of the real-shifted fine
 operator. Both radii are snapped to the nearest sample of the 1e-3 ray grid
 before forming the ratio; the tabulated optima are reproduced under this
 convention and not under smooth radii, so it is part of the protocol rather
-than an implementation detail.
+than an implementation detail. So are the directions, 0.1 rad apart in the
+symmetry sector, and the 5e-4 alpha step of the search: these resolutions
+are fixed, and the shift table records no other.
 """
 
 import math
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .discretization import laplacian_and_mass_stencils
+from .discretization import _check_shifts, laplacian_and_mass_stencils
 from .stencils import INTERGRID, galerkin_stencil, restriction_stencil, transpose_scale
 
 __all__ = [
@@ -46,12 +48,17 @@ TUNED_INTERGRIDS = tuple(name for name in INTERGRID if name != "bilinear")
 # hierarchy is built with.
 TUNED_SCHEME = "fourth-order"
 
+# The sampling the tabulated optima come out under: directions PHI_RESOLUTION
+# apart in the symmetry sector, radii on a RAY_RESOLUTION ray grid.
+PHI_RESOLUTION = 0.1
+RAY_RESOLUTION = 1e-3
+
 # Polar sector floor: pi/2 - arccos(1/sqrt(3)), the cube-diagonal colatitude.
 POLAR_LO = math.pi / 2 - math.acos(1.0 / math.sqrt(3.0))
 
-# The most values an analysis array may hold, 800 MB of float64: the ray grid,
-# the alpha x direction error table, the search's alpha x ray-block
-# comparison and the angles of a dispersion curve.
+# The most values an analysis array may hold, 800 MB of float64: the search's
+# alpha x ray-block comparison, which bounds the alpha x direction error
+# table, and the angles of a dispersion curve.
 MAX_VALUES = 10 ** 8
 
 
@@ -61,14 +68,17 @@ class NoCrossingError(ValueError):
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Sampling resolutions for one (dim, G, intergrid) analysis."""
+    """One (dim, G, intergrid) analysis and the alpha grid of its search.
+
+    The directions and the ray grid are fixed (PHI_RESOLUTION,
+    RAY_RESOLUTION); alpha_range widens the search for a G outside the shift
+    table, and alpha_resolution is the step of a shift scan.
+    """
 
     dim: int
     G: float
     intergrid: str = "cubic"
-    phi_resolution: float = 0.1
     alpha_resolution: float = 5e-4
-    ray_resolution: float = 1e-3
     alpha_range: tuple = (0.98, 1.06)
 
     def __post_init__(self):
@@ -78,11 +88,9 @@ class AnalysisConfig:
             raise ValueError(
                 f"G must be finite and exceed 8 so two coarsenings keep G/4 > 2, "
                 f"got {self.G}")
-        for name in ("phi_resolution", "alpha_resolution", "ray_resolution"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        _ray_samples(self.dim, self.ray_resolution)
+        if not 0 < self.alpha_resolution < math.inf:
+            raise ValueError(
+                f"alpha_resolution must be finite and positive, got {self.alpha_resolution}")
         try:
             lo, hi = self.alpha_range
         except (TypeError, ValueError):
@@ -97,15 +105,13 @@ class AnalysisConfig:
             raise ValueError(
                 f"intergrid must be one of {TUNED_INTERGRIDS}, got {self.intergrid!r}")
         shifts = (hi - lo) / self.alpha_resolution + 1.0
-        directions = _direction_count(self.dim, self.phi_resolution)
-        values = shifts * max(directions, _RAY_BLOCK)
-        if not values <= MAX_VALUES:
+        if not shifts * _RAY_BLOCK <= MAX_VALUES:
             raise ValueError(
-                f"alpha_range {self.alpha_range}, alpha_resolution {self.alpha_resolution} "
-                f"and phi_resolution {self.phi_resolution} give {shifts:.3g} shifts x "
-                f"{directions:.3g} directions; the error table or a {_RAY_BLOCK}-sample "
-                f"search block would hold {values:.3g} values, more than the limit of "
-                f"{MAX_VALUES:.0e}")
+                f"alpha_range {self.alpha_range} and alpha_resolution "
+                f"{self.alpha_resolution} give {shifts:.3g} shifts; a {_RAY_BLOCK}-sample "
+                f"search block would hold {shifts * _RAY_BLOCK:.3g} values, more than the "
+                f"limit of {MAX_VALUES:.0e}")
+        _check_shifts(hi, 0.0)
 
     @property
     def kh(self):
@@ -135,24 +141,18 @@ def _arange_length(span, step):
     return float(math.ceil(count)) if count < math.inf else count
 
 
-def _direction_count(dim, res):
-    """Number of directions in direction_grid at phi_resolution res."""
-    azimuths = _arange_length(math.pi / 4, res)
-    return azimuths if dim == 2 else azimuths * _arange_length(math.pi / 2 - POLAR_LO, res)
-
-
 def direction_grid(config):
     """Propagation directions covering the symmetry sector.
 
     2D: azimuth angles in [0, pi/4). 3D: (azimuth, polar) pairs with azimuth
     in [0, pi/4) and polar in [pi/2 - arccos(1/sqrt(3)), pi/2). The remaining
-    directions repeat these errors by symmetry.
+    directions repeat these errors by symmetry. PHI_RESOLUTION apart, they
+    number 8 in 2D and 80 in 3D.
     """
-    res = config.phi_resolution
-    azimuth = np.arange(0.0, math.pi / 4, res)
+    azimuth = np.arange(0.0, math.pi / 4, PHI_RESOLUTION)
     if config.dim == 2:
         return azimuth
-    polar = np.arange(POLAR_LO, math.pi / 2, res)
+    polar = np.arange(POLAR_LO, math.pi / 2, PHI_RESOLUTION)
     az, pol = np.meshgrid(azimuth, polar, indexing="ij")
     return np.column_stack([az.ravel(), pol.ravel()])
 
@@ -178,25 +178,10 @@ def _unit(dim, phi):
     ])
 
 
-def _ray_samples(dim, res):
-    """Number of ray-grid samples after r = 0, out to about pi*sqrt(dim)."""
-    if not 0 < res < math.inf:
-        raise ValueError(f"ray_resolution must be finite and positive, got {res}")
-    rmax = math.pi * math.sqrt(dim)
-    if not rmax / res <= MAX_VALUES:
-        raise ValueError(
-            f"ray_resolution = {res} gives {rmax / res:.3g} ray samples in {dim}D, more "
-            f"than the limit of {MAX_VALUES:.0e}")
-    count = int(math.floor(rmax / res + 0.5))
-    if not count:
-        raise ValueError(
-            f"ray_resolution must leave a ray sample in (0, {rmax:.4g}] in {dim}D, "
-            f"got {res}")
-    return count
-
-
-def _ray_grid(dim, res):
-    return res * np.arange(0.0, _ray_samples(dim, res) + 1.0)
+def _ray_grid(dim):
+    """The ray grid r = 0, RAY_RESOLUTION, ..., out to about pi*sqrt(dim)."""
+    samples = math.floor(math.pi * math.sqrt(dim) / RAY_RESOLUTION + 0.5)
+    return RAY_RESOLUTION * np.arange(0.0, samples + 1.0)
 
 
 # Ray samples tabulated at a time; the search stops after the block in which
@@ -221,14 +206,13 @@ def _fold(lap, mass):
     return lap.dim, sums, pairs, lap.offsets()[:half].astype(float)
 
 
-def _first_crossings(folded, masses, phi, res, steps):
+def _first_crossings(folded, masses, phi, steps):
     """First sign switch of symbol(lap) - m * symbol(mass) along phi, per mass m.
 
-    `folded` is _fold(lap, mass). The real symbols are tabulated on the ray
-    grid r = 0, res, ..., about pi*sqrt(dim), in blocks of _RAY_BLOCK
-    samples, until every mass has crossed; the first nonnegative sample
-    brackets each crossing, and `steps` halvings refine the bracket. Returns
-    the final bracket midpoints.
+    `folded` is _fold(lap, mass). The real symbols are tabulated on
+    _ray_grid(dim) in blocks of _RAY_BLOCK samples, until every mass has
+    crossed; the first nonnegative sample brackets each crossing, and `steps`
+    halvings refine the bracket. Returns the final bracket midpoints.
 
     A symbol sum(c cos(theta.o)) is tabulated as sum(c) - 2 sum(c sin^2(theta.o/2)),
     with no cancellation of O(1) terms near a crossing; sum(c) is the fsum of
@@ -244,7 +228,7 @@ def _first_crossings(folded, masses, phi, res, steps):
     dim, sums, pairs, offsets = folded
     half_proj = 0.5 * (offsets @ _unit(dim, phi))
     masses = np.asarray(masses, dtype=float)
-    grid = _ray_grid(dim, res)
+    grid = _ray_grid(dim)
     buffer = np.empty((max(min(len(grid), _RAY_BLOCK), len(masses)), len(half_proj)))
 
     def symbols(r):
@@ -284,16 +268,16 @@ def _first_crossings(folded, masses, phi, res, steps):
     return 0.5 * (lo + hi)
 
 
-def discrete_radius(stencil, phi, ray_resolution=1e-3):
+def discrete_radius(stencil, phi):
     """Distance from the origin to the first sign switch of the real symbol.
 
-    Samples along theta = r * unit(phi) at the given resolution, from r = 0
+    Samples along theta = r * unit(phi) on the ray grid, from r = 0
     up to the first nonnegative sample (at most pi*sqrt(dim)), then refines
     the bracketed switch by bisection to below 1e-9. The stencil carries its
     own mass term.
     """
     try:
-        radius = _first_crossings(_fold(stencil, stencil), [0.0], phi, ray_resolution, 40)
+        radius = _first_crossings(_fold(stencil, stencil), [0.0], phi, 40)
     except NoCrossingError as exc:
         raise NoCrossingError(f"{exc} along phi = {phi}") from None
     return float(radius[0])
@@ -338,13 +322,13 @@ def _snapped_radii(config, alphas, phi):
     A snapped radius is the bracket end nearer the crossing, so one halving,
     a single symbol evaluation at the bracket midpoint, decides it.
     """
-    res = config.ray_resolution
+    res = RAY_RESOLUTION
     kh = config.kh
     alphas = np.asarray(alphas, dtype=float)
     try:
-        r1 = _first_crossings(_folded_pair(config.dim), [kh ** 2], phi, res, 1)
+        r1 = _first_crossings(_folded_pair(config.dim), [kh ** 2], phi, 1)
         r3 = _first_crossings(_folded_pair(config.dim, config.intergrid),
-                              (alphas * kh) ** 2, phi, res, 1)
+                              (alphas * kh) ** 2, phi, 1)
     except NoCrossingError as exc:
         shift = (f"alpha = {alphas[0]:g}" if len(alphas) == 1
                  else f"alpha in [{alphas.min():g}, {alphas.max():g}]")
@@ -352,15 +336,14 @@ def _snapped_radii(config, alphas, phi):
     r1 = res * np.round(r1[0] / res)
     if not r1:
         raise NoCrossingError(
-            f"ray_resolution = {res:g} is too coarse: the fine radius snaps to 0 "
-            f"at G = {config.G:g}")
+            f"G = {config.G:g} is too large: the fine radius snaps to 0 on the "
+            f"{res:g} ray grid")
     return res * np.round(r3 / res), r1
 
 
 def grid_to_grid_error(config, alpha, phi):
     """e_g(alpha, phi) = r3 / (4 r1) - 1 with ray-grid-snapped radii."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    _check_shifts(alpha, 0.0)
     r3, r1 = _snapped_radii(config, [alpha], phi)
     return float(r3[0] / (4.0 * r1) - 1.0)
 
@@ -369,11 +352,12 @@ def optimize_shift(config):
     """Exhaustive min-max search for the real shift.
 
     Minimizes max over the direction grid of |e_g(alpha, phi)| over the alpha
-    grid; ties break toward the smaller alpha. Returns (alpha_star,
-    max_eg_star, DispersionScan).
+    grid lo, lo + alpha_resolution, ..., at most hi; ties break toward the
+    smaller alpha. Returns (alpha_star, max_eg_star, DispersionScan).
     """
     lo, hi = config.alpha_range
-    count = int(round((hi - lo) / config.alpha_resolution)) + 1
+    # the steps that fit in [lo, hi], forgiving the rounding of the quotient
+    count = math.floor((hi - lo) / config.alpha_resolution + 1e-9) + 1
     alphas = lo + config.alpha_resolution * np.arange(count)
     directions = direction_grid(config)
     errors = np.empty((count, len(directions)))
@@ -407,7 +391,7 @@ def ncrit_bounds(G, max_eg):
     return int(lo), int(hi)
 
 
-def classical_dispersion_error(stencil, G, phi, ray_resolution=1e-3):
+def classical_dispersion_error(stencil, G, phi):
     """Single-grid dispersion error r / r1(phi) - 1 at kh = 2 pi / G.
 
     The stencil must already carry its mass term at that kh.
@@ -415,7 +399,7 @@ def classical_dispersion_error(stencil, G, phi, ray_resolution=1e-3):
     if not 2 < G < math.inf:
         raise ValueError(f"G must be finite and exceed 2, got {G}")
     r = 2.0 * math.pi / G
-    return r / discrete_radius(stencil, phi, ray_resolution) - 1.0
+    return r / discrete_radius(stencil, phi) - 1.0
 
 
 def export_dispersion_curve(config, alpha, angle_resolution=0.01):
@@ -426,8 +410,7 @@ def export_dispersion_curve(config, alpha, angle_resolution=0.01):
     2 pi. 3D: the (azimuth, polar) sector box is sampled densely instead.
     Radii follow the same ray-grid snapping as grid_to_grid_error.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    _check_shifts(alpha, 0.0)
     if not (isinstance(angle_resolution, numbers.Real) and math.isfinite(angle_resolution)
             and angle_resolution > 0):
         raise ValueError(

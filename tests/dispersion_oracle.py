@@ -12,10 +12,10 @@ import numpy as np
 from rscgc.dispersion import NoCrossingError, _ray_grid, _unit
 
 
-def _first_crossings(lap, mass, masses, phi, res, steps):
+def _first_crossings(lap, mass, masses, phi, steps):
     """First sign switch of symbol(lap) - m * symbol(mass) along phi, per mass m.
 
-    The real symbols are tabulated on the ray grid r = 0, res, ..., about
+    The real symbols are tabulated on the ray grid r = 0, 1e-3, ..., about
     pi*sqrt(dim); the first nonnegative sample brackets each crossing, and
     `steps` halvings refine the bracket. Returns the final bracket midpoints.
     """
@@ -26,7 +26,7 @@ def _first_crossings(lap, mass, masses, phi, res, steps):
         return [np.cos(np.outer(r, proj)) @ coeffs for proj, coeffs in terms]
 
     masses = np.asarray(masses, dtype=float)
-    grid = _ray_grid(lap.dim, res)
+    grid = _ray_grid(lap.dim)
     sym_lap, sym_mass = symbols(grid)
     nonneg = sym_lap[None, :] - masses[:, None] * sym_mass[None, :] >= 0
     if np.any(nonneg[:, 0]):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from rscgc import cli
 from rscgc.discretization import (
     assemble_operator,
     laplacian_and_mass_stencils,
@@ -97,6 +98,12 @@ def scans_2d():
 
 
 @pytest.fixture(scope="module")
+def scans_3d():
+    return {(intergrid, G): optimize_shift(AnalysisConfig(3, G, intergrid))[:2]
+            for intergrid in ("cubic", "level-dependent") for G in (10.0, 11.0, 12.0)}
+
+
+@pytest.fixture(scope="module")
 def homogeneous_runs():
     """G=12 point-source solves on three grid doublings, both outer modes."""
     runs = []
@@ -142,11 +149,34 @@ def test_tuned_shift_table_2d(scans_2d):
         assert seconds <= 300.0, (intergrid, G, seconds)
 
 
-def test_tuned_shift_table_3d():
+def test_tuned_shift_table_3d(scans_3d):
     for G, (alpha_ref, eg_ref) in TUNED_3D.items():
-        alpha, max_eg, _ = optimize_shift(AnalysisConfig(3, G, "level-dependent"))
+        alpha, max_eg = scans_3d[("level-dependent", G)]
         assert abs(alpha - alpha_ref) <= 5.0001e-4, (G, alpha)
         assert abs(max_eg - eg_ref) <= 0.05 * eg_ref, (G, max_eg)
+
+
+def test_packaged_shift_table_is_what_tune_shift_writes(scans_2d, scans_3d, tmp_path,
+                                                        monkeypatch):
+    """Every entry of the packaged table is the tune-shift row of its key
+    under the fixed sampling and the default alpha range, so solve --alpha
+    auto serves exactly what a tune gives. The tunes are the fixtures'."""
+    tuned = {(2, G, intergrid): result[:2] for (intergrid, G), result in scans_2d.items()}
+    tuned |= {(3, G, intergrid): result for (intergrid, G), result in scans_3d.items()}
+
+    def optimize_shift(config):
+        assert config == AnalysisConfig(config.dim, config.G, config.intergrid)
+        return (*tuned[(config.dim, config.G, config.intergrid)], None)
+
+    monkeypatch.setattr(cli, "optimize_shift", optimize_shift)
+    monkeypatch.delenv("HELM_SHIFT_TABLE", raising=False)    # the packaged table
+    written = tmp_path / "table.json"
+    for dim in (2, 3):
+        for intergrid in ("cubic", "level-dependent"):
+            assert cli.main(["tune-shift", "--dim", str(dim), "--G", "10,11,12",
+                             "--intergrid", intergrid, "--write-table", str(written),
+                             "--out", str(tmp_path / "rows.csv")]) == 0
+    assert cli._load_table(written) == cli._load_table(cli._table_path())
 
 
 def test_critical_grid_size_bounds(scans_2d):

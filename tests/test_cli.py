@@ -225,8 +225,8 @@ def test_solve_rejects_bad_arguments(capsys, monkeypatch):
      "unknown config keys: ['beta']"),
     (["solve", "--G", "12", "--cells", "32", "--config", {"gamma_max": "x"}],
      "gamma_max must be a number, got 'x'"),
-    (["dispersion", "--G", "12", "--config", {"phi_resolution": "x"}],
-     "phi_resolution must be a number, got 'x'"),
+    (["dispersion", "--G", "12", "--config", {"angle_resolution": "x"}],
+     "angle_resolution must be a number, got 'x'"),
     (["dispersion", "--G", "12", "--config", {"alpha_range": 5}],
      "alpha_range must be a lo:hi pair, got 5"),
     (["dispersion", "--G", "12", "--config", {"alpha_range": ["a", 1]}],
@@ -256,22 +256,25 @@ def test_solve_rejects_bad_arguments(capsys, monkeypatch):
      "metadata h must be a number, got 'nan'"),
     (["solve", "--G", "12", "--model-file", "absent.bin", "--model-meta",
       {"dim": 2, "shape": [17, 17], "h": 0.0625, "kind": "slowness"}], "absent.bin"),
-    (["tune-shift", "--dim", "3", "--G", "10", "--ray-resolution", "3"],
-     "ray_resolution = 3 is too coarse: the fine radius snaps to 0 at G = 10"),
-    (["tune-shift", "--dim", "2", "--G", "12", "--ray-resolution", "10"],
-     "ray_resolution must leave a ray sample in (0, 4.443] in 2D, got 10.0"),
+    (["tune-shift", "--dim", "3", "--G", "20000"],
+     "G = 20000 is too large: the fine radius snaps to 0 on the 0.001 ray grid"),
+    (["dispersion", "--G", "12", "--alpha-scan", "1:1.01", "--cells", "32",
+      "--scan-maxit", "0"], "scan_maxit must be at least 1, got 0"),
     # an alpha whose square overflows, and analysis arrays past the size limit
     (["solve", "--G", "12", "--cells", "16", "--alpha", "1e160"], "got 1e+160"),
     (["sweep", "--G", "12", "--grids", "16,24", "--workers", "2", "--alpha", "1e160"],
      "got 1e+160"),
-    (["tune-shift", "--G", "12", "--ray-resolution", "1e-300"], "ray_resolution = 1e-300"),
-    (["tune-shift", "--G", "12", "--phi-resolution", "1e-300"], "phi_resolution 1e-300"),
-    (["tune-shift", "--G", "12", "--alpha-resolution", "1e-12"], "alpha_resolution 1e-12"),
+    (["dispersion", "--G", "12", "--alpha", "1e160"], "got 1e+160"),
+    (["dispersion", "--G", "12", "--alpha-scan", "1e160:1e161:1e160", "--cells", "32"],
+     "got 1e+161"),
+    (["dispersion", "--G", "12", "--alpha-scan", "1:1.01:0", "--cells", "32"],
+     "alpha_resolution must be finite and positive, got 0.0"),
     (["tune-shift", "--G", "12", "--alpha-range", "1e-300:1e300"],
      "alpha_range (1e-300, 1e+300)"),
     (["dispersion", "--G", "12", "--angle-resolution", "1e-300"],
      "angle_resolution = 1e-300"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_unparsable_values_exit_two(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     np.ones(17 * 17, dtype="<f4").tofile("m.bin")
@@ -446,7 +449,7 @@ def test_config_file_values_read_as_flag_text(tmp_path):
     from_flags, from_file = tmp_path / "flags.json", tmp_path / "file.json"
     cfg, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
     cfg.write_text(json.dumps({"G": [10, 12], "alpha_range": "1.0:1.01", "dim": "2",
-                               "phi_resolution": "0.1", "out": str(out)}))
+                               "out": str(out)}))
     assert main(["tune-shift", "--G", "10,12", "--alpha-range", "1.0:1.01",
                  "--emit-config", str(from_flags), "--out", str(out)]) == 0
     rows = read_csv(out)
@@ -477,7 +480,7 @@ def test_every_field_has_one_parser_and_every_flag_is_a_field():
     """Adding a config field without a parser, or a flag that is not a field,
     fails here."""
     names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
-    assert len(names) == 32
+    assert len(names) == 29
     table, = [node.value for node in ast.walk(ast.parse(inspect.getsource(cli)))
               if isinstance(node, ast.Assign)
               and getattr(node.targets[0], "id", None) == "_PARSERS"]
@@ -490,6 +493,8 @@ def test_every_field_has_one_parser_and_every_flag_is_a_field():
         dests = [action.dest for action in parser._actions]
         assert len(dests) == len(set(dests)), command
         assert set(dests) - other <= set(names), command
+    assert len(commands["tune-shift"]._actions) == 8 + 1     # and --help
+    assert len(commands["dispersion"]._actions) == 18 + 1
 
 
 _JSON = st.recursive(
@@ -530,10 +535,20 @@ def test_any_json_value_parses_or_is_a_config_error(name, value):
      "solver must be fgmres, fgmres:M, or stationary, got 'fgmres(20)'"),
     (["solve", "--G", "12", "--cells", "16", "--config", {"solver": "FGMRES:20"}],
      "solver must be fgmres, fgmres:M, or stationary, got 'FGMRES:20'"),
+    # the tuning resolutions, now fixed
+    *[([command, "--G", "12", flag, value], f"unrecognized arguments: {flag} {value}")
+      for command in ("tune-shift", "dispersion")
+      for flag, value in (("--phi-resolution", "1e-300"), ("--alpha-resolution", "1e-12"),
+                          ("--ray-resolution", "1e-300"), ("--ray-resolution", "10"))],
+    *[([command, "--G", "12", "--config", {key: value}], f"unknown config keys: ['{key}']")
+      for command in ("tune-shift", "dispersion")
+      for key, value in (("phi_resolution", "x"), ("alpha_resolution", 5e-4),
+                         ("ray_resolution", 3))],
 ])
 def test_removed_settings_exit_two(argv, named, tmp_path, capsys):
-    """The scheme, h and beta settings, tune-shift's --format and the
-    fgmres(M) spelling are gone: argparse or the config check rejects each."""
+    """The scheme, h and beta settings, tune-shift's --format, the fgmres(M)
+    spelling and the phi, alpha and ray resolutions of the tuning are gone:
+    argparse or the config check rejects each."""
     cfg = tmp_path / "cfg.json"
     for arg in argv:
         if isinstance(arg, dict):

@@ -1,5 +1,6 @@
 """Dispersion relations, grid-to-grid error, and the shift search."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -11,6 +12,7 @@ from rscgc.discretization import laplacian_and_mass_stencils, omega_for_ppw
 from rscgc.dispersion import (
     TUNED_INTERGRIDS,
     POLAR_LO,
+    RAY_RESOLUTION,
     _unit,
     AnalysisConfig,
     NoCrossingError,
@@ -27,6 +29,7 @@ from rscgc.dispersion import (
     _fine_pair,
     _first_crossings,
     _fold,
+    _ray_grid,
 )
 from rscgc.stencils import Stencil
 
@@ -131,32 +134,33 @@ def test_one_halving_decides_the_snapped_radius(dim, G, alpha, azimuth, polar):
     test of the first halving picks it, so 39 more halvings change nothing."""
     kh = 2 * math.pi / G
     phi = azimuth if dim == 2 else (azimuth, polar)
-    res = 1e-3
+    res = RAY_RESOLUTION
     cases = [(_fine_pair(dim), kh ** 2)]
     cases += [(_composite_pair(dim, ig), (alpha * kh) ** 2) for ig in TUNED_INTERGRIDS]
     for (lap, mass), m in cases:
         try:
-            forty = _first_crossings(_fold(lap, mass), [m], phi, res, 40)[0]
+            forty = _first_crossings(_fold(lap, mass), [m], phi, 40)[0]
         except NoCrossingError:
             # no crossing at all: the one-halving search must say so too
             with pytest.raises(NoCrossingError):
-                _first_crossings(_fold(lap, mass), [m], phi, res, 1)
+                _first_crossings(_fold(lap, mass), [m], phi, 1)
             continue
-        one = _first_crossings(_fold(lap, mass), [m], phi, res, 1)[0]
+        one = _first_crossings(_fold(lap, mass), [m], phi, 1)[0]
         assert round(one / res) == round(forty / res)
 
 
-def _snapped_against_the_oracle(lap, mass, masses, phi, res=1e-3):
+def _snapped_against_the_oracle(lap, mass, masses, phi):
     """The kernel's snapped radii, equal to the full-table oracle's; where the
     oracle finds no crossing, the kernel raises the same error."""
+    res = RAY_RESOLUTION
     try:
-        oracle = dispersion_oracle._first_crossings(lap, mass, masses, phi, res, 1)
+        oracle = dispersion_oracle._first_crossings(lap, mass, masses, phi, 1)
     except NoCrossingError as missing:
         with pytest.raises(NoCrossingError) as info:
-            _first_crossings(_fold(lap, mass), masses, phi, res, 1)
+            _first_crossings(_fold(lap, mass), masses, phi, 1)
         assert str(info.value) == str(missing)
         return None
-    kernel = _first_crossings(_fold(lap, mass), masses, phi, res, 1)
+    kernel = _first_crossings(_fold(lap, mass), masses, phi, 1)
     assert np.array_equal(np.round(kernel / res), np.round(oracle / res))
     return np.round(oracle / res).astype(int)
 
@@ -213,9 +217,9 @@ def test_one_mass_without_a_crossing_fails_the_batch():
     folded = _fold(*_composite_pair(2, "cubic"))
     kh = 2 * math.pi / 12
     with pytest.raises(NoCrossingError, match="too large"):
-        _first_crossings(folded, [kh ** 2, (3 * kh) ** 2], 0.0, 1e-3, 1)
+        _first_crossings(folded, [kh ** 2, (3 * kh) ** 2], 0.0, 1)
     with pytest.raises(NoCrossingError, match="too small"):
-        _first_crossings(folded, [kh ** 2, -1.0], 0.0, 1e-3, 1)
+        _first_crossings(folded, [kh ** 2, -1.0], 0.0, 1)
 
 
 def test_no_crossing_messages_name_the_input():
@@ -226,31 +230,35 @@ def test_no_crossing_messages_name_the_input():
         optimize_shift(config)
     with pytest.raises(NoCrossingError, match=r"too large.* along phi = 0.25$"):
         discrete_radius(helmholtz_stencil(1, 10.0, "second-order"), 0.25)
-    coarse = AnalysisConfig(3, 10.0, ray_resolution=3.0)
-    with pytest.raises(NoCrossingError, match=r"ray_resolution = 3 .* snaps to 0 at G = 10"):
-        grid_to_grid_error(coarse, 1.0, (0.0, 1.2))
+    # past G = 2 pi / (RAY_RESOLUTION / 2), about 1.26e4, kh is under half a ray step
+    with pytest.raises(NoCrossingError,
+                       match=r"^G = 20000 is too large: the fine radius snaps to 0 on the "
+                             r"0.001 ray grid$"):
+        grid_to_grid_error(AnalysisConfig(3, 2e4), 1.0, (0.0, 1.2))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call,named", [
-    (lambda s: discrete_radius(s, 0.0, ray_resolution=0), "ray_resolution .*got 0"),
-    (lambda s: discrete_radius(s, 0.0, ray_resolution=-1e-3), "got -0.001"),
     (lambda s: discrete_radius(s, math.nan), "phi .*got nan"),
     (lambda s: classical_dispersion_error(s, math.inf, 0.0), "G .*got inf"),
     (lambda s: classical_dispersion_error(s, math.nan, 0.0), "G .*got nan"),
     (lambda s: ncrit_bounds(math.inf, 0.01), "G .*got inf"),
     (lambda s: ncrit_bounds(math.nan, 0.01), "G .*got nan"),
     (lambda s: ncrit_bounds(12.0, math.nan), "error .*got nan"),
-    (lambda s: discrete_radius(s, 0.0, ray_resolution=10.0), "leave a ray sample .*got 10.0"),
     (lambda s: grid_to_grid_error(AnalysisConfig(3, 10.0, "level-dependent"), 1.0, 0.3),
      "2 angles in 3D, got 1: 0.3"),
     (lambda s: grid_to_grid_error(AnalysisConfig(2, 10.0), 1.0, (0.1, 0.2)),
      "1 angle in 2D, got 2"),
-    (lambda s: discrete_radius(s, 0.0, ray_resolution=1e-300),
-     "ray_resolution = 1e-300 gives 4.44e\\+300 ray samples"),
     (lambda s: export_dispersion_curve(AnalysisConfig(2, 12.0), 1.0, angle_resolution=1e-300),
      "angle_resolution = 1e-300 gives 7.85e\\+299 angles"),
     (lambda s: export_dispersion_curve(AnalysisConfig(3, 12.0), 1.0, angle_resolution=1e-5),
      "angle_resolution = 1e-05 gives 7.5e\\+09 angles"),
+    # an alpha whose square overflows, rejected with no overflow warning first
+    (lambda s: grid_to_grid_error(AnalysisConfig(2, 12.0), 1e160, 0.0),
+     "squared; got 1e\\+160"),
+    (lambda s: export_dispersion_curve(AnalysisConfig(3, 12.0), 1e160), "squared; got 1e\\+160"),
+    (lambda s: AnalysisConfig(2, 12.0, alpha_range=(1e160, 1e161), alpha_resolution=1e160),
+     "squared; got 1e\\+161"),
 ])
 def test_bad_dispersion_inputs_are_rejected_by_name(call, named):
     with pytest.raises(ValueError, match=named) as info:
@@ -277,14 +285,27 @@ def test_scan_table_equals_the_one_built_from_the_oracle(scan_2d):
     """Entry for entry, the 2D table is the one the full-table oracle gives
     with the same snapping and the same error formula."""
     config, scan = scan_2d
-    res, kh = config.ray_resolution, config.kh
+    res, kh = RAY_RESOLUTION, config.kh
     fine, composite = _fine_pair(2), _composite_pair(2, config.intergrid)
     for j, phi in enumerate(scan.directions):
-        r1 = dispersion_oracle._first_crossings(*fine, [kh ** 2], phi, res, 1)
-        r3 = dispersion_oracle._first_crossings(*composite, (scan.alphas * kh) ** 2,
-                                                phi, res, 1)
+        r1 = dispersion_oracle._first_crossings(*fine, [kh ** 2], phi, 1)
+        r3 = dispersion_oracle._first_crossings(*composite, (scan.alphas * kh) ** 2, phi, 1)
         errors = res * np.round(r3 / res) / (4.0 * (res * np.round(r1[0] / res))) - 1.0
         assert np.array_equal(errors, scan.errors[:, j])
+
+
+@pytest.mark.parametrize("lo,hi,step,count", [
+    (0.98, 1.06, 5e-4, 161),    # (hi - lo) / step rounds to 160.00000000000014
+    (1.0, 1.004, 0.005, 1),     # 0.8 of a step: rounding up would scan 1.005
+    (0.98, 1.005, 0.005, 6),    # 4.999999999999982 steps: hi is on the grid
+    (1.0, 1.01, 0.003, 4),
+    (0.99, 1.01, 0.005, 5),
+])
+def test_the_alpha_grid_stops_at_hi(lo, hi, step, count):
+    config = AnalysisConfig(2, 12.0, alpha_range=(lo, hi), alpha_resolution=step)
+    alphas = optimize_shift(config)[2].alphas
+    assert len(alphas) == count and alphas[0] == lo
+    assert alphas.max() <= hi < alphas[-1] + step
 
 
 def test_ties_break_toward_the_smaller_alpha():
@@ -359,25 +380,25 @@ def test_radius_matches_the_mpmath_root(dim, phi, G):
     {"dim": 4},
     {"G": 8.0},
     {"intergrid": "quadratic"},
-    {"phi_resolution": 0.0},
     {"alpha_range": (1.06, 0.98)},
     {"G": math.nan},
     {"G": math.inf},
-    {"phi_resolution": math.nan},
     {"alpha_resolution": math.nan},
-    {"ray_resolution": math.nan},
     {"alpha_range": (0.98, math.inf)},
     {"intergrid": "bilinear"},
     {"alpha_range": (0.98,)},
     {"alpha_range": (0.98, 1.0, 1.06)},
     {"alpha_range": 1.0},
     {"alpha_range": ("a", "b")},
-    {"ray_resolution": 10.0},
     # arrays past the size limit
-    {"ray_resolution": 1e-300},
-    {"phi_resolution": 1e-300},
     {"alpha_resolution": 1e-12},
     {"alpha_range": (1e-300, 1e300)},
+    {"alpha_resolution": 0.0},
+    {"alpha_resolution": -5e-4},
+    {"alpha_resolution": math.inf},
+    {"alpha_range": (0.0, 1.06)},
+    {"alpha_range": (math.nan, 1.06)},
+    {"dim": 1},
 ])
 def test_analysis_config_validation(bad):
     kwargs = {"dim": 2, "G": 12.0}
@@ -391,6 +412,12 @@ def test_analysis_config_validation(bad):
 def test_direction_grid_shapes():
     assert direction_grid(AnalysisConfig(2, 12.0)).shape == (8,)
     assert direction_grid(AnalysisConfig(3, 12.0)).shape == (80, 2)
+    # the directions and the ray grid are fixed, not settings of an analysis
+    assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
+        "dim", "G", "intergrid", "alpha_resolution", "alpha_range"]
+    for dim, samples in ((2, 4443), (3, 5441)):
+        grid = _ray_grid(dim)
+        assert len(grid) == samples + 1 and grid[1] == RAY_RESOLUTION
 
 
 # ---------------------------------------------------------------- cross-module
