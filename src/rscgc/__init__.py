@@ -3,8 +3,7 @@
 from .discretization import (HelmholtzProblem, SlownessModel, SparseOperator,
                              assemble_operator, load_model, make_model,
                              omega_for_ppw, point_source)
-from .dispersion import (AnalysisConfig, DispersionScan, classical_dispersion_error,
-                         discrete_radius, export_dispersion_curve, grid_to_grid_error,
+from .dispersion import (AnalysisConfig, DispersionScan, export_dispersion_curve,
                          ncrit_bounds, optimize_shift)
 from .krylov import SolveReport, fgmres, stationary_solve
 from .multigrid import (CyclePlan, MultigridHierarchy, TransferPair,
@@ -18,9 +17,8 @@ __all__ = [
     "__version__",
     "HelmholtzProblem", "SlownessModel", "SparseOperator", "assemble_operator",
     "load_model", "make_model", "omega_for_ppw", "point_source",
-    "AnalysisConfig", "DispersionScan", "classical_dispersion_error",
-    "discrete_radius", "export_dispersion_curve", "grid_to_grid_error",
-    "ncrit_bounds", "optimize_shift",
+    "AnalysisConfig", "DispersionScan", "export_dispersion_curve", "ncrit_bounds",
+    "optimize_shift",
     "SolveReport", "fgmres", "stationary_solve",
     "CyclePlan", "MultigridHierarchy", "TransferPair", "build_hierarchy",
     "build_rediscretized_hierarchy", "coarse_solve", "cycle", "jacobi_smooth",

@@ -368,6 +368,9 @@ def _resolve_alpha(config, g):
 # ---------------------------------------------------------------------------
 # methods
 
+# The most ":"-separated fields of each method spec.
+_METHOD_FIELDS = {"rs-cgc": 1, "cslp": 3, "rs-cgc+cslp": 2, "re-disc": 1}
+
 def _method_beta(parts, default, spec):
     if len(parts) < 2:
         return default
@@ -396,19 +399,19 @@ def _parse_method(spec, config, alpha):
     """
     parts = spec.strip().split(":")
     name = parts[0]
-    if name == "rs-cgc" and len(parts) == 1:
+    if len(parts) > _METHOD_FIELDS.get(name, 0):
+        raise ConfigError(f"unknown method {spec!r}; expected rs-cgc, "
+                          f"cslp:BETA[:INTERGRID], rs-cgc+cslp[:BETA], or re-disc")
+    if name == "re-disc":
+        return "re-disc", _cycle_plan(config, REDISC_WAVENUMBER_SCALE, 0.0, "bilinear")
+    if name == "rs-cgc":
         shifts = alpha(), 0.0, config.intergrid
     elif name == "cslp":
         intergrid = parts[2] if len(parts) > 2 else config.intergrid
         shifts = 1.0, _method_beta(parts, 0.1, spec), intergrid
-    elif name == "rs-cgc+cslp":
-        beta = _method_beta(parts, 0.03, spec)
-        shifts = alpha(), beta, config.intergrid
-    elif name == "re-disc" and len(parts) == 1:
-        return "re-disc", _cycle_plan(config, REDISC_WAVENUMBER_SCALE, 0.0, "bilinear")
     else:
-        raise ConfigError(f"unknown method {spec!r}; expected rs-cgc, "
-                          f"cslp:BETA[:INTERGRID], rs-cgc+cslp[:BETA], or re-disc")
+        beta = _method_beta(parts, 0.03, spec)      # checked before any tuning
+        shifts = alpha(), beta, config.intergrid
     return "galerkin", _cycle_plan(config, *shifts)
 
 

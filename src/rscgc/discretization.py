@@ -13,7 +13,6 @@ import copy
 import json
 import math
 import numbers
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +40,10 @@ __all__ = [
 MODEL_KINDS = ("homogeneous", "linear", "wedge")
 VALUE_KINDS = ("velocity", "slowness", "slowness-squared")
 
-_JSS_RE = re.compile(r"^jss\(([^,]+),([^,]+),([^)]+)\)$")
+# The coarsest-level scheme of the re-discretized baseline, 2D only: a
+# 9-point pair of the Jo, Shin and Suh (1996) form with the dispersion-fitted
+# weights (a, b, c) of its name.
+REDISC_SCHEME = "jss(0.6054,1.0532,0.0002)"
 
 
 def _integer(value, what):
@@ -81,8 +83,8 @@ class SlownessModel:
         cells = tuple(_integer(c, f"cell count in {self.cells!r}") for c in self.cells)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "kappa2", np.asarray(self.kappa2, dtype=float))
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if len(cells) != self.dim or any(c < 1 for c in cells):
             raise ValueError(f"need {self.dim} positive cell counts, got {cells}")
         if not (math.isfinite(self.h) and self.h > 0):
@@ -130,8 +132,6 @@ def make_model(kind, kappa2_range, cells, h):
         kappa = (1.0 - t) * math.sqrt(lo) + t * math.sqrt(hi)
         k2 = np.broadcast_to(kappa ** 2, nodes).copy()
     elif kind == "wedge":
-        if dim < 2:
-            raise ValueError("the wedge model needs at least 2 dimensions")
         x = np.linspace(0.0, 1.0, nodes[0])
         z = np.linspace(0.0, 1.0, nodes[-1])
         xs = x.reshape((-1,) + (1,) * (dim - 1))
@@ -369,15 +369,13 @@ class SparseOperator:
 def laplacian_and_mass_stencils(dim, scheme):
     """Dimensionless (Laplacian-part, mass-part) stencil pair for a scheme.
 
-    Schemes: "second-order", "fourth-order", or "jss(a,b,c)" (2D only). The
+    Schemes: "fourth-order" (2D and 3D) or REDISC_SCHEME (2D only). The
     pair satisfies H = (1/h^2) L - k^2 M for constant k.
     """
-    key = str(scheme).strip().lower().replace(" ", "")
-    jss = _JSS_RE.match(key)
-    if jss is not None:
+    if scheme == REDISC_SCHEME:
         if dim != 2:
-            raise ValueError("jss stencils are available in 2D only")
-        a, b, c = (float(g) for g in jss.groups())
+            raise ValueError(f"{REDISC_SCHEME} is available in 2D only")
+        a, b, c = 0.6054, 1.0532, 0.0002
         lap = np.array([
             [-(1 - a) / 2, -a, -(1 - a) / 2],
             [-a, 2 * a + 2, -a],
@@ -390,19 +388,7 @@ def laplacian_and_mass_stencils(dim, scheme):
         ])
         return Stencil(lap), Stencil(mass)
 
-    if key == "second-order":
-        lap = np.zeros((3,) * dim)
-        center = (1,) * dim
-        lap[center] = 2.0 * dim
-        for ax in range(dim):
-            for side in (0, 2):
-                idx = list(center)
-                idx[ax] = side
-                lap[tuple(idx)] = -1.0
-        mass = np.ones((1,) * dim)
-        return Stencil(lap), Stencil(mass)
-
-    if key == "fourth-order":
+    if scheme == "fourth-order":
         if dim == 2:
             lap = np.array([
                 [-1.0, -4.0, -1.0],
@@ -432,7 +418,7 @@ def laplacian_and_mass_stencils(dim, scheme):
         return Stencil(lap), Stencil(mass)
 
     raise ValueError(
-        f"unknown scheme {scheme!r}; choose second-order, fourth-order, or jss(a,b,c)")
+        f"unknown scheme {scheme!r}; choose fourth-order or {REDISC_SCHEME}")
 
 
 def attenuation_profile(problem):

@@ -14,8 +14,13 @@ convention and not under smooth radii, so it is part of the protocol rather
 than an implementation detail. So are the directions, 0.1 rad apart in the
 symmetry sector, and the 5e-4 alpha step of the search: these resolutions
 are fixed, and the shift table records no other.
+
+The one first-crossing search returns the snapped radius itself: the first
+nonnegative sample brackets the crossing, and the sign of the symbol at the
+bracket midpoint picks the nearer end. No smooth radius is computed.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,11 +37,8 @@ __all__ = [
     "DispersionCurve",
     "NoCrossingError",
     "direction_grid",
-    "discrete_radius",
-    "grid_to_grid_error",
     "optimize_shift",
     "ncrit_bounds",
-    "classical_dispersion_error",
     "export_dispersion_curve",
 ]
 
@@ -141,6 +143,13 @@ def _arange_length(span, step):
     return float(math.ceil(count)) if count < math.inf else count
 
 
+def _closed_range(lo, hi, step):
+    """np.arange(lo, hi, step) closed by hi, which it holds once: a sample
+    within 1e-9 of the span from hi is hi itself."""
+    samples = np.arange(lo, hi, step)
+    return np.append(samples[samples < hi - 1e-9 * (hi - lo)], hi)
+
+
 def direction_grid(config):
     """Propagation directions covering the symmetry sector.
 
@@ -158,15 +167,13 @@ def direction_grid(config):
 
 
 def _unit(dim, phi):
-    angles = 2 if dim == 3 else 1
+    angles = dim - 1
     if np.size(phi) != angles:
         raise ValueError(
             f"direction phi must hold {angles} angle{'s' * (angles > 1)} in {dim}D, "
             f"got {np.size(phi)}: {phi}")
     if not np.all(np.isfinite(phi)):
         raise ValueError(f"direction phi must be finite, got {phi}")
-    if dim == 1:
-        return np.array([1.0])
     if dim == 2:
         angle = float(np.asarray(phi).reshape(()))
         return np.array([math.cos(angle), math.sin(angle)])
@@ -206,13 +213,15 @@ def _fold(lap, mass):
     return lap.dim, sums, pairs, lap.offsets()[:half].astype(float)
 
 
-def _first_crossings(folded, masses, phi, steps):
-    """First sign switch of symbol(lap) - m * symbol(mass) along phi, per mass m.
+def _first_crossings(folded, masses, phi):
+    """First sign switch of symbol(lap) - m * symbol(mass) along phi, per mass
+    m, snapped to the ray grid.
 
     `folded` is _fold(lap, mass). The real symbols are tabulated on
     _ray_grid(dim) in blocks of _RAY_BLOCK samples, until every mass has
-    crossed; the first nonnegative sample brackets each crossing, and `steps`
-    halvings refine the bracket. Returns the final bracket midpoints.
+    crossed; the first nonnegative sample brackets each crossing. The
+    snapped radius is the bracket end nearer the crossing: the lower end
+    where the symbol is nonnegative at the bracket midpoint, else the upper.
 
     A symbol sum(c cos(theta.o)) is tabulated as sum(c) - 2 sum(c sin^2(theta.o/2)),
     with no cancellation of O(1) terms near a crossing; sum(c) is the fsum of
@@ -259,28 +268,8 @@ def _first_crossings(folded, masses, phi, steps):
             f"no dispersion-relation crossing for r in (0, {grid[-1]:g}] "
             f"(wavenumber too large for this stencil?)")
     lo, hi = grid[first - 1], grid[first]
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        sym_lap, sym_mass = symbols(mid)
-        above = sym_lap - masses * sym_mass >= 0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
-
-
-def discrete_radius(stencil, phi):
-    """Distance from the origin to the first sign switch of the real symbol.
-
-    Samples along theta = r * unit(phi) on the ray grid, from r = 0
-    up to the first nonnegative sample (at most pi*sqrt(dim)), then refines
-    the bracketed switch by bisection to below 1e-9. The stencil carries its
-    own mass term.
-    """
-    try:
-        radius = _first_crossings(_fold(stencil, stencil), [0.0], phi, 40)
-    except NoCrossingError as exc:
-        raise NoCrossingError(f"{exc} along phi = {phi}") from None
-    return float(radius[0])
+    sym_lap, sym_mass = symbols(0.5 * (lo + hi))
+    return np.where(sym_lap - masses * sym_mass >= 0, lo, hi)
 
 
 @lru_cache(maxsize=None)
@@ -317,41 +306,29 @@ def coarsest_stencil(config, alpha):
 
 
 def _snapped_radii(config, alphas, phi):
-    """Ray-grid-snapped radii at one direction: (r3 for each alpha, r1).
-
-    A snapped radius is the bracket end nearer the crossing, so one halving,
-    a single symbol evaluation at the bracket midpoint, decides it.
-    """
-    res = RAY_RESOLUTION
+    """Ray-grid-snapped radii at one direction: (r3 for each alpha, r1)."""
     kh = config.kh
     alphas = np.asarray(alphas, dtype=float)
     try:
-        r1 = _first_crossings(_folded_pair(config.dim), [kh ** 2], phi, 1)
+        r1 = _first_crossings(_folded_pair(config.dim), [kh ** 2], phi)[0]
         r3 = _first_crossings(_folded_pair(config.dim, config.intergrid),
-                              (alphas * kh) ** 2, phi, 1)
+                              (alphas * kh) ** 2, phi)
     except NoCrossingError as exc:
         shift = (f"alpha = {alphas[0]:g}" if len(alphas) == 1
                  else f"alpha in [{alphas.min():g}, {alphas.max():g}]")
         raise NoCrossingError(f"{exc} at G = {config.G:g}, {shift}") from None
-    r1 = res * np.round(r1[0] / res)
     if not r1:
         raise NoCrossingError(
             f"G = {config.G:g} is too large: the fine radius snaps to 0 on the "
-            f"{res:g} ray grid")
-    return res * np.round(r3 / res), r1
-
-
-def grid_to_grid_error(config, alpha, phi):
-    """e_g(alpha, phi) = r3 / (4 r1) - 1 with ray-grid-snapped radii."""
-    _check_shifts(alpha, 0.0)
-    r3, r1 = _snapped_radii(config, [alpha], phi)
-    return float(r3[0] / (4.0 * r1) - 1.0)
+            f"{RAY_RESOLUTION:g} ray grid")
+    return r3, r1
 
 
 def optimize_shift(config):
     """Exhaustive min-max search for the real shift.
 
-    Minimizes max over the direction grid of |e_g(alpha, phi)| over the alpha
+    Minimizes max over the direction grid of |e_g(alpha, phi)|, with
+    e_g = r3 / (4 r1) - 1 of the snapped radii, over the alpha
     grid lo, lo + alpha_resolution, ..., at most hi; ties break toward the
     smaller alpha. Returns (alpha_star, max_eg_star, DispersionScan).
     """
@@ -391,24 +368,13 @@ def ncrit_bounds(G, max_eg):
     return int(lo), int(hi)
 
 
-def classical_dispersion_error(stencil, G, phi):
-    """Single-grid dispersion error r / r1(phi) - 1 at kh = 2 pi / G.
-
-    The stencil must already carry its mass term at that kh.
-    """
-    if not 2 < G < math.inf:
-        raise ValueError(f"G must be finite and exceed 2, got {G}")
-    r = 2.0 * math.pi / G
-    return r / discrete_radius(stencil, phi) - 1.0
-
-
 def export_dispersion_curve(config, alpha, angle_resolution=0.01):
     """Dense polar curves of the coarsest radius against the stretched fine radius.
 
     2D: the sector [0, pi/4] is sampled at angle_resolution and unfolded to
     the full circle via the 8-fold stencil symmetry, with a closing row at
     2 pi. 3D: the (azimuth, polar) sector box is sampled densely instead.
-    Radii follow the same ray-grid snapping as grid_to_grid_error.
+    Radii follow the same ray-grid snapping as the shift search.
     """
     _check_shifts(alpha, 0.0)
     if not (isinstance(angle_resolution, numbers.Real) and math.isfinite(angle_resolution)
@@ -427,12 +393,11 @@ def export_dispersion_curve(config, alpha, angle_resolution=0.01):
         r3, r1 = _snapped_radii(config, [alpha], phi)
         return r3[0], 4.0 * r1
 
+    azimuth = _closed_range(0.0, math.pi / 4, angle_resolution)
     if config.dim == 2:
-        base = np.arange(0.0, math.pi / 4, angle_resolution)
-        base = np.append(base, math.pi / 4)
-        vals = np.array([radii(t) for t in base])
+        vals = np.array([radii(t) for t in azimuth])
         # octant -> quadrant: reflect about pi/4, dropping the duplicated seam
-        quarter_angles = np.concatenate([base, math.pi / 2 - base[-2::-1]])
+        quarter_angles = np.concatenate([azimuth, math.pi / 2 - azimuth[-2::-1]])
         quarter_vals = np.concatenate([vals, vals[-2::-1]])
         angles = [quarter_angles[:-1] + s * math.pi / 2 for s in range(4)]
         values = [quarter_vals[:-1]] * 4
@@ -441,13 +406,7 @@ def export_dispersion_curve(config, alpha, angle_resolution=0.01):
         rows = np.column_stack([np.concatenate(angles), np.concatenate(values)])
         return DispersionCurve(("phi", "r_coarse", "r_fine_stretched"), rows)
 
-    azimuth = np.append(np.arange(0.0, math.pi / 4, angle_resolution), math.pi / 4)
-    polar = np.append(np.arange(POLAR_LO, math.pi / 2, angle_resolution), math.pi / 2)
-    rows = np.empty((azimuth.size * polar.size, 4))
-    i = 0
-    for az in azimuth:
-        for pol in polar:
-            r3, r1x4 = radii((az, pol))
-            rows[i] = (az, pol, r3, r1x4)
-            i += 1
+    polar = _closed_range(POLAR_LO, math.pi / 2, angle_resolution)
+    rows = np.array([(az, pol, *radii((az, pol)))
+                     for az, pol in itertools.product(azimuth, polar)])
     return DispersionCurve(("azimuth", "polar", "r_coarse", "r_fine_stretched"), rows)

@@ -105,10 +105,10 @@ class FrontalLU:
     couplings are left out of the factors, and the caller's residual check
     catches the solve that misses.
 
-    solve(b) returns A^-1 b for a vector b. L (CSC, unit diagonal), U (CSR),
-    perm_r and perm_c are built on demand over all unknowns, with
-    L @ U == A[perm_r][:, perm_c] for a decoupled shell: perm_c is the
-    elimination order, and perm_r adds each front's row pivoting. fill
+    solve(b) returns A^-1 b for a vector b. L (CSC, unit diagonal) and U
+    (CSR) are built on demand over all unknowns. For a decoupled shell, L U
+    is A with its columns in the elimination order `order` and its rows in
+    that order after each front's row pivoting (_row_positions). fill
     counts their stored entries without building them.
     """
 
@@ -227,14 +227,6 @@ class FrontalLU:
         stores its two diagonal entries."""
         sizes = (u12.shape for _, u12, _ in self.blocks)
         return sum(p * (p + 1 + 2 * b) for p, b in sizes) + 2 * len(self.outside_diagonal)
-
-    @property
-    def perm_c(self):
-        return self.order.copy()
-
-    @property
-    def perm_r(self):
-        return self.order[self._row_positions()]
 
     @property
     def L(self):

@@ -5,7 +5,9 @@ vectors, start from zero and share one prologue, which checks the limits and
 b. scipy's gmres is not flexible (it assumes a fixed preconditioner and
 left-preconditions in legacy mode), so FGMRES is written here. The Krylov
 basis V and the preconditioned vectors Z are rows of two complex arrays that
-grow a block of rows at a time. Each new vector is orthogonalized by
+grow a block of rows at a time, and the triangular factor and the rotated
+residual hold one column and one entry per iteration run, so a large maxit
+reserves nothing. Each new vector is orthogonalized by
 classical Gram-Schmidt run twice (CGS2), every pass two BLAS-2 products;
 complex Givens rotations reduce the Hessenberg columns to an upper-triangular
 factor; restart is optional. An iteration means one preconditioner
@@ -119,11 +121,9 @@ def fgmres(apply_A, apply_M, b, restart=None, tol=1e-6, maxit=None):
             budget = min(restart or maxit, maxit - iterations)
             V = _room(V, 1)
             V[0] = r / rnorm
-            H = np.zeros((budget, budget), dtype=complex)   # the triangular factor
-            givens = []
-            g = np.zeros(budget + 1, dtype=complex)
-            g[0] = rnorm
-            k = 0
+            # the triangular factor by columns and the rotated residual, one
+            # entry per iteration run, however large the budget
+            columns, givens, g = [], [], [np.complex128(rnorm)]
             for j in range(budget):
                 Z = _room(Z, j + 1)
                 Z[j] = apply_M(V[j])
@@ -153,15 +153,18 @@ def fgmres(apply_A, apply_M, b, restart=None, tol=1e-6, maxit=None):
                 givens.append((c, s))
                 col[j] = c * col[j] + s * col[j + 1]
                 col[j + 1] = 0.0
-                g[j + 1] = -np.conj(s) * g[j]
+                g.append(-np.conj(s) * g[j])
                 g[j] = c * g[j]
-                H[:j + 1, j] = col[:j + 1]
-                k = j + 1
+                columns.append(col[:j + 1])
                 estimate = abs(g[j + 1]) / bnorm
                 history.append(float(estimate))
                 if estimate < tol or breakdown or iterations >= maxit:
                     break
-            y = solve_triangular(H[:k, :k], g[:k])
+            k = len(columns)
+            H = np.zeros((k, k), dtype=complex)
+            for j, column in enumerate(columns):
+                H[:j + 1, j] = column
+            y = solve_triangular(H, np.array(g[:k]))
             x = x + y @ Z[:k]
             r = b - apply_A(x)
             rnorm = np.linalg.norm(r)

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import (GridStencil, HelmholtzProblem, SlownessModel,
+from .discretization import (REDISC_SCHEME, GridStencil, HelmholtzProblem, SlownessModel,
                              SparseOperator, _check_shifts, _integer, assemble_operator,
                              mass_stencil)
 from .frontal import FrontalLU
@@ -61,9 +61,8 @@ __all__ = [
 
 CYCLE_CHOICES = ("V", "W")
 
-# Coarsest-level scheme of the re-discretized baseline: a dispersion-minimized
-# 9-point stencil with the wavenumber itself rescaled at assembly.
-REDISC_SCHEME = "jss(0.6054,1.0532,0.0002)"
+# The re-discretized baseline rescales the wavenumber of its coarsest level,
+# assembled with REDISC_SCHEME, by this factor.
 REDISC_WAVENUMBER_SCALE = 0.87725
 
 

@@ -4,6 +4,13 @@ import numpy as np
 
 from rscgc import multigrid
 from rscgc.discretization import HelmholtzProblem, make_model, omega_for_ppw
+from rscgc.stencils import Stencil
+
+# The second-order 1D pair, Laplacian [-1, 2, -1] and mass [1], for checks
+# against closed forms; the library's schemes are 2D and 3D.
+SECOND_ORDER_1D = Stencil(np.array([-1.0, 2.0, -1.0])), Stencil(np.ones(1))
+# The same pair shaped (3, 1): along phi = 0 its 2D symbols are the 1D ones.
+SECOND_ORDER_ALONG_X = tuple(Stencil(s.coeffs.real[:, None]) for s in SECOND_ORDER_1D)
 
 
 def build_problem(dim, cells, G, kind="homogeneous", kappa2=(1.0, 1.0),

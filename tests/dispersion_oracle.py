@@ -3,8 +3,10 @@
 The library never goes through this module. It is the kernel as it was
 before the folded, blocked tabulation: it tabulates each real symbol on the
 whole ray grid, one cosine table per stencil, and brackets each crossing by
-the first nonnegative sample. :func:`rscgc.dispersion._first_crossings` must
-agree with it on every snapped radius.
+the first nonnegative sample, then refines the bracket by halvings, so that
+40 of them narrow it to below 1e-15.
+:func:`rscgc.dispersion._first_crossings`, which returns snapped radii only,
+must return what this oracle's radius rounds to on the ray grid.
 """
 
 import numpy as np

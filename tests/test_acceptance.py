@@ -18,10 +18,12 @@ from rscgc.discretization import (
     point_source,
 )
 from rscgc.dispersion import (
+    RAY_RESOLUTION,
     AnalysisConfig,
-    discrete_radius,
     ncrit_bounds,
     optimize_shift,
+    _first_crossings,
+    _fold,
 )
 from rscgc.krylov import fgmres, stationary_solve
 from rscgc.multigrid import CyclePlan, build_hierarchy, cycle, transfer_matrices
@@ -32,7 +34,7 @@ from rscgc.stencils import (
 )
 
 import galerkin_oracle
-from conftest import build_problem, double_cycle
+from conftest import SECOND_ORDER_1D, SECOND_ORDER_ALONG_X, build_problem, double_cycle
 from periodic_oracle import periodic_rap_stencil, symbol
 
 TUNED_2D = {
@@ -222,8 +224,8 @@ def test_coarsest_level_shift_identity():
 def test_galerkin_dual_route_and_bandwidth():
     kh = 2 * math.pi / 12
     for dim in (1, 2, 3):
-        scheme = "second-order" if dim == 1 else "fourth-order"
-        lap, mass = laplacian_and_mass_stencils(dim, scheme)
+        lap, mass = (SECOND_ORDER_1D if dim == 1
+                     else laplacian_and_mass_stencils(dim, "fourth-order"))
         fine = lap + mass * (-(kh ** 2))
         cubic = restriction_stencil(dim, "cubic")
         linear = restriction_stencil(dim, "linear")
@@ -250,10 +252,10 @@ def test_symbol_and_radius_identities():
         value = symbol(stencil, np.zeros(dim))
         assert abs(value - (-(kh ** 2))) <= 1e-14
 
+    # 4 sin^2(r/2) = kh^2: the snapped radius of the second-order pair
     kh = 2 * math.pi / 10
-    lap1, mass1 = laplacian_and_mass_stencils(1, "second-order")
-    radius = discrete_radius(lap1 + mass1 * (-(kh ** 2)), 0.0)
-    assert abs(radius - 2 * math.asin(kh / 2)) <= 1e-8
+    radius = _first_crossings(_fold(*SECOND_ORDER_ALONG_X), [kh ** 2], 0.0)[0]
+    assert radius == RAY_RESOLUTION * round(2 * math.asin(kh / 2) / RAY_RESOLUTION)
 
 
 # ---------------------------------------------------------------- method contrast

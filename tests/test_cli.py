@@ -673,7 +673,10 @@ def test_sweep_tunes_a_shift_shared_by_two_methods_once(tmp_path, monkeypatch, c
     (["--methods", "cslp:0.1:foo"],
      "intergrid must be one of ('cubic', 'level-dependent', 'bilinear'), got 'foo'"),
     (["--dampings", "0.8,0"], "dampings must be finite and positive, got (0.8, 0.0)"),
-], ids=["alpha", "intergrid", "dampings"])
+    (["--methods", "rs-cgc+cslp:0.03:bilinear"],
+     "unknown method 'rs-cgc+cslp:0.03:bilinear'"),
+    (["--methods", "cslp:0.1:cubic:junk"], "unknown method 'cslp:0.1:cubic:junk'"),
+], ids=["alpha", "intergrid", "dampings", "combined-extra-field", "cslp-extra-field"])
 def test_sweep_rejects_bad_method_values_before_any_problem_is_built(flags, named,
                                                                      monkeypatch, capsys):
     built = []

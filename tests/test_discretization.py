@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rscgc.discretization import (
+    REDISC_SCHEME,
     GridStencil,
     HelmholtzProblem,
     SlownessModel,
@@ -54,21 +55,10 @@ def test_fourth_order_3d_values():
             assert mass.coeffs[off] == 0
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_second_order_shapes(dim):
-    lap, mass = laplacian_and_mass_stencils(dim, "second-order")
-    assert lap.extents == (3,) * dim
-    assert mass.extents == (1,) * dim
-    assert lap.coeffs[(1,) * dim].real == pytest.approx(2.0 * dim)
-    assert mass.coeffs[(0,) * dim] == 1.0
-
-
 @pytest.mark.parametrize("dim,scheme", [
-    (2, "second-order"),
-    (3, "second-order"),
     (2, "fourth-order"),
     (3, "fourth-order"),
-    (2, "jss(0.6054,1.0532,0.0002)"),
+    (2, REDISC_SCHEME),
 ])
 def test_pair_invariants(dim, scheme):
     """Every scheme annihilates constants in L and averages to one in M."""
@@ -79,8 +69,10 @@ def test_pair_invariants(dim, scheme):
 
 
 def test_jss_parameter_placement():
+    """The re-discretized coarsest pair places the weights of its name."""
     a, b, c = 0.6054, 1.0532, 0.0002
-    lap, mass = laplacian_and_mass_stencils(2, f"jss({a},{b},{c})")
+    assert REDISC_SCHEME == f"jss({a},{b},{c})"
+    lap, mass = laplacian_and_mass_stencils(2, REDISC_SCHEME)
     assert lap.coeffs[1, 1].real == pytest.approx(2 * a + 2)
     assert lap.coeffs[0, 1].real == pytest.approx(-a)
     assert mass.coeffs[1, 1].real == pytest.approx(b)
@@ -90,12 +82,14 @@ def test_jss_parameter_placement():
 
 def test_jss_rejected_outside_2d():
     with pytest.raises(ValueError, match="2D only"):
-        laplacian_and_mass_stencils(3, "jss(0.6,1.0,0.0)")
+        laplacian_and_mass_stencils(3, REDISC_SCHEME)
 
 
 def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError, match="unknown scheme"):
-        laplacian_and_mass_stencils(2, "sixth-order")
+    # no second-order scheme, and no jss weights but the fixed pair's
+    for scheme in ("sixth-order", "second-order", "jss(0.6,1.0,0.0)", "Fourth-Order"):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            laplacian_and_mass_stencils(2, scheme)
 
 
 # ---------------------------------------------------------------- assembly
@@ -305,8 +299,10 @@ def test_wedge_model_three_layers_pinching():
 
 
 def test_wedge_needs_two_dimensions():
-    with pytest.raises(ValueError, match="2 dimensions"):
-        make_model("wedge", (0.1, 1.0), (8,), 0.125)
+    # as every model does
+    for kind in ("wedge", "homogeneous"):
+        with pytest.raises(ValueError, match="dim must be 2 or 3, got 1"):
+            make_model(kind, (0.1, 1.0), (8,), 0.125)
 
 
 def test_model_argument_validation():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rscgc.discretization import laplacian_and_mass_stencils, omega_for_ppw
+from rscgc.discretization import omega_for_ppw
 from rscgc.dispersion import (
     TUNED_INTERGRIDS,
     POLAR_LO,
@@ -16,29 +16,30 @@ from rscgc.dispersion import (
     _unit,
     AnalysisConfig,
     NoCrossingError,
-    classical_dispersion_error,
     coarsest_stencil,
     direction_grid,
-    discrete_radius,
     export_dispersion_curve,
-    grid_to_grid_error,
     ncrit_bounds,
     optimize_shift,
     _RAY_BLOCK,
+    _closed_range,
     _composite_pair,
     _fine_pair,
     _first_crossings,
     _fold,
+    _folded_pair,
     _ray_grid,
+    _snapped_radii,
 )
 from rscgc.stencils import Stencil
 
 import dispersion_oracle
+from conftest import SECOND_ORDER_ALONG_X
 
 
-def helmholtz_stencil(dim, kh, scheme="fourth-order"):
-    lap, mass = laplacian_and_mass_stencils(dim, scheme)
-    return lap + mass * (-(kh ** 2))
+def snapped(r):
+    """r rounded to the ray grid, as the kernel's grid holds it."""
+    return RAY_RESOLUTION * round(float(r) / RAY_RESOLUTION)
 
 
 # ---------------------------------------------------------------- radii
@@ -46,57 +47,53 @@ def helmholtz_stencil(dim, kh, scheme="fourth-order"):
 @pytest.mark.parametrize("kh", [0.1, 0.5, 2 * math.pi / 10])
 def test_second_order_1d_radius_closed_form(kh):
     """4 sin^2(r/2) = (kh)^2 pins the crossing at 2 arcsin(kh/2)."""
-    stencil = helmholtz_stencil(1, kh, "second-order")
-    r = discrete_radius(stencil, 0.0)
-    assert abs(r - 2.0 * math.asin(kh / 2)) <= 1e-8
+    r = _first_crossings(_fold(*SECOND_ORDER_ALONG_X), [kh ** 2], 0.0)[0]
+    assert r == snapped(2.0 * math.asin(kh / 2))
 
 
 def test_radius_crossing_out_of_range():
     with pytest.raises(NoCrossingError, match="too small"):
-        discrete_radius(helmholtz_stencil(1, 0.0, "second-order"), 0.0)
+        _first_crossings(_fold(*SECOND_ORDER_ALONG_X), [0.0], 0.0)
     with pytest.raises(NoCrossingError, match="too large"):
-        discrete_radius(helmholtz_stencil(1, 10.0, "second-order"), 0.0)
+        _first_crossings(_fold(*SECOND_ORDER_ALONG_X), [10.0 ** 2], 0.0)
 
 
 def test_fourth_order_radius_is_anisotropic():
-    kh = 2 * math.pi / 12
-    stencil = helmholtz_stencil(2, kh)
-    r_axis = discrete_radius(stencil, 0.0)
-    r_diag = discrete_radius(stencil, math.pi / 4)
-    assert abs(r_axis / kh - 1) < 2e-4
-    assert abs(r_diag / kh - 1) < 2e-4
-    assert abs(r_axis - r_diag) > 5e-5
+    """At G = 5 the fine radius along an axis is 8 ray steps longer than
+    along the diagonal, both within 1% of kh."""
+    kh = 2 * math.pi / 5
+    r_axis, r_diag = (_first_crossings(_folded_pair(2), [kh ** 2], phi)[0]
+                      for phi in (0.0, math.pi / 4))
+    assert abs(r_axis / kh - 1) < 1e-2
+    assert abs(r_diag / kh - 1) < 1e-2
+    assert r_axis - r_diag >= 5 * RAY_RESOLUTION
 
 
 # ---------------------------------------------------------------- e_g
 
 def test_grid_to_grid_error_spot_values():
-    cubic = AnalysisConfig(2, 12.0, "cubic")
-    worst = max(abs(grid_to_grid_error(cubic, 1.0045, phi))
-                for phi in direction_grid(cubic))
-    assert worst == pytest.approx(3.340e-3, abs=5e-6)
-
-    mixed = AnalysisConfig(2, 12.0, "level-dependent")
-    worst = max(abs(grid_to_grid_error(mixed, 1.0135, phi))
-                for phi in direction_grid(mixed))
-    assert worst == pytest.approx(8.111e-3, abs=5e-6)
+    for intergrid, alpha, worst in (("cubic", 1.0045, 3.340e-3),
+                                    ("level-dependent", 1.0135, 8.111e-3)):
+        config = AnalysisConfig(2, 12.0, intergrid, alpha_range=(alpha, alpha + 1e-3))
+        scan = optimize_shift(config)[2]
+        assert scan.alphas[0] == alpha
+        assert np.abs(scan.errors[0]).max() == pytest.approx(worst, abs=5e-6)
 
 
 def test_grid_to_grid_error_has_the_stencil_symmetry():
     config = AnalysisConfig(2, 11.0)
+    alphas = [0.99, 1.0075, 1.03]
     for phi in (0.1, 0.3):
-        a = grid_to_grid_error(config, 1.0075, phi)
-        b = grid_to_grid_error(config, 1.0075, math.pi / 2 - phi)
-        assert abs(a - b) <= 1e-10
+        r3, r1 = _snapped_radii(config, alphas, phi)
+        r3_mirror, r1_mirror = _snapped_radii(config, alphas, math.pi / 2 - phi)
+        assert r1 == r1_mirror and np.array_equal(r3, r3_mirror)
 
 
 def test_grid_to_grid_error_argument_check():
     with pytest.raises(ValueError, match="alpha"):
-        grid_to_grid_error(AnalysisConfig(2, 12.0), -1.0, 0.0)
+        export_dispersion_curve(AnalysisConfig(2, 12.0), -1.0)
     # rejected by name before the search, which would raise NoCrossingError
     for alpha in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=rf"alpha must be finite.*{alpha}"):
-            grid_to_grid_error(AnalysisConfig(2, 12.0), alpha, 0.0)
         with pytest.raises(ValueError, match=rf"alpha must be finite.*{alpha}"):
             export_dispersion_curve(AnalysisConfig(2, 12.0), alpha)
 
@@ -130,39 +127,39 @@ def test_optimize_shift_on_a_narrow_bracket():
        azimuth=st.floats(0.0, math.pi / 4),
        polar=st.floats(POLAR_LO, math.pi / 2))
 def test_one_halving_decides_the_snapped_radius(dim, G, alpha, azimuth, polar):
-    """The snapped radius is the bracket end nearer the crossing; the midpoint
-    test of the first halving picks it, so 39 more halvings change nothing."""
+    """The snapped radius is the bracket end nearer the crossing; the sign at
+    the bracket midpoint picks the end that the oracle's bracket, refined by
+    40 halvings, rounds to."""
     kh = 2 * math.pi / G
     phi = azimuth if dim == 2 else (azimuth, polar)
-    res = RAY_RESOLUTION
     cases = [(_fine_pair(dim), kh ** 2)]
     cases += [(_composite_pair(dim, ig), (alpha * kh) ** 2) for ig in TUNED_INTERGRIDS]
     for (lap, mass), m in cases:
         try:
-            forty = _first_crossings(_fold(lap, mass), [m], phi, 40)[0]
+            refined = dispersion_oracle._first_crossings(lap, mass, [m], phi, 40)[0]
         except NoCrossingError:
-            # no crossing at all: the one-halving search must say so too
+            # no crossing at all: the kernel must say so too
             with pytest.raises(NoCrossingError):
-                _first_crossings(_fold(lap, mass), [m], phi, 1)
+                _first_crossings(_fold(lap, mass), [m], phi)
             continue
-        one = _first_crossings(_fold(lap, mass), [m], phi, 1)[0]
-        assert round(one / res) == round(forty / res)
+        assert _first_crossings(_fold(lap, mass), [m], phi)[0] == snapped(refined)
 
 
 def _snapped_against_the_oracle(lap, mass, masses, phi):
-    """The kernel's snapped radii, equal to the full-table oracle's; where the
-    oracle finds no crossing, the kernel raises the same error."""
+    """The kernel's snapped radii, in ray steps, equal to the full-table
+    oracle's; where the oracle finds no crossing, the kernel raises the same
+    error."""
     res = RAY_RESOLUTION
     try:
         oracle = dispersion_oracle._first_crossings(lap, mass, masses, phi, 1)
     except NoCrossingError as missing:
         with pytest.raises(NoCrossingError) as info:
-            _first_crossings(_fold(lap, mass), masses, phi, 1)
+            _first_crossings(_fold(lap, mass), masses, phi)
         assert str(info.value) == str(missing)
         return None
-    kernel = _first_crossings(_fold(lap, mass), masses, phi, 1)
-    assert np.array_equal(np.round(kernel / res), np.round(oracle / res))
-    return np.round(oracle / res).astype(int)
+    steps = np.round(oracle / res)
+    assert np.array_equal(_first_crossings(_fold(lap, mass), masses, phi), res * steps)
+    return steps.astype(int)
 
 
 @settings(max_examples=25, deadline=None)
@@ -199,70 +196,68 @@ def test_one_batch_crosses_in_several_blocks(dim):
 
 
 def test_a_negative_mass_symbol_compares_every_mass():
-    """1D pair with symbol(L) = -1 - cos r and symbol(M) = cos r: mass m
-    crosses at arccos(-1 / (1 + m)). The mass symbol turns negative at
-    r = pi/2, in block 3, where m = 3 crosses (r = 1.82) but the smallest
-    mass, m = 1, does not (r = 2.09, block 4); a skip decided by the
-    smallest mass alone would push m = 3 into block 4."""
-    lap = Stencil(np.array([-0.5, -1.0, -0.5]))
-    mass = Stencil(np.array([0.5, 0.0, 0.5]))
+    """A (3, 1) pair that along phi = 0 has symbol(L) = -1 - cos r and
+    symbol(M) = cos r: mass m crosses at arccos(-1 / (1 + m)). The mass
+    symbol turns negative at r = pi/2, in block 3, where m = 3 crosses
+    (r = 1.82) but the smallest mass, m = 1, does not (r = 2.09, block 4); a
+    skip decided by the smallest mass alone would push m = 3 into block 4."""
+    lap = Stencil(np.array([[-0.5], [-1.0], [-0.5]]))
+    mass = Stencil(np.array([[0.5], [0.0], [0.5]]))
     masses = [3.0, 1.0, 3.0, 2.0]
-    snapped = _snapped_against_the_oracle(lap, mass, masses, 0.0)
+    steps = _snapped_against_the_oracle(lap, mass, masses, 0.0)
     crossings = np.arccos(-1.0 / (1.0 + np.array(masses)))
-    assert np.array_equal(snapped, np.round(crossings / 1e-3))
-    assert list(snapped // _RAY_BLOCK) == [3, 4, 3, 3]
+    assert np.array_equal(steps, np.round(crossings / 1e-3))
+    assert list(steps // _RAY_BLOCK) == [3, 4, 3, 3]
 
 
 def test_one_mass_without_a_crossing_fails_the_batch():
     folded = _fold(*_composite_pair(2, "cubic"))
     kh = 2 * math.pi / 12
     with pytest.raises(NoCrossingError, match="too large"):
-        _first_crossings(folded, [kh ** 2, (3 * kh) ** 2], 0.0, 1)
+        _first_crossings(folded, [kh ** 2, (3 * kh) ** 2], 0.0)
     with pytest.raises(NoCrossingError, match="too small"):
-        _first_crossings(folded, [kh ** 2, -1.0], 0.0, 1)
+        _first_crossings(folded, [kh ** 2, -1.0], 0.0)
 
 
 def test_no_crossing_messages_name_the_input():
     with pytest.raises(NoCrossingError, match=r"too large.* at G = 12, alpha = 3$"):
-        grid_to_grid_error(AnalysisConfig(2, 12.0), 3.0, 0.0)
+        export_dispersion_curve(AnalysisConfig(2, 12.0), 3.0)
     config = AnalysisConfig(2, 12.0, alpha_range=(3.0, 3.01))
     with pytest.raises(NoCrossingError, match=r"at G = 12, alpha in \[3, 3.01\]$"):
         optimize_shift(config)
-    with pytest.raises(NoCrossingError, match=r"too large.* along phi = 0.25$"):
-        discrete_radius(helmholtz_stencil(1, 10.0, "second-order"), 0.25)
     # past G = 2 pi / (RAY_RESOLUTION / 2), about 1.26e4, kh is under half a ray step
     with pytest.raises(NoCrossingError,
                        match=r"^G = 20000 is too large: the fine radius snaps to 0 on the "
                              r"0.001 ray grid$"):
-        grid_to_grid_error(AnalysisConfig(3, 2e4), 1.0, (0.0, 1.2))
+        export_dispersion_curve(AnalysisConfig(3, 2e4), 1.0)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call,named", [
-    (lambda s: discrete_radius(s, math.nan), "phi .*got nan"),
-    (lambda s: classical_dispersion_error(s, math.inf, 0.0), "G .*got inf"),
-    (lambda s: classical_dispersion_error(s, math.nan, 0.0), "G .*got nan"),
-    (lambda s: ncrit_bounds(math.inf, 0.01), "G .*got inf"),
-    (lambda s: ncrit_bounds(math.nan, 0.01), "G .*got nan"),
-    (lambda s: ncrit_bounds(12.0, math.nan), "error .*got nan"),
-    (lambda s: grid_to_grid_error(AnalysisConfig(3, 10.0, "level-dependent"), 1.0, 0.3),
+    (lambda: _snapped_radii(AnalysisConfig(2, 12.0), [1.0], math.nan), "phi .*got nan"),
+    (lambda: AnalysisConfig(2, math.inf), "G .*got inf"),
+    (lambda: AnalysisConfig(2, math.nan), "G .*got nan"),
+    (lambda: ncrit_bounds(math.inf, 0.01), "G .*got inf"),
+    (lambda: ncrit_bounds(math.nan, 0.01), "G .*got nan"),
+    (lambda: ncrit_bounds(12.0, math.nan), "error .*got nan"),
+    (lambda: _snapped_radii(AnalysisConfig(3, 10.0, "level-dependent"), [1.0], 0.3),
      "2 angles in 3D, got 1: 0.3"),
-    (lambda s: grid_to_grid_error(AnalysisConfig(2, 10.0), 1.0, (0.1, 0.2)),
+    (lambda: _snapped_radii(AnalysisConfig(2, 10.0), [1.0], (0.1, 0.2)),
      "1 angle in 2D, got 2"),
-    (lambda s: export_dispersion_curve(AnalysisConfig(2, 12.0), 1.0, angle_resolution=1e-300),
+    (lambda: export_dispersion_curve(AnalysisConfig(2, 12.0), 1.0, angle_resolution=1e-300),
      "angle_resolution = 1e-300 gives 7.85e\\+299 angles"),
-    (lambda s: export_dispersion_curve(AnalysisConfig(3, 12.0), 1.0, angle_resolution=1e-5),
+    (lambda: export_dispersion_curve(AnalysisConfig(3, 12.0), 1.0, angle_resolution=1e-5),
      "angle_resolution = 1e-05 gives 7.5e\\+09 angles"),
     # an alpha whose square overflows, rejected with no overflow warning first
-    (lambda s: grid_to_grid_error(AnalysisConfig(2, 12.0), 1e160, 0.0),
+    (lambda: export_dispersion_curve(AnalysisConfig(2, 12.0), 1e160),
      "squared; got 1e\\+160"),
-    (lambda s: export_dispersion_curve(AnalysisConfig(3, 12.0), 1e160), "squared; got 1e\\+160"),
-    (lambda s: AnalysisConfig(2, 12.0, alpha_range=(1e160, 1e161), alpha_resolution=1e160),
+    (lambda: export_dispersion_curve(AnalysisConfig(3, 12.0), 1e160), "squared; got 1e\\+160"),
+    (lambda: AnalysisConfig(2, 12.0, alpha_range=(1e160, 1e161), alpha_resolution=1e160),
      "squared; got 1e\\+161"),
 ])
 def test_bad_dispersion_inputs_are_rejected_by_name(call, named):
     with pytest.raises(ValueError, match=named) as info:
-        call(helmholtz_stencil(2, 0.5))
+        call()
     assert not isinstance(info.value, NoCrossingError)
 
 
@@ -278,7 +273,8 @@ def test_grid_to_grid_error_reproduces_the_scan_table(scan_2d, data):
     config, scan = scan_2d
     i = data.draw(st.integers(0, len(scan.alphas) - 1))
     j = data.draw(st.integers(0, len(scan.directions) - 1))
-    assert grid_to_grid_error(config, scan.alphas[i], scan.directions[j]) == scan.errors[i, j]
+    r3, r1 = _snapped_radii(config, [scan.alphas[i]], scan.directions[j])
+    assert r3[0] / (4.0 * r1) - 1.0 == scan.errors[i, j]
 
 
 def test_scan_table_equals_the_one_built_from_the_oracle(scan_2d):
@@ -332,30 +328,20 @@ def test_ncrit_bounds_validation():
         ncrit_bounds(-1.0, 0.1)
 
 
-def test_classical_error_closed_form_1d():
-    G = 10.0
-    kh = 2 * math.pi / G
-    err = classical_dispersion_error(helmholtz_stencil(1, kh, "second-order"), G, 0.0)
-    assert abs(err - (kh / (2 * math.asin(kh / 2)) - 1)) <= 1e-8
-
-
-def test_classical_error_fourth_order_decay():
-    for G, bound in ((20.0, 1e-3), (1e4, 1e-6)):
-        kh = 2 * math.pi / G
-        err = classical_dispersion_error(helmholtz_stencil(2, kh), G, 0.0)
-        assert abs(err) < bound
-    with pytest.raises(ValueError, match="exceed 2"):
-        classical_dispersion_error(helmholtz_stencil(2, math.pi), 2.0, 0.0)
-
-
-def mpmath_radius(stencil, phi, near):
-    """The crossing nearest `near` of the real symbol sum(c cos(r u.o)) of the
-    stored coefficients c along the stored unit vector u, in 40 digits."""
-    u = _unit(stencil.dim, phi)
-    terms = [(mpmath.mpf(float(c)), sum(mpmath.mpf(float(x)) * int(o) for x, o in zip(u, off)))
+def mp_symbol(stencil, phi):
+    """r -> sum(c cos(r u.o)) over the stored coefficients c and the stored
+    unit vector u, in the working precision of mpmath."""
+    u = [mpmath.mpf(float(x)) for x in _unit(stencil.dim, phi)]
+    terms = [(mpmath.mpf(float(c)), mpmath.fsum(x * int(o) for x, o in zip(u, off)))
              for c, off in zip(stencil.coeffs.ravel().real, stencil.offsets()) if c]
+    return lambda r: mpmath.fsum(c * mpmath.cos(r * p) for c, p in terms)
+
+
+def mpmath_radius(lap, mass, m, phi, near):
+    """The crossing of symbol(lap) - m symbol(mass) nearest `near`, in 40 digits."""
     with mpmath.workdps(40):
-        return mpmath.findroot(lambda r: mpmath.fsum(c * mpmath.cos(r * p) for c, p in terms),
+        sym_lap, sym_mass = mp_symbol(lap, phi), mp_symbol(mass, phi)
+        return mpmath.findroot(lambda r: sym_lap(r) - mpmath.mpf(m) * sym_mass(r),
                                mpmath.mpf(near))
 
 
@@ -363,15 +349,33 @@ def mpmath_radius(stencil, phi, near):
 @pytest.mark.parametrize("dim,phi", [(2, 0.0), (2, math.pi / 8), (2, math.pi / 4),
                                      (3, (0.3, 1.2))])
 def test_radius_matches_the_mpmath_root(dim, phi, G):
-    """Tabulated as sum(c) - 2 sum(c sin^2), the symbol of a stencil carrying
-    its mass term keeps the radius to 1e-12 relative of the 40-digit root."""
+    """Tabulated as sum(c) - 2 sum(c sin^2), the symbols put the fine radius
+    on the ray sample that the 40-digit root snaps to, up to G = 1e4."""
     kh = 2 * math.pi / G
-    stencil = helmholtz_stencil(dim, kh)
-    r = discrete_radius(stencil, phi)
-    exact = mpmath_radius(stencil, phi, r)
-    assert abs(r - exact) <= 1e-12 * exact
-    err = classical_dispersion_error(stencil, G, phi)
-    assert abs(err - float(kh / exact - 1)) <= 1e-12
+    r = _first_crossings(_folded_pair(dim), [kh ** 2], phi)[0]
+    assert r == snapped(mpmath_radius(*_fine_pair(dim), kh ** 2, phi, kh))
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("pair", ("fine",) + TUNED_INTERGRIDS)
+@pytest.mark.parametrize("dim,phi", [(2, 0.0), (2, math.pi / 8), (3, (0.3, 1.2))])
+def test_a_root_next_to_a_bracket_midpoint_snaps_to_its_side(dim, phi, pair, side):
+    """A mass whose 40-digit root lies 1e-6 ray steps below (side -1) or above
+    (side 1) the midpoint of a bracket snaps to its lower or its upper end:
+    the sign of the symbol at the midpoint decides. The bracket is the one
+    below the radius at G = 10, and at G = 1e4 the first one, whose lower end
+    is r = 0."""
+    lap, mass = _fine_pair(dim) if pair == "fine" else _composite_pair(dim, pair)
+    folded, res = _fold(lap, mass), RAY_RESOLUTION
+    for G in (10.0, 1e4):
+        kh = 2 * math.pi / G
+        k = round(_first_crossings(folded, [kh ** 2], phi)[0] / res) - 1
+        with mpmath.workdps(40):
+            target = (k + 0.5 + side * mpmath.mpf("1e-6")) * res
+            m = float(mp_symbol(lap, phi)(target) / mp_symbol(mass, phi)(target))
+        root = mpmath_radius(lap, mass, m, phi, target)
+        assert 0.99e-6 < side * (root / res - k - 0.5) < 1.01e-6
+        assert _first_crossings(folded, [m], phi)[0] == res * (k + (side > 0))
 
 
 # ---------------------------------------------------------------- configuration
@@ -480,3 +484,18 @@ def test_export_curve_3d_box():
     assert curve.rows[:, 1].max() == pytest.approx(math.pi / 2)
     with pytest.raises(ValueError, match="alpha"):
         export_dispersion_curve(config, 0.0)
+
+
+def test_each_sector_end_appears_once():
+    """np.arange can end on a sector end (pi/4 at a resolution of pi/4/61) or
+    past it (pi/2 + 7e-16 for the polar range at a 27th of its span); each
+    range still holds its end once, as its last sample."""
+    curve = export_dispersion_curve(AnalysisConfig(2, 12.0, "cubic"), 1.0045,
+                                    angle_resolution=math.pi / 4 / 61)
+    angles = curve.rows[:, 0]
+    assert len(angles) == 8 * 61 + 1 and np.all(np.diff(angles) > 0)
+    for lo, hi, count in ((0.0, math.pi / 4, 61), (POLAR_LO, math.pi / 2, 27)):
+        step = (hi - lo) / count
+        samples = _closed_range(lo, hi, step)
+        assert len(samples) == count + 1 and samples[-1] == hi
+        assert np.allclose(np.diff(samples), step, rtol=1e-9)

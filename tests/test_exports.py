@@ -1,7 +1,10 @@
-"""The public names of the package and of each module resolve."""
+"""The public names of the package and of each module resolve, and each is
+used outside the tests."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +18,33 @@ def test_every_exported_name_resolves(name):
     """A stale __all__ entry would otherwise fail only on a star import."""
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _loaded_names(path):
+    """Names read in a file as a Name or an attribute, each top-level
+    definition's own name left out of its body."""
+    loaded = set()
+    for statement in ast.parse(path.read_text()).body:
+        own = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                loaded.add(name)
+    return loaded
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    """The library holds what the solver, the CLI and perfbench call: each
+    public name is read somewhere in src/rscgc/ besides its own definition,
+    or in perfbench/."""
+    package = Path(rscgc.__file__).parent
+    perfbench = package.parents[1] / "perfbench"
+    files = sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py"))
+    loaded = set().union(*map(_loaded_names, files))
+    exported = {n for name in MODULES for n in importlib.import_module(name).__all__}
+    assert sorted(exported - loaded) == []

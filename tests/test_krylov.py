@@ -172,6 +172,16 @@ def test_maxit_caps_the_iteration_count():
     assert report.iterations == 7 and not report.converged
 
 
+def test_a_huge_maxit_reserves_nothing():
+    """The triangular factor holds the iterations run, not maxit: a (maxit,
+    maxit) array for maxit = 10^8 would need 160 PB."""
+    x, report = jacobi_preconditioned_run(tol=1e-6, maxit=10 ** 8)[2]
+    _, _, (expected, reference) = jacobi_preconditioned_run(tol=1e-6, maxit=200)
+    assert report.converged and report.iterations < 200
+    assert report.residual_history == reference.residual_history
+    assert np.array_equal(x, expected)
+
+
 # ---------------------------------------------------------------- stationary
 
 def test_stationary_flags_divergence_at_tenfold_growth():

@@ -13,11 +13,13 @@ from rscgc.discretization import laplacian_and_mass_stencils
 from rscgc.stencils import (Stencil, galerkin_stencil, restriction_stencil,
                             transpose_scale)
 
+from conftest import SECOND_ORDER_1D
 from periodic_oracle import periodic_rap_stencil, periodic_restriction_matrix, symbol
 
 
 def helmholtz_stencil(dim, kh, scheme="fourth-order"):
-    lap, mass = laplacian_and_mass_stencils(dim, scheme)
+    lap, mass = (SECOND_ORDER_1D if scheme == "second-order"
+                 else laplacian_and_mass_stencils(dim, scheme))
     return lap + mass * (-(kh ** 2))
 
 
