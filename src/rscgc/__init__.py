@@ -14,7 +14,6 @@ from .stencils import Stencil, galerkin_stencil, restriction_stencil
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
     "HelmholtzProblem", "SlownessModel", "SparseOperator", "assemble_operator",
     "load_model", "make_model", "omega_for_ppw", "point_source",
     "AnalysisConfig", "DispersionScan", "export_dispersion_curve", "ncrit_bounds",

@@ -23,7 +23,8 @@ bracket midpoint picks the nearer end. No smooth radius is computed.
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -195,9 +196,32 @@ def _ray_grid(dim):
 # the last mass crosses.
 _RAY_BLOCK = 512
 
+# Directions a fold keeps the blocks of: more than the 80 of the 3D grid.
+_RAY_DIRECTIONS = 128
+
+
+@dataclass(eq=False)
+class _Fold:
+    """A (lap, mass) pair folded by _fold, and the read-only (samples, 2)
+    symbol blocks tabulated along the _RAY_DIRECTIONS directions searched last."""
+
+    dim: int
+    sums: np.ndarray
+    pairs: np.ndarray
+    offsets: np.ndarray
+    rays: OrderedDict = field(default_factory=OrderedDict)
+
+    def ray(self, unit):
+        """The blocks along the direction `unit`: a list the search extends."""
+        key = tuple(unit)
+        blocks = self.rays[key] = self.rays.pop(key, [])    # now the most recent
+        if len(self.rays) > _RAY_DIRECTIONS:
+            self.rays.popitem(last=False)
+        return blocks
+
 
 def _fold(lap, mass):
-    """The (lap, mass) pair folded for _first_crossings: (dim, sums, pairs, offsets).
+    """The (lap, mass) pair folded for _first_crossings, with an empty ray cache.
 
     Padded to common extents, offset n-1-i of a stencil is the negative of
     offset i in C order, so the fold keeps the first n//2 offsets (as floats)
@@ -210,7 +234,7 @@ def _fold(lap, mass):
     sums = np.array([math.fsum(column) for column in coeffs.T])
     half = len(coeffs) // 2
     pairs = -2.0 * (coeffs[:half] + coeffs[:half:-1])
-    return lap.dim, sums, pairs, lap.offsets()[:half].astype(float)
+    return _Fold(lap.dim, sums, pairs, lap.offsets()[:half].astype(float))
 
 
 def _first_crossings(folded, masses, phi):
@@ -226,41 +250,64 @@ def _first_crossings(folded, masses, phi):
     A symbol sum(c cos(theta.o)) is tabulated as sum(c) - 2 sum(c sin^2(theta.o/2)),
     with no cancellation of O(1) terms near a crossing; sum(c) is the fsum of
     the stored coefficients. Both symbols share one sin^2 table over the
-    folded half of the offsets, written into one buffer per call.
+    folded half of the offsets. A block depends only on the fold, the
+    direction and its place on the ray: it is tabulated once, kept in
+    folded.rays, and read from there by later searches along that direction.
 
-    A block is compared against every pending mass only where the smallest
-    pending mass crosses in it, or where the mass symbol is negative at some
-    sample. The skip is exact: for s >= 0, fl(m * s) does not decrease as m
-    grows and fl(a - x) does not increase as x grows, so a sample where any
-    pending mass gives a nonnegative value is one where the smallest does.
+    For s >= 0, fl(m * s) does not decrease as m grows and fl(a - x) does not
+    increase as x grows, so at a sample where the mass symbol is nonnegative
+    the masses that give a nonnegative value are a prefix of the ascending
+    ones. A block with no negative mass symbol is skipped where the smallest
+    pending mass stays negative; otherwise each sample's prefix length is
+    bisected, and mass i crosses at the first sample whose prefix holds it.
+    A block with a negative mass symbol compares every pending mass with
+    every sample, since there a larger mass can cross first.
     """
-    dim, sums, pairs, offsets = folded
-    half_proj = 0.5 * (offsets @ _unit(dim, phi))
+    unit = _unit(folded.dim, phi)
+    half_proj = 0.5 * (folded.offsets @ unit)
+    blocks = folded.ray(unit)
     masses = np.asarray(masses, dtype=float)
-    grid = _ray_grid(dim)
+    grid = _ray_grid(folded.dim)
     buffer = np.empty((max(min(len(grid), _RAY_BLOCK), len(masses)), len(half_proj)))
 
     def symbols(r):
         table = np.multiply.outer(r, half_proj, out=buffer[:len(r)])
         np.square(np.sin(table, out=table), out=table)
-        table = table @ pairs + sums
-        return table[:, 0], table[:, 1]
+        return table @ folded.pairs + folded.sums
 
     first = np.zeros(len(masses), dtype=int)
-    pending = np.arange(len(masses))
-    for start in range(0, len(grid), _RAY_BLOCK):
-        sym_lap, sym_mass = symbols(grid[start:start + _RAY_BLOCK])
-        if (np.all(sym_mass >= 0)
-                and not np.any(sym_lap - masses[pending].min() * sym_mass >= 0)):
-            continue
-        nonneg = sym_lap[None, :] - masses[pending, None] * sym_mass[None, :] >= 0
-        if start == 0 and np.any(nonneg[:, 0]):
+    pending = np.argsort(masses, kind="stable")
+    for index, start in enumerate(range(0, len(grid), _RAY_BLOCK)):
+        if index == len(blocks):
+            blocks.append(symbols(grid[start:start + _RAY_BLOCK]))
+            blocks[-1].setflags(write=False)
+        sym_lap, sym_mass = blocks[index].T
+        if np.all(sym_mass >= 0):
+            nonneg = sym_lap - masses[pending[0]] * sym_mass >= 0
+            if not nonneg.any():
+                continue
+            # counts start at 0 or 1, so halving steps from the largest power of
+            # two below len(pending) reach every prefix length
+            counts, ascending = nonneg.astype(int), masses[pending]
+            step = (1 << (len(pending) - 1).bit_length()) >> 1
+            while step:
+                longer = np.minimum(counts + step, len(pending))
+                holds = sym_lap - ascending[longer - 1] * sym_mass >= 0
+                counts = np.where(holds, longer, counts)
+                step >>= 1
+            at_zero, crossing = counts[0] > 0, counts.max()
+            first[pending[:crossing]] = start + np.searchsorted(
+                np.maximum.accumulate(counts), np.arange(crossing), side="right")
+            pending = pending[crossing:]
+        else:
+            nonneg = sym_lap[None, :] - masses[pending, None] * sym_mass[None, :] >= 0
+            at_zero, crossed = np.any(nonneg[:, 0]), nonneg.any(axis=1)
+            first[pending[crossed]] = start + nonneg[crossed].argmax(axis=1)
+            pending = pending[~crossed]
+        if start == 0 and at_zero:
             raise NoCrossingError(
                 "no dispersion-relation crossing: the symbol is nonnegative at r = 0 "
                 "(wavenumber too small for this stencil?)")
-        crossed = nonneg.any(axis=1)
-        first[pending[crossed]] = start + nonneg[crossed].argmax(axis=1)
-        pending = pending[~crossed]
         if not len(pending):
             break
     else:
@@ -268,7 +315,7 @@ def _first_crossings(folded, masses, phi):
             f"no dispersion-relation crossing for r in (0, {grid[-1]:g}] "
             f"(wavenumber too large for this stencil?)")
     lo, hi = grid[first - 1], grid[first]
-    sym_lap, sym_mass = symbols(0.5 * (lo + hi))
+    sym_lap, sym_mass = symbols(0.5 * (lo + hi)).T
     return np.where(sym_lap - masses * sym_mass >= 0, lo, hi)
 
 

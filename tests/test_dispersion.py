@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from rscgc.dispersion import (
     ncrit_bounds,
     optimize_shift,
     _RAY_BLOCK,
+    _RAY_DIRECTIONS,
     _closed_range,
     _composite_pair,
     _fine_pair,
@@ -219,6 +221,69 @@ def test_one_mass_without_a_crossing_fails_the_batch():
         _first_crossings(folded, [kh ** 2, -1.0], 0.0)
 
 
+def _cached_blocks(folded):
+    return [block for blocks in folded.rays.values() for block in blocks]
+
+
+@pytest.mark.parametrize("dim,phi", [(2, 0.3), (3, (0.3, 1.2))])
+@pytest.mark.parametrize("intergrid", TUNED_INTERGRIDS)
+def test_a_warm_ray_cache_gives_the_cold_and_the_oracle_radii(dim, phi, intergrid):
+    """On one fold and one direction, the G = 12 shifts, searched after the
+    G = 10 ones, cross within the blocks the first search tabulated. The
+    second search reads only those blocks, and each search returns what a
+    cold fold and the full-table oracle give."""
+    lap, mass = _composite_pair(dim, intergrid)
+    folded = _fold(lap, mass)
+    alphas = 0.98 + 5e-4 * np.arange(161)
+    tabulated = None
+    for G in (10.0, 12.0):
+        masses = (alphas * 2 * math.pi / G) ** 2
+        warm = _first_crossings(folded, masses, phi)
+        assert np.array_equal(warm, _first_crossings(_fold(lap, mass), masses, phi))
+        oracle = dispersion_oracle._first_crossings(lap, mass, masses, phi, 1)
+        assert np.array_equal(warm, RAY_RESOLUTION * np.round(oracle / RAY_RESOLUTION))
+        if tabulated is None:
+            tabulated = _cached_blocks(folded)
+    assert list(map(id, _cached_blocks(folded))) == list(map(id, tabulated))
+
+
+def test_nearby_directions_keep_their_own_blocks():
+    """Directions 1e-3 rad apart, searched in turn on one fold, each get the
+    radii of a cold fold: no direction reads the blocks of another."""
+    lap, mass = _composite_pair(2, "cubic")
+    folded = _fold(lap, mass)
+    masses = ((0.98 + 5e-4 * np.arange(161)) * 2 * math.pi / 10) ** 2
+    for phi in 0.3 + 1e-3 * np.arange(20):
+        assert np.array_equal(_first_crossings(folded, masses, phi),
+                              _first_crossings(_fold(lap, mass), masses, phi))
+    assert len(folded.rays) == 20
+
+
+def test_clearing_the_library_caches_empties_the_ray_cache():
+    """As perfbench's reset_caches does before each operation."""
+    _snapped_radii(AnalysisConfig(2, 12.0), [1.0], 0.3)
+    assert _folded_pair(2).rays and _folded_pair(2, "cubic").rays
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("rscgc"):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    assert not _folded_pair(2).rays and not _folded_pair(2, "cubic").rays
+
+
+def test_the_ray_cache_is_bounded_and_read_only():
+    """The 787 sector angles of a dense export leave each fold the
+    _RAY_DIRECTIONS directions it searched last, and no block can be written."""
+    export_dispersion_curve(AnalysisConfig(2, 12.0), 1.0045, 1e-3)
+    for folded in (_folded_pair(2), _folded_pair(2, "cubic")):
+        assert len(folded.rays) == _RAY_DIRECTIONS
+        assert next(reversed(folded.rays)) == tuple(_unit(2, math.pi / 4))
+        for block in _cached_blocks(folded):
+            assert not block.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0.0
+
+
 def test_no_crossing_messages_name_the_input():
     with pytest.raises(NoCrossingError, match=r"too large.* at G = 12, alpha = 3$"):
         export_dispersion_curve(AnalysisConfig(2, 12.0), 3.0)
@@ -277,17 +342,35 @@ def test_grid_to_grid_error_reproduces_the_scan_table(scan_2d, data):
     assert r3[0] / (4.0 * r1) - 1.0 == scan.errors[i, j]
 
 
-def test_scan_table_equals_the_one_built_from_the_oracle(scan_2d):
-    """Entry for entry, the 2D table is the one the full-table oracle gives
-    with the same snapping and the same error formula."""
-    config, scan = scan_2d
-    res, kh = RAY_RESOLUTION, config.kh
-    fine, composite = _fine_pair(2), _composite_pair(2, config.intergrid)
-    for j, phi in enumerate(scan.directions):
-        r1 = dispersion_oracle._first_crossings(*fine, [kh ** 2], phi, 1)
-        r3 = dispersion_oracle._first_crossings(*composite, (scan.alphas * kh) ** 2, phi, 1)
-        errors = res * np.round(r3 / res) / (4.0 * (res * np.round(r1[0] / res))) - 1.0
-        assert np.array_equal(errors, scan.errors[:, j])
+@pytest.fixture(scope="module")
+def scan_3d_warm():
+    """A 3D level-dependent G = 11 scan that reads only the ray blocks a
+    G = 10 scan before it tabulated."""
+    optimize_shift(AnalysisConfig(3, 10.0, "level-dependent"))
+    folded = _folded_pair(3, "level-dependent")
+    tabulated = _cached_blocks(folded)
+    config = AnalysisConfig(3, 11.0, "level-dependent")
+    scan = optimize_shift(config)[2]
+    assert list(map(id, _cached_blocks(folded))) == list(map(id, tabulated))
+    return config, scan
+
+
+def test_scan_table_equals_the_one_built_from_the_oracle(scan_2d, scan_3d_warm):
+    """Entry for entry, the 2D table, and the 3D table at every ninth
+    direction, are the ones the full-table oracle gives with the same
+    snapping and the same error formula."""
+    res = RAY_RESOLUTION
+    for (config, scan), every in ((scan_2d, 1), (scan_3d_warm, 9)):
+        kh = config.kh
+        fine = _fine_pair(config.dim)
+        composite = _composite_pair(config.dim, config.intergrid)
+        for j in range(0, len(scan.directions), every):
+            phi = scan.directions[j]
+            r1 = dispersion_oracle._first_crossings(*fine, [kh ** 2], phi, 1)
+            r3 = dispersion_oracle._first_crossings(*composite, (scan.alphas * kh) ** 2,
+                                                    phi, 1)
+            errors = res * np.round(r3 / res) / (4.0 * (res * np.round(r1[0] / res))) - 1.0
+            assert np.array_equal(errors, scan.errors[:, j])
 
 
 @pytest.mark.parametrize("lo,hi,step,count", [

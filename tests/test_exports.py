@@ -20,16 +20,42 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def _rscgc_bindings(tree):
+    """Names a file binds by importing rscgc, a module of it or a name from
+    one, relative imports included."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] == "rscgc"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "rscgc"):
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return bound
+
+
+def _root(node):
+    """The name an attribute chain x.a.b starts from, or None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _loaded_names(path):
-    """Names read in a file as a Name or an attribute, each top-level
-    definition's own name left out of its body."""
+    """Names read in a file as a Name, or as the attribute of a chain rooted
+    at a name the file imports from rscgc, each top-level definition's own
+    name left out of its body. An attribute of another object, such as
+    numpy.__version__, reads no rscgc name."""
+    tree = ast.parse(path.read_text())
+    bound = _rscgc_bindings(tree)
     loaded = set()
-    for statement in ast.parse(path.read_text()).body:
+    for statement in tree.body:
         own = getattr(statement, "name", None)
         for node in ast.walk(statement):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and _root(node.value) in bound):
                 name = node.attr
             else:
                 continue
