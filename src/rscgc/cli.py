@@ -133,9 +133,7 @@ class ExperimentConfig:
 # OverflowError, for an integer too large for a float) on a bad value.
 
 def _number(raw):
-    if isinstance(raw, str):
-        return float(raw)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise ValueError(raw)
     return float(raw)
 
@@ -319,10 +317,8 @@ def _build_problem(config):
 # shift table
 
 def _table_path():
-    env = os.environ.get("HELM_SHIFT_TABLE")
-    if env:
-        return env
-    return os.path.join(os.path.dirname(__file__), "data", "shift_table.json")
+    return (os.environ.get("HELM_SHIFT_TABLE")
+            or os.path.join(os.path.dirname(__file__), "data", "shift_table.json"))
 
 
 def _load_table(path):
@@ -478,12 +474,8 @@ def _write_rows(rows, columns, out):
 
 
 def _write_json(payload, out):
-    text = json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +490,14 @@ def cmd_tune_shift(config, write_table=None):
         acfg = _analysis_config(config, g)
         alpha_star, max_eg, _ = optimize_shift(acfg)
         lo, hi = ncrit_bounds(g, max_eg)
-        rows.append({"G": _format_G(g), "dim": config.dim,
-                     "intergrid": config.intergrid,
-                     "alpha_star": f"{alpha_star:.4f}",
-                     "max_eg": f"{max_eg:.6e}",
-                     "ncrit_lo": lo, "ncrit_hi": hi})
+        row = {"G": _format_G(g), "dim": config.dim, "intergrid": config.intergrid,
+               "alpha_star": f"{alpha_star:.4f}", "max_eg": f"{max_eg:.6e}",
+               "ncrit_lo": lo, "ncrit_hi": hi}
+        rows.append(row)
+        table[_table_key(config.dim, g, config.intergrid)] = {
+            "alpha_star": float(row["alpha_star"]), "max_eg": float(row["max_eg"]),
+            "ncrit_lo": lo, "ncrit_hi": hi}
     if write_table:
-        for g, row in zip(config.G, rows):
-            table[_table_key(config.dim, g, config.intergrid)] = {
-                "alpha_star": float(row["alpha_star"]),
-                "max_eg": float(row["max_eg"]),
-                "ncrit_lo": row["ncrit_lo"],
-                "ncrit_hi": row["ncrit_hi"]}
         with open(write_table, "w", encoding="utf-8") as fh:
             json.dump(table, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -661,8 +649,8 @@ _COMMON = {"out": "output path (default stdout)", "dim": "2 or 3",
            "G": "points per wavelength on the fine grid (tune-shift: a comma list)",
            "intergrid": "one of " + ", ".join(INTERGRID)}
 _ANALYSIS = {"alpha_range": "shift search interval lo:hi"}
-_GRID = {"cells": "interior cells per axis, before padding",
-         "model": "one of " + ", ".join(MODEL_KINDS),
+_CELLS = {"cells": "interior cells per axis, before padding"}
+_GRID = {"model": "one of " + ", ".join(MODEL_KINDS),
          "kappa2": "squared-slowness range lo,hi", "pad": None, "gamma_max": None,
          "cycle": "V or W", "dampings": "per-level Jacobi dampings w1,w2"}
 _ALPHA = {"alpha": "real shift, or 'auto' for the tuned table"}
@@ -674,11 +662,11 @@ _SOLVE = _GRID | _ALPHA | {
 _COMMANDS = {
     "tune-shift": ("optimize the real shift", _COMMON | _ANALYSIS,
                    lambda cfg, args: cmd_tune_shift(cfg, args.write_table)),
-    "dispersion": ("export dispersion curves", _COMMON | _ANALYSIS | _GRID | _ALPHA | {
+    "dispersion": ("export dispersion curves", _COMMON | _ANALYSIS | _CELLS | _GRID | _ALPHA | {
         "angle_resolution": None, "scan_maxit": None,
         "alpha_scan": "lo:hi[:step]; pairs e_g with measured convergence factors "
                       "on --cells"}, lambda cfg, args: cmd_dispersion(cfg)),
-    "solve": ("solve one problem", _COMMON | _SOLVE | {
+    "solve": ("solve one problem", _COMMON | _CELLS | _SOLVE | {
         "method": "rs-cgc, cslp:BETA[:INTERGRID], rs-cgc+cslp[:BETA], or re-disc"},
         lambda cfg, args: cmd_solve(cfg)),
     "sweep": ("iterate grids x methods into a CSV", _COMMON | _SOLVE | {
@@ -712,12 +700,21 @@ def _build_parser():
     return parser
 
 
+def _check_output_dirs(config, args):
+    """Reject, before any work, an output path whose directory does not exist."""
+    for flag, path in (("--out", config.out), ("--emit-config", args.emit_config),
+                       ("--write-table", getattr(args, "write_table", None))):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         config = ExperimentConfig.from_args(args)
-        if getattr(args, "emit_config", None):
+        _check_output_dirs(config, args)
+        if args.emit_config:
             config.emit(args.emit_config)
         return _COMMANDS[args.command][2](config, args)
     except (ConfigError, NoCrossingError) as exc:

@@ -494,7 +494,12 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
     shape = problem.padded_shape
     h = problem.model.h
     k2 = problem.omega ** 2 * _padded_kappa2(problem)
-    coef = (alpha ** 2 + 1j * (attenuation_profile(problem) + beta)) * k2
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = (alpha ** 2 + 1j * (attenuation_profile(problem) + beta)) * k2
+    if not np.all(np.isfinite(coef)):
+        raise ValueError(
+            f"the mass coefficient (alpha^2 + i(gamma + beta)) k^2 overflows for "
+            f"alpha = {alpha}, beta = {beta} and gamma_max = {problem.gamma_max}")
 
     def entries(e, colslc):
         values = -mass[e] * coef[colslc] if mass[e] != 0 else 0

@@ -242,26 +242,23 @@ def _first_crossings(folded, masses, phi):
     m, snapped to the ray grid.
 
     `folded` is _fold(lap, mass). The real symbols are tabulated on
-    _ray_grid(dim) in blocks of _RAY_BLOCK samples, until every mass has
-    crossed; the first nonnegative sample brackets each crossing. The
-    snapped radius is the bracket end nearer the crossing: the lower end
-    where the symbol is nonnegative at the bracket midpoint, else the upper.
+    _ray_grid(dim) in blocks of _RAY_BLOCK samples until every mass has
+    crossed, as sum(c) - 2 sum(c sin^2(theta.o/2)) with one sin^2 table over
+    the folded offsets, so no O(1) terms cancel near a crossing (sum(c) is the
+    fsum of the stored coefficients). A block depends only on the fold, the
+    direction and its place on the ray, so it is tabulated once and kept in
+    folded.rays for later searches along that direction. The first
+    nonnegative sample brackets each crossing; the snapped radius is its
+    lower end where the symbol is nonnegative at the bracket midpoint, else
+    the upper.
 
-    A symbol sum(c cos(theta.o)) is tabulated as sum(c) - 2 sum(c sin^2(theta.o/2)),
-    with no cancellation of O(1) terms near a crossing; sum(c) is the fsum of
-    the stored coefficients. Both symbols share one sin^2 table over the
-    folded half of the offsets. A block depends only on the fold, the
-    direction and its place on the ray: it is tabulated once, kept in
-    folded.rays, and read from there by later searches along that direction.
-
-    For s >= 0, fl(m * s) does not decrease as m grows and fl(a - x) does not
-    increase as x grows, so at a sample where the mass symbol is nonnegative
-    the masses that give a nonnegative value are a prefix of the ascending
-    ones. A block with no negative mass symbol is skipped where the smallest
-    pending mass stays negative; otherwise each sample's prefix length is
-    bisected, and mass i crosses at the first sample whose prefix holds it.
-    A block with a negative mass symbol compares every pending mass with
-    every sample, since there a larger mass can cross first.
+    Where the mass symbol s is nonnegative, fl(m * s) does not decrease as m
+    grows and fl(a - x) does not increase as x grows, so the masses that give
+    a nonnegative value at a sample are a prefix of the ascending ones. A
+    block is skipped where the smallest pending mass stays negative; else
+    each sample's prefix length is bisected, and mass i crosses at the first
+    sample whose prefix holds it. Every library fold has s >= 0 on the whole
+    ray grid; a block where s < 0 raises a RuntimeError.
     """
     unit = _unit(folded.dim, phi)
     half_proj = 0.5 * (folded.offsets @ unit)
@@ -282,32 +279,32 @@ def _first_crossings(folded, masses, phi):
             blocks.append(symbols(grid[start:start + _RAY_BLOCK]))
             blocks[-1].setflags(write=False)
         sym_lap, sym_mass = blocks[index].T
-        if np.all(sym_mass >= 0):
-            nonneg = sym_lap - masses[pending[0]] * sym_mass >= 0
-            if not nonneg.any():
-                continue
-            # counts start at 0 or 1, so halving steps from the largest power of
-            # two below len(pending) reach every prefix length
-            counts, ascending = nonneg.astype(int), masses[pending]
-            step = (1 << (len(pending) - 1).bit_length()) >> 1
-            while step:
-                longer = np.minimum(counts + step, len(pending))
-                holds = sym_lap - ascending[longer - 1] * sym_mass >= 0
-                counts = np.where(holds, longer, counts)
-                step >>= 1
-            at_zero, crossing = counts[0] > 0, counts.max()
-            first[pending[:crossing]] = start + np.searchsorted(
-                np.maximum.accumulate(counts), np.arange(crossing), side="right")
-            pending = pending[crossing:]
-        else:
-            nonneg = sym_lap[None, :] - masses[pending, None] * sym_mass[None, :] >= 0
-            at_zero, crossed = np.any(nonneg[:, 0]), nonneg.any(axis=1)
-            first[pending[crossed]] = start + nonneg[crossed].argmax(axis=1)
-            pending = pending[~crossed]
-        if start == 0 and at_zero:
+        if not np.all(sym_mass >= 0):
+            angles = ", ".join(map("{:g}".format, np.ravel(phi)))
+            raise RuntimeError(
+                f"the mass symbol is negative along phi = {angles} in block {index}, "
+                f"r in [{grid[start]:g}, {grid[start + len(sym_mass) - 1]:g}]; "
+                f"the bisection needs s >= 0")
+        nonneg = sym_lap - masses[pending[0]] * sym_mass >= 0
+        if start == 0 and nonneg[0]:    # some mass is nonnegative at r = 0 iff the smallest is
             raise NoCrossingError(
                 "no dispersion-relation crossing: the symbol is nonnegative at r = 0 "
                 "(wavenumber too small for this stencil?)")
+        if not nonneg.any():
+            continue
+        # counts start at 0 or 1, so halving steps from the largest power of
+        # two below len(pending) reach every prefix length
+        counts, ascending = nonneg.astype(int), masses[pending]
+        step = (1 << (len(pending) - 1).bit_length()) >> 1
+        while step:
+            longer = np.minimum(counts + step, len(pending))
+            holds = sym_lap - ascending[longer - 1] * sym_mass >= 0
+            counts = np.where(holds, longer, counts)
+            step >>= 1
+        crossing = counts.max()
+        first[pending[:crossing]] = start + np.searchsorted(
+            np.maximum.accumulate(counts), np.arange(crossing), side="right")
+        pending = pending[crossing:]
         if not len(pending):
             break
     else:

@@ -14,6 +14,12 @@ import numpy as np
 from rscgc.dispersion import NoCrossingError, _ray_grid, _unit
 
 
+def ray_symbol(stencil, phi, r):
+    """The real symbol sum(c cos(r unit(phi) . o)) of a stencil at the ray points r."""
+    proj = stencil.offsets().astype(float) @ _unit(stencil.dim, phi)
+    return np.cos(np.outer(r, proj)) @ stencil.coeffs.ravel().real
+
+
 def _first_crossings(lap, mass, masses, phi, steps):
     """First sign switch of symbol(lap) - m * symbol(mass) along phi, per mass m.
 
@@ -21,11 +27,8 @@ def _first_crossings(lap, mass, masses, phi, steps):
     pi*sqrt(dim); the first nonnegative sample brackets each crossing, and
     `steps` halvings refine the bracket. Returns the final bracket midpoints.
     """
-    u = _unit(lap.dim, phi)
-    terms = [(s.offsets().astype(float) @ u, s.coeffs.ravel().real) for s in (lap, mass)]
-
     def symbols(r):
-        return [np.cos(np.outer(r, proj)) @ coeffs for proj, coeffs in terms]
+        return [ray_symbol(s, phi, r) for s in (lap, mass)]
 
     masses = np.asarray(masses, dtype=float)
     grid = _ray_grid(lap.dim)

@@ -273,6 +273,11 @@ def test_solve_rejects_bad_arguments(capsys, monkeypatch):
      "alpha_range (1e-300, 1e+300)"),
     (["dispersion", "--G", "12", "--angle-resolution", "1e-300"],
      "angle_resolution = 1e-300"),
+    # a complex shift or a sponge whose mass coefficient overflows
+    (["solve", "--dim", "2", "--G", "12", "--cells", "32", "--pad", "4",
+      "--method", "cslp:1e308"], "overflows for alpha = 1.0, beta = 1e+308 and gamma_max = 1.0"),
+    (["solve", "--dim", "2", "--G", "12", "--cells", "32", "--pad", "4",
+      "--gamma-max", "1e308"], "overflows for alpha = 1.0, beta = 0.0 and gamma_max = 1e+308"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_unparsable_values_exit_two(argv, named, tmp_path, monkeypatch, capsys):
@@ -305,6 +310,28 @@ def test_bad_config_values_are_rejected_before_tuning(command, cfg, tmp_path, mo
         assert main(command + ["--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {next(iter(cfg))} must be")
     assert not [r for r in caplog.records if "tuning now" in r.getMessage()]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "--G", "12", "--cells", "256"], "--out"),
+    (["solve", "--G", "12", "--cells", "256"], "--emit-config"),
+    (["sweep", "--G", "12", "--grids", "256"], "--out"),
+    (["dispersion", "--G", "12", "--alpha", "1.0"], "--out"),
+    (["tune-shift", "--G", "12"], "--write-table"),
+])
+@pytest.mark.filterwarnings("error")
+def test_an_output_path_in_a_missing_directory_exits_two_before_any_work(
+        argv, flag, tmp_path, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("set up or tuned before checking the output path")
+
+    for name in ("build_hierarchy", "optimize_shift", "export_dispersion_curve"):
+        monkeypatch.setattr(f"rscgc.cli.{name}", no_work)
+    path = tmp_path / "absent" / "x.json"
+    assert main(argv + [flag, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} {path}: directory {path.parent} does not exist\n")
+    assert not path.parent.exists()
 
 
 def test_solve_from_a_model_file(tmp_path):
@@ -495,6 +522,7 @@ def test_every_field_has_one_parser_and_every_flag_is_a_field():
         assert set(dests) - other <= set(names), command
     assert len(commands["tune-shift"]._actions) == 8 + 1     # and --help
     assert len(commands["dispersion"]._actions) == 18 + 1
+    assert len(commands["sweep"]._actions) == 25 + 1
 
 
 _JSON = st.recursive(
@@ -519,12 +547,13 @@ def test_any_json_value_parses_or_is_a_config_error(name, value):
 
 
 @pytest.mark.parametrize("argv,named", [
-    *[([command, "--G", "12", "--cells", "16", flag, value],
+    *[([command, "--G", "12", "--grids" if command == "sweep" else "--cells", "16", flag, value],
        f"unrecognized arguments: {flag} {value}")
       for command in ("solve", "sweep", "dispersion")
       for flag, value in (("--scheme", "second-order"), ("--h", "0.5"))],
-    *[([command, "--G", "12", "--cells", "16", "--beta", "0.03"],
-       "unrecognized arguments: --beta 0.03") for command in ("solve", "sweep")],
+    *[([command, "--G", "12", "--grids" if command == "sweep" else "--cells", "16",
+        "--beta", "0.03"], "unrecognized arguments: --beta 0.03")
+      for command in ("solve", "sweep")],
     (["tune-shift", "--G", "12", "--format", "json"], "unrecognized arguments: --format json"),
     # a dict stands for a config file with that content, as emitted before
     # these settings were removed
@@ -544,11 +573,13 @@ def test_any_json_value_parses_or_is_a_config_error(name, value):
       for command in ("tune-shift", "dispersion")
       for key, value in (("phi_resolution", "x"), ("alpha_resolution", 5e-4),
                          ("ray_resolution", 3))],
+    # sweep sets the cells from --grids
+    (["sweep", "--G", "12", "--grids", "32", "--cells", "7"], "unrecognized arguments: --cells 7"),
 ])
 def test_removed_settings_exit_two(argv, named, tmp_path, capsys):
     """The scheme, h and beta settings, tune-shift's --format, the fgmres(M)
-    spelling and the phi, alpha and ray resolutions of the tuning are gone:
-    argparse or the config check rejects each."""
+    spelling, the phi, alpha and ray resolutions of the tuning and sweep's
+    --cells are gone: argparse or the config check rejects each."""
     cfg = tmp_path / "cfg.json"
     for arg in argv:
         if isinstance(arg, dict):

@@ -197,19 +197,41 @@ def test_one_batch_crosses_in_several_blocks(dim):
         assert len(set(snapped // _RAY_BLOCK)) >= 4
 
 
-def test_a_negative_mass_symbol_compares_every_mass():
+# Each axis, both ways, and the cube (square) diagonal, as phi.
+_AXES_AND_DIAGONAL = {
+    2: [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, math.pi / 4],
+    3: [(0.0, math.pi / 2), (math.pi, math.pi / 2), (math.pi / 2, math.pi / 2),
+        (3 * math.pi / 2, math.pi / 2), (0.0, 0.0), (0.0, math.pi),
+        (math.pi / 4, math.acos(1 / math.sqrt(3)))],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3]),
+       pair=st.sampled_from(("fine",) + TUNED_INTERGRIDS))
+def test_every_library_mass_symbol_is_nonnegative_on_the_ray_grid(data, dim, pair):
+    """The invariant the kernel's bisection rests on, checked with the
+    oracle's tabulation over the whole ray grid in any direction: the fine
+    mass symbol and each composite's, a sum of nonnegative alias terms."""
+    angle = st.floats(0.0, 2 * math.pi)
+    drawn = angle if dim == 2 else st.tuples(angle, st.floats(0.0, math.pi))
+    phi = data.draw(drawn | st.sampled_from(_AXES_AND_DIAGONAL[dim]))
+    mass = (_fine_pair(dim) if pair == "fine" else _composite_pair(dim, pair))[1]
+    assert dispersion_oracle.ray_symbol(mass, phi, _ray_grid(dim)).min() >= 0
+
+
+def test_a_negative_mass_symbol_raises():
     """A (3, 1) pair that along phi = 0 has symbol(L) = -1 - cos r and
-    symbol(M) = cos r: mass m crosses at arccos(-1 / (1 + m)). The mass
-    symbol turns negative at r = pi/2, in block 3, where m = 3 crosses
-    (r = 1.82) but the smallest mass, m = 1, does not (r = 2.09, block 4); a
-    skip decided by the smallest mass alone would push m = 3 into block 4."""
+    symbol(M) = cos r. The mass symbol turns negative at r = pi/2, in block 3,
+    where m = 3 crosses (r = 1.82) before the smallest mass, m = 1 (r = 2.09,
+    block 4): the masses that cross are no prefix of the ascending ones, so
+    the kernel names the direction and the block instead of bisecting."""
     lap = Stencil(np.array([[-0.5], [-1.0], [-0.5]]))
     mass = Stencil(np.array([[0.5], [0.0], [0.5]]))
-    masses = [3.0, 1.0, 3.0, 2.0]
-    steps = _snapped_against_the_oracle(lap, mass, masses, 0.0)
-    crossings = np.arccos(-1.0 / (1.0 + np.array(masses)))
-    assert np.array_equal(steps, np.round(crossings / 1e-3))
-    assert list(steps // _RAY_BLOCK) == [3, 4, 3, 3]
+    with pytest.raises(RuntimeError,
+                       match=r"^the mass symbol is negative along phi = 0 in block 3, "
+                             r"r in \[1.536, 2.047\]; the bisection needs s >= 0$"):
+        _first_crossings(_fold(lap, mass), [3.0, 1.0, 3.0, 2.0], 0.0)
 
 
 def test_one_mass_without_a_crossing_fails_the_batch():
