@@ -1,7 +1,8 @@
 """Fine-grid Helmholtz assembly: difference schemes, media, sponge layers, sources.
 
-Operators are filled offset by offset into stencil arrays (GridStencil),
-which the multigrid hierarchy coarsens, and turned into CSR directly.
+Operators and their mass term are filled offset by offset into stencil
+arrays (GridStencil). An operator is turned into CSR directly; the multigrid
+hierarchy coarsens the mass term, the only part that varies.
 
 The operator convention is H = (1/h^2) L - k^2(x) M with dimensionless stencils
 L, M and k(x) = omega * kappa(x). Real and complex shifts enter through the mass
@@ -33,7 +34,7 @@ __all__ = [
     "laplacian_and_mass_stencils",
     "attenuation_profile",
     "assemble_operator",
-    "mass_stencil",
+    "mass_term",
     "point_source",
 ]
 
@@ -480,19 +481,20 @@ def _interior_stencil(shape, offsets, dtype, value_of_offset):
     return GridStencil(offsets, coeffs)
 
 
-def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
-    """Assemble (1/h^2) L - (alpha^2 + i(gamma + beta)) k^2(x) M on the padded grid.
+def mass_term(problem, scheme, alpha=1.0, beta=0.0):
+    """The GridStencil of the mass term (alpha^2 + i(gamma + beta)) k^2(x) M.
 
-    alpha is the real wavenumber shift, beta the relative complex shift (the
-    shift value is beta * k^2). The heterogeneous mass term samples k^2 and
-    gamma at the neighbor node of each mass-stencil offset. Outermost rows are
-    identity with their couplings removed in both directions. The returned
-    operator keeps the GridStencil its matrix was built from.
+    It samples k^2 and gamma at the neighbor node of each mass-stencil
+    offset, its rows are the interior rows, and couplings into boundary
+    nodes are zero. assemble_operator subtracts it from the constant
+    Laplacian part; build_hierarchy coarsens it on its own, since every
+    heterogeneity, the sponge and both shifts sit in it. A coefficient that
+    overflows is a ValueError, raised before any arithmetic can warn.
     """
     _check_shifts(alpha, beta)
-    offsets, lap, mass = _scheme_coefficients(problem.model.dim, scheme)
-    shape = problem.padded_shape
-    h = problem.model.h
+    offsets, _, mass = _scheme_coefficients(problem.model.dim, scheme)
+    live = mass != 0
+    offsets, weights = offsets[live], mass[live]
     k2 = problem.omega ** 2 * _padded_kappa2(problem)
     with np.errstate(over="ignore", invalid="ignore"):
         coef = (alpha ** 2 + 1j * (attenuation_profile(problem) + beta)) * k2
@@ -500,32 +502,28 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
         raise ValueError(
             f"the mass coefficient (alpha^2 + i(gamma + beta)) k^2 overflows for "
             f"alpha = {alpha}, beta = {beta} and gamma_max = {problem.gamma_max}")
-
-    def entries(e, colslc):
-        values = -mass[e] * coef[colslc] if mass[e] != 0 else 0
-        if lap[e] != 0:
-            values = complex(lap[e]) / h ** 2 + values
-        return values
-
-    stencil = _interior_stencil(shape, offsets, complex, entries)
-    return SparseOperator(stencil.tocsr(), shape, stencil)
+    return _interior_stencil(problem.padded_shape, offsets, complex,
+                             lambda e, colslc: weights[e] * coef[colslc])
 
 
-def mass_stencil(problem, scheme):
-    """The GridStencil of the real k^2-weighted mass operator k^2 M, with
-    neighbor-node sampling and zero boundary rows.
+def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
+    """Assemble (1/h^2) L - (alpha^2 + i(gamma + beta)) k^2(x) M on the padded grid.
 
-    Its boundary rows match the decoupled rows of assemble_operator, so
-    assemble(alpha, beta) - assemble(1, 0) equals (1 - alpha^2 - i beta) k^2 M
-    exactly. build_hierarchy coarsens it to put the real shift on the
-    coarsest level without assembling the fine operator a second time.
+    alpha is the real wavenumber shift, beta the relative complex shift (the
+    shift value is beta * k^2). The mass term is mass_term's. Outermost rows
+    are identity with their couplings removed in both directions. The
+    returned operator keeps the GridStencil its matrix was built from.
     """
-    offsets, _, mass = _scheme_coefficients(problem.model.dim, scheme)
-    live = mass != 0
-    offsets, weights = offsets[live], mass[live].real
-    k2 = problem.omega ** 2 * _padded_kappa2(problem)
-    return _interior_stencil(problem.padded_shape, offsets, float,
-                             lambda e, colslc: weights[e] * k2[colslc])
+    mass = mass_term(problem, scheme, alpha, beta)
+    offsets, lap, weights = _scheme_coefficients(problem.model.dim, scheme)
+    h = problem.model.h
+    stencil = _interior_stencil(problem.padded_shape, offsets, complex,
+                                lambda e, colslc: complex(lap[e]) / h ** 2)
+    # mass_term keeps the offsets where the mass weight is nonzero, in order
+    for e, row in enumerate(np.flatnonzero(weights != 0)):
+        stencil.coeffs[row] -= mass.coeffs[e]
+    del mass    # freed before tocsr, whose temporaries are the assembly's peak
+    return SparseOperator(stencil.tocsr(), problem.padded_shape, stencil)
 
 
 def point_source(problem):

@@ -1,17 +1,23 @@
 """Three-level multigrid hierarchy with a real-shifted coarsest operator.
 
 The second level is the Galerkin coarsening of the fine operator; the third
-is the Galerkin coarsening of the second with the real shift added. Scaling
-the wavenumber by plan.alpha changes the assembled operator by
-(1 - alpha^2) k^2 M, linear in the mass operator k^2 M, so the shift enters
-as (1 - alpha^2) times the Galerkin coarsening of k^2 M, and the fine
-operator is assembled only once. Only the coarsest level sees the real
-shift. Levels are coarsened as stencil arrays, one axis at a time, and each
-is turned into CSR once, for the cycle and the coarsest factorization. The
-transfers are kept as one 1D band per axis, and the cycle applies them one
-axis at a time too. A complex shift plan.beta, when nonzero, is applied on
-every level, which turns the hierarchy into a shifted-Laplacian
-preconditioner for the unshifted system.
+is the Galerkin coarsening of the second with the real shift added. The fine
+operator is (1/h^2) L - W. Its Laplacian part L is constant, and every
+heterogeneity, the sponge and the complex shift sit in the mass term
+W = (1 + i(gamma + beta)) k^2 M. So only W, and then the second level, are
+coarsened as stencil arrays, one axis at a time. The coarsenings of L follow
+exactly from 1D Galerkin products, one per axis and offset, because L is a
+sum of Kronecker products of 1D shifts and the transfers are Kronecker
+products of 1D bands. Scaling the wavenumber by plan.alpha changes the
+assembled operator by (1 - alpha^2) k^2 M, the real part of W, so the shift
+enters as (1 - alpha^2) times the real part of W coarsened twice: the twice
+coarsened L minus the real part of the coarsened second level. The fine
+operator is assembled only once, and only the coarsest level sees the real
+shift. Each level is turned into CSR once, for the cycle and the coarsest
+factorization. The transfers are kept as one 1D band per axis, and the cycle
+applies them one axis at a time too. A complex shift plan.beta, when
+nonzero, is applied on every level, which turns the hierarchy into a
+shifted-Laplacian preconditioner for the unshifted system.
 
 Smoothing is damped Jacobi. The coarsest problem is solved by a cached
 multifrontal LU in geometric nested-dissection order (frontal.py), which
@@ -42,7 +48,7 @@ import scipy.sparse.linalg as spla
 
 from .discretization import (REDISC_SCHEME, GridStencil, HelmholtzProblem, SlownessModel,
                              SparseOperator, _check_shifts, _integer, assemble_operator,
-                             mass_stencil)
+                             laplacian_and_mass_stencils, mass_term)
 from .frontal import FrontalLU
 from .stencils import INTERGRID, restriction_stencil
 
@@ -242,16 +248,23 @@ def _galerkin_band(n, restriction_order, prolongation_order, axis_offsets):
     coarse offsets q, those with a nonzero row.
     """
     R, P = _axis_factors(n, restriction_order, prolongation_order)
-    nc = R.shape[0]
-    reach = max(map(abs, axis_offsets)) + sum(
-        restriction_stencil(1, order).halves[0]
-        for order in (restriction_order, prolongation_order))
-    shifted = P.T.tocsr()
-    blocks = {q: [R.multiply(sp.eye(nc, k=q) @ shifted @ sp.eye(n, k=-o))
-                  for o in axis_offsets]
-              for q in range(-(reach // 2), reach // 2 + 1)}
-    blocks = {q: row for q, row in blocks.items() if any(b.nnz for b in row)}
-    return sp.bmat(list(blocks.values()), format="csr"), tuple(blocks)
+    R = R.tocoo()
+    k, nc = len(axis_offsets), R.shape[0]
+    # one term per nonzero R[J, i] and offset o that meets a row of P ...
+    J, i, r = (np.repeat(v, k) for v in (R.row, R.col, R.data))
+    m = np.tile(np.arange(k), R.nnz)
+    row = i + np.asarray(axis_offsets)[m]
+    inside = (row >= 0) & (row < n)
+    J, i, r, m, row = (v[inside] for v in (J, i, r, m, row))
+    # ... and one entry per nonzero P[i + o, K] of that row, at q = K - J
+    count = np.diff(P.indptr)[row]
+    entry = (np.repeat(P.indptr[row] - np.cumsum(count) + count, count)
+             + np.arange(count.sum()))
+    J, i, r, m = (np.repeat(v, count) for v in (J, i, r, m))
+    qs, q = np.unique(P.indices[entry] - J, return_inverse=True)
+    band = sp.csr_matrix((r * P.data[entry], (q * nc + J, m * n + i)),
+                         shape=(len(qs) * nc, k * n))
+    return band, tuple(qs.tolist())
 
 
 def _coarsen_axis(offsets, coeffs, axis, orders):
@@ -300,11 +313,51 @@ def _coarsen(stencil, pair):
     return GridStencil(offsets, coeffs)
 
 
-def _add_scaled(stencil, scale, other):
-    """stencil += scale * other, in place; other's offsets are among stencil's."""
-    index = {tuple(o): e for e, o in enumerate(stencil.offsets.tolist())}
-    for offset, plane in zip(other.offsets.tolist(), other.coeffs):
-        stencil.coeffs[index[tuple(offset)]] += scale * plane
+def _unit_shifts(lap, shape):
+    """Per axis of the fine grid, the 1D offsets of lap's extent, and one 1D
+    stencil per offset with coefficient 1 there on every node.
+
+    On the fine grid, the coefficient of the constant Laplacian part L at
+    offset o is lap[o] times one interior mask per axis, so L is the sum
+    over o of lap[o] times the Kronecker product of these 1D shifts; the
+    Galerkin bands leave the masks out by themselves, as they neither read
+    fine boundary nodes nor write coarse ones.
+    """
+    return [(tuple(range(-half, half + 1)),
+             np.repeat(np.eye(2 * half + 1)[:, :, None], n, axis=2))
+            for half, n in zip(lap.halves, shape)]
+
+
+def _coarsen_shifts(shifts, pair):
+    """The Galerkin step of each axis's 1D stencils by the cached band of
+    that axis: the 1D factors of the next coarser level."""
+    coarse = []
+    for offsets, stencils in shifts:
+        k, n = len(stencils), stencils.shape[-1]
+        band, offsets = _galerkin_band(n, *pair.orders, offsets)
+        out = band @ stencils.reshape(k, -1).T
+        coarse.append((offsets, out.T.reshape(k, len(offsets), -1)))
+    return coarse
+
+
+def _laplacian_planes(weights, shifts, offset=()):
+    """The coarse L, sum over o of weights[o] times the Kronecker product of
+    each axis's coarsened shift o: (offset, plane) for each coarse offset
+    in lexicographic order. weights is contracted with one 1D stencil per
+    axis in turn, so no coefficient array of L is coarsened; offset holds
+    the coarse offsets of the axes contracted so far."""
+    if not shifts:
+        yield offset, weights
+        return
+    (offsets, stencils), rest = shifts[0], shifts[1:]
+    for q, stencil in zip(offsets, stencils.transpose(1, 0, 2)):
+        yield from _laplacian_planes(np.tensordot(weights, stencil, axes=(0, 0)), rest,
+                                     offset + (q,))
+
+
+def _rows(stencil):
+    """Map from each offset of a GridStencil, a tuple, to its row."""
+    return {offset: e for e, offset in enumerate(map(tuple, stencil.offsets.tolist()))}
 
 
 def _halved(shape):
@@ -378,29 +431,50 @@ def _factorize(operator, plan, pivoting=False):
 def build_hierarchy(problem, scheme, plan):
     """Assemble the 3-level hierarchy for a problem under a CyclePlan.
 
-    Level 1 is assembled once, with (alpha=1, beta=plan.beta); level 2 is
-    its Galerkin coarsening. Level 3 is the Galerkin coarsening of level 2
-    plus (1 - plan.alpha^2) R12 (k^2 M) P12: the mass operator k^2 M is what
-    assembling at wavenumber alpha k changes, so this equals the double
-    Galerkin coarsening of the operator assembled with (plan.alpha,
-    plan.beta), up to rounding. At alpha = 1 the shift is zero and the mass
-    operator is neither assembled nor coarsened.
+    Level 1 is assembled once, with (alpha=1, beta=plan.beta): (1/h^2) L - W
+    with the constant Laplacian part L and the mass term
+    W = (1 + i(gamma + beta)) k^2 M of mass_term. Level 2 is its Galerkin
+    coarsening L_c / h^2 - R12 W P12: W is coarsened as a stencil array, and
+    L_c comes from 1D Galerkin products. Level 3 is C2 = R23 (level 2) P23
+    plus (1 - plan.alpha^2) R23 R12 (k^2 M) P12 P23, the change that
+    assembling at wavenumber plan.alpha k makes. k^2 M is the real part of
+    W, so that term is L_cc / h^2 - Re C2, with L_cc from the 1D products
+    applied a second time. So level 3 equals the double Galerkin coarsening
+    of the operator assembled with (plan.alpha, plan.beta), up to rounding,
+    and every plan takes the same two stencil coarsenings, of W and of
+    level 2.
     """
     shape = problem.padded_shape
     _check_coarsenable(shape)
 
-    fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta)
+    fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta).without_stencil()
     t12, t23 = _transfer_pairs(shape, plan.intergrid)
+    lap, _ = laplacian_and_mass_stencils(problem.model.dim, scheme)
+    weights = lap.coeffs.real / problem.model.h ** 2    # the planes are L / h^2
+    shifts = _coarsen_shifts(_unit_shifts(lap, shape), t12)
 
-    mid = _coarsen(fine.stencil, t12)
-    fine = fine.without_stencil()   # the fine coefficient arrays are not needed again
+    # Level 2 is made in place in the coarsened mass term's arrays, one
+    # plane of L at a time: a full-size array of L would be freed under the
+    # level's CSR and stay resident as a hole in the heap. Both have the
+    # same offsets, so each plane is visited once: the fine offsets of W lie
+    # in L's extents, and the t12 bands give each fine offset within one
+    # node the same coarse offsets.
+    mid = _coarsen(mass_term(problem, scheme, beta=plan.beta), t12)
+    rows = _rows(mid)
+    for offset, plane in _laplacian_planes(weights, shifts):
+        e = rows[offset]
+        np.subtract(plane, mid.coeffs[e], out=mid.coeffs[e])
     mid_operator = SparseOperator(mid.tocsr(), _halved(shape))
-    if plan.alpha != 1.0:
-        # mid becomes the shifted mid level; its operator is already built
-        _add_scaled(mid, 1.0 - plan.alpha ** 2,
-                    _coarsen(mass_stencil(problem, scheme), t12))
     coarse = _coarsen(mid, t23)
     del mid     # its coefficient arrays would otherwise outlive the factorization
+    # The real shift: the coarsened k^2 M is the real part of the coarsened
+    # mass term, L_cc / h^2 - Re C2. C2 has the offsets of L_cc, the
+    # products of the offsets of the same t23 bands.
+    gain = 1.0 - plan.alpha ** 2
+    rows = _rows(coarse)
+    for offset, plane in _laplacian_planes(weights, _coarsen_shifts(shifts, t23)):
+        e = rows[offset]
+        coarse.coeffs[e].real += gain * (plane - coarse.coeffs[e].real)
     coarse = SparseOperator(coarse.tocsr(), coarse.grid_shape, coarse).without_stencil()
     return _hierarchy((fine, mid_operator, coarse), (t12, t23), plan)
 

@@ -7,7 +7,8 @@ and coarsens with explicit sparse triple products R * A * P. The
 stencil-array assembly, the axis-by-axis coarsening and the axis-by-axis
 transfers of :mod:`rscgc.discretization` and :mod:`rscgc.multigrid` are
 checked against it. mass_matrix is the mass operator by the library's own
-stencil route, for the identities that need it as a matrix.
+stencil route, for the identities that need it as a matrix, and
+galerkin_band the 1D Galerkin band by sparse shift products.
 """
 
 from functools import reduce
@@ -15,9 +16,11 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from rscgc.discretization import (SparseOperator, _boundary_mask, _padded_kappa2,
-                                  attenuation_profile, laplacian_and_mass_stencils,
-                                  mass_stencil)
+from rscgc.discretization import (GridStencil, SparseOperator, _boundary_mask,
+                                  _padded_kappa2, attenuation_profile,
+                                  laplacian_and_mass_stencils, mass_term)
+from rscgc.multigrid import _axis_factors
+from rscgc.stencils import restriction_stencil
 
 
 def _stencil_entries(shape, boundary, stencil, weight_of_offset):
@@ -92,9 +95,11 @@ def mass_operator_matrix(problem, scheme):
 
 def mass_matrix(problem, scheme):
     """The real k^2-weighted mass operator k^2 M as a SparseOperator, built
-    from mass_stencil: its CSR with the identity taken off the boundary rows,
-    which leaves them empty, matching the decoupled rows of the assembly."""
-    stencil = mass_stencil(problem, scheme)
+    from the real part of mass_term at alpha = 1, beta = 0: its CSR with the
+    identity taken off the boundary rows, which leaves them empty, matching
+    the decoupled rows of the assembly."""
+    term = mass_term(problem, scheme)
+    stencil = GridStencil(term.offsets, term.coeffs.real)
     shape = problem.padded_shape
     matrix = stencil.tocsr() - sp.diags(_boundary_mask(shape).ravel().astype(float))
     matrix.eliminate_zeros()
@@ -138,3 +143,20 @@ def hierarchy_levels(problem, scheme, plan, transfers):
         mid_mass.sort_indices()
         shifted = mid + (1.0 - plan.alpha ** 2) * mid_mass
     return fine, mid, coarsen_matrix(shifted, t23, coarse_shape)
+
+
+def galerkin_band(n, restriction_order, prolongation_order, axis_offsets):
+    """multigrid._galerkin_band by shift products: the block of coarse offset
+    q and fine offset o is R times the elementwise product with
+    shift_q P^T shift_-o, for every q up to the composed reach."""
+    R, P = _axis_factors(n, restriction_order, prolongation_order)
+    nc = R.shape[0]
+    reach = max(map(abs, axis_offsets)) + sum(
+        restriction_stencil(1, order).halves[0]
+        for order in (restriction_order, prolongation_order))
+    shifted = P.T.tocsr()
+    blocks = {q: [R.multiply(sp.eye(nc, k=q) @ shifted @ sp.eye(n, k=-o))
+                  for o in axis_offsets]
+              for q in range(-(reach // 2), reach // 2 + 1)}
+    blocks = {q: row for q, row in blocks.items() if any(b.nnz for b in row)}
+    return sp.bmat(list(blocks.values()), format="csr"), tuple(blocks)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rscgc.discretization import (
     laplacian_and_mass_stencils,
     load_model,
     make_model,
+    mass_term,
     omega_for_ppw,
     point_source,
 )
@@ -225,17 +227,25 @@ def test_mass_matrix_is_real_with_zero_boundary_rows():
 
 
 def test_invalid_shift_arguments():
+    """assemble_operator and mass_term reject the same shifts, and name an
+    overflowing mass coefficient before any arithmetic warns."""
     problem = build_problem(2, 8, 10, pad=0)
-    with pytest.raises(ValueError, match="alpha"):
-        assemble_operator(problem, "fourth-order", alpha=0.0)
-    with pytest.raises(ValueError, match="beta"):
-        assemble_operator(problem, "fourth-order", beta=-0.1)
-    for field in ("alpha", "beta"):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=rf"{field} must be finite.*{value}"):
-                assemble_operator(problem, "fourth-order", **{field: value})
-    with pytest.raises(ValueError, match=r"alpha must be finite when squared; got 1e\+160"):
-        assemble_operator(problem, "fourth-order", alpha=1e160)
+    for build in (assemble_operator, mass_term):
+        with pytest.raises(ValueError, match="alpha"):
+            build(problem, "fourth-order", alpha=0.0)
+        with pytest.raises(ValueError, match="beta"):
+            build(problem, "fourth-order", beta=-0.1)
+        for field in ("alpha", "beta"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=rf"{field} must be finite.*{value}"):
+                    build(problem, "fourth-order", **{field: value})
+        with pytest.raises(ValueError,
+                           match=r"alpha must be finite when squared; got 1e\+160"):
+            build(problem, "fourth-order", alpha=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflows for alpha = 1.0, beta = 1e\+308"):
+                build(problem, "fourth-order", beta=1e308)
 
 
 # ---------------------------------------------------------------- sponge profile

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import galerkin_oracle
 import rscgc.multigrid as mg
-from rscgc.discretization import (HelmholtzProblem, SparseOperator, assemble_operator,
-                                  make_model, mass_stencil, omega_for_ppw, point_source)
+from rscgc.discretization import (HelmholtzProblem, SparseOperator, _interior_stencil,
+                                  assemble_operator, laplacian_and_mass_stencils,
+                                  make_model, omega_for_ppw, point_source)
 from rscgc.frontal import FrontalLU
 from rscgc.krylov import fgmres
 from rscgc.multigrid import (
@@ -273,25 +274,67 @@ def test_coarsest_level_equals_the_reassembled_route(alpha, beta, intergrid, nam
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.014])
-def test_one_assembly_and_bitwise_levels(alpha, monkeypatch):
-    """Levels 1 and 2, and level 3 at alpha = 1, are bit for bit those of the
-    reassembled route, the fine operator is assembled once, and the mass
-    operator only when the shift is nonzero."""
+def test_one_assembly_and_two_coarsenings(alpha, monkeypatch):
+    """The fine operator is assembled once and is bit for bit that of the
+    reassembled route; two stencil coarsenings follow, of the mass term and
+    of level 2, at every alpha. Levels 2 and 3 have the reassembled route's
+    sparsity pattern and lie within 1e-12 of its largest entry: they are
+    summed in another order, so they cannot keep its bits."""
     problem = LINEARITY_PROBLEMS["2d-wedge-sponge"]()
-    calls, mass_calls = [], []
+    calls, coarsened = [], []
     monkeypatch.setattr(mg, "assemble_operator",
                         lambda *a, **k: calls.append(k) or assemble_operator(*a, **k))
-    monkeypatch.setattr(mg, "mass_stencil",
-                        lambda *a: mass_calls.append(a) or mass_stencil(*a))
+    coarsen = mg._coarsen
+    monkeypatch.setattr(mg, "_coarsen", lambda *a: coarsened.append(a) or coarsen(*a))
     hier = build_hierarchy(problem, "fourth-order", CyclePlan(alpha=alpha, beta=0.03))
     assert calls == [{"alpha": 1.0, "beta": 0.03}]
-    assert len(mass_calls) == (alpha != 1.0)
+    assert len(coarsened) == 2
 
-    fine, mid, coarse = _reassembled_levels(problem, 1.0, 0.03, hier.transfers)
+    fine, mid, _ = _reassembled_levels(problem, 1.0, 0.03, hier.transfers)
+    *_, coarse = _reassembled_levels(problem, alpha, 0.03, hier.transfers)
     levels = [lv.operator.matrix for lv in hier.levels]
-    assert _same_bits(levels[0], fine) and _same_bits(levels[1], mid)
-    if alpha == 1.0:
-        assert _same_bits(levels[2], coarse)
+    assert _same_bits(levels[0], fine)
+    for got, expected in zip(levels[1:], (mid, coarse)):
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.abs(got.data - expected.data).max() <= 1e-12 * np.abs(expected.data).max()
+
+
+@pytest.mark.parametrize("orders", sorted({o for pair in INTERGRID.values() for o in pair}))
+@pytest.mark.parametrize("axis_offsets", [(0,), (-1, 0, 1), (-2, -1, 0, 1, 2)])
+def test_galerkin_band_matches_the_shift_product_oracle(orders, axis_offsets):
+    """Each band entry is one product R[J, i] P[i + o, J + q], so the band
+    built from the nonzeros of R and P is exactly the sum of shift products."""
+    for n in (17, 21, 33):
+        band, qs = mg._galerkin_band(n, *orders, axis_offsets)
+        expected, expected_qs = galerkin_oracle.galerkin_band(n, *orders, axis_offsets)
+        assert qs == expected_qs
+        assert np.array_equal(band.toarray(), expected.toarray())
+
+
+@settings(max_examples=16, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3]),
+       intergrid=st.sampled_from(tuple(INTERGRID)))
+def test_laplacian_from_1d_products_matches_its_coarsened_stencil(data, dim, intergrid):
+    """The constant Laplacian part coarsened once and twice by per-axis 1D
+    Galerkin products has the offsets of _coarsen applied to its fine
+    GridStencil and lies within 1e-14 of its largest entry, on any
+    coarsenable box and for every intergrid scheme."""
+    quarters = st.integers(4, 12 if dim == 2 else 6)
+    shape = tuple(4 * data.draw(quarters) + 1 for _ in range(dim))
+    lap, _ = laplacian_and_mass_stencils(dim, "fourth-order")
+    weights = lap.coeffs.real
+    live = weights.ravel() != 0
+    expected = _interior_stencil(shape, lap.offsets()[live], float,
+                                 lambda e, colslc: weights.ravel()[live][e])
+    shifts = mg._unit_shifts(lap, shape)
+    for pair in mg._transfer_pairs(shape, intergrid):
+        expected = mg._coarsen(expected, pair)
+        shifts = mg._coarsen_shifts(shifts, pair)
+        offsets, planes = zip(*mg._laplacian_planes(weights, shifts))
+        assert np.array_equal(np.array(offsets), expected.offsets)
+        scale = np.abs(expected.coeffs).max()
+        assert np.abs(np.array(planes) - expected.coeffs).max() <= 1e-14 * scale
 
 
 def test_each_level_matrix_is_checked_for_finiteness_once(monkeypatch):
