@@ -9,7 +9,7 @@ from .krylov import SolveReport, fgmres, stationary_solve
 from .multigrid import (CyclePlan, MultigridHierarchy, TransferPair,
                         build_hierarchy, build_rediscretized_hierarchy,
                         coarse_solve, cycle, jacobi_smooth, transfer_matrices)
-from .stencils import Stencil, galerkin_stencil, restriction_stencil
+from .stencils import Stencil, restriction_stencil
 
 __version__ = "0.1.0"
 
@@ -22,5 +22,5 @@ __all__ = [
     "CyclePlan", "MultigridHierarchy", "TransferPair", "build_hierarchy",
     "build_rediscretized_hierarchy", "coarse_solve", "cycle", "jacobi_smooth",
     "transfer_matrices",
-    "Stencil", "galerkin_stencil", "restriction_stencil",
+    "Stencil", "restriction_stencil",
 ]

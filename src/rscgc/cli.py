@@ -536,7 +536,6 @@ def cmd_solve(config):
         "iterations": report.iterations,
         "converged": report.converged,
         "diverged": report.diverged,
-        "wall_time": report.wall_time,
         "residual_history": report.residual_history,
         "setup_seconds": setup_seconds,
         "solve_seconds": solve_seconds,

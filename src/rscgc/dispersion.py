@@ -8,12 +8,16 @@ the fine-grid radius stretched by the coarsening factor 4,
     e_g(alpha, phi) = r3(alpha, phi) / (4 r1(phi)) - 1,
 
 where r3 comes from the double-Galerkin composite of the real-shifted fine
-operator. Both radii are snapped to the nearest sample of the 1e-3 ray grid
-before forming the ratio; the tabulated optima are reproduced under this
-convention and not under smooth radii, so it is part of the protocol rather
-than an implementation detail. So are the directions, 0.1 rad apart in the
-symmetry sector, and the 5e-4 alpha step of the search: these resolutions
-are fixed, and the shift table records no other.
+operator. The composite is the one the solver builds: the hierarchy's own
+1D Galerkin products (multigrid.py) coarsen the fine Laplacian and mass
+stencils, and each coarse coefficient is read at an interior node that no
+boundary row of the transfers reaches. Both radii are snapped to the
+nearest sample of the 1e-3 ray grid before forming the ratio; the tabulated
+optima are reproduced under this convention and not under smooth radii, so
+it is part of the protocol rather than an implementation detail. So are the
+directions, 0.1 rad apart in the symmetry sector, and the 5e-4 alpha step
+of the search: these resolutions are fixed, and the shift table records no
+other.
 
 The one first-crossing search returns the snapped radius itself: the first
 nonnegative sample brackets the crossing, and the sign of the symbol at the
@@ -29,8 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import multigrid
 from .discretization import _check_shifts, laplacian_and_mass_stencils
-from .stencils import INTERGRID, galerkin_stencil, restriction_stencil, transpose_scale
+from .stencils import INTERGRID, Stencil
 
 __all__ = [
     "AnalysisConfig",
@@ -321,20 +326,33 @@ def _fine_pair(dim):
     return laplacian_and_mass_stencils(dim, TUNED_SCHEME)
 
 
+# Nodes per axis of the fine grid the composites are read off, the fewest
+# that two coarsenings can halve such that no transfer row renormalized at
+# the boundary reaches the centre of the coarsest grid, here of 9 nodes. On
+# 25 nodes the cubic rows reach it and the cubic composites are off by 4e-3.
+_COMPOSITE_NODES = 33
+
+
 @lru_cache(maxsize=None)
 def _composite_pair(dim, intergrid):
-    """Double-Galerkin composites of the fine (L, M) pair, through
-    the two coarsenings of the intergrid scheme in INTERGRID.
-
-    Splitting the composite into Laplacian and mass parts keeps the real
-    shift a scalar multiplier, so one composition serves every alpha.
-    """
+    """Double-Galerkin composites of the fine (L, M) pair through the two
+    coarsenings of an INTERGRID scheme: the hierarchy's own 1D Galerkin
+    products on a _COMPOSITE_NODES grid, read at the coarsest grid's centre.
+    Splitting L and M keeps the real shift a scalar multiplier, so one
+    composition serves every alpha."""
     lap, mass = _fine_pair(dim)
-    for restriction, prolongation in INTERGRID[intergrid]:
-        R = restriction_stencil(dim, restriction)
-        P = transpose_scale(restriction_stencil(dim, prolongation))
-        lap, mass = galerkin_stencil(lap, R, P), galerkin_stencil(mass, R, P)
-    return lap, mass
+    shape = (_COMPOSITE_NODES,) * dim
+    shifts = multigrid._unit_shifts(lap, shape)
+    for pair in multigrid._transfer_pairs(shape, intergrid):
+        shifts = multigrid._coarsen_shifts(shifts, pair)
+    centre = (shifts[0][1].shape[-1] // 2,) * dim
+    extents = tuple(len(offsets) for offsets, _ in shifts)
+
+    def composite(stencil):
+        planes = multigrid._laplacian_planes(stencil.coeffs.real, shifts)
+        return Stencil(np.reshape([plane[centre] for _, plane in planes], extents))
+
+    return composite(lap), composite(mass.padded_to(lap.extents))
 
 
 @lru_cache(maxsize=None)
@@ -346,7 +364,7 @@ def _folded_pair(dim, intergrid=None):
 def coarsest_stencil(config, alpha):
     """Effective coarsest-level stencil of the alpha-shifted fine operator."""
     lap3, mass3 = _composite_pair(config.dim, config.intergrid)
-    return lap3 + mass3 * (-((alpha * config.kh) ** 2))
+    return Stencil(lap3.coeffs - (alpha * config.kh) ** 2 * mass3.coeffs)
 
 
 def _snapped_radii(config, alphas, phi):

@@ -14,10 +14,12 @@ enters as (1 - alpha^2) times the real part of W coarsened twice: the twice
 coarsened L minus the real part of the coarsened second level. The fine
 operator is assembled only once, and only the coarsest level sees the real
 shift. Each level is turned into CSR once, for the cycle and the coarsest
-factorization. The transfers are kept as one 1D band per axis, and the cycle
-applies them one axis at a time too. A complex shift plan.beta, when
-nonzero, is applied on every level, which turns the hierarchy into a
-shifted-Laplacian preconditioner for the unshifted system.
+factorization. Read at one interior node, the same 1D products are the
+coarsest-level composites of the dispersion analysis (dispersion.py). The
+transfers are kept as one 1D band per axis, and the cycle applies them one
+axis at a time too. A complex shift plan.beta, when nonzero, is applied on
+every level, which turns the hierarchy into a shifted-Laplacian
+preconditioner for the unshifted system.
 
 Smoothing is damped Jacobi. The coarsest problem is solved by a cached
 multifrontal LU in geometric nested-dissection order (frontal.py), which
@@ -341,11 +343,11 @@ def _coarsen_shifts(shifts, pair):
 
 
 def _laplacian_planes(weights, shifts, offset=()):
-    """The coarse L, sum over o of weights[o] times the Kronecker product of
-    each axis's coarsened shift o: (offset, plane) for each coarse offset
-    in lexicographic order. weights is contracted with one 1D stencil per
-    axis in turn, so no coefficient array of L is coarsened; offset holds
-    the coarse offsets of the axes contracted so far."""
+    """A constant stencil, L or M, coarsened: the sum over o of weights[o]
+    times the Kronecker product of each axis's coarsened shift o, as (offset,
+    plane) per coarse offset in lexicographic order. weights is contracted
+    with one 1D stencil per axis in turn, so no coefficient array is
+    coarsened; offset holds the coarse offsets of the axes contracted so far."""
     if not shifts:
         yield offset, weights
         return

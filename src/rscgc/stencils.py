@@ -1,9 +1,8 @@
-"""Constant-coefficient stencil algebra.
+"""Constant-coefficient stencils.
 
-Dimensionless, centered stencils on uniform grids: restriction/prolongation
-families, the intergrid schemes built from them, and Galerkin composition
-(coarse stencil of R * A * P with stride-2 grids). Everything here is pure
-stencil arithmetic; matrices, boundaries and grid spacing live elsewhere.
+Dimensionless, centered stencils on uniform grids: the restriction weight
+families and the intergrid schemes built from them. Matrices, boundaries,
+grid spacing and Galerkin coarsening live in the hierarchy (multigrid.py).
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.signal import convolve
 
-__all__ = ["INTERGRID", "Stencil", "galerkin_stencil", "restriction_stencil",
-           "transpose_scale"]
+__all__ = ["INTERGRID", "Stencil", "restriction_stencil"]
 
 # The (restriction, prolongation) weight families of the two coarsenings,
 # fine to mid and mid to coarsest, of each intergrid scheme. The hierarchy,
@@ -79,30 +76,6 @@ class Stencil:
             pads.append(((want - have) // 2,) * 2)
         return Stencil(np.pad(self.coeffs, pads))
 
-    def __add__(self, other):
-        if not isinstance(other, Stencil):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("stencil dimensions do not match")
-        ext = tuple(max(a, b) for a, b in zip(self.extents, other.extents))
-        return Stencil(self.padded_to(ext).coeffs + other.padded_to(ext).coeffs)
-
-    def __mul__(self, scalar):
-        return Stencil(self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-
-def transpose_scale(restriction: Stencil) -> Stencil:
-    """Prolongation stencil belonging to a restriction stencil.
-
-    With restriction rows (R u)_I = sum_o s_o u_{2I+o}, the matrix transpose
-    applied to a coarse vector interpolates with the same offsets, and the
-    2^dim factor restores unit weight sums on each parity class, i.e. the
-    usual interpolation normalization (constants map to constants).
-    """
-    return Stencil(restriction.coeffs * (2.0**restriction.dim))
-
 
 def restriction_stencil(dim: int, order: str) -> Stencil:
     """Standard full-coarsening restriction stencils.
@@ -118,28 +91,3 @@ def restriction_stencil(dim: int, order: str) -> Stencil:
     else:
         raise ValueError(f"unknown transfer order {order!r}")
     return Stencil(reduce(np.multiply.outer, [base] * dim, 1.0))
-
-
-def galerkin_stencil(fine: Stencil, restriction: Stencil,
-                     prolongation: Stencil) -> Stencil:
-    """Coarse-grid stencil of restriction * fine * prolongation.
-
-    Index bookkeeping (1D shown, axes are independent): with
-    (R u)_I = sum_o s_o u_{2I+o}, (A u)_i = sum_j a_j u_{i+j} and
-    (P e)_i = sum_K p_{i-2K} e_K, the coarse entry at offset k is
-
-        c_k = sum_m (s * a)_m p_{m-2k}  =  ((s * a) * reverse(p))_{2k},
-
-    i.e. convolve restriction with the fine stencil, convolve with the
-    reversed prolongation, and keep even offsets. Linear in ``fine``.
-    """
-    if not (fine.dim == restriction.dim == prolongation.dim):
-        raise ValueError("fine, restriction and prolongation dimensions differ")
-    rev = prolongation.coeffs[(slice(None, None, -1),) * prolongation.dim]
-    full = convolve(restriction.coeffs, fine.coeffs, mode="full", method="direct")
-    full = convolve(full, rev, mode="full", method="direct")
-    slices = []
-    for extent in full.shape:
-        center = (extent - 1) // 2
-        slices.append(slice(center % 2, None, 2))
-    return Stencil(full[tuple(slices)])

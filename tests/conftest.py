@@ -13,6 +13,14 @@ SECOND_ORDER_1D = Stencil(np.array([-1.0, 2.0, -1.0])), Stencil(np.ones(1))
 SECOND_ORDER_ALONG_X = tuple(Stencil(s.coeffs.real[:, None]) for s in SECOND_ORDER_1D)
 
 
+def combine(*terms):
+    """The stencil sum of (scalar, Stencil) terms, each zero-padded to the
+    largest extents along every axis."""
+    extents = tuple(map(max, zip(*(stencil.extents for _, stencil in terms))))
+    return Stencil(sum(scalar * stencil.padded_to(extents).coeffs
+                       for scalar, stencil in terms))
+
+
 def build_problem(dim, cells, G, kind="homogeneous", kappa2=(1.0, 1.0),
                   pad=20, **kwargs):
     """Cube problem with `cells` interior cells per axis and h = 1/cells."""

@@ -1,9 +1,10 @@
-"""Periodic-grid oracle for the Galerkin stencil algebra, and Fourier symbols.
+"""Periodic-grid oracle for Galerkin coarsening of constant stencils, and
+Fourier symbols.
 
 The solver never goes through this module. It reads the coarse stencil of
 R * A * P off an explicit sparse triple product on a torus, where boundaries
-cannot interfere, so the convolution route of
-:func:`rscgc.stencils.galerkin_stencil` can be checked against it. symbol
+cannot interfere, so the hierarchy's 1D Galerkin products, and the
+dispersion composites read off them, can be checked against it. symbol
 evaluates a stencil on plane waves, the eigenvectors of its operator on a
 torus.
 """
@@ -11,7 +12,7 @@ torus.
 import numpy as np
 import scipy.sparse as sp
 
-from rscgc.stencils import Stencil
+from rscgc.stencils import INTERGRID, Stencil, restriction_stencil
 
 
 def symbol(stencil: Stencil, theta):
@@ -86,9 +87,11 @@ def periodic_rap_stencil(fine: Stencil, restriction: Stencil,
     """Read the Galerkin coarse stencil off an explicit triple product
     R * A * P assembled on a periodic grid.
 
-    Cross-check companion to :func:`galerkin_stencil`. Raises if the coarse
-    grid is too small to hold the composite stencil without wraparound,
-    naming the minimum admissible point count.
+    restriction and prolongation are weight stencils that sum to one, as
+    restriction_stencil gives them; P is 2^dim times the transpose of the
+    prolongation weights' restriction matrix, so it maps constants to
+    constants. Raises if the coarse grid is too small to hold the composite
+    stencil without wraparound, naming the minimum admissible point count.
     """
     # extent of the composite stencil: even offsets of the full convolution
     widths = []
@@ -105,9 +108,9 @@ def periodic_rap_stencil(fine: Stencil, restriction: Stencil,
         )
     R = periodic_restriction_matrix(restriction, points)
     A = periodic_operator_matrix(fine, points)
-    # (P e)_{2I+o} += p_o e_I is exactly the transpose of a restriction-style
-    # matrix built from the prolongation stencil itself
-    P = periodic_restriction_matrix(prolongation, points).T
+    # (P e)_{2I+o} += 2^dim p_o e_I is the scaled transpose of a
+    # restriction-style matrix built from the prolongation weights
+    P = 2.0 ** fine.dim * periodic_restriction_matrix(prolongation, points).T
     C = (R @ A @ P).tocsr()
 
     dim = fine.dim
@@ -129,3 +132,12 @@ def periodic_rap_stencil(fine: Stencil, restriction: Stencil,
             f"need an even point count >= {need}"
         )
     return Stencil(out)
+
+
+def periodic_composite(fine: Stencil, intergrid: str) -> Stencil:
+    """Two periodic_rap_stencil steps through the coarsenings of an
+    INTERGRID scheme, on 32 and then 16 nodes per axis."""
+    for (restriction, prolongation), points in zip(INTERGRID[intergrid], (32, 16)):
+        fine = periodic_rap_stencil(fine, restriction_stencil(fine.dim, restriction),
+                                    restriction_stencil(fine.dim, prolongation), points)
+    return fine

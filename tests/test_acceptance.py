@@ -20,6 +20,7 @@ from rscgc.discretization import (
 from rscgc.dispersion import (
     RAY_RESOLUTION,
     AnalysisConfig,
+    coarsest_stencil,
     ncrit_bounds,
     optimize_shift,
     _first_crossings,
@@ -27,15 +28,10 @@ from rscgc.dispersion import (
 )
 from rscgc.krylov import fgmres, stationary_solve
 from rscgc.multigrid import CyclePlan, build_hierarchy, cycle, transfer_matrices
-from rscgc.stencils import (
-    galerkin_stencil,
-    restriction_stencil,
-    transpose_scale,
-)
 
 import galerkin_oracle
-from conftest import SECOND_ORDER_1D, SECOND_ORDER_ALONG_X, build_problem, double_cycle
-from periodic_oracle import periodic_rap_stencil, symbol
+from conftest import SECOND_ORDER_ALONG_X, build_problem, combine, double_cycle
+from periodic_oracle import periodic_composite, symbol
 
 TUNED_2D = {
     "cubic": {10.0: (1.0140, 1.1924e-2),
@@ -222,24 +218,21 @@ def test_coarsest_level_shift_identity():
 
 
 def test_galerkin_dual_route_and_bandwidth():
+    """The coarsest stencil the shift is tuned on, read off the hierarchy's
+    1D Galerkin products, is the periodic double triple product of the fine
+    Helmholtz stencil, 7 nodes wide with cubic transfers and 5 with
+    level-dependent ones."""
     kh = 2 * math.pi / 12
-    for dim in (1, 2, 3):
-        lap, mass = (SECOND_ORDER_1D if dim == 1
-                     else laplacian_and_mass_stencils(dim, "fourth-order"))
-        fine = lap + mass * (-(kh ** 2))
-        cubic = restriction_stencil(dim, "cubic")
-        linear = restriction_stencil(dim, "linear")
-        prolong = transpose_scale(cubic)
-        mid = galerkin_stencil(fine, cubic, prolong)
-        mid_oracle = periodic_rap_stencil(fine, cubic, prolong, 32)
-        for second, width in ((cubic, 7), (linear, 5)):
-            coarse = galerkin_stencil(mid, second, prolong)
-            coarse_oracle = periodic_rap_stencil(mid_oracle, second, prolong, 16)
+    for dim in (2, 3):
+        lap, mass = laplacian_and_mass_stencils(dim, "fourth-order")
+        fine = combine((1.0, lap), (-(kh ** 2), mass))
+        for intergrid, width in (("cubic", 7), ("level-dependent", 5)):
+            coarse = coarsest_stencil(AnalysisConfig(dim, 12.0, intergrid), 1.0)
+            oracle = periodic_composite(fine, intergrid)
+            assert coarse.extents == oracle.extents == (width,) * dim
             scale = np.abs(coarse.coeffs).max()
-            pad_oracle = coarse_oracle.padded_to(coarse.extents)
-            diff = np.abs(coarse.coeffs - pad_oracle.coeffs).max()
+            diff = np.abs(coarse.coeffs - oracle.coeffs).max()
             assert diff <= 1e-12 * scale, (dim, width)
-            assert coarse.extents == (width,) * dim
             edge = coarse.coeffs[(width - 1,) + (width // 2,) * (dim - 1)]
             assert abs(edge) > 0, (dim, width)
 
@@ -248,7 +241,7 @@ def test_symbol_and_radius_identities():
     kh = 2 * math.pi / 12
     for dim in (2, 3):
         lap, mass = laplacian_and_mass_stencils(dim, "fourth-order")
-        stencil = lap + mass * (-(kh ** 2))
+        stencil = combine((1.0, lap), (-(kh ** 2), mass))
         value = symbol(stencil, np.zeros(dim))
         assert abs(value - (-(kh ** 2))) <= 1e-14
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rscgc import dispersion
 from rscgc.discretization import omega_for_ppw
 from rscgc.dispersion import (
     TUNED_INTERGRIDS,
@@ -22,6 +23,7 @@ from rscgc.dispersion import (
     export_dispersion_curve,
     ncrit_bounds,
     optimize_shift,
+    _COMPOSITE_NODES,
     _RAY_BLOCK,
     _RAY_DIRECTIONS,
     _closed_range,
@@ -37,6 +39,7 @@ from rscgc.stencils import Stencil
 
 import dispersion_oracle
 from conftest import SECOND_ORDER_ALONG_X
+from periodic_oracle import periodic_composite
 
 
 def snapped(r):
@@ -530,6 +533,51 @@ def test_direction_grid_shapes():
 
 
 # ---------------------------------------------------------------- cross-module
+
+# Offsets per axis of each composite: two cubic coarsenings reach 3 nodes,
+# a linear second restriction 2.
+COMPOSITE_EXTENTS = {"cubic": 7, "level-dependent": 5}
+
+
+def _largest_miss(composite, oracle):
+    """The largest coefficient difference relative to the oracle's largest
+    coefficient, with the extents required equal."""
+    assert composite.extents == oracle.extents
+    return np.abs(composite.coeffs - oracle.coeffs).max() / np.abs(oracle.coeffs).max()
+
+
+@pytest.mark.parametrize("intergrid", TUNED_INTERGRIDS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_composite_pair_matches_the_periodic_triple_product(dim, intergrid):
+    """The Laplacian and the mass composite read off the hierarchy's 1D
+    products are each two steps of the periodic triple product R A P, within
+    1e-13 of the largest coefficient, with 7 (cubic) or 5 (level-dependent)
+    offsets per axis and a nonzero outer layer."""
+    extent = COMPOSITE_EXTENTS[intergrid]
+    for fine, composite in zip(_fine_pair(dim), _composite_pair(dim, intergrid)):
+        assert _largest_miss(composite, periodic_composite(fine, intergrid)) <= 1e-13
+        assert composite.extents == (extent,) * dim
+        assert np.abs(composite.coeffs[0]).max() > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fewer_composite_nodes_let_the_boundary_reach_the_cubic_composites(dim,
+                                                                           monkeypatch):
+    """On the next coarsenable grid below _COMPOSITE_NODES, the renormalized
+    boundary rows of the cubic transfers reach the centre of the coarsest
+    grid and the cubic composites miss the periodic triple product by more
+    than 1e-6, while the level-dependent ones still match: the constant
+    cannot be lowered without breaking the analysis."""
+    monkeypatch.setattr(dispersion, "_COMPOSITE_NODES", _COMPOSITE_NODES - 8)
+    for intergrid in TUNED_INTERGRIDS:
+        misses = [_largest_miss(composite, periodic_composite(fine, intergrid))
+                  for fine, composite in zip(_fine_pair(dim),
+                                             _composite_pair.__wrapped__(dim, intergrid))]
+        if intergrid == "cubic":
+            assert min(misses) > 1e-6
+        else:
+            assert max(misses) <= 1e-13
+
 
 def test_composite_stencil_matches_the_assembled_hierarchy():
     """The analysis-route coarsest stencil must be the solver's level-3 row.

@@ -1,9 +1,11 @@
-"""The public names of the package and of each module resolve, and each is
-used outside the tests."""
+"""The public names of the package and of each module resolve, each is used
+outside the tests, and the package imports no third-party module beyond the
+ones it needs."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,20 @@ def test_every_exported_name_is_used_outside_the_tests():
     loaded = set().union(*map(_loaded_names, files))
     exported = {n for name in MODULES for n in importlib.import_module(name).__all__}
     assert sorted(exported - loaded) == []
+
+
+def test_third_party_imports_are_numpy_and_scipy_sparse_and_linalg():
+    """The runtime dependencies are numpy and scipy's sparse matrices, sparse
+    LU and dense LAPACK wrappers: every absolute import in src/rscgc/ of a
+    module outside the standard library, nested ones included, is one of
+    these four."""
+    imported = set()
+    for path in Path(rscgc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    third_party = {name for name in imported
+                   if name.split(".")[0] not in sys.stdlib_module_names}
+    assert third_party == {"numpy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg"}

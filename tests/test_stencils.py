@@ -1,7 +1,9 @@
-"""Stencil algebra: symbols, transfer stencils, and Galerkin composition.
+"""Stencils: symbols, transfer stencils, and the hierarchy's Galerkin
+coarsening of a constant stencil.
 
-The Galerkin checks run two independent routes: the convolution-based
-composition and an explicit sparse triple product on a periodic grid.
+The Galerkin checks run two independent routes: the hierarchy's 1D Galerkin
+products read at an interior node, and an explicit sparse triple product on
+a periodic grid.
 """
 
 import math
@@ -10,17 +12,30 @@ import numpy as np
 import pytest
 
 from rscgc.discretization import laplacian_and_mass_stencils
-from rscgc.stencils import (Stencil, galerkin_stencil, restriction_stencil,
-                            transpose_scale)
+from rscgc.multigrid import (_coarsen_shifts, _laplacian_planes, _unit_shifts,
+                             transfer_matrices)
+from rscgc.stencils import Stencil, restriction_stencil
 
-from conftest import SECOND_ORDER_1D
-from periodic_oracle import periodic_rap_stencil, periodic_restriction_matrix, symbol
+from conftest import SECOND_ORDER_1D, combine
+from periodic_oracle import periodic_rap_stencil, symbol
 
 
 def helmholtz_stencil(dim, kh, scheme="fourth-order"):
     lap, mass = (SECOND_ORDER_1D if scheme == "second-order"
                  else laplacian_and_mass_stencils(dim, scheme))
-    return lap + mass * (-(kh ** 2))
+    return combine((1.0, lap), (-(kh ** 2), mass))
+
+
+def coarsened(fine, orders, nodes=17):
+    """The hierarchy's Galerkin coarsening of a constant stencil by one pair
+    of (restriction, prolongation) orders, on `nodes` per axis, read at the
+    centre of the coarse grid, which no boundary row of the transfers reaches."""
+    shape = (nodes,) * fine.dim
+    shifts = _coarsen_shifts(_unit_shifts(fine, shape), transfer_matrices(shape, *orders))
+    centre = ((nodes - 1) // 4,) * fine.dim
+    return Stencil(np.reshape([plane[centre] for _, plane in
+                               _laplacian_planes(fine.coeffs, shifts)],
+                              tuple(len(offsets) for offsets, _ in shifts)))
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +71,7 @@ def test_symbol_linear_in_the_stencil():
     s2 = Stencil(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     a, b = 1.7 - 0.4j, -0.9 + 2.2j
     thetas = rng.uniform(-math.pi, math.pi, size=(12, 2))
-    left = symbol(a * s1 + b * s2, thetas)
+    left = symbol(combine((a, s1), (b, s2)), thetas)
     right = a * symbol(s1, thetas) + b * symbol(s2, thetas)
     assert np.max(np.abs(left - right)) < 1e-12 * np.max(np.abs(right))
 
@@ -115,26 +130,8 @@ def test_restriction_rejects_unknown_order():
             restriction_stencil(2, order)
 
 
-def test_transpose_scale_linear_interpolation():
-    lin = restriction_stencil(1, "linear")
-    pro = transpose_scale(lin)
-    assert np.allclose(pro.coeffs.real, [0.5, 1.0, 0.5])
-
-
-def test_transpose_scale_matches_matrix_transpose_on_a_periodic_grid():
-    """2 R^T applied to a coarse delta reads out the interpolation weights."""
-    cubic = restriction_stencil(1, "cubic")
-    R = periodic_restriction_matrix(cubic, 16)
-    P = 2.0 * R.T
-    e = np.zeros(8)
-    e[4] = 1.0
-    fine = np.asarray((P @ e)).ravel()
-    window = fine[2 * 4 - 2: 2 * 4 + 3]
-    assert np.allclose(window, transpose_scale(cubic).coeffs.real, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
-# Galerkin composition
+# Galerkin coarsening of a constant stencil
 
 def test_galerkin_1d_laplacian_halves():
     """Coarsening [-1, 2, -1] with the linear pair gives the 2h Laplacian.
@@ -143,29 +140,28 @@ def test_galerkin_1d_laplacian_halves():
     as operator assembly does, turns that into (1/(2h)^2)[-1, 2, -1].
     """
     fine = Stencil(np.array([-1.0, 2.0, -1.0]))
-    rest = restriction_stencil(1, "linear")
-    pro = transpose_scale(rest)
-    coarse = galerkin_stencil(fine, rest, pro)
+    coarse = coarsened(fine, ("linear", "linear"))
     assert np.allclose(coarse.coeffs.real, [-0.25, 0.5, -0.25], atol=1e-15)
-    oracle = periodic_rap_stencil(fine, rest, pro, 32)
+    rest = restriction_stencil(1, "linear")
+    oracle = periodic_rap_stencil(fine, rest, rest, 32)
     assert np.allclose(coarse.coeffs, oracle.coeffs, atol=1e-14)
 
 
 def test_galerkin_of_zero_is_zero():
-    rest = restriction_stencil(2, "cubic")
-    coarse = galerkin_stencil(Stencil(np.zeros((3, 3))), rest, transpose_scale(rest))
+    coarse = coarsened(Stencil(np.zeros((3, 3))), ("cubic", "cubic"))
     assert np.all(coarse.coeffs == 0)
 
 
 def test_galerkin_linear_in_the_fine_stencil():
+    """Linearity is what lets the analysis coarsen L and M apart and the
+    hierarchy add the real shift after coarsening."""
     rng = np.random.default_rng(11)
     f1 = Stencil(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     f2 = Stencil(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    rest = restriction_stencil(2, "cubic")
-    pro = transpose_scale(rest)
+    orders = ("cubic", "cubic")
     a, b = 0.3 + 1.1j, -2.0 + 0.7j
-    left = galerkin_stencil(a * f1 + b * f2, rest, pro)
-    right = a * galerkin_stencil(f1, rest, pro) + b * galerkin_stencil(f2, rest, pro)
+    left = coarsened(combine((a, f1), (b, f2)), orders)
+    right = combine((a, coarsened(f1, orders)), (b, coarsened(f2, orders)))
     scale = np.max(np.abs(right.coeffs))
     assert np.max(np.abs(left.coeffs - right.coeffs)) < 1e-12 * scale
 
@@ -178,33 +174,18 @@ def test_galerkin_linear_in_the_fine_stencil():
 def test_galerkin_matches_periodic_triple_product(dim, points, scheme):
     fine = helmholtz_stencil(dim, 2 * math.pi / 10, scheme)
     rest = restriction_stencil(dim, "cubic")
-    pro = transpose_scale(rest)
-    composed = galerkin_stencil(fine, rest, pro)
-    oracle = periodic_rap_stencil(fine, rest, pro, points)
+    composed = coarsened(fine, ("cubic", "cubic"))
+    oracle = periodic_rap_stencil(fine, rest, rest, points)
+    assert composed.extents == oracle.extents
     scale = np.max(np.abs(oracle.coeffs))
     assert np.max(np.abs(composed.coeffs - oracle.coeffs)) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("second_order,extent", [("cubic", 7), ("linear", 5)])
-def test_double_coarsening_stencil_extents(dim, second_order, extent):
-    """Two coarsenings leave a 7-per-axis footprint, 5 with the mixed pair."""
-    fine = helmholtz_stencil(dim, 2 * math.pi / 10)
-    cubic = restriction_stencil(dim, "cubic")
-    pro = transpose_scale(cubic)
-    level2 = galerkin_stencil(fine, cubic, pro)
-    second = restriction_stencil(dim, second_order)
-    level3 = galerkin_stencil(level2, second, pro)
-    assert level3.extents == (extent,) * dim
-    outer = np.abs(level3.coeffs[0])
-    assert outer.max() > 0, "outermost layer unexpectedly empty"
 
 
 def test_periodic_oracle_rejects_wraparound_grids():
     fine = helmholtz_stencil(2, 0.5)
     rest = restriction_stencil(2, "cubic")
     with pytest.raises(ValueError, match="even point count"):
-        periodic_rap_stencil(fine, rest, transpose_scale(rest), 8)
+        periodic_rap_stencil(fine, rest, rest, 8)
 
 
 # ---------------------------------------------------------------------------
