@@ -1,8 +1,9 @@
 """Fine-grid Helmholtz assembly: difference schemes, media, sponge layers, sources.
 
-Operators and their mass term are filled offset by offset into stencil
-arrays (GridStencil). An operator is turned into CSR directly; the multigrid
-hierarchy coarsens the mass term, the only part that varies.
+An operator is filled offset by offset into one set of stencil arrays
+(GridStencil) and turned into CSR directly. The multigrid hierarchy builds
+the mass term on its own, once, since it coarsens only that part, the only
+one that varies.
 
 The operator convention is H = (1/h^2) L - k^2(x) M with dimensionless stencils
 L, M and k(x) = omega * kappa(x). Real and complex shifts enter through the mass
@@ -10,12 +11,11 @@ coefficient: the assembled matrix is (1/h^2) L - (alpha^2 + i(gamma(x) + beta))
 k^2(x) M, where gamma is the sponge-layer attenuation profile.
 """
 
-import copy
 import json
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -332,20 +332,16 @@ class GridStencil:
 class SparseOperator:
     """Sparse matrix over a vertex grid, rows in lexicographic order.
 
-    stencil is the GridStencil an assembled operator was built from, None
-    otherwise. reach is that stencil's reach, which the coarsest
-    factorization dissects by and without_stencil keeps; None for an
-    operator built without a stencil.
+    reach is the largest grid offset of any coupling, which the coarsest
+    factorization dissects by; None when it is not known.
     """
 
     matrix: sp.csr_matrix
     grid_shape: tuple
-    stencil: GridStencil = field(default=None, repr=False, compare=False)
-    reach: int = field(init=False, repr=False, compare=False)
+    reach: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "grid_shape", tuple(self.grid_shape))
-        object.__setattr__(self, "reach", None if self.stencil is None else self.stencil.reach)
         n = int(np.prod(self.grid_shape))
         if self.matrix.shape != (n, n):
             raise ValueError(
@@ -357,14 +353,6 @@ class SparseOperator:
     @property
     def dofs(self):
         return int(np.prod(self.grid_shape))
-
-    def without_stencil(self):
-        """This operator without its stencil, which frees the coefficient
-        arrays; its reach is kept. The matrix was checked on construction and
-        is not scanned again."""
-        bare = copy.copy(self)
-        object.__setattr__(bare, "stencil", None)
-        return bare
 
 
 def laplacian_and_mass_stencils(dim, scheme):
@@ -481,20 +469,11 @@ def _interior_stencil(shape, offsets, dtype, value_of_offset):
     return GridStencil(offsets, coeffs)
 
 
-def mass_term(problem, scheme, alpha=1.0, beta=0.0):
-    """The GridStencil of the mass term (alpha^2 + i(gamma + beta)) k^2(x) M.
-
-    It samples k^2 and gamma at the neighbor node of each mass-stencil
-    offset, its rows are the interior rows, and couplings into boundary
-    nodes are zero. assemble_operator subtracts it from the constant
-    Laplacian part; build_hierarchy coarsens it on its own, since every
-    heterogeneity, the sponge and both shifts sit in it. A coefficient that
-    overflows is a ValueError, raised before any arithmetic can warn.
-    """
+def _mass_coefficient(problem, alpha, beta):
+    """The mass coefficient (alpha^2 + i(gamma + beta)) k^2(x) on the padded
+    grid, after _check_shifts. One that overflows is a ValueError, raised
+    before any arithmetic can warn."""
     _check_shifts(alpha, beta)
-    offsets, _, mass = _scheme_coefficients(problem.model.dim, scheme)
-    live = mass != 0
-    offsets, weights = offsets[live], mass[live]
     k2 = problem.omega ** 2 * _padded_kappa2(problem)
     with np.errstate(over="ignore", invalid="ignore"):
         coef = (alpha ** 2 + 1j * (attenuation_profile(problem) + beta)) * k2
@@ -502,6 +481,21 @@ def mass_term(problem, scheme, alpha=1.0, beta=0.0):
         raise ValueError(
             f"the mass coefficient (alpha^2 + i(gamma + beta)) k^2 overflows for "
             f"alpha = {alpha}, beta = {beta} and gamma_max = {problem.gamma_max}")
+    return coef
+
+
+def mass_term(problem, scheme, beta=0.0):
+    """The GridStencil of the mass term W = (1 + i(gamma + beta)) k^2(x) M.
+
+    It samples k^2 and gamma at the neighbor node of each mass-stencil
+    offset, its rows are the interior rows, and couplings into boundary
+    nodes are zero. build_hierarchy coarsens it on its own, since every
+    heterogeneity, the sponge and the complex shift sit in it.
+    """
+    coef = _mass_coefficient(problem, 1.0, beta)
+    offsets, _, mass = _scheme_coefficients(problem.model.dim, scheme)
+    live = mass != 0
+    offsets, weights = offsets[live], mass[live]
     return _interior_stencil(problem.padded_shape, offsets, complex,
                              lambda e, colslc: weights[e] * coef[colslc])
 
@@ -510,20 +504,18 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
     """Assemble (1/h^2) L - (alpha^2 + i(gamma + beta)) k^2(x) M on the padded grid.
 
     alpha is the real wavenumber shift, beta the relative complex shift (the
-    shift value is beta * k^2). The mass term is mass_term's. Outermost rows
-    are identity with their couplings removed in both directions. The
-    returned operator keeps the GridStencil its matrix was built from.
+    shift value is beta * k^2). Each offset's plane is filled once, with
+    k^2 and gamma sampled at the neighbor node as in mass_term. Outermost
+    rows are identity with their couplings removed in both directions. The
+    returned operator records its stencil's reach.
     """
-    mass = mass_term(problem, scheme, alpha, beta)
+    coef = _mass_coefficient(problem, alpha, beta)
     offsets, lap, weights = _scheme_coefficients(problem.model.dim, scheme)
     h = problem.model.h
-    stencil = _interior_stencil(problem.padded_shape, offsets, complex,
-                                lambda e, colslc: complex(lap[e]) / h ** 2)
-    # mass_term keeps the offsets where the mass weight is nonzero, in order
-    for e, row in enumerate(np.flatnonzero(weights != 0)):
-        stencil.coeffs[row] -= mass.coeffs[e]
-    del mass    # freed before tocsr, whose temporaries are the assembly's peak
-    return SparseOperator(stencil.tocsr(), problem.padded_shape, stencil)
+    stencil = _interior_stencil(
+        problem.padded_shape, offsets, complex,
+        lambda e, colslc: complex(lap[e]) / h ** 2 - weights[e] * coef[colslc])
+    return SparseOperator(stencil.tocsr(), problem.padded_shape, stencil.reach)
 
 
 def point_source(problem):

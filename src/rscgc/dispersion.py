@@ -343,8 +343,8 @@ def _composite_pair(dim, intergrid):
     lap, mass = _fine_pair(dim)
     shape = (_COMPOSITE_NODES,) * dim
     shifts = multigrid._unit_shifts(lap, shape)
-    for pair in multigrid._transfer_pairs(shape, intergrid):
-        shifts = multigrid._coarsen_shifts(shifts, pair)
+    for orders in INTERGRID[intergrid]:
+        shifts = multigrid._coarsen_shifts(shifts, orders)
     centre = (shifts[0][1].shape[-1] // 2,) * dim
     extents = tuple(len(offsets) for offsets, _ in shifts)
 

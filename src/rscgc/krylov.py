@@ -12,12 +12,12 @@ classical Gram-Schmidt run twice (CGS2), every pass two BLAS-2 products;
 complex Givens rotations reduce the Hessenberg columns to an upper-triangular
 factor; restart is optional. An iteration means one preconditioner
 application; residual_history carries one relative residual per iteration,
-with the final entry recomputed from scratch.
+with the final entry recomputed from scratch. A SolveReport holds no
+timing: a caller that wants one times the solve call itself.
 """
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +36,6 @@ class SolveReport:
     iterations: int
     residual_history: list = field(default_factory=list)
     converged: bool = False
-    wall_time: float = 0.0
     diverged: bool = False
 
 
@@ -80,23 +79,22 @@ def _room(basis, rows):
 
 def _outer_solve(iterate, b, tol, maxit, restart=None):
     """(x, SolveReport) of iterate(b, bnorm, maxit), which returns x and the
-    report's fields but wall_time. Before the clock starts, checked_maxit
-    checks the limits, and a non-finite entry of b is a ValueError that names
-    it. A zero b gives x = 0 with no iteration."""
+    report's fields. checked_maxit checks the limits first, and a non-finite
+    entry of b is a ValueError that names it. A zero b gives x = 0 with no
+    iteration."""
     maxit = checked_maxit(tol, maxit, restart)
     b = np.asarray(b, dtype=complex).ravel()
     bad = np.flatnonzero(~np.isfinite(b))
     if len(bad):
         raise ValueError(f"b must be finite, got {b[bad[0]]} at index {bad[0]} "
                          f"({len(bad)} non-finite entries)")
-    start = time.perf_counter()
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         x, fields = np.zeros_like(b), dict(iterations=0, residual_history=[0.0],
                                            converged=True)
     else:
         x, fields = iterate(b, bnorm, maxit)
-    return x, SolveReport(**fields, wall_time=time.perf_counter() - start)
+    return x, SolveReport(**fields)
 
 
 def fgmres(apply_A, apply_M, b, restart=None, tol=1e-6, maxit=None):

@@ -330,13 +330,14 @@ def _unit_shifts(lap, shape):
             for half, n in zip(lap.halves, shape)]
 
 
-def _coarsen_shifts(shifts, pair):
+def _coarsen_shifts(shifts, orders):
     """The Galerkin step of each axis's 1D stencils by the cached band of
-    that axis: the 1D factors of the next coarser level."""
+    that axis, for transfers of the (restriction, prolongation) weight
+    families orders: the 1D factors of the next coarser level."""
     coarse = []
     for offsets, stencils in shifts:
         k, n = len(stencils), stencils.shape[-1]
-        band, offsets = _galerkin_band(n, *pair.orders, offsets)
+        band, offsets = _galerkin_band(n, *orders, offsets)
         out = band @ stencils.reshape(k, -1).T
         coarse.append((offsets, out.T.reshape(k, len(offsets), -1)))
     return coarse
@@ -449,11 +450,11 @@ def build_hierarchy(problem, scheme, plan):
     shape = problem.padded_shape
     _check_coarsenable(shape)
 
-    fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta).without_stencil()
+    fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta)
     t12, t23 = _transfer_pairs(shape, plan.intergrid)
     lap, _ = laplacian_and_mass_stencils(problem.model.dim, scheme)
     weights = lap.coeffs.real / problem.model.h ** 2    # the planes are L / h^2
-    shifts = _coarsen_shifts(_unit_shifts(lap, shape), t12)
+    shifts = _coarsen_shifts(_unit_shifts(lap, shape), t12.orders)
 
     # Level 2 is made in place in the coarsened mass term's arrays, one
     # plane of L at a time: a full-size array of L would be freed under the
@@ -474,10 +475,10 @@ def build_hierarchy(problem, scheme, plan):
     # products of the offsets of the same t23 bands.
     gain = 1.0 - plan.alpha ** 2
     rows = _rows(coarse)
-    for offset, plane in _laplacian_planes(weights, _coarsen_shifts(shifts, t23)):
+    for offset, plane in _laplacian_planes(weights, _coarsen_shifts(shifts, t23.orders)):
         e = rows[offset]
         coarse.coeffs[e].real += gain * (plane - coarse.coeffs[e].real)
-    coarse = SparseOperator(coarse.tocsr(), coarse.grid_shape, coarse).without_stencil()
+    coarse = SparseOperator(coarse.tocsr(), coarse.grid_shape, coarse.reach)
     return _hierarchy((fine, mid_operator, coarse), (t12, t23), plan)
 
 
@@ -516,8 +517,7 @@ def build_rediscretized_hierarchy(problem, plan):
     coarse = assemble_operator(coarse_problem, REDISC_SCHEME,
                                alpha=REDISC_WAVENUMBER_SCALE, beta=plan.beta)
 
-    return _hierarchy(tuple(op.without_stencil() for op in (fine, mid, coarse)),
-                      _transfer_pairs(shape, "bilinear"), plan)
+    return _hierarchy((fine, mid, coarse), _transfer_pairs(shape, "bilinear"), plan)
 
 
 def jacobi_smooth(level, x, b, sweeps):

@@ -7,8 +7,10 @@ and coarsens with explicit sparse triple products R * A * P. The
 stencil-array assembly, the axis-by-axis coarsening and the axis-by-axis
 transfers of :mod:`rscgc.discretization` and :mod:`rscgc.multigrid` are
 checked against it. mass_matrix is the mass operator by the library's own
-stencil route, for the identities that need it as a matrix, and
-galerkin_band the 1D Galerkin band by sparse shift products.
+stencil route, for the identities that need it as a matrix,
+assembled_stencil the GridStencil of an assembled operator, for the route
+that coarsens it whole, and galerkin_band the 1D Galerkin band by sparse
+shift products.
 """
 
 from functools import reduce
@@ -17,8 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from rscgc.discretization import (GridStencil, SparseOperator, _boundary_mask,
-                                  _padded_kappa2, attenuation_profile,
-                                  laplacian_and_mass_stencils, mass_term)
+                                  _interior_stencil, _padded_kappa2, _scheme_coefficients,
+                                  attenuation_profile, laplacian_and_mass_stencils,
+                                  mass_term)
 from rscgc.multigrid import _axis_factors
 from rscgc.stencils import restriction_stencil
 
@@ -95,15 +98,34 @@ def mass_operator_matrix(problem, scheme):
 
 def mass_matrix(problem, scheme):
     """The real k^2-weighted mass operator k^2 M as a SparseOperator, built
-    from the real part of mass_term at alpha = 1, beta = 0: its CSR with the
-    identity taken off the boundary rows, which leaves them empty, matching
-    the decoupled rows of the assembly."""
+    from the real part of mass_term at beta = 0: its CSR with the identity
+    taken off the boundary rows, which leaves them empty, matching the
+    decoupled rows of the assembly."""
     term = mass_term(problem, scheme)
-    stencil = GridStencil(term.offsets, term.coeffs.real)
     shape = problem.padded_shape
-    matrix = stencil.tocsr() - sp.diags(_boundary_mask(shape).ravel().astype(float))
+    matrix = (GridStencil(term.offsets, term.coeffs.real).tocsr()
+              - sp.diags(_boundary_mask(shape).ravel().astype(float)))
     matrix.eliminate_zeros()
-    return SparseOperator(matrix, shape, stencil)
+    return SparseOperator(matrix, shape)
+
+
+def assembled_stencil(problem, scheme, alpha=1.0, beta=0.0):
+    """The GridStencil of assemble_operator at (alpha, beta), built in two
+    passes: the Laplacian planes (1/h^2) L, then the mass planes
+    (alpha^2 + i(gamma + beta)) k^2 M, sampled at the column's node,
+    subtracted from them offset by offset."""
+    offsets, lap, weights = _scheme_coefficients(problem.model.dim, scheme)
+    shape = problem.padded_shape
+    h = problem.model.h
+    k2 = problem.omega ** 2 * _padded_kappa2(problem)
+    coef = (alpha ** 2 + 1j * (attenuation_profile(problem) + beta)) * k2
+    stencil = _interior_stencil(shape, offsets, complex,
+                                lambda e, slc: complex(lap[e]) / h ** 2)
+    mass = _interior_stencil(shape, offsets, complex,
+                             lambda e, slc: weights[e] * coef[slc])
+    for e in np.flatnonzero(weights):
+        stencil.coeffs[e] -= mass.coeffs[e]
+    return stencil
 
 
 def kron_transfers(pair):

@@ -7,8 +7,6 @@ removes most of the vector), back-substitutes in Python and updates x one
 term at a time. :func:`rscgc.krylov.fgmres` is checked against it.
 """
 
-import time
-
 import numpy as np
 
 from rscgc.krylov import _BREAKDOWN, SolveReport, _givens
@@ -34,13 +32,11 @@ def fgmres(apply_A, apply_M, b, restart=None, tol=1e-6, maxit=None):
     if maxit is None:
         maxit = default_maxit(restart)
 
-    start = time.perf_counter()
     b = np.asarray(b, dtype=complex).ravel()
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return np.zeros_like(b), SolveReport(
-            iterations=0, residual_history=[0.0], converged=True,
-            wall_time=time.perf_counter() - start)
+            iterations=0, residual_history=[0.0], converged=True)
 
     x = np.zeros_like(b)
     history = [float(np.linalg.norm(b - apply_A(x)) / bnorm)]
@@ -110,5 +106,4 @@ def fgmres(apply_A, apply_M, b, restart=None, tol=1e-6, maxit=None):
         converged = true_rel < tol
 
     return x, SolveReport(iterations=iterations, residual_history=history,
-                          converged=converged,
-                          wall_time=time.perf_counter() - start)
+                          converged=converged)

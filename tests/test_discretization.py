@@ -227,21 +227,24 @@ def test_mass_matrix_is_real_with_zero_boundary_rows():
 
 
 def test_invalid_shift_arguments():
-    """assemble_operator and mass_term reject the same shifts, and name an
-    overflowing mass coefficient before any arithmetic warns."""
+    """assemble_operator rejects a bad alpha; it and mass_term, which takes
+    no alpha, reject the same betas and name an overflowing mass coefficient
+    before any arithmetic warns."""
     problem = build_problem(2, 8, 10, pad=0)
+    with pytest.raises(ValueError, match="alpha"):
+        assemble_operator(problem, "fourth-order", alpha=0.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"alpha must be finite.*{value}"):
+            assemble_operator(problem, "fourth-order", alpha=value)
+    with pytest.raises(ValueError,
+                       match=r"alpha must be finite when squared; got 1e\+160"):
+        assemble_operator(problem, "fourth-order", alpha=1e160)
     for build in (assemble_operator, mass_term):
-        with pytest.raises(ValueError, match="alpha"):
-            build(problem, "fourth-order", alpha=0.0)
         with pytest.raises(ValueError, match="beta"):
             build(problem, "fourth-order", beta=-0.1)
-        for field in ("alpha", "beta"):
-            for value in (math.nan, math.inf):
-                with pytest.raises(ValueError, match=rf"{field} must be finite.*{value}"):
-                    build(problem, "fourth-order", **{field: value})
-        with pytest.raises(ValueError,
-                           match=r"alpha must be finite when squared; got 1e\+160"):
-            build(problem, "fourth-order", alpha=1e160)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"beta must be finite.*{value}"):
+                build(problem, "fourth-order", beta=value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"overflows for alpha = 1.0, beta = 1e\+308"):

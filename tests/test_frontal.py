@@ -109,7 +109,7 @@ def test_coarse_solve_refactors_an_operator_whose_shell_is_coupled(shape, decoup
     SuperLU, which then meets it."""
     A = stencil_operator(shape, 2, 5, decoupled).tocsr()
     operator = SparseOperator(A, shape)
-    # built without a stencil, it records no reach and is not fronted
+    # built without a reach, it is not fronted
     assert not isinstance(mg._factorize(operator, CyclePlan()), FrontalLU)
     hier = mg.MultigridHierarchy((mg._make_level(operator, None),), (),
                                  FrontalLU(A, shape, 2), CyclePlan())

@@ -1,6 +1,5 @@
 """Hierarchy construction, transfers, smoothing, and the cycle operator."""
 
-import copy
 import dataclasses
 import math
 from functools import lru_cache, reduce
@@ -12,6 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import galerkin_oracle
+import rscgc.discretization as disc
 import rscgc.multigrid as mg
 from rscgc.discretization import (HelmholtzProblem, SparseOperator, _interior_stencil,
                                   assemble_operator, laplacian_and_mass_stencils,
@@ -245,11 +245,15 @@ LINEARITY_PROBLEMS = {
 
 def _reassembled_levels(problem, alpha, beta, transfers):
     """The fine operator assembled at (alpha, beta), and its single and
-    double Galerkin coarsenings: the route that needs one assembly per alpha."""
+    double Galerkin coarsenings: the route that needs one assembly per alpha.
+    The fine GridStencil is the oracle's, checked bit for bit against the
+    assembly's matrix."""
     t12, t23 = transfers
-    fine = assemble_operator(problem, "fourth-order", alpha=alpha, beta=beta)
-    mid = mg._coarsen(fine.stencil, t12)
-    return fine.matrix, mid.tocsr(), mg._coarsen(mid, t23).tocsr()
+    fine = galerkin_oracle.assembled_stencil(problem, "fourth-order", alpha, beta)
+    matrix = assemble_operator(problem, "fourth-order", alpha=alpha, beta=beta).matrix
+    assert _same_bits(fine.tocsr(), matrix)
+    mid = mg._coarsen(fine, t12)
+    return matrix, mid.tocsr(), mg._coarsen(mid, t23).tocsr()
 
 
 def _same_bits(a, b):
@@ -300,6 +304,21 @@ def test_one_assembly_and_two_coarsenings(alpha, monkeypatch):
         assert np.abs(got.data - expected.data).max() <= 1e-12 * np.abs(expected.data).max()
 
 
+def test_the_mass_term_is_built_once_per_hierarchy(monkeypatch):
+    """build_hierarchy builds the mass term once, to coarsen it; the
+    assembly fills its planes without it."""
+    calls = []
+    mass_term = disc.mass_term
+    counted = lambda *a, **k: calls.append(a) or mass_term(*a, **k)
+    monkeypatch.setattr(disc, "mass_term", counted)
+    monkeypatch.setattr(mg, "mass_term", counted)
+    problem = LINEARITY_PROBLEMS["2d-wedge-sponge"]()
+    assemble_operator(problem, "fourth-order", alpha=1.014, beta=0.03)
+    assert calls == []
+    build_hierarchy(problem, "fourth-order", CyclePlan(alpha=1.014, beta=0.03))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("orders", sorted({o for pair in INTERGRID.values() for o in pair}))
 @pytest.mark.parametrize("axis_offsets", [(0,), (-1, 0, 1), (-2, -1, 0, 1, 2)])
 def test_galerkin_band_matches_the_shift_product_oracle(orders, axis_offsets):
@@ -330,7 +349,7 @@ def test_laplacian_from_1d_products_matches_its_coarsened_stencil(data, dim, int
     shifts = mg._unit_shifts(lap, shape)
     for pair in mg._transfer_pairs(shape, intergrid):
         expected = mg._coarsen(expected, pair)
-        shifts = mg._coarsen_shifts(shifts, pair)
+        shifts = mg._coarsen_shifts(shifts, pair.orders)
         offsets, planes = zip(*mg._laplacian_planes(weights, shifts))
         assert np.array_equal(np.array(offsets), expected.offsets)
         scale = np.abs(expected.coeffs).max()
@@ -339,8 +358,8 @@ def test_laplacian_from_1d_products_matches_its_coarsened_stencil(data, dim, int
 
 def test_each_level_matrix_is_checked_for_finiteness_once(monkeypatch):
     """The fine matrix is checked when it is assembled and the mid and
-    coarsest ones when they are built; none is scanned twice, and the fine
-    level keeps no stencil."""
+    coarsest ones when they are built; none is scanned twice, and an
+    operator carries its matrix, grid shape and reach, no stencil."""
     checked = []
     post_init = SparseOperator.__post_init__
     monkeypatch.setattr(SparseOperator, "__post_init__",
@@ -349,7 +368,8 @@ def test_each_level_matrix_is_checked_for_finiteness_once(monkeypatch):
                            CyclePlan(alpha=1.014))
     assert len(checked) == 3
     assert all(a is b.operator.matrix for a, b in zip(checked, hier.levels))
-    assert hier.levels[0].operator.stencil is None
+    assert [f.name for f in dataclasses.fields(SparseOperator)] == [
+        "matrix", "grid_shape", "reach"]
 
 
 @settings(max_examples=12, deadline=None)
@@ -385,17 +405,25 @@ def test_stencil_levels_match_the_sparse_oracle(data, dim, intergrid, alpha, bet
         assert abs(got - oracle).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("intergrid,reach", [("cubic", 3), ("level-dependent", 2)])
+@pytest.mark.parametrize("intergrid,reach", [("cubic", 3), ("level-dependent", 2),
+                                              ("re-disc", 1)])
 def test_coarsest_stencil_reach(intergrid, reach):
+    """The coarsest operator records the reach of its couplings, by which
+    the multifrontal LU factors it: the Galerkin levels' and the 9-point
+    re-discretized one's."""
     problem = build_problem(2, 32, 10, pad=0)
-    hier = build_hierarchy(problem, "fourth-order", CyclePlan(intergrid=intergrid))
-    shape = hier.levels[2].operator.grid_shape
+    if intergrid == "re-disc":
+        hier = build_rediscretized_hierarchy(problem, CyclePlan())
+    else:
+        hier = build_hierarchy(problem, "fourth-order", CyclePlan(intergrid=intergrid))
+    operator = hier.levels[2].operator
+    shape = operator.grid_shape
     assert shape == (9, 9)
-    A3 = hier.levels[2].operator.matrix
     center = np.ravel_multi_index((4, 4), shape)
-    cols = A3[center].indices
+    cols = operator.matrix[center].indices
     offsets = np.abs(np.array(np.unravel_index(cols, shape)).T - (4, 4))
-    assert offsets.max() == reach
+    assert offsets.max() == reach == operator.reach
+    assert isinstance(hier.coarse_solver, FrontalLU)
 
 
 def test_levels_halve_and_spacing_doubles():
@@ -589,9 +617,7 @@ def _singular_first_block(operator):
     outside = np.setdiff1d(np.arange(len(A)), block)
     row = next(r for r in block if np.any(A[r, outside]))
     A[row, block] = 0.0
-    singular = copy.copy(operator)      # keeps the reach, which replace would drop
-    object.__setattr__(singular, "matrix", sp.csr_matrix(A))
-    return singular
+    return dataclasses.replace(operator, matrix=sp.csr_matrix(A))
 
 
 def test_factorize_falls_back_when_a_pivot_block_is_singular(monkeypatch):

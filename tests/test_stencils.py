@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from rscgc.discretization import laplacian_and_mass_stencils
-from rscgc.multigrid import (_coarsen_shifts, _laplacian_planes, _unit_shifts,
-                             transfer_matrices)
+from rscgc.multigrid import _coarsen_shifts, _laplacian_planes, _unit_shifts
 from rscgc.stencils import Stencil, restriction_stencil
 
 from conftest import SECOND_ORDER_1D, combine
@@ -31,7 +30,7 @@ def coarsened(fine, orders, nodes=17):
     of (restriction, prolongation) orders, on `nodes` per axis, read at the
     centre of the coarse grid, which no boundary row of the transfers reaches."""
     shape = (nodes,) * fine.dim
-    shifts = _coarsen_shifts(_unit_shifts(fine, shape), transfer_matrices(shape, *orders))
+    shifts = _coarsen_shifts(_unit_shifts(fine, shape), orders)
     centre = ((nodes - 1) // 4,) * fine.dim
     return Stencil(np.reshape([plane[centre] for _, plane in
                                _laplacian_planes(fine.coeffs, shifts)],
