@@ -37,8 +37,8 @@ from .dispersion import (TUNED_SCHEME, AnalysisConfig, NoCrossingError,
                          export_dispersion_curve, ncrit_bounds, optimize_shift)
 from .frontal import FrontalLU
 from .krylov import checked_maxit, fgmres, stationary_solve
-from .multigrid import (CYCLE_CHOICES, CyclePlan, REDISC_WAVENUMBER_SCALE, build_hierarchy,
-                        build_rediscretized_hierarchy, cycle)
+from .multigrid import (CYCLE_CHOICES, CyclePlan, REDISC_WAVENUMBER_SCALE, _check_coarsenable,
+                        build_hierarchy, build_rediscretized_hierarchy, cycle)
 from .stencils import INTERGRID
 
 __all__ = ["ExperimentConfig", "main"]
@@ -306,11 +306,12 @@ def _build_problem(config):
     model = _build_model(config)
     omega = omega_for_ppw(model, _require_G(config))
     try:
-        return HelmholtzProblem(model, omega, pad=config.pad,
-                                gamma_max=config.gamma_max,
-                                free_surface_top=config.free_surface_top)
+        problem = HelmholtzProblem(model, omega, pad=config.pad, gamma_max=config.gamma_max,
+                                   free_surface_top=config.free_surface_top)
+        _check_coarsenable(problem.padded_shape)    # as build_hierarchy, before any tuning
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +348,9 @@ def _analysis_config(config, g, **scan):
         raise ConfigError(f"{exc}{scanned}") from exc
 
 
-def _resolve_alpha(config, g):
-    """config.alpha, with "auto" served from the table or tuned on the fly."""
+def _resolve_alpha(config, g, before_tuning=lambda: None):
+    """config.alpha, with "auto" served from the table or tuned on the fly,
+    just after before_tuning()."""
     if config.alpha != "auto":
         return config.alpha
     key = _table_key(config.dim, g, config.intergrid)
@@ -356,6 +358,7 @@ def _resolve_alpha(config, g):
     if entry is not None:
         return _NUMBER(entry.get("alpha_star") if isinstance(entry, dict) else None,
                        f"alpha_star of shift table entry {key}")
+    before_tuning()
     logger.warning("shift table has no entry %s; tuning now", key)
     alpha_star, _, _ = optimize_shift(_analysis_config(config, g))
     return alpha_star
@@ -581,14 +584,20 @@ def cmd_sweep(config):
     methods = config.methods or [config.method]
     g = _require_G(config)
     _maxit(config)
-    # each method is checked once for all cells, and the shift is tuned, if
-    # need be, once for all methods
-    alpha = functools.cache(lambda: _resolve_alpha(config, g))
+    # each method is checked once for all cells, before any problem is
+    # built; the problem of every grid is built before the shift is tuned,
+    # if need be once for all methods, or any cell runs
+    check_grids = functools.cache(
+        lambda: all(_build_problem(replace(config, cells=grid)) for grid in config.grids))
+    alpha = functools.cache(lambda: _resolve_alpha(config, g, check_grids))
     resolved = {m: _parse_method(m, config, alpha) for m in methods}
+    check_grids()
     jobs = [(replace(config, cells=grid, method=m), *resolved[m])
             for grid in config.grids for m in methods]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # a pool forks all its workers at the first submit: no more than the cells
+    workers = min(config.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, *zip(*jobs)))
     else:
         rows = [_sweep_cell(*job) for job in jobs]

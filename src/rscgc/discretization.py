@@ -333,12 +333,12 @@ class SparseOperator:
     """Sparse matrix over a vertex grid, rows in lexicographic order.
 
     reach is the largest grid offset of any coupling, which the coarsest
-    factorization dissects by; None when it is not known.
+    factorization dissects by; every operator records it.
     """
 
     matrix: sp.csr_matrix
     grid_shape: tuple
-    reach: int = None
+    reach: int
 
     def __post_init__(self):
         object.__setattr__(self, "grid_shape", tuple(self.grid_shape))
@@ -359,7 +359,8 @@ def laplacian_and_mass_stencils(dim, scheme):
     """Dimensionless (Laplacian-part, mass-part) stencil pair for a scheme.
 
     Schemes: "fourth-order" (2D and 3D) or REDISC_SCHEME (2D only). The
-    pair satisfies H = (1/h^2) L - k^2 M for constant k.
+    pair satisfies H = (1/h^2) L - k^2 M for constant k, and its two
+    stencils share their extents, 3 along every axis.
     """
     if scheme == REDISC_SCHEME:
         if dim != 2:
@@ -378,33 +379,14 @@ def laplacian_and_mass_stencils(dim, scheme):
         return Stencil(lap), Stencil(mass)
 
     if scheme == "fourth-order":
-        if dim == 2:
-            lap = np.array([
-                [-1.0, -4.0, -1.0],
-                [-4.0, 20.0, -4.0],
-                [-1.0, -4.0, -1.0],
-            ]) / 6.0
-            mass = np.array([
-                [0.0, 1.0, 0.0],
-                [1.0, 8.0, 1.0],
-                [0.0, 1.0, 0.0],
-            ]) / 12.0
-        elif dim == 3:
-            lap = np.zeros((3, 3, 3))
-            mass = np.zeros((3, 3, 3))
-            for off in np.ndindex(3, 3, 3):
-                nz = sum(1 for o in off if o != 1)
-                if nz == 0:
-                    lap[off] = 4.0
-                    mass[off] = 6.0 / 12.0
-                elif nz == 1:
-                    lap[off] = -1.0 / 3.0
-                    mass[off] = 1.0 / 12.0
-                elif nz == 2:
-                    lap[off] = -1.0 / 6.0
-        else:
+        # the compact weights by the number of nonzero components of an
+        # offset: the Laplacian's in sixths, the mass's in twelfths
+        table = {2: ((20, -4, -1), (8, 1, 0)), 3: ((24, -2, -1, 0), (6, 1, 0, 0))}
+        if dim not in table:
             raise ValueError("the fourth-order scheme is defined in 2D and 3D")
-        return Stencil(lap), Stencil(mass)
+        lap, mass = map(np.array, table[dim])
+        nonzero = np.count_nonzero(np.indices((3,) * dim) != 1, axis=0)
+        return Stencil(lap[nonzero] / 6.0), Stencil(mass[nonzero] / 12.0)
 
     raise ValueError(
         f"unknown scheme {scheme!r}; choose fourth-order or {REDISC_SCHEME}")
@@ -444,10 +426,9 @@ def _boundary_mask(shape):
 
 def _scheme_coefficients(dim, scheme):
     """Offsets where the scheme's Laplacian or mass stencil is nonzero, in
-    lexicographic order, with the two stencils' coefficients there."""
+    lexicographic order, with the two stencils' coefficients there. The two
+    share their extents, so one offset list serves both."""
     lap, mass = laplacian_and_mass_stencils(dim, scheme)
-    extents = tuple(map(max, lap.extents, mass.extents))
-    lap, mass = lap.padded_to(extents), mass.padded_to(extents)
     lap_c, mass_c = lap.coeffs.ravel(), mass.coeffs.ravel()
     live = (lap_c != 0) | (mass_c != 0)
     return lap.offsets()[live], lap_c[live], mass_c[live]

@@ -228,13 +228,11 @@ class _Fold:
 def _fold(lap, mass):
     """The (lap, mass) pair folded for _first_crossings, with an empty ray cache.
 
-    Padded to common extents, offset n-1-i of a stencil is the negative of
-    offset i in C order, so the fold keeps the first n//2 offsets (as floats)
-    and, per stencil, the pair sums -2 (c_i + c_{n-1-i}) and the fsum of all
-    stored coefficients.
+    The two stencils share their extents, as every library pair does. Offset
+    n-1-i of either is the negative of offset i in C order, so the fold keeps
+    the first n//2 offsets (as floats) and, per stencil, the pair sums
+    -2 (c_i + c_{n-1-i}) and the fsum of all stored coefficients.
     """
-    extents = tuple(max(a, b) for a, b in zip(lap.extents, mass.extents))
-    lap, mass = lap.padded_to(extents), mass.padded_to(extents)
     coeffs = np.column_stack([lap.coeffs.ravel().real, mass.coeffs.ravel().real])
     sums = np.array([math.fsum(column) for column in coeffs.T])
     half = len(coeffs) // 2
@@ -352,7 +350,7 @@ def _composite_pair(dim, intergrid):
         planes = multigrid._laplacian_planes(stencil.coeffs.real, shifts)
         return Stencil(np.reshape([plane[centre] for _, plane in planes], extents))
 
-    return composite(lap), composite(mass.padded_to(lap.extents))
+    return composite(lap), composite(mass)
 
 
 @lru_cache(maxsize=None)

@@ -416,9 +416,8 @@ def _check_coarsenable(shape):
 def _factorize(operator, plan, pivoting=False):
     """LU factors of the coarsest SparseOperator: the multifrontal LU in
     nested-dissection order at the operator's reach first, then SuperLU's
-    COLAMD with partial pivoting if that raises, pivoting is asked for or
-    the operator records no reach."""
-    if not pivoting and operator.reach is not None:
+    COLAMD with partial pivoting if that raises or pivoting is asked for."""
+    if not pivoting:
         try:
             return FrontalLU(operator.matrix, operator.grid_shape, operator.reach)
         except RuntimeError:
@@ -467,7 +466,7 @@ def build_hierarchy(problem, scheme, plan):
     for offset, plane in _laplacian_planes(weights, shifts):
         e = rows[offset]
         np.subtract(plane, mid.coeffs[e], out=mid.coeffs[e])
-    mid_operator = SparseOperator(mid.tocsr(), _halved(shape))
+    mid_operator = SparseOperator(mid.tocsr(), mid.grid_shape, mid.reach)
     coarse = _coarsen(mid, t23)
     del mid     # its coefficient arrays would otherwise outlive the factorization
     # The real shift: the coarsened k^2 M is the real part of the coarsened

@@ -64,18 +64,6 @@ class Stencil:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def padded_to(self, extents) -> "Stencil":
-        """Zero-pad to larger odd extents, keeping the center aligned."""
-        extents = tuple(extents)
-        if len(extents) != self.dim:
-            raise ValueError("extent rank does not match stencil dimension")
-        pads = []
-        for have, want in zip(self.coeffs.shape, extents):
-            if want < have or want % 2 == 0:
-                raise ValueError(f"cannot pad extent {have} to {want}")
-            pads.append(((want - have) // 2,) * 2)
-        return Stencil(np.pad(self.coeffs, pads))
-
 
 def restriction_stencil(dim: int, order: str) -> Stencil:
     """Standard full-coarsening restriction stencils.

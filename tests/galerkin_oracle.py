@@ -106,7 +106,7 @@ def mass_matrix(problem, scheme):
     matrix = (GridStencil(term.offsets, term.coeffs.real).tocsr()
               - sp.diags(_boundary_mask(shape).ravel().astype(float)))
     matrix.eliminate_zeros()
-    return SparseOperator(matrix, shape)
+    return SparseOperator(matrix, shape, term.reach)
 
 
 def assembled_stencil(problem, scheme, alpha=1.0, beta=0.0):

@@ -730,6 +730,61 @@ def test_sweep_rejects_bad_method_values_before_any_problem_is_built(flags, name
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("argv,shape,counted", [
+    (["solve", "--dim", "3", "--G", "10.5", "--cells", "30", "--pad", "8"],
+     (47, 47, 47), "optimize_shift"),
+    (["dispersion", "--dim", "3", "--G", "10", "--intergrid", "level-dependent",
+      "--alpha-scan", "1.0:1.03", "--cells", "30", "--pad", "8"], (47, 47, 47),
+     "optimize_shift"),
+    (["sweep", "--dim", "2", "--G", "12", "--grids", "256,30", "--methods", "rs-cgc"],
+     (71, 71), "_sweep_cell"),
+    # the packaged table holds G = 12 but not 10.5 or 12.5, which are tuned
+    (["sweep", "--dim", "2", "--G", "12.5", "--grids", "32,30"], (71, 71), "optimize_shift"),
+], ids=["solve-tuning", "alpha-scan", "sweep-cell", "sweep-tuning"])
+def test_a_grid_that_cannot_be_coarsened_twice_fails_before_any_tuning_or_solve(
+        argv, shape, counted, tmp_path, monkeypatch, capsys):
+    """The message is build_hierarchy's, and neither a tuning nor a sweep
+    cell runs first."""
+    calls = []
+    original = getattr(cli, counted)
+    monkeypatch.setattr(cli, counted, lambda *args: calls.append(1) or original(*args))
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not calls
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: grid extents {shape} cannot be coarsened twice: each "
+                          f"axis needs (nodes - 1) divisible by 4")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grids,pool", [("16", None), ("16,24", 2)])
+def test_sweep_starts_no_more_workers_than_cells(grids, pool, tmp_path, monkeypatch):
+    """A pool forks all its workers at once, so 64 workers on one cell run it
+    in-process and on two cells start a pool of two."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_sweep_cell", lambda config, kind, plan: {
+        "grid": str(config.cells[0]), "method": config.method})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--dim", "2", "--G", "12", "--grids", grids, "--workers", "64",
+                 "--out", str(out)]) == 0
+    assert pools == ([] if pool is None else [pool])
+    assert [row["grid"] for row in read_csv(out)] == grids.split(",")
+
+
 def test_every_cycle_plan_field_is_set_by_the_cli(tmp_path, monkeypatch):
     """No CyclePlan field is settable only by a library caller: one solve
     passes every field."""

@@ -31,30 +31,32 @@ from galerkin_oracle import mass_matrix
 # ---------------------------------------------------------------- stencil pairs
 
 def test_fourth_order_2d_values():
+    """Bit for bit the literal pair: the Laplacian in sixths, the mass in
+    twelfths."""
     lap, mass = laplacian_and_mass_stencils(2, "fourth-order")
-    assert np.allclose(lap.coeffs.real * 6.0,
-                       [[-1, -4, -1], [-4, 20, -4], [-1, -4, -1]])
-    assert np.allclose(mass.coeffs.real * 12.0,
-                       [[0, 1, 0], [1, 8, 1], [0, 1, 0]])
+    assert np.array_equal(lap.coeffs, np.array([
+        [-1.0, -4.0, -1.0],
+        [-4.0, 20.0, -4.0],
+        [-1.0, -4.0, -1.0],
+    ]) / 6.0)
+    assert np.array_equal(mass.coeffs, np.array([
+        [0.0, 1.0, 0.0],
+        [1.0, 8.0, 1.0],
+        [0.0, 1.0, 0.0],
+    ]) / 12.0)
 
 
 def test_fourth_order_3d_values():
+    """Bit for bit the per-count weights, -2/6 included, which rounds to the
+    double of -1/3."""
     lap, mass = laplacian_and_mass_stencils(3, "fourth-order")
-    c = (1, 1, 1)
-    assert lap.coeffs[c].real == pytest.approx(4.0)
-    assert mass.coeffs[c].real == pytest.approx(0.5)
+    assert lap.extents == mass.extents == (3, 3, 3)
     # classify by how many offsets leave the center
+    expected = {0: (4.0, 6.0 / 12.0), 1: (-1.0 / 3.0, 1.0 / 12.0), 2: (-1.0 / 6.0, 0.0),
+                3: (0.0, 0.0)}
     for off in np.ndindex(3, 3, 3):
         nz = sum(1 for o in off if o != 1)
-        if nz == 1:
-            assert lap.coeffs[off].real == pytest.approx(-1.0 / 3.0)
-            assert mass.coeffs[off].real == pytest.approx(1.0 / 12.0)
-        elif nz == 2:
-            assert lap.coeffs[off].real == pytest.approx(-1.0 / 6.0)
-            assert mass.coeffs[off] == 0
-        elif nz == 3:
-            assert lap.coeffs[off] == 0
-            assert mass.coeffs[off] == 0
+        assert (lap.coeffs[off], mass.coeffs[off]) == expected[nz]
 
 
 @pytest.mark.parametrize("dim,scheme", [
@@ -63,11 +65,13 @@ def test_fourth_order_3d_values():
     (2, REDISC_SCHEME),
 ])
 def test_pair_invariants(dim, scheme):
-    """Every scheme annihilates constants in L and averages to one in M."""
+    """Every scheme annihilates constants in L and averages to one in M, and
+    its two stencils share their extents."""
     lap, mass = laplacian_and_mass_stencils(dim, scheme)
     assert abs(lap.coeffs.sum()) < 1e-12
     assert mass.coeffs.sum().real == pytest.approx(1.0, abs=1e-12)
     assert all(np.array_equal(s.coeffs, np.flip(s.coeffs)) for s in (lap, mass))
+    assert lap.extents == mass.extents
 
 
 def test_jss_parameter_placement():

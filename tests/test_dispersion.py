@@ -552,9 +552,11 @@ def test_composite_pair_matches_the_periodic_triple_product(dim, intergrid):
     """The Laplacian and the mass composite read off the hierarchy's 1D
     products are each two steps of the periodic triple product R A P, within
     1e-13 of the largest coefficient, with 7 (cubic) or 5 (level-dependent)
-    offsets per axis and a nonzero outer layer."""
+    offsets per axis, the same for both, and a nonzero outer layer."""
     extent = COMPOSITE_EXTENTS[intergrid]
-    for fine, composite in zip(_fine_pair(dim), _composite_pair(dim, intergrid)):
+    lap, mass = _composite_pair(dim, intergrid)
+    assert lap.extents == mass.extents
+    for fine, composite in zip(_fine_pair(dim), (lap, mass)):
         assert _largest_miss(composite, periodic_composite(fine, intergrid)) <= 1e-13
         assert composite.extents == (extent,) * dim
         assert np.abs(composite.coeffs[0]).max() > 0

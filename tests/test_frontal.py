@@ -108,9 +108,7 @@ def test_coarse_solve_refactors_an_operator_whose_shell_is_coupled(shape, decoup
     so its solve misses the 1e-10 check; coarse_solve refactors once with
     SuperLU, which then meets it."""
     A = stencil_operator(shape, 2, 5, decoupled).tocsr()
-    operator = SparseOperator(A, shape)
-    # built without a reach, it is not fronted
-    assert not isinstance(mg._factorize(operator, CyclePlan()), FrontalLU)
+    operator = SparseOperator(A, shape, 2)
     hier = mg.MultigridHierarchy((mg._make_level(operator, None),), (),
                                  FrontalLU(A, shape, 2), CyclePlan())
     b = np.random.default_rng(11).standard_normal(A.shape[0]) + 0j

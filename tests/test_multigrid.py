@@ -359,7 +359,8 @@ def test_laplacian_from_1d_products_matches_its_coarsened_stencil(data, dim, int
 def test_each_level_matrix_is_checked_for_finiteness_once(monkeypatch):
     """The fine matrix is checked when it is assembled and the mid and
     coarsest ones when they are built; none is scanned twice, and an
-    operator carries its matrix, grid shape and reach, no stencil."""
+    operator carries its matrix, grid shape and reach, no stencil. Every
+    level records its reach, which no operator may leave out."""
     checked = []
     post_init = SparseOperator.__post_init__
     monkeypatch.setattr(SparseOperator, "__post_init__",
@@ -370,6 +371,9 @@ def test_each_level_matrix_is_checked_for_finiteness_once(monkeypatch):
     assert all(a is b.operator.matrix for a, b in zip(checked, hier.levels))
     assert [f.name for f in dataclasses.fields(SparseOperator)] == [
         "matrix", "grid_shape", "reach"]
+    assert all(level.operator.reach >= 1 for level in hier.levels)
+    with pytest.raises(TypeError):
+        SparseOperator(checked[0], hier.levels[0].operator.grid_shape)
 
 
 @settings(max_examples=12, deadline=None)

@@ -208,10 +208,3 @@ def test_stencil_rejects_four_axes():
     for dim in (0, 4):
         with pytest.raises(ValueError, match="1D, 2D or 3D"):
             restriction_stencil(dim, "cubic")
-
-
-def test_padded_to_keeps_center_aligned():
-    st = Stencil(np.array([1.0, 2.0, 3.0]))
-    padded = st.padded_to((7,))
-    assert padded.coeffs[3] == 2.0
-    assert np.allclose(padded.coeffs.real, [0, 0, 1, 2, 3, 0, 0])
