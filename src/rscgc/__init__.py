@@ -9,7 +9,6 @@ from .krylov import SolveReport, fgmres, stationary_solve
 from .multigrid import (CyclePlan, MultigridHierarchy, TransferPair,
                         build_hierarchy, build_rediscretized_hierarchy,
                         coarse_solve, cycle, jacobi_smooth, transfer_matrices)
-from .stencils import Stencil, restriction_stencil
 
 __version__ = "0.1.0"
 
@@ -22,5 +21,4 @@ __all__ = [
     "CyclePlan", "MultigridHierarchy", "TransferPair", "build_hierarchy",
     "build_rediscretized_hierarchy", "coarse_solve", "cycle", "jacobi_smooth",
     "transfer_matrices",
-    "Stencil", "restriction_stencil",
 ]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .stencils import Stencil
+from .stencils import offsets
 
 __all__ = [
     "SlownessModel",
@@ -55,9 +55,17 @@ def _integer(value, what):
     return int(value)
 
 
+def _real(value, what):
+    """value as a float; a bool or a non-number is a ValueError that names it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_shifts(alpha, beta):
-    """Raise a ValueError naming alpha unless it is positive with a finite
-    square, or beta unless it is finite and nonnegative."""
+    """Raise a ValueError naming alpha unless it is a real number, positive
+    with a finite square, or beta unless it is a finite nonnegative one."""
+    alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not math.isfinite(alpha * alpha):
@@ -88,7 +96,7 @@ class SlownessModel:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if len(cells) != self.dim or any(c < 1 for c in cells):
             raise ValueError(f"need {self.dim} positive cell counts, got {cells}")
-        if not (math.isfinite(self.h) and self.h > 0):
+        if not (math.isfinite(_real(self.h, "spacing h")) and self.h > 0):
             raise ValueError(f"spacing h must be finite and positive, got {self.h}")
         expected = tuple(c + 1 for c in cells)
         if self.kappa2.shape != expected:
@@ -168,9 +176,7 @@ def load_model(path, meta):
         raise ValueError(f"metadata shape must be a list, got {meta['shape']!r}")
     shape = tuple(_integer(s, f"node count in metadata shape {meta['shape']!r}")
                   for s in meta["shape"])
-    h, kind = meta["h"], meta["kind"]
-    if isinstance(h, bool) or not isinstance(h, numbers.Real):
-        raise ValueError(f"metadata h must be a number, got {h!r}")
+    h, kind = _real(meta["h"], "metadata h"), meta["kind"]
     if len(shape) != dim:
         raise ValueError(f"metadata dim {dim} does not match shape {shape}")
     if kind not in VALUE_KINDS:
@@ -193,7 +199,7 @@ def load_model(path, meta):
     else:
         kappa2 = values
     cells = tuple(s - 1 for s in shape)
-    return SlownessModel(dim, cells, float(h), kappa2)
+    return SlownessModel(dim, cells, h, kappa2)
 
 
 def omega_for_ppw(model, G):
@@ -223,13 +229,16 @@ class HelmholtzProblem:
     free_surface_top: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
+        if not (math.isfinite(_real(self.omega, "omega")) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if _integer(self.pad, "pad") < 0:
             raise ValueError(f"pad must be nonnegative, got {self.pad}")
-        if not (math.isfinite(self.gamma_max) and self.gamma_max >= 0):
+        if not (math.isfinite(_real(self.gamma_max, "gamma_max")) and self.gamma_max >= 0):
             raise ValueError(
                 f"gamma_max must be finite and nonnegative, got {self.gamma_max}")
+        if not isinstance(self.free_surface_top, bool):
+            raise ValueError(
+                f"free_surface_top must be a bool, got {self.free_surface_top!r}")
         nodes = self.model.nodes
         if self.source is None:
             depth = 0 if self.pad_lo[-1] > 0 else 1
@@ -333,7 +342,8 @@ class SparseOperator:
     """Sparse matrix over a vertex grid, rows in lexicographic order.
 
     reach is the largest grid offset of any coupling, which the coarsest
-    factorization dissects by; every operator records it.
+    factorization dissects by; every operator records it, an integer of at
+    least 1.
     """
 
     matrix: sp.csr_matrix
@@ -342,6 +352,8 @@ class SparseOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "grid_shape", tuple(self.grid_shape))
+        if _integer(self.reach, "reach") < 1:
+            raise ValueError(f"reach must be at least 1, got {self.reach}")
         n = int(np.prod(self.grid_shape))
         if self.matrix.shape != (n, n):
             raise ValueError(
@@ -359,8 +371,9 @@ def laplacian_and_mass_stencils(dim, scheme):
     """Dimensionless (Laplacian-part, mass-part) stencil pair for a scheme.
 
     Schemes: "fourth-order" (2D and 3D) or REDISC_SCHEME (2D only). The
-    pair satisfies H = (1/h^2) L - k^2 M for constant k, and its two
-    stencils share their extents, 3 along every axis.
+    pair satisfies H = (1/h^2) L - k^2 M for constant k. Each stencil is a
+    new real, centered float64 array (stencils.py), and the two share their
+    extents, 3 along every axis.
     """
     if scheme == REDISC_SCHEME:
         if dim != 2:
@@ -376,7 +389,7 @@ def laplacian_and_mass_stencils(dim, scheme):
             [c / 4, b, c / 4],
             [(1 - b - c) / 4, c / 4, (1 - b - c) / 4],
         ])
-        return Stencil(lap), Stencil(mass)
+        return lap, mass
 
     if scheme == "fourth-order":
         # the compact weights by the number of nonzero components of an
@@ -386,7 +399,7 @@ def laplacian_and_mass_stencils(dim, scheme):
             raise ValueError("the fourth-order scheme is defined in 2D and 3D")
         lap, mass = map(np.array, table[dim])
         nonzero = np.count_nonzero(np.indices((3,) * dim) != 1, axis=0)
-        return Stencil(lap[nonzero] / 6.0), Stencil(mass[nonzero] / 12.0)
+        return lap[nonzero] / 6.0, mass[nonzero] / 12.0
 
     raise ValueError(
         f"unknown scheme {scheme!r}; choose fourth-order or {REDISC_SCHEME}")
@@ -429,9 +442,9 @@ def _scheme_coefficients(dim, scheme):
     lexicographic order, with the two stencils' coefficients there. The two
     share their extents, so one offset list serves both."""
     lap, mass = laplacian_and_mass_stencils(dim, scheme)
-    lap_c, mass_c = lap.coeffs.ravel(), mass.coeffs.ravel()
+    lap_c, mass_c = lap.ravel(), mass.ravel()
     live = (lap_c != 0) | (mass_c != 0)
-    return lap.offsets()[live], lap_c[live], mass_c[live]
+    return offsets(lap.shape)[live], lap_c[live], mass_c[live]
 
 
 def _interior_stencil(shape, offsets, dtype, value_of_offset):

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import multigrid
 from .discretization import _check_shifts, laplacian_and_mass_stencils
-from .stencils import INTERGRID, Stencil
+from .stencils import INTERGRID, offsets
 
 __all__ = [
     "AnalysisConfig",
@@ -233,11 +233,11 @@ def _fold(lap, mass):
     the first n//2 offsets (as floats) and, per stencil, the pair sums
     -2 (c_i + c_{n-1-i}) and the fsum of all stored coefficients.
     """
-    coeffs = np.column_stack([lap.coeffs.ravel().real, mass.coeffs.ravel().real])
+    coeffs = np.column_stack([lap.ravel(), mass.ravel()])
     sums = np.array([math.fsum(column) for column in coeffs.T])
     half = len(coeffs) // 2
     pairs = -2.0 * (coeffs[:half] + coeffs[:half:-1])
-    return _Fold(lap.dim, sums, pairs, lap.offsets()[:half].astype(float))
+    return _Fold(lap.ndim, sums, pairs, offsets(lap.shape)[:half].astype(float))
 
 
 def _first_crossings(folded, masses, phi):
@@ -319,9 +319,17 @@ def _first_crossings(folded, masses, phi):
     return np.where(sym_lap - masses * sym_mass >= 0, lo, hi)
 
 
+def _read_only(*stencils):
+    """The stencils, each made read-only, as a tuple."""
+    for stencil in stencils:
+        stencil.setflags(write=False)
+    return stencils
+
+
 @lru_cache(maxsize=None)
 def _fine_pair(dim):
-    return laplacian_and_mass_stencils(dim, TUNED_SCHEME)
+    """The fine (L, M) pair of TUNED_SCHEME, read-only."""
+    return _read_only(*laplacian_and_mass_stencils(dim, TUNED_SCHEME))
 
 
 # Nodes per axis of the fine grid the composites are read off, the fewest
@@ -337,20 +345,20 @@ def _composite_pair(dim, intergrid):
     coarsenings of an INTERGRID scheme: the hierarchy's own 1D Galerkin
     products on a _COMPOSITE_NODES grid, read at the coarsest grid's centre.
     Splitting L and M keeps the real shift a scalar multiplier, so one
-    composition serves every alpha."""
+    composition serves every alpha. Both composites are read-only."""
     lap, mass = _fine_pair(dim)
     shape = (_COMPOSITE_NODES,) * dim
-    shifts = multigrid._unit_shifts(lap, shape)
+    shifts = multigrid._unit_shifts(lap.shape, shape)
     for orders in INTERGRID[intergrid]:
         shifts = multigrid._coarsen_shifts(shifts, orders)
     centre = (shifts[0][1].shape[-1] // 2,) * dim
-    extents = tuple(len(offsets) for offsets, _ in shifts)
+    extents = tuple(len(axis_offsets) for axis_offsets, _ in shifts)
 
     def composite(stencil):
-        planes = multigrid._laplacian_planes(stencil.coeffs.real, shifts)
-        return Stencil(np.reshape([plane[centre] for _, plane in planes], extents))
+        planes = multigrid._laplacian_planes(stencil, shifts)
+        return np.reshape([plane[centre] for _, plane in planes], extents)
 
-    return composite(lap), composite(mass)
+    return _read_only(composite(lap), composite(mass))
 
 
 @lru_cache(maxsize=None)
@@ -360,9 +368,11 @@ def _folded_pair(dim, intergrid=None):
 
 
 def coarsest_stencil(config, alpha):
-    """Effective coarsest-level stencil of the alpha-shifted fine operator."""
+    """Effective coarsest-level stencil of the alpha-shifted fine operator,
+    lap3 - (alpha kh)^2 mass3 of the composites: a new real, centered array
+    with an odd extent along every axis (stencils.py)."""
     lap3, mass3 = _composite_pair(config.dim, config.intergrid)
-    return Stencil(lap3.coeffs - (alpha * config.kh) ** 2 * mass3.coeffs)
+    return lap3 - (alpha * config.kh) ** 2 * mass3
 
 
 def _snapped_radii(config, alphas, phi):

@@ -49,10 +49,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretization import (REDISC_SCHEME, GridStencil, HelmholtzProblem, SlownessModel,
-                             SparseOperator, _check_shifts, _integer, assemble_operator,
+                             SparseOperator, _check_shifts, _integer, _real, assemble_operator,
                              laplacian_and_mass_stencils, mass_term)
 from .frontal import FrontalLU
-from .stencils import INTERGRID, restriction_stencil
+from .stencils import INTERGRID, RESTRICTION_WEIGHTS
 
 __all__ = [
     "CyclePlan",
@@ -96,10 +96,11 @@ class CyclePlan:
             if _integer(getattr(self, name), name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         _check_shifts(self.alpha, self.beta)
-        object.__setattr__(self, "dampings", tuple(float(w) for w in self.dampings))
-        if len(self.dampings) != 2:
+        if np.ndim(self.dampings) != 1 or len(self.dampings) != 2:
             raise ValueError(f"dampings must be two values, for levels 1 and 2, "
-                             f"got {self.dampings}")
+                             f"got {self.dampings!r}")
+        object.__setattr__(self, "dampings", tuple(
+            _real(w, f"damping in {self.dampings!r}") for w in self.dampings))
         if not all(math.isfinite(w) and w > 0 for w in self.dampings):
             raise ValueError(f"dampings must be finite and positive, got {self.dampings}")
 
@@ -194,7 +195,9 @@ def _axis_weights(n, order):
     node J. Boundary rows and columns are left out: Dirichlet unknowns carry
     no correction.
     """
-    weights = restriction_stencil(1, order).coeffs.real.ravel()
+    if order not in RESTRICTION_WEIGHTS:
+        raise ValueError(f"unknown transfer order {order!r}")
+    weights = RESTRICTION_WEIGHTS[order]
     half = len(weights) // 2
     nc = (n - 1) // 2 + 1
     rows = np.repeat(np.arange(1, nc - 1), len(weights))
@@ -315,19 +318,19 @@ def _coarsen(stencil, pair):
     return GridStencil(offsets, coeffs)
 
 
-def _unit_shifts(lap, shape):
-    """Per axis of the fine grid, the 1D offsets of lap's extent, and one 1D
-    stencil per offset with coefficient 1 there on every node.
+def _unit_shifts(extents, shape):
+    """Per axis of the fine grid, the 1D offsets of a constant stencil of
+    the given extents, and one 1D stencil per offset with coefficient 1
+    there on every node.
 
     On the fine grid, the coefficient of the constant Laplacian part L at
-    offset o is lap[o] times one interior mask per axis, so L is the sum
-    over o of lap[o] times the Kronecker product of these 1D shifts; the
+    offset o is L[o] times one interior mask per axis, so L is the sum
+    over o of L[o] times the Kronecker product of these 1D shifts; the
     Galerkin bands leave the masks out by themselves, as they neither read
     fine boundary nodes nor write coarse ones.
     """
-    return [(tuple(range(-half, half + 1)),
-             np.repeat(np.eye(2 * half + 1)[:, :, None], n, axis=2))
-            for half, n in zip(lap.halves, shape)]
+    return [(tuple(range(-(e // 2), e // 2 + 1)), np.repeat(np.eye(e)[:, :, None], n, axis=2))
+            for e, n in zip(extents, shape)]
 
 
 def _coarsen_shifts(shifts, orders):
@@ -452,8 +455,8 @@ def build_hierarchy(problem, scheme, plan):
     fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta)
     t12, t23 = _transfer_pairs(shape, plan.intergrid)
     lap, _ = laplacian_and_mass_stencils(problem.model.dim, scheme)
-    weights = lap.coeffs.real / problem.model.h ** 2    # the planes are L / h^2
-    shifts = _coarsen_shifts(_unit_shifts(lap, shape), t12.orders)
+    weights = lap / problem.model.h ** 2    # the planes are L / h^2
+    shifts = _coarsen_shifts(_unit_shifts(lap.shape, shape), t12.orders)
 
     # Level 2 is made in place in the coarsened mass term's arrays, one
     # plane of L at a time: a full-size array of L would be freed under the

@@ -12,12 +12,13 @@ must return what this oracle's radius rounds to on the ray grid.
 import numpy as np
 
 from rscgc.dispersion import NoCrossingError, _ray_grid, _unit
+from rscgc.stencils import offsets
 
 
 def ray_symbol(stencil, phi, r):
     """The real symbol sum(c cos(r unit(phi) . o)) of a stencil at the ray points r."""
-    proj = stencil.offsets().astype(float) @ _unit(stencil.dim, phi)
-    return np.cos(np.outer(r, proj)) @ stencil.coeffs.ravel().real
+    proj = offsets(stencil.shape).astype(float) @ _unit(stencil.ndim, phi)
+    return np.cos(np.outer(r, proj)) @ stencil.ravel()
 
 
 def _first_crossings(lap, mass, masses, phi, steps):
@@ -31,7 +32,7 @@ def _first_crossings(lap, mass, masses, phi, steps):
         return [ray_symbol(s, phi, r) for s in (lap, mass)]
 
     masses = np.asarray(masses, dtype=float)
-    grid = _ray_grid(lap.dim)
+    grid = _ray_grid(lap.ndim)
     sym_lap, sym_mass = symbols(grid)
     nonneg = sym_lap[None, :] - masses[:, None] * sym_mass[None, :] >= 0
     if np.any(nonneg[:, 0]):

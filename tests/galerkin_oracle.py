@@ -23,7 +23,7 @@ from rscgc.discretization import (GridStencil, SparseOperator, _boundary_mask,
                                   attenuation_profile, laplacian_and_mass_stencils,
                                   mass_term)
 from rscgc.multigrid import _axis_factors
-from rscgc.stencils import restriction_stencil
+from rscgc.stencils import RESTRICTION_WEIGHTS, offsets
 
 
 def _stencil_entries(shape, boundary, stencil, weight_of_offset):
@@ -37,7 +37,7 @@ def _stencil_entries(shape, boundary, stencil, weight_of_offset):
     interior = tuple(slice(1, s - 1) for s in shape)
     rows_grid = idx[interior]
     rows, cols, vals = [], [], []
-    for off, coeff in zip(stencil.offsets(), stencil.coeffs.ravel()):
+    for off, coeff in zip(offsets(stencil.shape), stencil.ravel()):
         if coeff == 0:
             continue
         colslc = tuple(slice(1 + o, s - 1 + o) for o, s in zip(off, shape))
@@ -92,7 +92,7 @@ def mass_operator_matrix(problem, scheme):
     boundary = _boundary_mask(shape)
     k2 = problem.omega ** 2 * _padded_kappa2(problem)
     rows, cols, vals = _stencil_entries(
-        shape, boundary, mass, lambda c, slc: c.real * k2[slc])
+        shape, boundary, mass, lambda c, slc: c * k2[slc])
     return _csr(rows, cols, vals, shape)
 
 
@@ -174,7 +174,7 @@ def galerkin_band(n, restriction_order, prolongation_order, axis_offsets):
     R, P = _axis_factors(n, restriction_order, prolongation_order)
     nc = R.shape[0]
     reach = max(map(abs, axis_offsets)) + sum(
-        restriction_stencil(1, order).halves[0]
+        len(RESTRICTION_WEIGHTS[order]) // 2
         for order in (restriction_order, prolongation_order))
     shifted = P.T.tocsr()
     blocks = {q: [R.multiply(sp.eye(nc, k=q) @ shifted @ sp.eye(n, k=-o))

@@ -7,12 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rscgc.discretization import (
     REDISC_SCHEME,
     GridStencil,
     HelmholtzProblem,
     SlownessModel,
+    SparseOperator,
     assemble_operator,
     attenuation_profile,
     laplacian_and_mass_stencils,
@@ -34,12 +36,12 @@ def test_fourth_order_2d_values():
     """Bit for bit the literal pair: the Laplacian in sixths, the mass in
     twelfths."""
     lap, mass = laplacian_and_mass_stencils(2, "fourth-order")
-    assert np.array_equal(lap.coeffs, np.array([
+    assert np.array_equal(lap, np.array([
         [-1.0, -4.0, -1.0],
         [-4.0, 20.0, -4.0],
         [-1.0, -4.0, -1.0],
     ]) / 6.0)
-    assert np.array_equal(mass.coeffs, np.array([
+    assert np.array_equal(mass, np.array([
         [0.0, 1.0, 0.0],
         [1.0, 8.0, 1.0],
         [0.0, 1.0, 0.0],
@@ -50,13 +52,13 @@ def test_fourth_order_3d_values():
     """Bit for bit the per-count weights, -2/6 included, which rounds to the
     double of -1/3."""
     lap, mass = laplacian_and_mass_stencils(3, "fourth-order")
-    assert lap.extents == mass.extents == (3, 3, 3)
+    assert lap.shape == mass.shape == (3, 3, 3)
     # classify by how many offsets leave the center
     expected = {0: (4.0, 6.0 / 12.0), 1: (-1.0 / 3.0, 1.0 / 12.0), 2: (-1.0 / 6.0, 0.0),
                 3: (0.0, 0.0)}
     for off in np.ndindex(3, 3, 3):
         nz = sum(1 for o in off if o != 1)
-        assert (lap.coeffs[off], mass.coeffs[off]) == expected[nz]
+        assert (lap[off], mass[off]) == expected[nz]
 
 
 @pytest.mark.parametrize("dim,scheme", [
@@ -66,12 +68,13 @@ def test_fourth_order_3d_values():
 ])
 def test_pair_invariants(dim, scheme):
     """Every scheme annihilates constants in L and averages to one in M, and
-    its two stencils share their extents."""
+    its two stencils are real arrays that share their extents."""
     lap, mass = laplacian_and_mass_stencils(dim, scheme)
-    assert abs(lap.coeffs.sum()) < 1e-12
-    assert mass.coeffs.sum().real == pytest.approx(1.0, abs=1e-12)
-    assert all(np.array_equal(s.coeffs, np.flip(s.coeffs)) for s in (lap, mass))
-    assert lap.extents == mass.extents
+    assert lap.dtype == mass.dtype == np.float64
+    assert abs(lap.sum()) < 1e-12
+    assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+    assert all(np.array_equal(s, np.flip(s)) for s in (lap, mass))
+    assert lap.shape == mass.shape
 
 
 def test_jss_parameter_placement():
@@ -79,11 +82,11 @@ def test_jss_parameter_placement():
     a, b, c = 0.6054, 1.0532, 0.0002
     assert REDISC_SCHEME == f"jss({a},{b},{c})"
     lap, mass = laplacian_and_mass_stencils(2, REDISC_SCHEME)
-    assert lap.coeffs[1, 1].real == pytest.approx(2 * a + 2)
-    assert lap.coeffs[0, 1].real == pytest.approx(-a)
-    assert mass.coeffs[1, 1].real == pytest.approx(b)
-    assert mass.coeffs[0, 1].real == pytest.approx(c / 4)
-    assert mass.coeffs[0, 0].real == pytest.approx((1 - b - c) / 4)
+    assert lap[1, 1] == pytest.approx(2 * a + 2)
+    assert lap[0, 1] == pytest.approx(-a)
+    assert mass[1, 1] == pytest.approx(b)
+    assert mass[0, 1] == pytest.approx(c / 4)
+    assert mass[0, 0] == pytest.approx((1 - b - c) / 4)
 
 
 def test_jss_rejected_outside_2d():
@@ -106,7 +109,7 @@ def test_interior_row_matches_stencil():
     lap, mass = laplacian_and_mass_stencils(2, "fourth-order")
     A = assemble_operator(problem, "fourth-order")
     h = problem.model.h
-    expected = lap.coeffs / h ** 2 - problem.omega ** 2 * mass.coeffs
+    expected = lap / h ** 2 - problem.omega ** 2 * mass
 
     shape = problem.padded_shape
     row = A.matrix[np.ravel_multi_index((4, 4), shape)].toarray().reshape(shape)
@@ -215,8 +218,8 @@ def test_mass_term_samples_the_neighbor_node():
     r = np.ravel_multi_index((4, 4), shape)
     c = np.ravel_multi_index((4, 5), shape)
     lap, mass = laplacian_and_mass_stencils(2, "fourth-order")
-    with_neighbor = lap.coeffs[1, 2] / h ** 2 - kappa2[4, 5] * mass.coeffs[1, 2]
-    with_center = lap.coeffs[1, 2] / h ** 2 - kappa2[4, 4] * mass.coeffs[1, 2]
+    with_neighbor = lap[1, 2] / h ** 2 - kappa2[4, 5] * mass[1, 2]
+    with_center = lap[1, 2] / h ** 2 - kappa2[4, 4] * mass[1, 2]
     assert abs(A.matrix[r, c] - with_neighbor) < 1e-12
     assert abs(A.matrix[r, c] - with_center) > 1e-4
 
@@ -362,6 +365,43 @@ def test_constructors_reject_bad_values_by_name(build, value):
     later, a silent truncation, a numpy error or a frequency of nan or 0."""
     with pytest.raises(ValueError, match=re.escape(str(value))):
         build(value)
+
+
+@pytest.mark.parametrize("build,value,named", [
+    (lambda v: HelmholtzProblem(_SMALL_MODEL, v), True, "omega must be a number, got True"),
+    (lambda v: HelmholtzProblem(_SMALL_MODEL, v), "10", "omega must be a number, got '10'"),
+    (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, gamma_max=v), None,
+     "gamma_max must be a number, got None"),
+    (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, free_surface_top=v), "no",
+     "free_surface_top must be a bool, got 'no'"),
+    (lambda v: HelmholtzProblem(_SMALL_MODEL, 10.0, free_surface_top=v), 1,
+     "free_surface_top must be a bool, got 1"),
+    (lambda v: make_model("homogeneous", (1.0, 1.0), (8, 8), v), True,
+     "spacing h must be a number, got True"),
+    (lambda v: CyclePlan(alpha=v), "1", "alpha must be a number, got '1'"),
+    (lambda v: CyclePlan(alpha=v), None, "alpha must be a number, got None"),
+    (lambda v: CyclePlan(beta=v), 0.1j, "beta must be a number, got 0.1j"),
+    (lambda v: CyclePlan(dampings=v), ("a", 1),
+     "damping in ('a', 1) must be a number, got 'a'"),
+    (lambda v: CyclePlan(dampings=v), 3, "dampings must be two values, for levels 1 and 2, "
+                                         "got 3"),
+], ids=["omega-bool", "omega-str", "gamma-none", "free-surface-str", "free-surface-int",
+        "h-bool", "alpha-str", "alpha-none", "beta-complex", "dampings-str", "dampings-scalar"])
+def test_constructors_reject_mistyped_numbers_and_flags_by_name(build, value, named):
+    """A number of the wrong type, or a flag that is no bool, is a ValueError
+    that names the field and the value, not a TypeError or a truthy string
+    taken for True."""
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("reach", [0, -1, 2.5, True, "1"])
+def test_sparse_operator_rejects_a_bad_reach(reach):
+    """reach must be an integer of at least 1: the coarsest factorization
+    dissects by it."""
+    with pytest.raises(ValueError, match=re.escape("reach must be ") + ".*"
+                       + re.escape(str(reach))):
+        SparseOperator(sp.identity(9, format="csr"), (3, 3), reach)
 
 
 def test_load_model_velocity_conversion(tmp_path):

@@ -1,5 +1,5 @@
-"""Stencils: symbols, transfer stencils, and the hierarchy's Galerkin
-coarsening of a constant stencil.
+"""Stencils: the offsets of a constant stencil, symbols, the transfer weights,
+and the hierarchy's Galerkin coarsening of a constant stencil.
 
 The Galerkin checks run two independent routes: the hierarchy's 1D Galerkin
 products read at an interior node, and an explicit sparse triple product on
@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from rscgc.discretization import laplacian_and_mass_stencils
-from rscgc.multigrid import _coarsen_shifts, _laplacian_planes, _unit_shifts
-from rscgc.stencils import Stencil, restriction_stencil
+from rscgc.dispersion import _composite_pair, _fine_pair
+from rscgc.multigrid import (_coarsen_shifts, _laplacian_planes, _unit_shifts,
+                             transfer_matrices)
+from rscgc.stencils import RESTRICTION_WEIGHTS, offsets
 
 from conftest import SECOND_ORDER_1D, combine
-from periodic_oracle import periodic_rap_stencil, symbol
+from periodic_oracle import periodic_rap_stencil, restriction_weights, symbol
 
 
 def helmholtz_stencil(dim, kh, scheme="fourth-order"):
@@ -29,12 +31,35 @@ def coarsened(fine, orders, nodes=17):
     """The hierarchy's Galerkin coarsening of a constant stencil by one pair
     of (restriction, prolongation) orders, on `nodes` per axis, read at the
     centre of the coarse grid, which no boundary row of the transfers reaches."""
-    shape = (nodes,) * fine.dim
-    shifts = _coarsen_shifts(_unit_shifts(fine, shape), orders)
-    centre = ((nodes - 1) // 4,) * fine.dim
-    return Stencil(np.reshape([plane[centre] for _, plane in
-                               _laplacian_planes(fine.coeffs, shifts)],
-                              tuple(len(offsets) for offsets, _ in shifts)))
+    shape = (nodes,) * fine.ndim
+    shifts = _coarsen_shifts(_unit_shifts(fine.shape, shape), orders)
+    centre = ((nodes - 1) // 4,) * fine.ndim
+    return np.reshape([plane[centre] for _, plane in _laplacian_planes(fine, shifts)],
+                      tuple(len(axis_offsets) for axis_offsets, _ in shifts))
+
+
+# ---------------------------------------------------------------------------
+# offsets and read-only tables
+
+@pytest.mark.parametrize("extents", [(5,), (3, 1), (3, 5), (1, 3, 5), (3, 3, 3)])
+def test_offsets_follow_the_c_order_of_ravel(extents):
+    """Entry k of a stencil's ravel() is its entry at offsets(extents)[k]
+    from the centre."""
+    stencil = np.arange(math.prod(extents)).reshape(extents)
+    centre = np.array([e // 2 for e in extents])
+    table = offsets(extents)
+    assert table.shape == (stencil.size, stencil.ndim)
+    assert [stencil[tuple(o + centre)] for o in table] == stencil.ravel().tolist()
+
+
+def test_cached_and_tabled_stencils_are_read_only():
+    """No caller can alter the fine pair, the composites or the weights
+    that the next caller reads."""
+    arrays = [*_fine_pair(2), *_composite_pair(3, "level-dependent"),
+              *RESTRICTION_WEIGHTS.values()]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +91,8 @@ def test_symbol_batched_matches_scalar_calls():
 
 def test_symbol_linear_in_the_stencil():
     rng = np.random.default_rng(7)
-    s1 = Stencil(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    s2 = Stencil(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    s1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    s2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a, b = 1.7 - 0.4j, -0.9 + 2.2j
     thetas = rng.uniform(-math.pi, math.pi, size=(12, 2))
     left = symbol(combine((a, s1), (b, s2)), thetas)
@@ -91,42 +116,51 @@ def test_symbol_rejects_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# tensor products and transfer stencils
+# restriction weights and their tensor products
 
 def test_tensor_product_builds_the_2d_cubic_restriction():
     base = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    prod = restriction_stencil(2, "cubic")
-    assert prod.extents == (5, 5)
-    assert np.array_equal(prod.coeffs, np.outer(base, base))
-    assert prod.coeffs.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(RESTRICTION_WEIGHTS["cubic"], base)
+    prod = restriction_weights(2, "cubic")
+    assert prod.shape == (5, 5)
+    assert np.array_equal(prod, np.outer(base, base))
+    assert prod.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_tensor_product_identity_case():
     """One axis: the product of a single factor is the factor itself."""
-    prod = restriction_stencil(1, "linear")
-    assert prod.extents == (3,)
-    assert np.array_equal(prod.coeffs, [0.25, 0.5, 0.25])
+    assert np.array_equal(RESTRICTION_WEIGHTS["linear"], [0.25, 0.5, 0.25])
+    assert np.array_equal(restriction_weights(1, "linear"), RESTRICTION_WEIGHTS["linear"])
 
 
 def test_full_weighting_2d_values():
-    fw = restriction_stencil(2, "linear")
-    assert fw.coeffs[1, 1].real == pytest.approx(0.25)
-    assert fw.coeffs[0, 1].real == pytest.approx(0.125)
-    assert fw.coeffs[0, 0].real == pytest.approx(0.0625)
+    fw = restriction_weights(2, "linear")
+    assert fw[1, 1] == pytest.approx(0.25)
+    assert fw[0, 1] == pytest.approx(0.125)
+    assert fw[0, 0] == pytest.approx(0.0625)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("order", ["linear", "cubic"])
 def test_restriction_weights_sum_to_one(dim, order):
-    st = restriction_stencil(dim, order)
-    assert st.coeffs.sum().real == pytest.approx(1.0, abs=1e-14)
-    assert np.array_equal(st.coeffs, np.flip(st.coeffs))
+    """Each 1D family, and so each of its tensor products, sums to one and
+    is symmetric about its centre."""
+    weights = RESTRICTION_WEIGHTS[order]
+    assert weights.dtype == np.float64 and len(weights) % 2 == 1
+    assert math.fsum(weights) == 1.0
+    assert np.array_equal(weights, weights[::-1])
+    st = restriction_weights(dim, order)
+    assert st.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(st, np.flip(st))
 
 
 def test_restriction_rejects_unknown_order():
-    for order in ("quintic", "high", "low", "bilinear"):
-        with pytest.raises(ValueError, match="transfer order"):
-            restriction_stencil(2, order)
+    """The transfers know the weight families only; "bilinear" names an
+    intergrid scheme, not an order."""
+    for order in ("quintic", "bilinear"):
+        for orders in ((order, "cubic"), ("cubic", order)):
+            with pytest.raises(ValueError, match=f"unknown transfer order '{order}'"):
+                transfer_matrices((9, 9), *orders)
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +172,31 @@ def test_galerkin_1d_laplacian_halves():
     The dimensionless result is (1/4)[-1, 2, -1]: dividing by the fine h^2,
     as operator assembly does, turns that into (1/(2h)^2)[-1, 2, -1].
     """
-    fine = Stencil(np.array([-1.0, 2.0, -1.0]))
+    fine = np.array([-1.0, 2.0, -1.0])
     coarse = coarsened(fine, ("linear", "linear"))
-    assert np.allclose(coarse.coeffs.real, [-0.25, 0.5, -0.25], atol=1e-15)
-    rest = restriction_stencil(1, "linear")
+    assert np.allclose(coarse, [-0.25, 0.5, -0.25], atol=1e-15)
+    rest = RESTRICTION_WEIGHTS["linear"]
     oracle = periodic_rap_stencil(fine, rest, rest, 32)
-    assert np.allclose(coarse.coeffs, oracle.coeffs, atol=1e-14)
+    assert np.allclose(coarse, oracle, atol=1e-14)
 
 
 def test_galerkin_of_zero_is_zero():
-    coarse = coarsened(Stencil(np.zeros((3, 3))), ("cubic", "cubic"))
-    assert np.all(coarse.coeffs == 0)
+    coarse = coarsened(np.zeros((3, 3)), ("cubic", "cubic"))
+    assert np.all(coarse == 0)
 
 
 def test_galerkin_linear_in_the_fine_stencil():
     """Linearity is what lets the analysis coarsen L and M apart and the
     hierarchy add the real shift after coarsening."""
     rng = np.random.default_rng(11)
-    f1 = Stencil(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    f2 = Stencil(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    f1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    f2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     orders = ("cubic", "cubic")
     a, b = 0.3 + 1.1j, -2.0 + 0.7j
     left = coarsened(combine((a, f1), (b, f2)), orders)
     right = combine((a, coarsened(f1, orders)), (b, coarsened(f2, orders)))
-    scale = np.max(np.abs(right.coeffs))
-    assert np.max(np.abs(left.coeffs - right.coeffs)) < 1e-12 * scale
+    scale = np.max(np.abs(right))
+    assert np.max(np.abs(left - right)) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("dim,points,scheme", [
@@ -172,39 +206,16 @@ def test_galerkin_linear_in_the_fine_stencil():
 ])
 def test_galerkin_matches_periodic_triple_product(dim, points, scheme):
     fine = helmholtz_stencil(dim, 2 * math.pi / 10, scheme)
-    rest = restriction_stencil(dim, "cubic")
+    rest = restriction_weights(dim, "cubic")
     composed = coarsened(fine, ("cubic", "cubic"))
     oracle = periodic_rap_stencil(fine, rest, rest, points)
-    assert composed.extents == oracle.extents
-    scale = np.max(np.abs(oracle.coeffs))
-    assert np.max(np.abs(composed.coeffs - oracle.coeffs)) <= 1e-12 * scale
+    assert composed.shape == oracle.shape
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(composed - oracle)) <= 1e-12 * scale
 
 
 def test_periodic_oracle_rejects_wraparound_grids():
     fine = helmholtz_stencil(2, 0.5)
-    rest = restriction_stencil(2, "cubic")
+    rest = restriction_weights(2, "cubic")
     with pytest.raises(ValueError, match="even point count"):
         periodic_rap_stencil(fine, rest, rest, 8)
-
-
-# ---------------------------------------------------------------------------
-# Stencil construction guards
-
-def test_stencil_rejects_even_extents():
-    with pytest.raises(ValueError, match="odd"):
-        Stencil(np.zeros((4, 3)))
-
-
-def test_stencil_rejects_nonfinite_entries():
-    bad = np.zeros(3)
-    bad[1] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        Stencil(bad)
-
-
-def test_stencil_rejects_four_axes():
-    with pytest.raises(ValueError, match="1D, 2D or 3D"):
-        Stencil(np.zeros((3, 3, 3, 3)))
-    for dim in (0, 4):
-        with pytest.raises(ValueError, match="1D, 2D or 3D"):
-            restriction_stencil(dim, "cubic")
