@@ -530,7 +530,7 @@ def cmd_solve(config):
         "solver": config.solver,
         "grid": list(problem.model.cells),
         "padded_shape": list(problem.padded_shape),
-        "dofs": int(np.prod(problem.padded_shape)),
+        "dofs": hierarchy.levels[0].operator.dofs,
         "G": float(g),
         "alpha": plan.alpha,
         "beta": plan.beta,
@@ -566,7 +566,7 @@ def _sweep_cell(config, kind, plan):
     iters = _maxit(config) if report.diverged else report.iterations
     return {
         "grid": "x".join(str(c) for c in problem.model.cells),
-        "dofs": int(np.prod(problem.padded_shape)),
+        "dofs": hierarchy.levels[0].operator.dofs,
         "method": config.method,
         "alpha": f"{plan.alpha:.6g}",
         "beta": f"{plan.beta:.6g}",

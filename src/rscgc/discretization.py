@@ -89,6 +89,7 @@ class SlownessModel:
     kappa2: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         cells = tuple(_integer(c, f"cell count in {self.cells!r}") for c in self.cells)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "kappa2", np.asarray(self.kappa2, dtype=float))
@@ -204,9 +205,16 @@ def load_model(path, meta):
 
 def omega_for_ppw(model, G):
     """Angular frequency giving G points per wavelength where the medium is slowest."""
-    if not (math.isfinite(G) and G > 0):
+    if not (math.isfinite(_real(G, "points per wavelength G")) and G > 0):
         raise ValueError(f"points per wavelength G must be finite and positive, got {G}")
     return 2.0 * math.pi / (G * model.h * math.sqrt(model.kappa2_max))
+
+
+def _unknown_shape(shape):
+    """The grid of unknowns of a node grid: its nodes inside the outermost
+    layer, which carries the homogeneous Dirichlet boundary and so holds no
+    unknown. Every operator, transfer and vector of the solver lives on it."""
+    return tuple(n - 2 for n in shape)
 
 
 @dataclass(frozen=True)
@@ -214,11 +222,13 @@ class HelmholtzProblem:
     """A model plus frequency, sponge layer, and source placement.
 
     The absorbing layer adds `pad` cells on every face; with free_surface_top
-    the top face of the depth axis (last axis, index 0) is left bare. The
+    the top face of the depth axis (last axis, index 0) is left bare.
+    padded_shape is the node grid; its outermost layer is the Dirichlet
+    boundary, and the unknowns are the nodes inside it (_unknown_shape). The
     source index is relative to the interior grid and defaults to the center
     of the top face, one node below it when that face carries the Dirichlet
-    boundary itself (free surface, or no padding at all) since a boundary row
-    cannot carry a source.
+    boundary itself (free surface, or no padding at all) since a boundary
+    node holds no unknown to carry a source.
     """
 
     model: SlownessModel
@@ -254,7 +264,7 @@ class HelmholtzProblem:
         if any(p == 0 or p == n - 1 for p, n in zip(padded, self.padded_shape)):
             raise ValueError(
                 f"source {source} lands on the boundary row of the padded grid "
-                f"(padded index {padded}); a Dirichlet row cannot carry a source")
+                f"(padded index {padded}); a Dirichlet node cannot carry a source")
         G = self.points_per_wavelength
         if G < 2.0:
             raise ValueError(
@@ -289,10 +299,9 @@ class GridStencil:
 
     offsets has shape (n_offsets, dim), distinct and in lexicographic order;
     coeffs has shape (n_offsets, *grid_shape), and coeffs[e][x] is the entry
-    in row x and column x + offsets[e]. Only interior rows are stored:
-    boundary rows are zero here and written as identity rows by tocsr.
-    Helmholtz operators are complex, the mass operator is real. reach is
-    the largest offset along any axis.
+    in row x and column x + offsets[e], zero where that column leaves the
+    grid. The library's operators are complex, the mass term included. reach
+    is the largest offset along any axis.
     """
 
     offsets: np.ndarray
@@ -319,7 +328,7 @@ class GridStencil:
         return self.coeffs.shape[1:]
 
     def tocsr(self):
-        """CSR matrix of the operator, with identity boundary rows.
+        """CSR matrix of the operator.
 
         Rows come in grid order and the columns of a row ascend with the
         lexicographic offsets, so nothing is sorted; exact zeros are dropped.
@@ -328,7 +337,6 @@ class GridStencil:
         n = math.prod(shape)
         flat = self.offsets @ [math.prod(shape[d + 1:]) for d in range(len(shape))]
         values = np.ascontiguousarray(self.coeffs.reshape(len(flat), n).T)
-        values[_boundary_mask(shape).ravel(), np.flatnonzero(flat == 0)] = 1.0
         keep = values != 0
         index = np.int32 if values.size < 2 ** 31 else np.int64
         indptr = np.zeros(n + 1, dtype=index)
@@ -339,7 +347,7 @@ class GridStencil:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Sparse matrix over a vertex grid, rows in lexicographic order.
+    """Sparse matrix over a grid of unknowns, rows in lexicographic order.
 
     reach is the largest grid offset of any coupling, which the coarsest
     factorization dissects by; every operator records it, an integer of at
@@ -431,12 +439,6 @@ def _padded_kappa2(problem):
     return np.pad(problem.model.kappa2, pad, mode="edge")
 
 
-def _boundary_mask(shape):
-    mask = np.ones(shape, dtype=bool)
-    mask[tuple(slice(1, s - 1) for s in shape)] = False
-    return mask
-
-
 def _scheme_coefficients(dim, scheme):
     """Offsets where the scheme's Laplacian or mass stencil is nonzero, in
     lexicographic order, with the two stencils' coefficients there. The two
@@ -448,18 +450,20 @@ def _scheme_coefficients(dim, scheme):
 
 
 def _interior_stencil(shape, offsets, dtype, value_of_offset):
-    """GridStencil with the given offsets, filled on the interior rows.
+    """GridStencil over the unknowns of the node grid shape, with the given
+    offsets.
 
-    value_of_offset(e, column_slices) gives the entries of offsets[e].
-    Couplings into boundary nodes are zero, so the outermost layer stays
-    decoupled in both directions.
+    value_of_offset(e, column_slices) gives the entries of offsets[e] at the
+    nodes that column_slices cut from the node grid. Each offset is filled
+    over the rows whose column is an unknown too, so nothing couples into
+    the Dirichlet layer.
     """
-    boundary = _boundary_mask(shape)
-    interior = tuple(slice(1, s - 1) for s in shape)
-    coeffs = np.zeros((len(offsets),) + shape, dtype=dtype)
+    unknowns = _unknown_shape(shape)
+    coeffs = np.zeros((len(offsets),) + unknowns, dtype=dtype)
     for e, off in enumerate(offsets):
-        colslc = tuple(slice(1 + o, s - 1 + o) for o, s in zip(off, shape))
-        coeffs[e][interior] = np.where(boundary[colslc], 0, value_of_offset(e, colslc))
+        rows = tuple(slice(max(0, -o), m - max(0, o)) for o, m in zip(off, unknowns))
+        colslc = tuple(slice(r.start + o + 1, r.stop + o + 1) for r, o in zip(rows, off))
+        coeffs[e][rows] = value_of_offset(e, colslc)
     return GridStencil(offsets, coeffs)
 
 
@@ -482,8 +486,8 @@ def mass_term(problem, scheme, beta=0.0):
     """The GridStencil of the mass term W = (1 + i(gamma + beta)) k^2(x) M.
 
     It samples k^2 and gamma at the neighbor node of each mass-stencil
-    offset, its rows are the interior rows, and couplings into boundary
-    nodes are zero. build_hierarchy coarsens it on its own, since every
+    offset, and its rows and columns are the unknowns of the padded grid.
+    build_hierarchy coarsens it on its own, since every
     heterogeneity, the sponge and the complex shift sit in it.
     """
     coef = _mass_coefficient(problem, 1.0, beta)
@@ -495,12 +499,12 @@ def mass_term(problem, scheme, beta=0.0):
 
 
 def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
-    """Assemble (1/h^2) L - (alpha^2 + i(gamma + beta)) k^2(x) M on the padded grid.
+    """Assemble (1/h^2) L - (alpha^2 + i(gamma + beta)) k^2(x) M on the
+    unknowns of the padded grid.
 
     alpha is the real wavenumber shift, beta the relative complex shift (the
     shift value is beta * k^2). Each offset's plane is filled once, with
-    k^2 and gamma sampled at the neighbor node as in mass_term. Outermost
-    rows are identity with their couplings removed in both directions. The
+    k^2 and gamma sampled at the neighbor node as in mass_term. The
     returned operator records its stencil's reach.
     """
     coef = _mass_coefficient(problem, alpha, beta)
@@ -509,12 +513,13 @@ def assemble_operator(problem, scheme, alpha=1.0, beta=0.0):
     stencil = _interior_stencil(
         problem.padded_shape, offsets, complex,
         lambda e, colslc: complex(lap[e]) / h ** 2 - weights[e] * coef[colslc])
-    return SparseOperator(stencil.tocsr(), problem.padded_shape, stencil.reach)
+    return SparseOperator(stencil.tocsr(), stencil.grid_shape, stencil.reach)
 
 
 def point_source(problem):
-    """Discrete delta of strength 1/h^dim at the source node, on the padded grid."""
-    rhs = np.zeros(problem.padded_shape, dtype=complex)
-    index = tuple(s + lo for s, lo in zip(problem.source, problem.pad_lo))
+    """Discrete delta of strength 1/h^dim at the source node, on the unknowns
+    of the padded grid."""
+    rhs = np.zeros(_unknown_shape(problem.padded_shape), dtype=complex)
+    index = tuple(s + lo - 1 for s, lo in zip(problem.source, problem.pad_lo))
     rhs[index] = 1.0 / problem.model.h ** problem.model.dim
     return rhs

@@ -10,7 +10,7 @@ the fine-grid radius stretched by the coarsening factor 4,
 where r3 comes from the double-Galerkin composite of the real-shifted fine
 operator. The composite is the one the solver builds: the hierarchy's own
 1D Galerkin products (multigrid.py) coarsen the fine Laplacian and mass
-stencils, and each coarse coefficient is read at an interior node that no
+stencils, and each coarse coefficient is read at an unknown that no
 boundary row of the transfers reaches. Both radii are snapped to the
 nearest sample of the 1e-3 ray grid before forming the ratio; the tabulated
 optima are reproduced under this convention and not under smooth radii, so
@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import multigrid
-from .discretization import _check_shifts, laplacian_and_mass_stencils
+from .discretization import _check_shifts, _integer, _real, laplacian_and_mass_stencils
 from .stencils import INTERGRID, offsets
 
 __all__ = [
@@ -90,6 +90,8 @@ class AnalysisConfig:
     alpha_range: tuple = (0.98, 1.06)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "analysis dim"))
+        object.__setattr__(self, "G", _real(self.G, "G"))
         if self.dim not in (2, 3):
             raise ValueError(f"analysis dim must be 2 or 3, got {self.dim}")
         if not 8 < self.G < math.inf:
@@ -332,22 +334,23 @@ def _fine_pair(dim):
     return _read_only(*laplacian_and_mass_stencils(dim, TUNED_SCHEME))
 
 
-# Nodes per axis of the fine grid the composites are read off, the fewest
-# that two coarsenings can halve such that no transfer row renormalized at
-# the boundary reaches the centre of the coarsest grid, here of 9 nodes. On
-# 25 nodes the cubic rows reach it and the cubic composites are off by 4e-3.
-_COMPOSITE_NODES = 33
+# Unknowns per axis of the fine grid the composites are read off, a grid of
+# 33 nodes less its Dirichlet layer: the fewest that two coarsenings can
+# halve such that no transfer row renormalized at the boundary reaches the
+# centre of the coarsest grid, here of 7 unknowns. On 23 unknowns the cubic
+# rows reach it and the cubic composites are off by 4e-3.
+_COMPOSITE_UNKNOWNS = 31
 
 
 @lru_cache(maxsize=None)
 def _composite_pair(dim, intergrid):
     """Double-Galerkin composites of the fine (L, M) pair through the two
     coarsenings of an INTERGRID scheme: the hierarchy's own 1D Galerkin
-    products on a _COMPOSITE_NODES grid, read at the coarsest grid's centre.
+    products on a _COMPOSITE_UNKNOWNS grid, read at the coarsest grid's centre.
     Splitting L and M keeps the real shift a scalar multiplier, so one
     composition serves every alpha. Both composites are read-only."""
     lap, mass = _fine_pair(dim)
-    shape = (_COMPOSITE_NODES,) * dim
+    shape = (_COMPOSITE_UNKNOWNS,) * dim
     shifts = multigrid._unit_shifts(lap.shape, shape)
     for orders in INTERGRID[intergrid]:
         shifts = multigrid._coarsen_shifts(shifts, orders)

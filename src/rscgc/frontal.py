@@ -1,19 +1,18 @@
 """Multifrontal LU of a grid operator in geometric nested-dissection order.
 
-Only the interior box goes into the fronts: the grid nodes 1..n-2 along
-every axis. The boundary shell is solved by its diagonal alone, which is
-exact for the decoupled Dirichlet shell of every operator the library
-factors. The box is bisected along its longest axis by a separator `reach`
-planes thick, which cuts every coupling of a stencil that reaches `reach`
-nodes along each axis, down to boxes of at most _LEAF nodes. Each box is
+The grid is bisected along its longest axis by a separator `reach` planes
+thick, which cuts every coupling of a stencil that reaches `reach` nodes
+along each axis, down to boxes of at most _LEAF nodes. Each box is
 eliminated before the separator that bounds it (George 1973), and each
 elimination step works on a dense frontal matrix (Duff & Reid 1983):
 zgetrf on the pivot block, ztrsm for the two border blocks and zgemm for
 the Schur update that the parent front assembles. A separator is numbered
 with its cut axis fastest, so an update lands in its parent's front as runs
-of consecutive positions, added one slice pair at a time. Pivoting stays
-inside each pivot block: an exactly singular one is a RuntimeError, and one
-that is merely ill-conditioned is left to the caller's residual check.
+of consecutive positions, added one slice pair at a time. A coupling that
+reaches further than `reach` would cross a separator; the symbolic pass
+finds it and raises a RuntimeError. Pivoting stays inside each pivot block:
+an exactly singular one is a RuntimeError, and one that is merely
+ill-conditioned is left to the caller's residual check.
 """
 
 from typing import NamedTuple
@@ -22,13 +21,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .discretization import _boundary_mask
-
 __all__ = ["FrontalLU", "nested_dissection"]
 
-# Largest box left undivided, in grid nodes. On the 139^2 and 17^3 coarsest
-# levels of the benchmark, leaves of 64 and of 100 nodes factor equally fast,
-# and 64 keeps 15% less fill in 2D (7.9 M instead of 9.3 M).
+# Largest box left undivided, in grid nodes. On the coarsest levels of the
+# benchmark, 139^2 and 17^3 nodes, leaves of 64 and of 100 nodes factor
+# equally fast, and 64 keeps 15% less fill in 2D (7.9 M instead of 9.3 M).
 _LEAF = 64
 
 
@@ -97,41 +94,29 @@ class FrontalLU:
     C-ordered grid of the given shape, and whose rows couple only nodes at
     most `reach` apart along every axis.
 
-    The interior box goes into the fronts, dissected by nested_dissection
-    and eliminated first. The boundary shell is eliminated last and solved
-    as x = b / a_ii; a zero a_ii there is an exactly singular pivot, a
-    RuntimeError. That is exact when the shell is decoupled, its rows and
-    columns holding only the diagonal. A coupled shell is not detected: its
-    couplings are left out of the factors, and the caller's residual check
-    catches the solve that misses.
-
-    solve(b) returns A^-1 b for a vector b. L (CSC, unit diagonal) and U
-    (CSR) are built on demand over all unknowns. For a decoupled shell, L U
-    is A with its columns in the elimination order `order` and its rows in
-    that order after each front's row pivoting (_row_positions). fill
-    counts their stored entries without building them.
+    The grid is dissected by nested_dissection, and a coupling that reaches
+    further is a RuntimeError. solve(b) returns A^-1 b for a vector b. L
+    (CSC, unit diagonal) and U (CSR) are built on demand: L U is A with its
+    columns in the elimination order `order` and its rows in that order
+    after each front's row pivoting (_row_positions). fill counts their
+    stored entries without building them.
     """
 
     def __init__(self, matrix, shape, reach):
         matrix = sp.csr_matrix(matrix)
         self.shape = matrix.shape
-        box = tuple(n - 2 for n in shape)
-        order, self.tree = nested_dissection(box, reach, _LEAF)
-        fronted = np.ravel_multi_index(
-            tuple(c + 1 for c in np.unravel_index(order, box)), shape)
-        outside = np.flatnonzero(_boundary_mask(shape))
-        self.outside_diagonal = diagonal = matrix.diagonal()[outside]
-        if not np.all(diagonal):
-            raise RuntimeError(f"{np.sum(diagonal == 0)} shell unknowns have a zero "
-                               f"diagonal, an exactly singular pivot")
-        self.order = np.concatenate([fronted, outside])
-        rows = matrix[fronted][:, fronted]
+        self.order, self.tree = nested_dissection(shape, reach, _LEAF)
+        rows = matrix[self.order][:, self.order]
         cols = rows.tocsc()
         # symbolic pass: a front's border holds every later position that its
         # pivots couple to or that a child's border holds. Updates wait on a
         # stack until their parent assembles them; slots are their offsets.
+        # A child's border below its parent's first pivot lies in a sibling.
         self.borders, slots, tops = [], [], []
         for s, e, children in self.tree:
+            if any(len(self.borders[c]) and self.borders[c][0] < s for c in children):
+                raise RuntimeError(f"the matrix couples unknowns more than reach "
+                                   f"{reach} apart, across a separator")
             touched = np.concatenate([rows.indices[rows.indptr[s]:rows.indptr[e]],
                                       cols.indices[cols.indptr[s]:cols.indptr[e]]]
                                      + [self.borders[c] for c in children])
@@ -206,7 +191,6 @@ class FrontalLU:
         for (s, e, _), border, (lu, u12, _) in reversed(steps):
             z = y[s:e] - u12 @ y[border] if len(border) else y[s:e]
             y[s:e] = blas.ztrsv(lu, z, overwrite_x=1)
-        y[len(self.pivots):] /= self.outside_diagonal
         x = np.empty_like(y)
         x[self.order] = y
         return x
@@ -223,10 +207,9 @@ class FrontalLU:
     def fill(self):
         """L.nnz + U.nnz. A front of p pivots and b border nodes stores
         p^2 + p entries in its two triangles, L's unit diagonal included,
-        and p b in each of its border blocks; an unknown outside the fronts
-        stores its two diagonal entries."""
+        and p b in each of its border blocks."""
         sizes = (u12.shape for _, u12, _ in self.blocks)
-        return sum(p * (p + 1 + 2 * b) for p, b in sizes) + 2 * len(self.outside_diagonal)
+        return sum(p * (p + 1 + 2 * b) for p, b in sizes)
 
     @property
     def L(self):
@@ -237,8 +220,7 @@ class FrontalLU:
         return self._triangle(lower=False)
 
     def _triangle(self, lower):
-        """L as CSC or U as CSR, one block of columns or rows per front, then
-        the diagonal of the unknowns outside the fronts."""
+        """L as CSC or U as CSR, one block of columns or rows per front."""
         row_of = np.argsort(self._row_positions()) if lower else np.arange(self.shape[0])
         data, index, counts = [], [], []
         for (s, e, _), border, (lu, u12, l21) in zip(self.tree, self.borders, self.blocks):
@@ -255,10 +237,6 @@ class FrontalLU:
             data.append(block[keep])
             index.append(np.broadcast_to(where, block.shape)[keep])
             counts.append(keep.sum(axis=1))
-        diagonal = self.outside_diagonal
-        data.append(np.ones(len(diagonal)) if lower else diagonal)
-        index.append(np.arange(len(self.pivots), self.shape[0], dtype=np.int32))
-        counts.append(np.ones(len(diagonal), dtype=int))
         indptr = np.r_[0, np.cumsum(np.concatenate(counts))].astype(np.int32)
         kind = sp.csc_matrix if lower else sp.csr_matrix
         return kind((np.concatenate(data), np.concatenate(index), indptr), shape=self.shape)

@@ -1,9 +1,11 @@
 """Three-level multigrid hierarchy with a real-shifted coarsest operator.
 
 The second level is the Galerkin coarsening of the fine operator; the third
-is the Galerkin coarsening of the second with the real shift added. The fine
-operator is (1/h^2) L - W. Its Laplacian part L is constant, and every
-heterogeneity, the sponge and the complex shift sit in the mass term
+is the Galerkin coarsening of the second with the real shift added. The
+unknowns of every level are the nodes inside the Dirichlet layer of its
+grid, and coarse unknown J sits over fine unknown 2J + 1 along every axis.
+The fine operator is (1/h^2) L - W. Its Laplacian part L is constant, and
+every heterogeneity, the sponge and the complex shift sit in the mass term
 W = (1 + i(gamma + beta)) k^2 M. So only W, and then the second level, are
 coarsened as stencil arrays, one axis at a time. The coarsenings of L follow
 exactly from 1D Galerkin products, one per axis and offset, because L is a
@@ -189,27 +191,27 @@ class MultigridHierarchy:
 
 
 def _axis_weights(n, order):
-    """Unnormalized restriction band of one axis on a vertex grid of n nodes.
+    """Unnormalized restriction band of one axis of n unknowns.
 
-    Entry (J, c) is the stencil weight of fine node c = 2J + o for coarse
-    node J. Boundary rows and columns are left out: Dirichlet unknowns carry
-    no correction.
+    Coarse unknown J sits over fine unknown 2J + 1, and entry (J, c) is the
+    stencil weight of fine unknown c = 2J + 1 + o. Weights that would fall
+    on the Dirichlet layer are left out.
     """
     if order not in RESTRICTION_WEIGHTS:
         raise ValueError(f"unknown transfer order {order!r}")
     weights = RESTRICTION_WEIGHTS[order]
     half = len(weights) // 2
-    nc = (n - 1) // 2 + 1
-    rows = np.repeat(np.arange(1, nc - 1), len(weights))
-    cols = 2 * rows + np.tile(np.arange(-half, half + 1), nc - 2)
-    vals = np.tile(weights, nc - 2)
-    keep = (cols >= 1) & (cols <= n - 2)
+    nc = (n - 1) // 2
+    rows = np.repeat(np.arange(nc), len(weights))
+    cols = 2 * rows + 1 + np.tile(np.arange(-half, half + 1), nc)
+    vals = np.tile(weights, nc)
+    keep = (cols >= 0) & (cols < n)
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nc, n))
 
 
 def _unit_rows(band):
-    """band with each nonempty row divided by its sum, so constants map to
-    constants also where the boundary truncates the stencil."""
+    """band with each row divided by its sum, so constants map to constants
+    also where the boundary truncates the stencil."""
     band = sp.csr_matrix(band)
     sums = np.asarray(band.sum(axis=1)).ravel()
     band.data = band.data / np.repeat(sums, np.diff(band.indptr))
@@ -225,17 +227,18 @@ def _axis_factors(n, restriction_order, prolongation_order):
 
 
 def transfer_matrices(fine_shape, restriction_order, prolongation_order):
-    """TransferPair between a padded grid and its index-halved coarsening.
+    """TransferPair between a grid of unknowns and its coarsening, whose
+    unknown J sits over fine unknown 2J + 1 along every axis.
 
     Per axis, restriction is the row-normalized weight band and prolongation
     the row-normalized transpose of its own family's band; away from the
-    boundary that is the transpose-scaling convention P = 2^d R^T. An axis
-    of fewer than 3 nodes or of an even count cannot be halved, a ValueError.
+    boundary that is the transpose-scaling convention P = 2^d R^T. An axis of
+    fewer than 3 unknowns or of an even count cannot be halved, a ValueError.
     """
     bad = [n for n in fine_shape if n < 3 or n % 2 == 0]
     if bad:
         raise ValueError(f"grid extents {tuple(fine_shape)} cannot be halved: each "
-                         f"axis needs an odd count of at least 3 nodes, got {bad}")
+                         f"axis needs an odd count of at least 3 unknowns, got {bad}")
     factors = [_axis_factors(n, restriction_order, prolongation_order)
                for n in fine_shape]
     return TransferPair(tuple(r for r, _ in factors), tuple(p for _, p in factors),
@@ -247,8 +250,8 @@ def _galerkin_band(n, restriction_order, prolongation_order, axis_offsets):
     """One axis's Galerkin step R A P as a real map on stencil coefficients.
 
     The block it acts on holds the coefficients of axis_offsets on n fine
-    nodes, rows ordered (offset o, node i); the band maps it to rows
-    (coarse offset q, coarse node J), with entry R[J, i] P[i + o, J + q]
+    unknowns, rows ordered (offset o, unknown i); the band maps it to rows
+    (coarse offset q, coarse unknown J), with entry R[J, i] P[i + o, J + q]
     for the axis factors R and P of the transfers. Returns the band and the
     coarse offsets q, those with a nonzero row.
     """
@@ -282,7 +285,7 @@ def _coarsen_axis(offsets, coeffs, axis, orders):
     """
     shape = coeffs.shape[1:]
     lead, n, trail = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
-    nc = (n - 1) // 2 + 1
+    nc = (n - 1) // 2
     planes = coeffs.reshape(len(offsets), lead, n, trail)
     others = np.delete(offsets, axis, axis=1)
     steps, coarse_offsets = [], []
@@ -309,8 +312,6 @@ def _coarsen(stencil, pair):
 
     The transfers are Kronecker products of 1D bands, so R A P applies the
     1D step of each axis in turn. Complex data goes through a real view.
-    Boundary rows stay zero: the bands neither read fine boundary nodes nor
-    write coarse ones.
     """
     offsets, coeffs = stencil.offsets, stencil.coeffs
     for axis in range(coeffs.ndim - 1):
@@ -321,13 +322,13 @@ def _coarsen(stencil, pair):
 def _unit_shifts(extents, shape):
     """Per axis of the fine grid, the 1D offsets of a constant stencil of
     the given extents, and one 1D stencil per offset with coefficient 1
-    there on every node.
+    there on every unknown.
 
     On the fine grid, the coefficient of the constant Laplacian part L at
-    offset o is L[o] times one interior mask per axis, so L is the sum
-    over o of L[o] times the Kronecker product of these 1D shifts; the
-    Galerkin bands leave the masks out by themselves, as they neither read
-    fine boundary nodes nor write coarse ones.
+    offset o is L[o] times one mask per axis, of the rows whose column stays
+    in the grid, so L is the sum over o of L[o] times the Kronecker product
+    of these 1D shifts; the Galerkin bands leave the masks out by
+    themselves, as they read no column outside the grid.
     """
     return [(tuple(range(-(e // 2), e // 2 + 1)), np.repeat(np.eye(e)[:, :, None], n, axis=2))
             for e, n in zip(extents, shape)]
@@ -367,7 +368,7 @@ def _rows(stencil):
 
 
 def _halved(shape):
-    return tuple((n - 1) // 2 + 1 for n in shape)
+    return tuple((n - 1) // 2 for n in shape)
 
 
 def _make_level(operator, damping):
@@ -390,7 +391,7 @@ def _make_level(operator, damping):
 
 def _transfer_pairs(shape, intergrid):
     """The TransferPairs fine to mid and mid to coarsest of an intergrid
-    scheme, for a fine grid of the given shape."""
+    scheme, for a fine grid of unknowns of the given shape."""
     orders12, orders23 = INTERGRID[intergrid]
     return (transfer_matrices(shape, *orders12),
             transfer_matrices(_halved(shape), *orders23))
@@ -413,7 +414,7 @@ def _check_coarsenable(shape):
         raise ValueError(
             f"grid extents {tuple(shape)} cannot be coarsened twice: each axis "
             f"needs (nodes - 1) divisible by 4 and at least 17 nodes so the "
-            f"coarsest level keeps 3 interior nodes")
+            f"coarsest level keeps 3 unknowns")
 
 
 def _factorize(operator, plan, pivoting=False):
@@ -449,14 +450,13 @@ def build_hierarchy(problem, scheme, plan):
     and every plan takes the same two stencil coarsenings, of W and of
     level 2.
     """
-    shape = problem.padded_shape
-    _check_coarsenable(shape)
+    _check_coarsenable(problem.padded_shape)
 
     fine = assemble_operator(problem, scheme, alpha=1.0, beta=plan.beta)
-    t12, t23 = _transfer_pairs(shape, plan.intergrid)
+    t12, t23 = _transfer_pairs(fine.grid_shape, plan.intergrid)
     lap, _ = laplacian_and_mass_stencils(problem.model.dim, scheme)
     weights = lap / problem.model.h ** 2    # the planes are L / h^2
-    shifts = _coarsen_shifts(_unit_shifts(lap.shape, shape), t12.orders)
+    shifts = _coarsen_shifts(_unit_shifts(lap.shape, fine.grid_shape), t12.orders)
 
     # Level 2 is made in place in the coarsened mass term's arrays, one
     # plane of L at a time: a full-size array of L would be freed under the
@@ -508,8 +508,7 @@ def build_rediscretized_hierarchy(problem, plan):
     """
     if problem.model.dim != 2:
         raise ValueError("the re-discretized baseline is available in 2D only")
-    shape = problem.padded_shape
-    _check_coarsenable(shape)
+    _check_coarsenable(problem.padded_shape)
 
     mid_problem = _coarsened_problem(problem)
     coarse_problem = _coarsened_problem(mid_problem)
@@ -519,7 +518,7 @@ def build_rediscretized_hierarchy(problem, plan):
     coarse = assemble_operator(coarse_problem, REDISC_SCHEME,
                                alpha=REDISC_WAVENUMBER_SCALE, beta=plan.beta)
 
-    return _hierarchy((fine, mid, coarse), _transfer_pairs(shape, "bilinear"), plan)
+    return _hierarchy((fine, mid, coarse), _transfer_pairs(fine.grid_shape, "bilinear"), plan)
 
 
 def jacobi_smooth(level, x, b, sweeps):
@@ -548,15 +547,25 @@ def jacobi_smooth(level, x, b, sweeps):
     return x
 
 
+def _check_length(vector, level, what):
+    """Raise a ValueError unless vector is flat, one entry per unknown of level."""
+    n = level.operator.dofs
+    if vector.shape != (n,):
+        raise ValueError(f"{what} of shape {vector.shape} does not match the {n} "
+                         f"unknowns of its level")
+
+
 def coarse_solve(hierarchy, rhs):
     """Direct solve on the coarsest level, verified to 1e-10 relative.
 
     The right-hand side is cast to double and the solution is double. A
     solve that misses the check is repeated once with a freshly pivoted
     factorization, which then serves every later solve of the hierarchy. A
-    non-finite right-hand side is a FloatingPointError, with no solve.
+    non-finite right-hand side is a FloatingPointError, with no solve, and
+    one that is not a vector over the level's unknowns a ValueError.
     """
     rhs = np.asarray(rhs, dtype=complex)
+    _check_length(rhs, hierarchy.levels[-1], "the coarsest right-hand side")
     scale = np.linalg.norm(rhs)
     if scale == 0:
         return np.zeros_like(rhs)
@@ -647,9 +656,11 @@ def cycle(hierarchy, b):
     whatever its magnitude. One that still overflows to anything non-finite
     is redone in double, and sets the hierarchy's precision_fallback so that
     every later cycle runs in double. A b that is itself non-finite goes to
-    the double cycle directly, without the flag.
+    the double cycle directly, without the flag. A b of the wrong length is
+    a ValueError.
     """
     b = np.asarray(b, dtype=complex).ravel()
+    _check_length(b, hierarchy.levels[0], "the cycle's input")
     if not hierarchy.precision_fallback:
         size = np.linalg.norm(b)
         if not np.isfinite(size):

@@ -1,29 +1,66 @@
 """Sparse-matrix oracle for the assembly and the Galerkin coarsening.
 
 The solver never goes through this module. It assembles the fine and mass
-operators from COO triplets, one block per stencil offset, forms the
-transfers as Kronecker products of their 1D bands in one CSR matrix each,
-and coarsens with explicit sparse triple products R * A * P. The
-stencil-array assembly, the axis-by-axis coarsening and the axis-by-axis
-transfers of :mod:`rscgc.discretization` and :mod:`rscgc.multigrid` are
-checked against it. mass_matrix is the mass operator by the library's own
+operators from COO triplets, one block per stencil offset, on the whole
+node grid, with identity rows on its outermost layer, the Dirichlet
+boundary. It forms the transfers as Kronecker products of their 1D bands in
+one CSR matrix each, extends them by zero to that layer, and coarsens with
+explicit sparse triple products R * A * P. The library's unknowns are the
+nodes inside the layer, so each of its operators is checked against the
+oracle's interior block (interior_block), once the oracle's couplings
+between the interior and the layer are found to be zero. The stencil-array
+assembly, the axis-by-axis coarsening and the axis-by-axis transfers of
+:mod:`rscgc.discretization` and :mod:`rscgc.multigrid` are checked against
+it. mass_matrix is the mass operator by the library's own
 stencil route, for the identities that need it as a matrix,
 assembled_stencil the GridStencil of an assembled operator, for the route
 that coarsens it whole, and galerkin_band the 1D Galerkin band by sparse
 shift products.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 
-from rscgc.discretization import (GridStencil, SparseOperator, _boundary_mask,
-                                  _interior_stencil, _padded_kappa2, _scheme_coefficients,
+from rscgc.discretization import (GridStencil, SparseOperator, _interior_stencil,
+                                  _padded_kappa2, _scheme_coefficients,
                                   attenuation_profile, laplacian_and_mass_stencils,
                                   mass_term)
 from rscgc.multigrid import _axis_factors
 from rscgc.stencils import RESTRICTION_WEIGHTS, offsets
+
+
+def _boundary_mask(shape):
+    """The outermost layer of a node grid, the Dirichlet boundary."""
+    mask = np.ones(shape, dtype=bool)
+    mask[tuple(slice(1, s - 1) for s in shape)] = False
+    return mask
+
+
+def halved(shape):
+    """The node grid of the coarsening of a node grid."""
+    return tuple((n - 1) // 2 + 1 for n in shape)
+
+
+def interior_block(matrix, shape):
+    """The block of a matrix over the node grid shape at the nodes inside its
+    outermost layer, the library's unknowns, once no entry is found to
+    couple them with the layer in either direction."""
+    inside = ~_boundary_mask(shape).ravel()
+    matrix = sp.csr_matrix(matrix)
+    assert matrix[inside][:, ~inside].count_nonzero() == 0
+    assert matrix[~inside][:, inside].count_nonzero() == 0
+    return sp.csr_matrix(matrix[inside][:, inside])
+
+
+def embedding(shape):
+    """The map from the library's unknowns to the node grid shape: E u is u
+    inside the outermost layer and zero on it."""
+    inside = np.flatnonzero(~_boundary_mask(shape).ravel())
+    return sp.csr_matrix((np.ones(len(inside)), (inside, np.arange(len(inside)))),
+                         shape=(math.prod(shape), len(inside)))
 
 
 def _stencil_entries(shape, boundary, stencil, weight_of_offset):
@@ -97,16 +134,11 @@ def mass_operator_matrix(problem, scheme):
 
 
 def mass_matrix(problem, scheme):
-    """The real k^2-weighted mass operator k^2 M as a SparseOperator, built
-    from the real part of mass_term at beta = 0: its CSR with the identity
-    taken off the boundary rows, which leaves them empty, matching the
-    decoupled rows of the assembly."""
+    """The real k^2-weighted mass operator k^2 M on the library's unknowns as
+    a SparseOperator, the CSR of the real part of mass_term at beta = 0."""
     term = mass_term(problem, scheme)
-    shape = problem.padded_shape
-    matrix = (GridStencil(term.offsets, term.coeffs.real).tocsr()
-              - sp.diags(_boundary_mask(shape).ravel().astype(float)))
-    matrix.eliminate_zeros()
-    return SparseOperator(matrix, shape, term.reach)
+    matrix = GridStencil(term.offsets, term.coeffs.real).tocsr()
+    return SparseOperator(matrix, term.grid_shape, term.reach)
 
 
 def assembled_stencil(problem, scheme, alpha=1.0, beta=0.0):
@@ -135,9 +167,20 @@ def kron_transfers(pair):
     return kron(pair.restriction), kron(pair.prolongation)
 
 
-def coarsen_matrix(matrix, pair, coarse_shape):
-    """Sparse triple product with the coarse Dirichlet diagonal restored."""
+def node_transfers(pair, fine_shape):
+    """The restriction and prolongation of a TransferPair between the node
+    grid fine_shape and its coarsening, extended by zero to their outermost
+    layers."""
+    fine, coarse = embedding(fine_shape), embedding(halved(fine_shape))
     R, P = kron_transfers(pair)
+    return coarse @ R @ fine.T, fine @ P @ coarse.T
+
+
+def coarsen_matrix(matrix, pair, fine_shape):
+    """Sparse triple product over the node grid fine_shape, with the coarse
+    Dirichlet diagonal restored."""
+    coarse_shape = halved(fine_shape)
+    R, P = node_transfers(pair, fine_shape)
     coarse = (R @ matrix) @ P
     coarse = sp.csr_matrix(coarse)
     bnd = _boundary_mask(coarse_shape).ravel()
@@ -149,22 +192,24 @@ def coarsen_matrix(matrix, pair, coarse_shape):
 
 
 def hierarchy_levels(problem, scheme, plan, transfers):
-    """The three level matrices by the sparse route: the fine operator at
-    (1, beta), its coarsening, and the coarsening of the mid level plus
+    """The three level matrices by the sparse route over the node grids,
+    each as (matrix, node grid shape): the fine operator at (1, beta), its
+    coarsening, and the coarsening of the mid level plus
     (1 - alpha^2) R12 (k^2 M) P12."""
     t12, t23 = transfers
-    mid_shape = tuple((n - 1) // 2 + 1 for n in problem.padded_shape)
-    coarse_shape = tuple((n - 1) // 2 + 1 for n in mid_shape)
+    fine_shape = problem.padded_shape
+    mid_shape = halved(fine_shape)
     fine = operator_matrix(problem, scheme, alpha=1.0, beta=plan.beta)
-    mid = coarsen_matrix(fine, t12, mid_shape)
+    mid = coarsen_matrix(fine, t12, fine_shape)
     shifted = mid
     if plan.alpha != 1.0:
         mass = mass_operator_matrix(problem, scheme)
-        R, P = kron_transfers(t12)
+        R, P = node_transfers(t12, fine_shape)
         mid_mass = sp.csr_matrix((R @ mass) @ P)
         mid_mass.sort_indices()
         shifted = mid + (1.0 - plan.alpha ** 2) * mid_mass
-    return fine, mid, coarsen_matrix(shifted, t23, coarse_shape)
+    return ((fine, fine_shape), (mid, mid_shape),
+            (coarsen_matrix(shifted, t23, mid_shape), halved(mid_shape)))
 
 
 def galerkin_band(n, restriction_order, prolongation_order, axis_offsets):

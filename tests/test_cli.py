@@ -99,7 +99,7 @@ def test_solve_payload_and_table_lookup(tmp_path):
     assert payload["beta"] == 0.0
     assert payload["grid"] == [64, 64]
     assert payload["padded_shape"] == [105, 105]
-    assert payload["dofs"] == 105 * 105
+    assert payload["dofs"] == 103 * 103        # the nodes inside the Dirichlet layer
     assert payload["cycle"] == "W(1,1)"
     assert payload["converged"] is True and payload["diverged"] is False
     history = payload["residual_history"]
@@ -108,7 +108,7 @@ def test_solve_payload_and_table_lookup(tmp_path):
     # set-up and solve timed apart; per-level sizes, LU fill, coarsest residual
     assert 0 < payload["setup_seconds"] and 0 < payload["solve_seconds"]
     assert "wall_time" not in payload
-    assert [level["dofs"] for level in payload["levels"]] == [105 ** 2, 53 ** 2, 27 ** 2]
+    assert [level["dofs"] for level in payload["levels"]] == [103 ** 2, 51 ** 2, 25 ** 2]
     assert all(level["nnz"] >= level["dofs"] for level in payload["levels"])
     assert payload["coarse_lu_nnz"] >= payload["levels"][2]["nnz"]
     assert 0 < payload["max_coarse_residual"] <= 1e-10
@@ -625,7 +625,7 @@ def test_sweep_table_shape_and_method_contrast(tmp_path):
                                         "setup_seconds", "seconds"]] * 2
     ours, cslp = rows
     assert ours["method"] == "rs-cgc" and cslp["method"] == "cslp:0.3:bilinear"
-    assert ours["grid"] == "32x32" and int(ours["dofs"]) == 73 * 73
+    assert ours["grid"] == "32x32" and int(ours["dofs"]) == 71 * 71
     assert ours["alpha"] == "1.014" and ours["beta"] == "0"
     assert cslp["alpha"] == "1" and cslp["beta"] == "0.3"
     assert ours["converged"] == "True" and cslp["converged"] == "True"

@@ -15,6 +15,7 @@ from rscgc.discretization import (
     HelmholtzProblem,
     SlownessModel,
     SparseOperator,
+    _interior_stencil,
     assemble_operator,
     attenuation_profile,
     laplacian_and_mass_stencils,
@@ -24,6 +25,7 @@ from rscgc.discretization import (
     omega_for_ppw,
     point_source,
 )
+from rscgc.dispersion import AnalysisConfig
 from rscgc.multigrid import CyclePlan
 
 from conftest import build_problem, structurally_symmetric
@@ -111,22 +113,29 @@ def test_interior_row_matches_stencil():
     h = problem.model.h
     expected = lap / h ** 2 - problem.omega ** 2 * mass
 
-    shape = problem.padded_shape
-    row = A.matrix[np.ravel_multi_index((4, 4), shape)].toarray().reshape(shape)
-    window = row[3:6, 3:6]
+    shape = A.grid_shape
+    row = A.matrix[np.ravel_multi_index((3, 3), shape)].toarray().reshape(shape)
+    window = row[2:5, 2:5]
     assert np.allclose(window, expected, rtol=0, atol=1e-10)
-    row[3:6, 3:6] = 0
+    row[2:5, 2:5] = 0
     assert not row.any()
 
 
-def test_boundary_rows_are_decoupled_identity():
+def test_unknowns_are_the_nodes_inside_the_dirichlet_layer():
+    """The operator's grid is the padded node grid less its outermost layer,
+    and a corner unknown couples only to the unknowns its stencil reaches,
+    as the nodes inside: the stencil's entries there, none wrapped around."""
     problem = build_problem(2, 8, 10, pad=0)
-    A = assemble_operator(problem, "fourth-order").matrix
-    first = A[0].toarray().ravel()
-    assert first[0] == 1.0 and np.count_nonzero(first) == 1
-    # and nothing couples back into that boundary unknown
-    col = A[:, 0].toarray().ravel()
-    assert np.count_nonzero(col) == 1
+    A = assemble_operator(problem, "fourth-order")
+    assert problem.padded_shape == (9, 9) and A.grid_shape == (7, 7)
+    lap, mass = laplacian_and_mass_stencils(2, "fourth-order")
+    expected = lap / problem.model.h ** 2 - problem.omega ** 2 * mass
+    for corner, window in (((0, 0), np.s_[1:, 1:]), ((6, 6), np.s_[:2, :2])):
+        row = A.matrix[np.ravel_multi_index(corner, A.grid_shape)]
+        assert row.nnz == 4
+        near = row.toarray().reshape(A.grid_shape)[tuple(slice(max(0, c - 1), c + 2)
+                                                         for c in corner)]
+        assert np.allclose(near, expected[window], rtol=0, atol=1e-10)
 
 
 def test_assembled_pattern_structurally_symmetric():
@@ -135,20 +144,24 @@ def test_assembled_pattern_structurally_symmetric():
     assert structurally_symmetric(A.matrix)
 
 
-def test_grid_stencil_csr_writes_boundary_rows_and_drops_zeros():
+def test_grid_stencil_csr_drops_zeros_and_writes_no_boundary_rows():
+    """A 5-point stencil over the 4 x 5 unknowns of a 6 x 7 node grid: every
+    row holds the offsets whose column stays in the grid, none wraps to the
+    next line, and an exact zero is dropped."""
     offsets = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
-    coeffs = np.zeros((5, 4, 5))
-    coeffs[:, 1:-1, 1:-1] = np.arange(1.0, 6.0)[:, None, None]
-    coeffs[0, 2, 2] = 0.0
-    matrix = GridStencil(offsets, coeffs).tocsr()
+    stencil = _interior_stencil((6, 7), offsets, float, lambda e, colslc: e + 1.0)
+    assert stencil.grid_shape == (4, 5)
+    stencil.coeffs[0, 2, 2] = 0.0
+    matrix = stencil.tocsr()
     dense = matrix.toarray()
     row = np.ravel_multi_index((1, 2), (4, 5))
     assert dense[row, row - 5] == 1.0 and dense[row, row + 1] == 4.0
-    assert matrix.nnz == 6 * 5 - 1 + 14          # one exact zero dropped
-    assert np.array_equal(np.diag(dense)[[0, 4, 5, 19]], [1.0, 1.0, 1.0, 1.0])
+    # 20 diagonal entries, 2 x 15 along the first axis, 2 x 16 along the
+    # second, less the one exact zero
+    assert matrix.nnz == 20 + 30 + 32 - 1
+    assert np.array_equal(np.diag(dense), np.full(20, 3.0))
+    assert dense[np.ravel_multi_index((1, 4), (4, 5)), np.ravel_multi_index((2, 0), (4, 5))] == 0
     assert matrix.has_sorted_indices
-    boundary = [0, 1, 2, 3, 4, 5, 9, 10, 14, 15, 16, 17, 18, 19]
-    assert np.array_equal(dense[boundary], np.eye(20)[boundary])
 
 
 def test_grid_stencil_needs_sorted_offsets_that_fit():
@@ -187,22 +200,20 @@ def test_complex_shift_enters_the_diagonal():
     problem = build_problem(2, 8, 10, pad=0)
     beta = 0.3
     A = assemble_operator(problem, "fourth-order", beta=beta)
-    diag = A.matrix.diagonal().reshape(problem.padded_shape)
-    interior = diag[1:-1, 1:-1]
+    diag = A.matrix.diagonal()
     # mass center weight is 8/12 for this scheme
     expected = -beta * problem.omega ** 2 * (8.0 / 12.0)
-    assert np.allclose(interior.imag, expected, rtol=1e-12)
+    assert np.allclose(diag.imag, expected, rtol=1e-12)
 
 
 def test_sponge_makes_imaginary_diagonal_negative():
     problem = build_problem(2, 16, 10, pad=6)
     A = assemble_operator(problem, "fourth-order")
-    diag = A.matrix.diagonal().reshape(problem.padded_shape)
+    diag = A.matrix.diagonal().reshape(A.grid_shape)
     gamma = attenuation_profile(problem)
-    inner = (slice(1, -1),) * 2
-    damped = gamma[inner] > 0
-    assert np.all(diag[inner].imag[damped] < 0)
-    assert np.allclose(diag[inner].imag[~damped], 0.0)
+    damped = gamma[1:-1, 1:-1] > 0
+    assert np.all(diag.imag[damped] < 0)
+    assert np.allclose(diag.imag[~damped], 0.0)
 
 
 def test_mass_term_samples_the_neighbor_node():
@@ -214,9 +225,9 @@ def test_mass_term_samples_the_neighbor_node():
     problem = HelmholtzProblem(model, 1.0, pad=0)
     A = assemble_operator(problem, "fourth-order")
 
-    shape = problem.padded_shape
-    r = np.ravel_multi_index((4, 4), shape)
-    c = np.ravel_multi_index((4, 5), shape)
+    # the nodes (4, 4) and (4, 5), inside the Dirichlet layer
+    r = np.ravel_multi_index((3, 3), A.grid_shape)
+    c = np.ravel_multi_index((3, 4), A.grid_shape)
     lap, mass = laplacian_and_mass_stencils(2, "fourth-order")
     with_neighbor = lap[1, 2] / h ** 2 - kappa2[4, 5] * mass[1, 2]
     with_center = lap[1, 2] / h ** 2 - kappa2[4, 4] * mass[1, 2]
@@ -224,13 +235,12 @@ def test_mass_term_samples_the_neighbor_node():
     assert abs(A.matrix[r, c] - with_center) > 1e-4
 
 
-def test_mass_matrix_is_real_with_zero_boundary_rows():
+def test_mass_matrix_is_real_over_the_unknowns():
     problem = build_problem(2, 8, 10, pad=4)
     M = mass_matrix(problem, "fourth-order")
-    assert np.allclose(M.matrix.data.imag, 0.0)
     assert M.matrix.dtype == np.float64
-    n0 = problem.padded_shape[1]
-    assert M.matrix[0].nnz == 0 and M.matrix[n0 + 1].nnz > 0
+    assert M.grid_shape == (15, 15)
+    assert np.all(np.diff(M.matrix.indptr) > 0)
 
 
 def test_invalid_shift_arguments():
@@ -456,6 +466,27 @@ def test_problem_rejects_non_finite_values(field, value):
         HelmholtzProblem(model, **kwargs)
 
 
+_HOMOGENEOUS_8 = lambda: make_model("homogeneous", (1.0, 1.0), (8, 8), 0.125)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: AnalysisConfig(2.0, 12.0), "analysis dim must be an integer, got 2.0"),
+    (lambda: AnalysisConfig(True, 12.0), "analysis dim must be an integer, got True"),
+    (lambda: AnalysisConfig(2, "12"), "G must be a number, got '12'"),
+    (lambda: AnalysisConfig(2, True), "G must be a number, got True"),
+    (lambda: SlownessModel(2.0, (8, 8), 0.125, np.ones((9, 9))),
+     "dim must be an integer, got 2.0"),
+    (lambda: omega_for_ppw(_HOMOGENEOUS_8(), "12"),
+     "points per wavelength G must be a number, got '12'"),
+    (lambda: omega_for_ppw(_HOMOGENEOUS_8(), None),
+     "points per wavelength G must be a number, got None"),
+], ids=["analysis-dim-float", "analysis-dim-bool", "analysis-G-str", "analysis-G-bool",
+        "model-dim-float", "ppw-G-str", "ppw-G-none"])
+def test_a_mistyped_dim_or_G_is_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def test_nyquist_rejection():
     model = make_model("homogeneous", (1.0, 1.0), (8, 8), 0.125)
     with pytest.raises(ValueError, match="Nyquist"):
@@ -467,7 +498,10 @@ def test_nyquist_rejection():
 def test_point_source_strength_and_placement():
     problem = build_problem(2, 8, 10, pad=3)
     rhs = point_source(problem)
-    index = tuple(s + p for s, p in zip(problem.source, problem.pad_lo))
+    assert rhs.shape == assemble_operator(problem, "fourth-order").grid_shape == (13, 13)
+    # the unknowns start one node inside the padded grid
+    index = tuple(s + p - 1 for s, p in zip(problem.source, problem.pad_lo))
+    assert index == (6, 2)
     assert rhs[index] == pytest.approx(1.0 / problem.model.h ** 2)
     assert np.count_nonzero(rhs) == 1
     assert problem.source == (4, 0)

@@ -23,7 +23,7 @@ from rscgc.dispersion import (
     export_dispersion_curve,
     ncrit_bounds,
     optimize_shift,
-    _COMPOSITE_NODES,
+    _COMPOSITE_UNKNOWNS,
     _RAY_BLOCK,
     _RAY_DIRECTIONS,
     _closed_range,
@@ -565,12 +565,12 @@ def test_composite_pair_matches_the_periodic_triple_product(dim, intergrid):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_fewer_composite_nodes_let_the_boundary_reach_the_cubic_composites(dim,
                                                                            monkeypatch):
-    """On the next coarsenable grid below _COMPOSITE_NODES, the renormalized
+    """On the next coarsenable grid below _COMPOSITE_UNKNOWNS, the renormalized
     boundary rows of the cubic transfers reach the centre of the coarsest
     grid and the cubic composites miss the periodic triple product by more
     than 1e-6, while the level-dependent ones still match: the constant
     cannot be lowered without breaking the analysis."""
-    monkeypatch.setattr(dispersion, "_COMPOSITE_NODES", _COMPOSITE_NODES - 8)
+    monkeypatch.setattr(dispersion, "_COMPOSITE_UNKNOWNS", _COMPOSITE_UNKNOWNS - 8)
     for intergrid in TUNED_INTERGRIDS:
         misses = [_largest_miss(composite, periodic_composite(fine, intergrid))
                   for fine, composite in zip(_fine_pair(dim),
@@ -602,8 +602,9 @@ def test_composite_stencil_matches_the_assembled_hierarchy():
 
     A3 = hier.levels[2].operator.matrix
     shape = hier.levels[2].operator.grid_shape
-    row = A3[np.ravel_multi_index((4, 4), shape)].toarray().reshape(shape)
-    window = row[1:8, 1:8] * problem.model.h ** 2
+    assert shape == reference.shape == (7, 7)
+    row = A3[np.ravel_multi_index((3, 3), shape)].toarray().reshape(shape)
+    window = row * problem.model.h ** 2
     scale = np.abs(reference).max()
     assert np.abs(window - reference).max() <= 1e-12 * scale
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import rscgc.multigrid as mg
 from rscgc import frontal
-from rscgc.discretization import SparseOperator, assemble_operator
+from rscgc.discretization import assemble_operator
 from rscgc.frontal import FrontalLU, nested_dissection
 from rscgc.multigrid import CyclePlan, build_hierarchy, build_rediscretized_hierarchy
 from rscgc.stencils import INTERGRID
@@ -34,33 +34,18 @@ def box_pattern(shape, reach):
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def stencil_operator(shape, reach, seed, decoupled=None):
-    """Complex operator of reach `reach` with random heterogeneous
-    coefficients and a dominant diagonal on interior rows, and identity rows
-    on the boundary.
-
-    decoupled=None keeps the interior rows' couplings to boundary nodes, so
-    the pattern is not symmetric. "shell" drops them, so the whole boundary
-    is decoupled, as the Dirichlet nodes of the library's operators are;
-    "free-top" also makes the rows of the first face along axis 0 interior
-    ones, so that face of the shell is coupled both ways.
-    """
+def stencil_operator(shape, reach, seed):
+    """Complex operator of reach `reach` on a grid, with random
+    heterogeneous coefficients and a dominant diagonal."""
     rng = np.random.default_rng(seed)
     n = math.prod(shape)
     rows, cols = box_pattern(shape, reach)
-    coords = np.indices(shape).reshape(len(shape), -1)
-    first = np.zeros((len(shape), 1), dtype=int)
-    first[0] -= decoupled == "free-top"
-    interior = ((coords > first) & (coords < np.array(shape)[:, None] - 1)).all(axis=0)
-    keep = interior[rows] & (rows != cols)
-    if decoupled:
-        keep &= interior[cols]
+    keep = rows != cols
     rows, cols = rows[keep], cols[keep]
     vals = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     weight = np.abs(A).sum(axis=1).A1 + 1
-    phase = np.exp(2j * np.pi * rng.random(n))
-    return A + sp.diags(np.where(interior, weight * phase, 1.0))
+    return A + sp.diags(weight * np.exp(2j * np.pi * rng.random(n)))
 
 
 def perm_r(lu):
@@ -71,16 +56,15 @@ def perm_r(lu):
 
 def check_factors(A, shape, reach):
     """L U reproduces the permuted matrix, fill counts their entries, solve
-    agrees with splu, and the fronts pivot exactly the interior box."""
+    agrees with splu, and the fronts pivot every unknown."""
     A = sp.csr_matrix(A)
     lu = FrontalLU(A, shape, reach)
     scale = abs(A).max()
     gap = abs(lu.L @ lu.U - A[perm_r(lu)][:, lu.order]).max()
     assert gap <= 1e-12 * scale
     assert lu.fill == lu.L.nnz + lu.U.nnz
-    interior = np.zeros(shape, dtype=bool)
-    interior[(slice(1, -1),) * len(shape)] = True
-    assert sorted(lu.order[:lu.tree[-1].stop].tolist()) == np.flatnonzero(interior).tolist()
+    assert lu.tree[-1].stop == A.shape[0]
+    assert sorted(lu.order.tolist()) == list(range(A.shape[0]))
     b = np.random.default_rng(7).standard_normal((A.shape[0], 2)) @ [1, 1j]
     x = lu.solve(b)
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
@@ -96,40 +80,35 @@ def check_factors(A, shape, reach):
 def test_frontal_lu_matches_the_permuted_matrix_and_splu(dim, reach, sides, leaf, seed):
     shape = tuple(s * (3 if dim == 2 else 1) for s in sides[:dim])
     with mock.patch.object(frontal, "_LEAF", leaf):
-        lu = check_factors(stencil_operator(shape, reach, seed, "shell"), shape, reach)
+        lu = check_factors(stencil_operator(shape, reach, seed), shape, reach)
     assert sorted(perm_r(lu).tolist()) == list(range(math.prod(shape)))
 
 
-@pytest.mark.parametrize("decoupled", [None, "free-top"])
-@pytest.mark.parametrize("shape", [(27, 21), (9, 11, 10)])
-def test_coarse_solve_refactors_an_operator_whose_shell_is_coupled(shape, decoupled,
-                                                                   monkeypatch):
-    """The interior box leaves the couplings to the shell out of the fronts,
-    so its solve misses the 1e-10 check; coarse_solve refactors once with
-    SuperLU, which then meets it."""
-    A = stencil_operator(shape, 2, 5, decoupled).tocsr()
-    operator = SparseOperator(A, shape, 2)
-    hier = mg.MultigridHierarchy((mg._make_level(operator, None),), (),
-                                 FrontalLU(A, shape, 2), CyclePlan())
-    b = np.random.default_rng(11).standard_normal(A.shape[0]) + 0j
-    assert np.linalg.norm(b - A @ hier.coarse_solver.solve(b)) > 1e-3 * np.linalg.norm(b)
-    calls = []
-    factorize = mg._factorize
-    monkeypatch.setattr(mg, "_factorize", lambda operator, plan, pivoting=False:
-                        calls.append(pivoting) or factorize(operator, plan, pivoting))
-    for _ in range(2):
-        x = mg.coarse_solve(hier, b)
-        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
-    assert calls == [True]
-    assert not isinstance(hier.coarse_solver, FrontalLU)
+@pytest.mark.parametrize("reach", [1, 2])
+def test_a_coupling_past_the_recorded_reach_falls_back_to_superlu(reach):
+    """The 2D coarsest level couples unknowns 3 apart. Recorded with a
+    smaller reach, its separators leave couplings across them, which the
+    symbolic pass finds and names; _factorize then turns to SuperLU, whose
+    solve meets the 1e-10 check."""
+    problem = build_problem(2, 64, 12, kind="wedge", kappa2=(0.25, 1.0), pad=20)
+    coarsest = build_hierarchy(problem, "fourth-order",
+                               CyclePlan(alpha=1.0045)).levels[-1].operator
+    assert coarsest.reach == 3
+    operator = dataclasses.replace(coarsest, reach=reach)
+    with pytest.raises(RuntimeError, match=f"more than reach {reach} apart"):
+        FrontalLU(operator.matrix, operator.grid_shape, operator.reach)
+    lu = mg._factorize(operator, CyclePlan())
+    assert not isinstance(lu, FrontalLU)
+    b = np.random.default_rng(11).standard_normal(operator.dofs) + 0j
+    assert np.linalg.norm(b - operator.matrix @ lu.solve(b)) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_a_zero_diagonal_outside_the_box_is_a_singular_pivot(monkeypatch):
+def test_a_zero_row_is_a_singular_pivot(monkeypatch):
     """FrontalLU raises, so _factorize turns to SuperLU, which fails on the
     singular matrix too and names the plan."""
     operator = assemble_operator(build_problem(3, 8, 10, pad=0), "fourth-order")
     A = sp.lil_matrix(operator.matrix)
-    A[0, 0] = 0
+    A[0] = 0
     operator = dataclasses.replace(operator, matrix=A.tocsr())
     with pytest.raises(RuntimeError, match="exactly singular"):
         FrontalLU(operator.matrix, operator.grid_shape, operator.reach)

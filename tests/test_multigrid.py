@@ -40,34 +40,15 @@ from galerkin_oracle import mass_matrix
 SINGLE_RTOL = 1e-5
 
 
-def interior_mask(shape):
-    mask = np.ones(shape, dtype=bool)
-    for ax in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[ax] = 0
-        mask[tuple(sl)] = False
-        sl[ax] = shape[ax] - 1
-        mask[tuple(sl)] = False
-    return mask.ravel()
-
-
 # ---------------------------------------------------------------- transfers
 
 @pytest.mark.parametrize("order", ["cubic", "linear"])
 def test_transfers_preserve_constants(order):
-    shape = (17, 17)
+    shape = (15, 15)
     R, P = galerkin_oracle.kron_transfers(transfer_matrices(shape, order, order))
-    coarse_shape = (9, 9)
-
-    restricted = R @ np.ones(17 * 17)
-    keep = interior_mask(coarse_shape)
-    assert np.allclose(restricted[keep], 1.0, atol=1e-14)
-    assert np.allclose(restricted[~keep], 0.0)
-
-    prolonged = P @ np.ones(9 * 9)
-    keep = interior_mask(shape)
-    assert np.allclose(prolonged[keep], 1.0, atol=1e-14)
-    assert np.allclose(prolonged[~keep], 0.0)
+    assert R.shape == (7 * 7, 15 * 15) == P.T.shape
+    assert np.allclose(R @ np.ones(15 * 15), 1.0, atol=1e-14)
+    assert np.allclose(P @ np.ones(7 * 7), 1.0, atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -75,54 +56,52 @@ def test_transfers_preserve_constants(order):
        orders=st.sampled_from([("cubic", "cubic"), ("linear", "linear"),
                                ("linear", "cubic")]))
 def test_transfers_preserve_constants_on_any_coarsenable_shape(data, dim, orders):
-    """R maps ones to ones on the interior coarse nodes, P on the interior
-    fine nodes, and both give zero on the Dirichlet boundary."""
+    """R maps ones to ones on every coarse unknown, and P on every fine one,
+    those next to the Dirichlet layer included."""
     quarters = st.integers(1, 12 if dim == 2 else 5)
-    shape = tuple(4 * data.draw(quarters) + 1 for _ in range(dim))
-    coarse_shape = tuple((n - 1) // 2 + 1 for n in shape)
+    shape = tuple(4 * data.draw(quarters) - 1 for _ in range(dim))
     R, P = galerkin_oracle.kron_transfers(transfer_matrices(shape, *orders))
-    for matrix, out_shape in ((R, coarse_shape), (P, shape)):
+    assert R.shape == P.T.shape == (math.prod(mg._halved(shape)), math.prod(shape))
+    for matrix in (R, P):
         image = matrix @ np.ones(matrix.shape[1])
-        keep = interior_mask(out_shape)
-        assert np.allclose(image[keep], 1.0, rtol=0.0, atol=1e-14)
-        assert not image[~keep].any()
+        assert np.allclose(image, 1.0, rtol=0.0, atol=1e-14)
 
 
 def test_prolongation_is_scaled_restriction_transpose_deep_inside():
     """Away from boundary renormalization, P = 2^d R^T."""
-    shape = (33, 33)
+    shape = (31, 31)
     R, P = galerkin_oracle.kron_transfers(transfer_matrices(shape, "cubic", "cubic"))
     fine_keep = np.zeros(shape, dtype=bool)
-    fine_keep[4:-4, 4:-4] = True
-    coarse_keep = np.zeros((17, 17), dtype=bool)
-    coarse_keep[2:-2, 2:-2] = True
+    fine_keep[3:-3, 3:-3] = True
+    coarse_keep = np.zeros((15, 15), dtype=bool)
+    coarse_keep[1:-1, 1:-1] = True
     P = P[fine_keep.ravel()][:, coarse_keep.ravel()].toarray()
     R = R[coarse_keep.ravel()][:, fine_keep.ravel()].toarray()
     assert np.allclose(P, 4.0 * R.T, atol=1e-14)
 
 
 def _loop_axis_transfers(n, order):
-    """Reference for one axis of the transfers, entry by entry: the stencil
-    weights on interior nodes, each nonempty row divided by its sum."""
+    """Reference for one axis of n unknowns, entry by entry: the stencil
+    weights around fine unknown 2J + 1 for coarse unknown J, each row divided
+    by its sum."""
     weights = RESTRICTION_WEIGHTS[order]
     half = len(weights) // 2
-    nc = (n - 1) // 2 + 1
+    nc = (n - 1) // 2
     R, P = np.zeros((nc, n)), np.zeros((n, nc))
-    for J in range(1, nc - 1):
-        for c in range(max(1, 2 * J - half), min(n - 2, 2 * J + half) + 1):
-            R[J, c] = weights[c - 2 * J + half]
-            P[c, J] = 2.0 * weights[c - 2 * J + half]
+    for J in range(nc):
+        for c in range(max(0, 2 * J + 1 - half), min(n - 1, 2 * J + 1 + half) + 1):
+            R[J, c] = weights[c - 2 * J - 1 + half]
+            P[c, J] = 2.0 * weights[c - 2 * J - 1 + half]
     for matrix in (R, P):
         for row in matrix:
-            if row.any():
-                row /= row.sum()
+            row /= row.sum()
     return R, P
 
 
 @pytest.mark.parametrize("orders", [("cubic", "cubic"), ("linear", "linear"),
                                     ("linear", "cubic")])
 def test_transfers_match_the_entrywise_reference(orders):
-    for shape in ((17,), (21,), (139,), (17, 21)):
+    for shape in ((15,), (19,), (137,), (15, 19)):
         restriction, prolongation = galerkin_oracle.kron_transfers(
             transfer_matrices(shape, *orders))
         R = reduce(np.kron, [_loop_axis_transfers(n, orders[0])[0] for n in shape])
@@ -139,7 +118,7 @@ def test_axis_transfers_match_the_kronecker_oracle(data, dim, intergrid, seed):
     products on complex vectors, for both transfer pairs of every intergrid
     choice on any twice-coarsenable shape."""
     quarters = st.integers(2, 12 if dim == 2 else 5)
-    shape = tuple(4 * data.draw(quarters) + 1 for _ in range(dim))
+    shape = tuple(4 * data.draw(quarters) - 1 for _ in range(dim))
     rng = np.random.default_rng(seed)
     for fine_shape, orders in zip((shape, mg._halved(shape)), INTERGRID[intergrid]):
         pair = transfer_matrices(fine_shape, *orders)
@@ -345,8 +324,8 @@ def test_laplacian_from_1d_products_matches_its_coarsened_stencil(data, dim, int
     live = weights.ravel() != 0
     expected = _interior_stencil(shape, offsets(weights.shape)[live], float,
                                  lambda e, colslc: weights.ravel()[live][e])
-    shifts = mg._unit_shifts(weights.shape, shape)
-    for pair in mg._transfer_pairs(shape, intergrid):
+    shifts = mg._unit_shifts(weights.shape, expected.grid_shape)
+    for pair in mg._transfer_pairs(expected.grid_shape, intergrid):
         expected = mg._coarsen(expected, pair)
         shifts = mg._coarsen_shifts(shifts, pair.orders)
         coarse_offsets, planes = zip(*mg._laplacian_planes(weights, shifts))
@@ -391,15 +370,17 @@ def test_stencil_levels_match_the_sparse_oracle(data, dim, intergrid, alpha, bet
     problem = HelmholtzProblem(model, omega_for_ppw(model, 10.0), pad=4)
     plan = CyclePlan(intergrid=intergrid, alpha=alpha, beta=beta)
 
+    shape = problem.padded_shape
+    interior = galerkin_oracle.interior_block
     fine = assemble_operator(problem, "fourth-order", beta=beta).matrix
-    assert _same_bits(fine, galerkin_oracle.operator_matrix(problem, "fourth-order",
-                                                            beta=beta))
-    assert _same_bits(mass_matrix(problem, "fourth-order").matrix,
-                      galerkin_oracle.mass_operator_matrix(problem, "fourth-order"))
+    assert _same_bits(fine, interior(galerkin_oracle.operator_matrix(
+        problem, "fourth-order", beta=beta), shape))
+    assert _same_bits(mass_matrix(problem, "fourth-order").matrix, interior(
+        galerkin_oracle.mass_operator_matrix(problem, "fourth-order"), shape))
 
     hier = build_hierarchy(problem, "fourth-order", plan)
-    expected = galerkin_oracle.hierarchy_levels(problem, "fourth-order", plan,
-                                                hier.transfers)
+    expected = [interior(*level) for level in galerkin_oracle.hierarchy_levels(
+        problem, "fourth-order", plan, hier.transfers)]
     assert _same_bits(hier.levels[0].operator.matrix, expected[0])
     for level, oracle in zip(hier.levels[1:], expected[1:]):
         got = level.operator.matrix
@@ -421,10 +402,10 @@ def test_coarsest_stencil_reach(intergrid, reach):
         hier = build_hierarchy(problem, "fourth-order", CyclePlan(intergrid=intergrid))
     operator = hier.levels[2].operator
     shape = operator.grid_shape
-    assert shape == (9, 9)
-    center = np.ravel_multi_index((4, 4), shape)
+    assert shape == (7, 7)
+    center = np.ravel_multi_index((3, 3), shape)
     cols = operator.matrix[center].indices
-    offsets = np.abs(np.array(np.unravel_index(cols, shape)).T - (4, 4))
+    offsets = np.abs(np.array(np.unravel_index(cols, shape)).T - (3, 3))
     assert offsets.max() == reach == operator.reach
     assert isinstance(hier.coarse_solver, FrontalLU)
 
@@ -436,7 +417,7 @@ def test_levels_halve_and_spacing_doubles():
     hier = build_hierarchy(HelmholtzProblem(model, 1e-3, pad=4), "fourth-order",
                            CyclePlan())
     shapes = [lv.operator.grid_shape for lv in hier.levels]
-    assert shapes == [(41, 41), (21, 21), (11, 11)]
+    assert shapes == [(39, 39), (19, 19), (9, 9)]
     for i, (level, shape) in enumerate(zip(hier.levels, shapes)):
         x = 2 ** i * model.h * np.arange(shape[0])
         u = np.broadcast_to(x[:, None] ** 2, shape).ravel()
@@ -881,18 +862,36 @@ def test_coarse_solve_rejects_a_non_finite_rhs_without_refactoring():
     assert hier.coarse_solver is solver and hier.max_coarse_residual == 0.0
 
 
+def test_cycle_and_coarse_solve_reject_a_vector_of_the_wrong_length():
+    """A vector over the padded node grid, the Dirichlet layer included, is
+    a ValueError that names its length and the level's unknowns."""
+    problem = build_problem(2, 16, 10, pad=4)
+    hier = build_hierarchy(problem, "fourth-order", CyclePlan())
+    fine, coarsest = problem.padded_shape[0], (problem.padded_shape[0] - 1) // 4 + 1
+    for apply, level, nodes in ((cycle, hier.levels[0], fine),
+                                (coarse_solve, hier.levels[-1], coarsest)):
+        unknowns = level.operator.dofs
+        assert unknowns == (nodes - 2) ** 2
+        for size in (nodes ** 2, unknowns - 1):
+            with pytest.raises(ValueError, match=rf"shape \({size},\) does not match "
+                                                 rf"the {unknowns} unknowns"):
+                apply(hier, np.ones(size, dtype=complex))
+    with pytest.raises(ValueError, match=r"shape \(5, 5\) does not match the 25"):
+        coarse_solve(hier, np.ones((5, 5), dtype=complex))
+
+
 # ---------------------------------------------------------------- baseline
 
 def test_rediscretized_baseline_shape_and_transfers():
     problem = build_problem(2, 32, 10, pad=4)
     hier = build_rediscretized_hierarchy(problem, CyclePlan(intergrid="bilinear"))
-    assert [lv.operator.grid_shape for lv in hier.levels] == [(41, 41), (21, 21), (11, 11)]
+    assert [lv.operator.grid_shape for lv in hier.levels] == [(39, 39), (19, 19), (9, 9)]
     assert [t.orders for t in hier.transfers] == [("linear", "linear")] * 2
     # level 3 is a compact 9-point discretization, not a wide Galerkin composite
     A3 = hier.levels[2].operator.matrix
-    center = np.ravel_multi_index((5, 5), (11, 11))
+    center = np.ravel_multi_index((4, 4), (9, 9))
     cols = A3[center].indices
-    offsets = np.abs(np.array(np.unravel_index(cols, (11, 11))).T - (5, 5))
+    offsets = np.abs(np.array(np.unravel_index(cols, (9, 9))).T - (4, 4))
     assert offsets.max() == 1
 
 

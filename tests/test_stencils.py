@@ -30,10 +30,11 @@ def helmholtz_stencil(dim, kh, scheme="fourth-order"):
 def coarsened(fine, orders, nodes=17):
     """The hierarchy's Galerkin coarsening of a constant stencil by one pair
     of (restriction, prolongation) orders, on `nodes` per axis, read at the
-    centre of the coarse grid, which no boundary row of the transfers reaches."""
-    shape = (nodes,) * fine.ndim
+    centre of the coarse grid, which no boundary row of the transfers reaches.
+    The unknowns are the nodes inside the outermost layer."""
+    shape = (nodes - 2,) * fine.ndim
     shifts = _coarsen_shifts(_unit_shifts(fine.shape, shape), orders)
-    centre = ((nodes - 1) // 4,) * fine.ndim
+    centre = ((nodes - 1) // 4 - 1,) * fine.ndim
     return np.reshape([plane[centre] for _, plane in _laplacian_planes(fine, shifts)],
                       tuple(len(axis_offsets) for axis_offsets, _ in shifts))
 
